@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,18 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from . import scenario as scenario_mod
-from .geometry import cartesian_to_frenet
-from .planner import (EgoModelState, EmptyTerminalSet, Infeasible,
-                      decision_label, safe_stop_trajectory, solve_ltp,
-                      terminal_set)
-from .prediction import ObstacleState, propagate_obstacle, tvapf_value
+from .planner import (EmptyTerminalSet, Infeasible, decision_label,
+                      safe_stop_trajectory, solve_ltp, terminal_set)
+from .prediction import tvapf_value
 from .scenario import Scenario, ScenarioError
-from .simulation import run, summarize
+from .simulation import (ActorRuntime, EventKind, initial_ego_state,
+                         perceive, run, summarize)
 from .tracker import VehicleState
 
-# Event kinds that mean the run ended (or degraded) through the safe-stop
-# fallback rather than nominal tracking.
-_SAFESTOP_EVENTS = {"planner_fallback", "horizon_exhausted", "collision"}
+# Event kinds that mean the run degraded to the safe-stop fallback or came
+# closer to an actor than the scenario's collision margin.
+_SAFESTOP_EVENTS = {EventKind.PLANNER_FALLBACK, EventKind.HORIZON_EXHAUSTED,
+                    EventKind.COLLISION_MARGIN}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,18 +41,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="scenario file (JSON or YAML)")
     p_run.add_argument("--out", default="out",
                        help="output directory (default: ./out)")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="reserved; runs are deterministic")
     p_run.add_argument("--strict", action="store_true",
-                       help="exit 3 when the run degrades to safe-stop")
+                       help="exit 3 when the run degrades to safe-stop or "
+                            "breaches the collision margin")
     p_run.add_argument("--dry-run", action="store_true",
                        help="validate and print the resolved config only")
     p_run.add_argument("--instance-period", type=float, default=None,
                        help="override the planner instance period [s]")
     p_run.add_argument("--horizon", type=int, default=None,
                        help="override the planner horizon length N_L")
-    p_run.add_argument("--parallel-planner", action="store_true",
-                       help="run the planner in a background thread")
     p_run.set_defaults(func=cmd_run)
 
     p_plan = sub.add_parser(
@@ -114,7 +110,7 @@ def cmd_run(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    log = run(scn, parallel_planner=args.parallel_planner)
+    log = run(scn)
     log.to_csv(out / "runlog.csv")
     with open(out / "instances.json", "w") as fh:
         json.dump(log.to_json_dict(), fh, indent=2)
@@ -132,34 +128,31 @@ def cmd_run(args) -> int:
           f"solve mean/max {summary['solve_time_mean']:.3f}/"
           f"{summary['solve_time_max']:.3f} s, events: "
           f"{summary['events'] or 'none'}")
-    if args.strict and any(e in _SAFESTOP_EVENTS for e in summary["events"]):
-        print("strict mode: run degraded to safe-stop", file=sys.stderr)
+    if args.strict and any(EventKind(e) in _SAFESTOP_EVENTS
+                           for e in summary["events"]):
+        print("strict mode: run degraded to safe-stop or breached the "
+              "collision margin", file=sys.stderr)
         return 3
     return 0
 
 
 def _scene_at(scn: Scenario, t: float):
-    """Ego and actor states at scene time t (closed loop replayed when t>0)."""
+    """Road, ego state, actors and scene time at the plant step nearest t;
+    for t > 0 the closed loop is replayed up to and including that step."""
     path = scn.build_path()
-    if t <= 0.0:
-        ego = scn.ego
-        x0 = float(ego.get("x0", 0.0))
-        y0 = float(ego.get("y0", path.rightmost_lane_center))
-        q0 = cartesian_to_frenet(path, (x0, y0))
-        theta0 = float(ego.get("theta0", path.heading(q0.s)))
-        chi = VehicleState(x=x0, y=y0, theta=theta0,
-                           v=float(ego.get("v0", 0.0)), delta=0.0)
-        actors = [(a, a.s0, a.d0, a.v0) for a in scn.actors]
-        return path, chi, actors
-    sim = dict(scn.sim)
-    sim["duration"] = t
-    log = run(replace(scn, sim=sim))
-    row = log.steps[-1]
+    h = float(scn.sim.get("plant_step", 0.02))
+    n = max(0, int(round(t / h)))
+    if n == 0:
+        actors = [ActorRuntime(spec=a, s=a.s0, d=a.d0, v=a.v0)
+                  for a in scn.actors]
+        return path, initial_ego_state(scn, path), actors, 0.0
+    log = run(replace(scn, sim={**scn.sim, "duration": (n + 1) * h}))
+    row = log.steps[n]
     chi = VehicleState(x=row["ego_x"], y=row["ego_y"], theta=row["ego_theta"],
                        v=row["ego_v"], delta=row["ego_delta"])
-    actors = [(a, row[f"{a.id}_s"], row[f"{a.id}_d"], row[f"{a.id}_v"])
-              for a in scn.actors]
-    return path, chi, actors
+    actors = [ActorRuntime(spec=a, s=row[f"{a.id}_s"], d=row[f"{a.id}_d"],
+                           v=row[f"{a.id}_v"]) for a in scn.actors]
+    return path, chi, actors, row["time"]
 
 
 def cmd_plan(args) -> int:
@@ -173,38 +166,16 @@ def cmd_plan(args) -> int:
     except (ScenarioError, ValueError, TypeError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    path, chi, actors = _scene_at(scn, args.at)
-    sensor_range = float(scn.sim.get("sensor_range", 300.0))
-
-    q = cartesian_to_frenet(path, (chi.x, chi.y))
-    psi = (chi.theta - float(path.heading(q.s)) + math.pi) \
-        % (2.0 * math.pi) - math.pi
-    xi0 = EgoModelState(
-        s=q.s,
-        d=float(np.clip(q.d, path.right_edge_offset + pcfg.d_margin,
-                        path.left_edge_offset - pcfg.d_margin)),
-        psi=float(np.clip(psi, -pcfg.psi_max, pcfg.psi_max)),
-        nu=float(np.clip(chi.v, pcfg.v_min, pcfg.v_max)))
-
-    forecasts = []
-    sensed = []
-    for spec, s, d, v in actors:
-        if abs(s - xi0.s) > sensor_range:
-            continue
-        v_lo, v_hi = spec.v_bounds
-        obs = ObstacleState(s_o=s, d_o=d, v_o=float(np.clip(v, v_lo, v_hi)),
-                            v_bounds=spec.v_bounds, a_bounds=spec.a_bounds,
-                            direction=spec.direction)
-        forecasts.append(propagate_obstacle(obs, pcfg.T_sL, pcfg.N_L))
-        sensed.append(spec.id)
+    path, chi, actors, t0 = _scene_at(scn, args.at)
+    xi0, forecasts, sensed = perceive(
+        chi, actors, path, pcfg, float(scn.sim.get("sensor_range", 300.0)))
 
     try:
         traj = solve_ltp(xi0, forecasts, path, pcfg,
-                         potentials_cfg=potentials_cfg, tvapf=tvapf,
-                         t0=args.at)
+                         potentials_cfg=potentials_cfg, tvapf=tvapf, t0=t0)
     except (Infeasible, EmptyTerminalSet) as exc:
         print(f"planner fallback: {exc}", file=sys.stderr)
-        traj = safe_stop_trajectory(xi0, pcfg, t0=args.at)
+        traj = safe_stop_trajectory(xi0, pcfg, t0=t0)
     label = decision_label(traj, path, forecasts, v_des=potentials_cfg.v_des)
 
     try:
@@ -221,16 +192,17 @@ def cmd_plan(args) -> int:
     s_grid = np.linspace(s_lo, s_hi, 141)
     d_grid = np.linspace(path.right_edge_offset, path.left_edge_offset, 33)
     j_grid = list(range(0, pcfg.N_L + 1, max(1, args.field_step)))
+    S, D = np.meshgrid(s_grid, d_grid, indexing="ij")
     field = []
     for j in j_grid:
         # overlay of the per-obstacle fields (each normalized to [0, 1])
-        W = np.array([[max((tvapf_value(s, d, fc, j, tvapf)
-                            for fc in forecasts), default=0.0)
-                       for d in d_grid] for s in s_grid])
+        W = np.zeros(S.shape)
+        for fc in forecasts:
+            W = np.maximum(W, tvapf_value(S, D, fc, j, tvapf))
         field.append(W.tolist())
 
     dump = {
-        "t0": args.at,
+        "t0": t0,
         "decision": label.value,
         "sensed": sensed,
         "stats": traj.solve_stats,

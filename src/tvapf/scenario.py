@@ -247,6 +247,8 @@ def from_dict(data: dict) -> Scenario:
     step = _require_number(sim.get("plant_step", 0.02), "sim.plant_step",
                            1e-4, 1.0)
     _require_number(sim.get("sensor_range", 300.0), "sim.sensor_range", 1.0)
+    _require_number(sim.get("collision_margin", 2.0), "sim.collision_margin",
+                    0.0)
     tcfg = scn.tracker_config()
     pcfg = scn.planner_config()
     for big, small, name in ((tcfg.T_sMPC, step, "T_sMPC/plant_step"),

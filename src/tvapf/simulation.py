@@ -3,21 +3,20 @@
 Fixed-step event loop over plant steps: scripted actors advance, the planner
 publishes a trajectory every instance period, the tracker runs on its own
 tick against the latest published trajectory, and a kinematic single-track
-plant integrates the applied inputs.  Single-threaded scheduling is the
-canonical mode and is bit-reproducible; an optional concurrent mode runs the
-planner in a background thread with atomic publication.
+plant integrates the applied inputs.  Every step runs in order in one loop,
+so a run is bit-reproducible; there is no concurrent mode.
 """
 
 from __future__ import annotations
 
+import enum
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import FrenetPoint, cartesian_to_frenet, frenet_to_cartesian
-from .planner import (Decision, EgoModelState, EmptyTerminalSet, Infeasible,
+from .planner import (EgoModelState, EmptyTerminalSet, Infeasible,
                       decision_label, safe_stop_trajectory, solve_ltp)
 from .potentials import verify_lane_centering
 from .prediction import ObstacleState, propagate_obstacle
@@ -26,6 +25,16 @@ from .scenario import Scenario
 from .tracker import (Infeasible as TrackerInfeasible, VehicleState,
                       bicycle_step, check_hierarchy, max_braking_input,
                       solve_nmpc)
+
+
+class EventKind(str, enum.Enum):
+    """Kinds of the events a run logs; the values are the strings stored in
+    the run log."""
+
+    PLANNER_FALLBACK = "planner_fallback"
+    TRACKER_INFEASIBLE = "tracker_infeasible"
+    HORIZON_EXHAUSTED = "horizon_exhausted"
+    COLLISION_MARGIN = "collision_margin"
 
 
 @dataclass
@@ -80,10 +89,25 @@ class RunLog:
     def to_json_dict(self) -> dict:
         return {"instances": self.instances, "events": self.events}
 
+    def event(self, t: float, kind: EventKind, message: str) -> None:
+        self.events.append({"t": t, "kind": kind.value, "message": message})
 
-def _plan_instance(t, ego_chi, actors, path, pcfg, potentials_cfg, tvapf,
-                   sensor_range, warm, log, a_applied=None):
-    """Build forecasts from sensed actors and solve one planner instance."""
+
+def initial_ego_state(scenario: Scenario, path) -> VehicleState:
+    """Ego state at t = 0; the heading follows the road unless given."""
+    ego = scenario.ego
+    x0 = float(ego.get("x0", 0.0))
+    y0 = float(ego.get("y0", path.rightmost_lane_center))
+    q0 = cartesian_to_frenet(path, (x0, y0))
+    theta0 = float(ego.get("theta0", path.heading(q0.s)))
+    return VehicleState(x=x0, y=y0, theta=theta0,
+                        v=float(ego.get("v0", 0.0)), delta=0.0)
+
+
+def perceive(ego_chi, actors, path, pcfg, sensor_range):
+    """What the planner sees: the ego's Frenet state clipped into the
+    planner's state box, and the forecasts of the actors within sensor
+    range.  Returns (xi0, forecasts, sensed actor ids)."""
     q = cartesian_to_frenet(path, (ego_chi.x, ego_chi.y))
     psi = (ego_chi.theta - float(path.heading(q.s)) + math.pi) \
         % (2.0 * math.pi) - math.pi
@@ -107,6 +131,15 @@ def _plan_instance(t, ego_chi, actors, path, pcfg, potentials_cfg, tvapf,
                             direction=spec.direction)
         forecasts.append(propagate_obstacle(obs, pcfg.T_sL, pcfg.N_L))
         sensed.append(spec.id)
+    return xi0, forecasts, sensed
+
+
+def _plan_instance(t, ego_chi, actors, path, pcfg, potentials_cfg, tvapf,
+                   sensor_range, warm, log, a_applied=None):
+    """Build forecasts from sensed actors, solve one planner instance, log
+    it and return the trajectory to publish."""
+    xi0, forecasts, sensed = perceive(ego_chi, actors, path, pcfg,
+                                      sensor_range)
 
     # Anchor the first planned input to the acceleration the tracker is
     # actually applying, so the published reference never carries a jerk
@@ -123,8 +156,7 @@ def _plan_instance(t, ego_chi, actors, path, pcfg, potentials_cfg, tvapf,
                          potentials_cfg=potentials_cfg, tvapf=tvapf,
                          warm_start=warm, t0=t, alpha_prev=alpha_prev)
     except (Infeasible, EmptyTerminalSet) as exc:
-        log.events.append({"t": t, "kind": "planner_fallback",
-                           "message": str(exc)})
+        log.event(t, EventKind.PLANNER_FALLBACK, str(exc))
         traj = safe_stop_trajectory(xi0, pcfg, t0=t,
                                     alpha_prev=alpha_prev or 0.0)
     label = decision_label(traj, path, forecasts,
@@ -143,10 +175,10 @@ def _plan_instance(t, ego_chi, actors, path, pcfg, potentials_cfg, tvapf,
         ],
     }
     log.instances.append(record)
-    return traj, label
+    return traj
 
 
-def run(scenario: Scenario, parallel_planner: bool = False) -> RunLog:
+def run(scenario: Scenario) -> RunLog:
     """Execute the closed loop and return the full run log."""
     path = scenario.build_path()
     pcfg = scenario.planner_config()
@@ -165,14 +197,7 @@ def run(scenario: Scenario, parallel_planner: bool = False) -> RunLog:
     steps_per_instance = int(round(pcfg.instance_period / h))
     n_steps = int(round(duration / h))
 
-    ego = scenario.ego
-    x0 = float(ego.get("x0", 0.0))
-    y0 = float(ego.get("y0", path.rightmost_lane_center))
-    q0 = cartesian_to_frenet(path, (x0, y0))
-    theta0 = float(ego.get("theta0", path.heading(q0.s)))
-    chi = VehicleState(x=x0, y=y0, theta=theta0,
-                       v=float(ego.get("v0", 0.0)), delta=0.0)
-
+    chi = initial_ego_state(scenario, path)
     actors = [ActorRuntime(spec=a, s=a.s0, d=a.d0, v=a.v0)
               for a in scenario.actors]
     log = RunLog(actor_ids=[a.spec.id for a in actors])
@@ -185,45 +210,16 @@ def run(scenario: Scenario, parallel_planner: bool = False) -> RunLog:
     sigma = 0.0
     err = np.zeros(4)
     collided = set()
-    planner_thread = None
-    pending = {}
-
-    def do_plan(t, chi_snapshot, actor_snapshot, warm, a_applied):
-        return _plan_instance(t, chi_snapshot, actor_snapshot, path, pcfg,
-                              potentials_cfg, tvapf, sensor_range, warm, log,
-                              a_applied=a_applied)
 
     for n in range(n_steps):
         t = n * h
 
         # planner instance
         if n % steps_per_instance == 0:
-            if parallel_planner:
-                if planner_thread is not None:
-                    planner_thread.join()
-                snapshot = [ActorRuntime(a.spec, a.s, a.d, a.v)
-                            for a in actors]
-
-                a_now = None if u_prev is None else float(u_prev[0])
-
-                def worker(t=t, chi=chi, snapshot=snapshot, warm=traj,
-                           a_now=a_now):
-                    pending["traj"], pending["label"] = do_plan(
-                        t, chi, snapshot, warm, a_now)
-
-                planner_thread = threading.Thread(target=worker)
-                planner_thread.start()
-            else:
-                a_now = None if u_prev is None else float(u_prev[0])
-                traj, _ = do_plan(t, chi, actors, traj, a_now)
-                traj_id += 1
-
-        if parallel_planner and planner_thread is not None \
-                and not planner_thread.is_alive():
-            planner_thread.join()
-            planner_thread = None
-            traj = pending.pop("traj")
-            pending.pop("label", None)
+            a_now = None if u_prev is None else float(u_prev[0])
+            traj = _plan_instance(t, chi, actors, path, pcfg, potentials_cfg,
+                                  tvapf, sensor_range, traj, log,
+                                  a_applied=a_now)
             traj_id += 1
 
         # tracker tick
@@ -239,8 +235,7 @@ def run(scenario: Scenario, parallel_planner: bool = False) -> RunLog:
                     sigma = sol.sigma
                     u_guess = np.vstack([sol.inputs[1:], sol.inputs[-1:]])
                 except TrackerInfeasible as exc:
-                    log.events.append({"t": t, "kind": "tracker_infeasible",
-                                       "message": str(exc)})
+                    log.event(t, EventKind.TRACKER_INFEASIBLE, str(exc))
                     e0 = chi.as_array() - ref0
                     inside = (abs(e0[0]) <= tcfg.e_pos
                               and abs(e0[1]) <= tcfg.e_pos
@@ -260,8 +255,7 @@ def run(scenario: Scenario, parallel_planner: bool = False) -> RunLog:
                         u_guess = None
                     sigma = math.nan
             except HorizonExhausted as exc:
-                log.events.append({"t": t, "kind": "horizon_exhausted",
-                                   "message": str(exc)})
+                log.event(t, EventKind.HORIZON_EXHAUSTED, str(exc))
                 u_applied = max_braking_input(u_prev, tcfg)
                 sigma = math.nan
                 ref0 = chi.as_array()
@@ -282,8 +276,8 @@ def run(scenario: Scenario, parallel_planner: bool = False) -> RunLog:
             aid = actors[i].spec.id
             if gap < margin and aid not in collided:
                 collided.add(aid)
-                log.events.append({"t": t, "kind": "collision_margin",
-                                   "message": f"gap to {aid} is {gap:.2f} m"})
+                log.event(t, EventKind.COLLISION_MARGIN,
+                          f"gap to {aid} is {gap:.2f} m")
         row = {
             "time": t, "ego_x": chi.x, "ego_y": chi.y, "ego_theta": chi.theta,
             "ego_v": chi.v, "ego_delta": chi.delta,
@@ -305,9 +299,6 @@ def run(scenario: Scenario, parallel_planner: bool = False) -> RunLog:
             chi = VehicleState(chi.x, chi.y, chi.theta, 0.0, chi.delta)
         for actor in actors:
             step_actor(actor, t, h)
-
-    if planner_thread is not None:
-        planner_thread.join()
     return log
 
 

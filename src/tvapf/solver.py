@@ -1,5 +1,7 @@
-"""Smooth NLP solving contract shared by the trajectory planner and the
-tracking controller.
+"""Smooth NLP solver of the trajectory planner.
+
+The tracking controller does not use it: its small dense program goes to
+SciPy's SLSQP.  Every program supplies its own Lagrangian Hessian.
 
 The implementation is a primal-dual interior-point method: inequality
 constraints get slacks with a log barrier, box bounds are handled by a direct
@@ -40,17 +42,18 @@ class NlpProblem:
     """Smooth nonlinear program
         min f(z)  s.t.  c_eq(z) = 0,  c_ineq(z) <= 0,  lb <= z <= ub.
 
-    All callbacks must be deterministic.  ``hessian(z, y_eq, w_ineq)`` may
-    return any symmetric positive-semidefinite approximation of the Lagrangian
-    Hessian (sparse or dense); if omitted, a damped BFGS approximation is
-    maintained internally.  Sparse Hessians and Jacobians that keep one
-    sparsity pattern from call to call let the solver reuse its KKT layout
-    and fill-reducing order across iterations.
+    All callbacks must be deterministic.  ``hessian(z, y_eq, w_ineq)`` is
+    required and may return any symmetric positive-semidefinite
+    approximation of the Lagrangian Hessian (sparse or dense).  Sparse
+    Hessians and Jacobians that keep one sparsity pattern from call to call
+    let the solver reuse its KKT layout and fill-reducing order across
+    iterations.
     """
 
     n: int
     objective: Callable
     gradient: Callable
+    hessian: Callable
     z0: np.ndarray
     eq_constraints: Optional[Callable] = None
     eq_jacobian: Optional[Callable] = None
@@ -58,7 +61,6 @@ class NlpProblem:
     ineq_jacobian: Optional[Callable] = None
     lb: Optional[np.ndarray] = None
     ub: Optional[np.ndarray] = None
-    hessian: Optional[Callable] = None
 
 
 @dataclass
@@ -198,19 +200,6 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     Je = eval_Je(z)
     Ji = eval_Ji(z)
 
-    # BFGS state when no Hessian callback is supplied
-    bfgs_H = sp.eye(n, format="csr") if problem.hessian is None else None
-    prev_z = None
-    prev_grad_lag = None
-
-    def lagrangian_grad(gv, Jev, Jiv, yv, wv):
-        gl = gv.copy()
-        if me:
-            gl += Jev.T @ yv
-        if mi:
-            gl += Jiv.T @ wv
-        return gl
-
     def violation(cev, civ):
         v = 0.0
         if me:
@@ -269,31 +258,8 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
             break
 
         # Hessian of the Lagrangian (approximate)
-        if problem.hessian is not None:
-            H = problem.hessian(z, y, w)
-            H = H.tocsr() if sp.issparse(H) else sp.csr_matrix(np.atleast_2d(H))
-        else:
-            grad_lag = lagrangian_grad(g, Je, Ji, y, w)
-            if prev_z is not None:
-                sk = z - prev_z
-                yk = grad_lag - prev_grad_lag
-                sts = float(sk @ sk)
-                if sts > 1e-16:
-                    Hs = bfgs_H @ sk
-                    sHs = float(sk @ Hs)
-                    sy = float(sk @ yk)
-                    # Powell damping keeps the approximation positive definite
-                    if sy < 0.2 * sHs:
-                        theta = 0.8 * sHs / (sHs - sy) if sHs > sy else 1.0
-                        yk = theta * yk + (1.0 - theta) * Hs
-                        sy = float(sk @ yk)
-                    if sy > 1e-12 and sHs > 1e-12:
-                        bfgs_H = (bfgs_H
-                                  - sp.csr_matrix(np.outer(Hs, Hs) / sHs)
-                                  + sp.csr_matrix(np.outer(yk, yk) / sy))
-            prev_z = z.copy()
-            prev_grad_lag = grad_lag.copy()
-            H = bfgs_H
+        H = problem.hessian(z, y, w)
+        H = H.tocsr() if sp.issparse(H) else sp.csr_matrix(np.atleast_2d(H))
 
         # condensed primal-dual system
         d_lo = np.zeros(n)

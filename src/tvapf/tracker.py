@@ -3,9 +3,8 @@
 The tracker follows the resampled Cartesian reference with a kinematic
 single-track model at a fast sampling rate.  The program is transcribed by
 single shooting over the input sequence plus one slack variable that softens
-the terminal error equality; gradients come from forward sensitivity
-propagation and the Hessian is the Gauss-Newton approximation of the
-least-squares cost.
+the terminal error equality, and solved by SciPy's SLSQP; gradients come
+from forward sensitivity propagation.
 """
 
 from __future__ import annotations
@@ -13,14 +12,13 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from .planner import PlannerConfig
 from .potentials import ConfigError
-from .solver import NlpProblem, SolveOptions
 
 
 class Infeasible(Exception):
@@ -72,8 +70,8 @@ class TrackerConfig:
     e_pos: float = 0.5
     e_theta: float = 0.1
     e_v: float = 1.0
-    solver: SolveOptions = field(default_factory=lambda: SolveOptions(
-        tol=1e-6, max_iter=120))
+    # SLSQP iteration limit per tick
+    max_iter: int = 120
 
     def __post_init__(self):
         if self.T_sMPC <= 0 or self.N_P < 1 or self.wheelbase <= 0:
@@ -253,15 +251,6 @@ class _NmpcProgram:
         g[-1] = 2.0 * self.cfg.rho * z[-1]
         return g
 
-    def hessian(self, z, y_eq, w_ineq):
-        U, X, S, E = self._rollout(z)
-        H = np.zeros((self.n, self.n))
-        for k in range(1, self.N + 1):
-            H[:2 * self.N, :2 * self.N] += 2.0 * S[k].T @ (self.Q[:, None] * S[k])
-        H[:2 * self.N, :2 * self.N] += np.diag(np.tile(2.0 * self.R, self.N))
-        H[-1, -1] = 2.0 * self.cfg.rho
-        return H
-
     # inequality constraints h(z) <= 0
     def ineq_constraints(self, z):
         cfg = self.cfg
@@ -340,20 +329,6 @@ class _NmpcProgram:
         return (np.concatenate([lb, [0.0 - 1e-12]]),
                 np.concatenate([ub, [np.inf]]))
 
-    def to_problem(self, z0) -> NlpProblem:
-        lb, ub = self.bounds()
-        return NlpProblem(
-            n=self.n,
-            objective=self.objective,
-            gradient=self.gradient,
-            z0=z0,
-            ineq_constraints=self.ineq_constraints,
-            ineq_jacobian=self.ineq_jacobian,
-            lb=lb,
-            ub=ub,
-            hessian=self.hessian,
-        )
-
 
 def max_braking_input(u_prev, cfg: TrackerConfig) -> np.ndarray:
     """Strongest deceleration reachable within one tick's rate limit, with
@@ -392,7 +367,7 @@ def solve_nmpc(chi0: VehicleState, ref, cfg: TrackerConfig,
             constraints=[{"type": "ineq",
                           "fun": lambda zz: -prog.ineq_constraints(zz),
                           "jac": lambda zz: -prog.ineq_jacobian(zz)}],
-            options={"maxiter": cfg.solver.max_iter, "ftol": 1e-9})
+            options={"maxiter": cfg.max_iter, "ftol": 1e-9})
     wall = time.perf_counter() - t0
     viol = float(np.max(np.maximum(prog.ineq_constraints(result.x), 0.0),
                         initial=0.0))

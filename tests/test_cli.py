@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import tvapf
+from tvapf import scenario as scenario_mod
 from tvapf.cli import main
+from tvapf.prediction import tvapf_value
+from tvapf.simulation import ActorRuntime, initial_ego_state, perceive
 
 SCENARIO_DIR = Path(tvapf.__file__).parent / "scenarios"
 
@@ -28,6 +31,26 @@ def _mini_scenario(**extra):
     }
     data.update(extra)
     return data
+
+
+def _oncoming_scenario(*actors):
+    """Mini scenario with an actor oncoming in the left lane; it passes the
+    ego about 4 m apart at t = 7.4 s, inside a 5 m collision margin."""
+    oncoming = {"id": "O1", "s0": 140.0, "d0": 2.0, "v0": 8.0,
+                "direction": -1, "v_bounds": [7.0, 9.0],
+                "a_bounds": [-0.1, 0.1]}
+    return _mini_scenario(actors=[oncoming, *actors],
+                          sim={"duration": 10.0, "collision_margin": 5.0})
+
+
+@pytest.fixture(scope="module")
+def oncoming_run(tmp_path_factory):
+    """(scenario file, output directory, exit code) of a strict run of the
+    oncoming mini scenario."""
+    tmp = tmp_path_factory.mktemp("oncoming")
+    scn = _write(tmp, "oncoming.json", _oncoming_scenario())
+    out = tmp / "out"
+    return scn, out, main(["run", str(scn), "--out", str(out), "--strict"])
 
 
 def test_dry_run_prints_resolved_config(capsys):
@@ -105,6 +128,57 @@ def test_strict_exits_3_when_degraded(tmp_path, capsys):
     assert "planner_fallback" in summary["events"]
     # without --strict the same run exits 0 and still writes artifacts
     assert main(["run", str(scn), "--out", str(tmp_path / "out2")]) == 0
+
+
+def test_strict_exits_3_on_collision_margin(oncoming_run):
+    _, out, rc = oncoming_run
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["events"] == ["collision_margin"]
+    assert rc == 3
+
+
+def test_run_help_lists_no_removed_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--parallel-planner" not in help_text
+    assert "--seed" not in help_text
+
+
+def test_plan_at_starts_from_closed_loop_state(oncoming_run, tmp_path):
+    scn, out, _ = oncoming_run
+    instance, = [i for i in json.loads(
+        (out / "instances.json").read_text())["instances"] if i["t0"] == 5.0]
+    plan = tmp_path / "plan.json"
+    assert main(["plan", str(scn), "--at", "5", "--out", str(plan)]) == 0
+    dump = json.loads(plan.read_text())
+    assert dump["t0"] == 5.0
+    assert dump["sensed"] == instance["sensed"]
+    assert dump["states"][0] == instance["states"][0]  # bit for bit
+
+
+def test_plan_field_matches_per_point_reference(tmp_path):
+    leader = {"id": "L1", "s0": 100.0, "d0": -2.0, "v0": 5.0,
+              "v_bounds": [2.9, 6.1], "a_bounds": [-0.01, 0.25]}
+    file = _write(tmp_path, "scene.json", _oncoming_scenario(leader))
+    out = tmp_path / "plan.json"
+    assert main(["plan", str(file), "--field-step", "35",
+                 "--out", str(out)]) == 0
+    field = json.loads(out.read_text())["field"]
+    assert field["j"] == [0, 35, 70]
+
+    scn = scenario_mod.load(file)
+    path = scn.build_path()
+    tv = scn.tvapf_params()
+    actors = [ActorRuntime(spec=a, s=a.s0, d=a.d0, v=a.v0)
+              for a in scn.actors]
+    _, forecasts, sensed = perceive(initial_ego_state(scn, path), actors,
+                                    path, scn.planner_config(), 300.0)
+    assert sensed == ["O1", "L1"]
+    for j, W in zip(field["j"], field["W"]):
+        ref = [[max(tvapf_value(s, d, fc, j, tv) for fc in forecasts)
+                for d in field["d"]] for s in field["s"]]
+        np.testing.assert_allclose(W, ref, rtol=0.0, atol=1e-12)
 
 
 def test_plan_bundled_scenario(tmp_path, capsys):

@@ -181,6 +181,14 @@ def test_grid_ratio_mismatch():
         from_dict(data)
 
 
+@pytest.mark.parametrize("key, value", [("sensor_range", 0.5),
+                                        ("collision_margin", -1.0),
+                                        ("collision_margin", "2.0")])
+def test_bad_sim_value(key, value):
+    with pytest.raises(ScenarioError, match=f"sim.{key}"):
+        from_dict(minimal_dict(sim={"duration": 10.0, key: value}))
+
+
 def test_invalid_subconfig_reported_as_scenario_error():
     with pytest.raises(ScenarioError):
         from_dict(minimal_dict(tracker={"rho": -1.0}))

@@ -8,10 +8,17 @@ from tvapf.solver import (CallbackFailure, NlpProblem, SolveOptions,
                           SolveStatus, solve)
 
 
+def _constant_hessian(*diag):
+    """Exact Hessian callback of a program whose Lagrangian Hessian is the
+    constant diagonal matrix diag(diag)."""
+    return lambda z, y_eq, w_ineq: np.diag(np.array(diag, dtype=float))
+
+
 def _scalar_quadratic(**kw):
     return NlpProblem(n=1,
                       objective=lambda z: float((z[0] - 3.0) ** 2),
                       gradient=lambda z: np.array([2.0 * (z[0] - 3.0)]),
+                      hessian=_constant_hessian(2.0),
                       z0=np.array([0.0]), **kw)
 
 
@@ -20,6 +27,7 @@ def _equality_qp(z0=(2.0, -1.0)):
     return NlpProblem(n=2,
                       objective=lambda z: float(z @ z),
                       gradient=lambda z: 2.0 * z,
+                      hessian=_constant_hessian(2.0, 2.0),
                       z0=np.array(z0, dtype=float),
                       eq_constraints=lambda z: np.array([z[0] + z[1] - 1.0]),
                       eq_jacobian=lambda z: np.array([[1.0, 1.0]]))
@@ -68,6 +76,9 @@ def test_rosenbrock():
         gradient=lambda z: np.array([
             -400.0 * z[0] * (z[1] - z[0] ** 2) - 2.0 * (1.0 - z[0]),
             200.0 * (z[1] - z[0] ** 2)]),
+        hessian=lambda z, y_eq, w_ineq: np.array([
+            [1200.0 * z[0] ** 2 - 400.0 * z[1] + 2.0, -400.0 * z[0]],
+            [-400.0 * z[0], 200.0]]),
         z0=np.array([-1.2, 1.0]))
     r = solve(p, SolveOptions(max_iter=500))
     assert r.status is SolveStatus.OPTIMAL
@@ -79,6 +90,7 @@ def test_infeasible_pair():
     p = NlpProblem(n=1,
                    objective=lambda z: float(z[0] ** 2),
                    gradient=lambda z: np.array([2.0 * z[0]]),
+                   hessian=_constant_hessian(2.0),
                    z0=np.array([0.5]),
                    ineq_constraints=lambda z: np.array([z[0], 1.0 - z[0]]),
                    ineq_jacobian=lambda z: np.array([[1.0], [-1.0]]))
@@ -96,21 +108,24 @@ def test_iteration_limit_reports_feasible_point():
 
 def test_nan_objective_raises():
     p = NlpProblem(n=1, objective=lambda z: float("nan"),
-                   gradient=lambda z: np.zeros(1), z0=np.zeros(1))
+                   gradient=lambda z: np.zeros(1),
+                   hessian=_constant_hessian(0.0), z0=np.zeros(1))
     with pytest.raises(CallbackFailure):
         solve(p)
 
 
 def test_nan_gradient_raises():
     p = NlpProblem(n=1, objective=lambda z: 0.0,
-                   gradient=lambda z: np.array([np.nan]), z0=np.zeros(1))
+                   gradient=lambda z: np.array([np.nan]),
+                   hessian=_constant_hessian(0.0), z0=np.zeros(1))
     with pytest.raises(CallbackFailure):
         solve(p)
 
 
 def test_degenerate_box_rejected():
     p = NlpProblem(n=1, objective=lambda z: 0.0,
-                   gradient=lambda z: np.zeros(1), z0=np.zeros(1),
+                   gradient=lambda z: np.zeros(1),
+                   hessian=_constant_hessian(0.0), z0=np.zeros(1),
                    lb=np.array([1.0]), ub=np.array([1.0]))
     with pytest.raises(ValueError):
         solve(p)
