@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import rk4, rk4_jacobians, rollout
 from .geometry import ReferencePath
 from .potentials import (PotentialConfig, boundary_potential,
                          boundary_potential_grad, effective_speed,
                          lane_potential, lane_potential_grad)
 from .prediction import TvapfParams, _scales_from_spread
-from .solver import (NlpProblem, SolveOptions, SolveResult, SolveStatus,
-                     SparsePattern, solve)
+from .solver import (NlpProblem, SolveOptions, SolveStatus, SparsePattern,
+                     solve)
 
 
 class Infeasible(Exception):
@@ -85,9 +86,8 @@ class PlannerConfig:
     # disturbances while tracking a saturated plan
     alpha_margin: float = 0.1
     omega_margin: float = 0.005
-    # admissible input-rate set (per step); None disables the bound
-    delta_alpha_max: float | None = 0.3
-    delta_omega_max: float | None = None
+    # admissible acceleration change per step
+    delta_alpha_max: float = 0.3
     # terminal-set parameters
     tau: float = 0.5
     j_max: float = 0.9
@@ -191,50 +191,23 @@ _FU_NONZERO = np.array([[True, True],
                         [True, False]])
 
 
-def _rk4(X: np.ndarray, U: np.ndarray, h: float, sensitivities: bool = False):
-    """One RK4 step of the point-mass model for M stages at once.
-
-    X (M, 4) and U (M, 2) are the states and the inputs held over the step.
-    Returns the next states (M, 4); with ``sensitivities`` also their
-    Jacobians Fx (M, 4, 4) w.r.t. X and Fu (M, 4, 2) w.r.t. U.
-
-    The Jacobians follow the chain rule through the four stages in closed
-    form.  df/dx is nonzero only in the block a = d(s', d')/d(psi, nu), and
-    the psi and nu rows of f do not depend on x; hence each stage's
-    dk/dx = A (I + c dk_prev/dx) is that stage's df/dx, and its dk/du is
-    c a B + B, where a B is a with its columns swapped.
-    """
-    X = np.asarray(X, dtype=float)
-    U = np.asarray(U, dtype=float)
-    k, a = [], []
-    Y = X
-    for c in (0.5 * h, 0.5 * h, h, None):
-        psi, nu = Y[:, 2], Y[:, 3]
-        cos, sin = np.cos(psi), np.sin(psi)
-        k.append(np.stack([nu * cos, nu * sin, U[:, 1], U[:, 0]], axis=1))
-        if sensitivities:
-            a.append(np.stack([-nu * sin, cos, nu * cos, sin],
-                              axis=1).reshape(-1, 2, 2))
-        if c is not None:
-            Y = X + c * k[-1]
-    x_next = X + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
-    if not sensitivities:
-        return x_next
-
-    M = len(X)
-    Fx = np.tile(np.eye(4), (M, 1, 1))
-    Fx[:, :2, 2:] = (h / 6.0) * (a[0] + 2.0 * a[1] + 2.0 * a[2] + a[3])
-    Fu = np.empty((M, 4, 2))
-    Fu[:, :2] = (h / 6.0) * (2.0 * (0.5 * h * a[1][:, :, ::-1])
-                             + 2.0 * (0.5 * h * a[2][:, :, ::-1])
-                             + h * a[3][:, :, ::-1])
-    Fu[:, 2:] = (h / 6.0) * (6.0 * _B[2:])
-    return x_next, Fx, Fu
+def _f(x, u):
+    """Point-mass vector field on states (..., 4) and inputs (..., 2)."""
+    psi, nu = x[..., 2], x[..., 3]
+    return np.stack([nu * np.cos(psi), nu * np.sin(psi), u[..., 1],
+                     u[..., 0]], axis=-1)
 
 
-def _rk4_step(x: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
-    """One RK4 step of a single state."""
-    return _rk4(np.reshape(x, (1, 4)), np.reshape(u, (1, 2)), h)[0]
+def _jac(Y, U):
+    """df/dx and df/du of the point mass at every state of Y (..., 4)."""
+    psi, nu = Y[..., 2], Y[..., 3]
+    cos, sin = np.cos(psi), np.sin(psi)
+    A = np.zeros(Y.shape + (4,))
+    A[..., 0, 2] = -nu * sin
+    A[..., 0, 3] = cos
+    A[..., 1, 2] = nu * cos
+    A[..., 1, 3] = sin
+    return A, np.broadcast_to(_B, Y.shape[:-1] + _B.shape)
 
 
 def discretize_dynamics(xi: EgoModelState, lam: ControlInput,
@@ -243,7 +216,7 @@ def discretize_dynamics(xi: EgoModelState, lam: ControlInput,
     if T_sL <= 0:
         raise ValueError("T_sL must be positive")
     return EgoModelState.from_array(
-        _rk4_step(xi.as_array(), lam.as_array(), T_sL))
+        rk4(_f, xi.as_array(), lam.as_array(), T_sL)[0])
 
 
 # -- terminal set -----------------------------------------------------------
@@ -301,14 +274,6 @@ def terminal_set(forecasts, cfg: PlannerConfig, path: ReferencePath,
 # -- initial guess / warm start --------------------------------------------
 
 
-def _rollout(x0: np.ndarray, inputs: np.ndarray, h: float) -> np.ndarray:
-    xs = np.empty((len(inputs) + 1, 4))
-    xs[0] = x0
-    for j, u in enumerate(inputs):
-        xs[j + 1] = _rk4_step(xs[j], u, h)
-    return xs
-
-
 def shift_warm_start(warm: PlannedTrajectory, cfg: PlannerConfig):
     """Shift the previous solution by one instance period and pad by coasting.
 
@@ -324,7 +289,7 @@ def shift_warm_start(warm: PlannedTrajectory, cfg: PlannerConfig):
     pad = cfg.N_L - len(inputs)
     if pad > 0:
         coast = np.zeros((pad, 2))
-        tail = _rollout(states[-1], coast, cfg.T_sL)
+        tail = rollout(_f, states[-1], coast, cfg.T_sL)[0]
         states = np.vstack([states, tail[1:]])
         inputs = np.vstack([inputs, coast])
     return states[:cfg.N_L + 1], inputs[:cfg.N_L]
@@ -338,7 +303,7 @@ def _initial_guess(xi0: EgoModelState, cfg: PlannerConfig,
         states[0] = xi0.as_array()
         return states, inputs
     inputs = np.zeros((cfg.N_L, 2))
-    states = _rollout(xi0.as_array(), inputs, cfg.T_sL)
+    states = rollout(_f, xi0.as_array(), inputs, cfg.T_sL)[0]
     return states, inputs
 
 
@@ -473,28 +438,18 @@ class _LtpProgram:
         self._build_patterns()
 
     def _build_patterns(self):
-        """Index arrays of the input-rate limits and the fixed sparsity
+        """Index arrays of the acceleration-rate limits and the fixed sparsity
         patterns of the Hessian and both Jacobians; callbacks fill values."""
         N, n = self.N, self.n
         j = np.arange(N)
         b = 4 * j        # index of s_j; d_j, psi_j, nu_j follow
         iu = 4 * N + 2 * j  # index of alpha_j; omega_j follows
 
-        # input-rate limits |u_next - u_prev| <= bound, two rows each; the
-        # extra index n stands for the pre-horizon input alpha_prev
-        nxt, prv, bnd = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [[]]
-        for comp, bound in ((0, self.cfg.delta_alpha_max),
-                            (1, self.cfg.delta_omega_max)):
-            if bound is None:
-                continue
-            idx = iu + comp
-            first = 0 if comp == 0 and self.alpha_prev is not None else 1
-            nxt.append(idx[first:])
-            prv.append(np.concatenate([[n], idx[:-1]])[first:])
-            bnd.append(np.full(N - first, float(bound)))
-        self._rate_next = np.concatenate(nxt)
-        self._rate_prev = np.concatenate(prv)
-        self._rate_bound = np.concatenate(bnd)
+        # acceleration-rate limits |alpha_next - alpha_prev| <= bound, two
+        # rows each; the extra index n stands for the pre-horizon alpha_prev
+        first = 0 if self.alpha_prev is not None else 1
+        self._rate_next = iu[first:]
+        self._rate_prev = np.concatenate([[n], iu[:-1]])[first:]
 
         # inequality Jacobian: field rows on (s_j, d_j), then the rate rows
         # with +-1 on the next input and -+1 on the previous one
@@ -697,17 +652,19 @@ class _LtpProgram:
 
     # -- dynamics equalities ------------------------------------------------
 
-    def _defects(self, z, sensitivities):
-        X = self._states(z)
-        prev = np.concatenate([self.x0[None, :], X[:-1]])
-        return X, _rk4(prev, self._inputs(z), self.cfg.T_sL, sensitivities)
+    def _step(self, z):
+        """(U, x_next, Y): the inputs, and the RK4 step from each stage's
+        previous state with its stage points."""
+        prev = np.concatenate([self.x0[None, :], self._states(z)[:-1]])
+        U = self._inputs(z)
+        return (U,) + rk4(_f, prev, U, self.cfg.T_sL)
 
     def eq_constraints(self, z):
-        X, x_next = self._defects(z, False)
-        return (X - x_next).ravel()
+        return (self._states(z) - self._step(z)[1]).ravel()
 
     def eq_jacobian(self, z):
-        _, (_, Fx, Fu) = self._defects(z, True)
+        U, _, Y = self._step(z)
+        Fx, Fu = rk4_jacobians(_jac, Y, U, self.cfg.T_sL)
         return self._eq_pattern.matrix(np.concatenate([
             np.ones(4 * self.N), -Fx[1:, _FX_NONZERO].ravel(),
             -Fu[:, _FU_NONZERO].ravel()]))
@@ -718,10 +675,10 @@ class _LtpProgram:
         O = self._field(self._states(z))
         ze = np.append(z, 0.0 if self.alpha_prev is None else self.alpha_prev)
         diff = ze[self._rate_next] - ze[self._rate_prev]
+        bound = self.cfg.delta_alpha_max
         return np.concatenate([
             O - self.tvapf.epsilon_o,
-            np.stack([diff - self._rate_bound, -diff - self._rate_bound],
-                     axis=1).ravel()])
+            np.stack([diff - bound, -diff - bound], axis=1).ravel()])
 
     def ineq_jacobian(self, z):
         gs, gd = self._field_grad(self._states(z))
@@ -813,7 +770,7 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
         feasible = result.status in (SolveStatus.OPTIMAL,
                                      SolveStatus.FEASIBLE_POINT)
         U = prog._inputs(result.z)
-        X = _rollout(xi0.as_array(), U, cfg.T_sL)
+        X = rollout(_f, xi0.as_array(), U, cfg.T_sL)[0]
         overtakes = bool(any(path.lane_index_of(float(x[1])) > 0 for x in X))
         cand_stats.append({
             "candidate": name,
@@ -879,7 +836,7 @@ def safe_stop_trajectory(xi0: EgoModelState, cfg: PlannerConfig,
             a = -x[3] / h
         omega = float(np.clip(-x[2] / h, -cfg.omega_max, cfg.omega_max))
         u = np.array([a, omega])
-        x = _rk4_step(x, u, h)
+        x = rk4(_f, x, u, h)[0]
         x[3] = max(x[3], 0.0)
         states.append(x.copy())
         inputs.append(u)

@@ -169,6 +169,20 @@ def _require_number(value, where, lo=-math.inf, hi=math.inf):
     return float(value)
 
 
+def _require_type(value, where, kind=(list, tuple), size=None):
+    """value itself, if it is a ``kind`` (with ``size`` entries if given)."""
+    if not isinstance(value, kind) or size not in (None, len(value)):
+        what = ("a mapping" if kind is dict else "a list" if size is None
+                else f"a list of {size} entries")
+        raise ScenarioError(f"{where}: expected {what}, got {value!r}")
+    return value
+
+
+def _require_pair(value, where, lo, hi):
+    return tuple(_require_number(v, f"{where}[{i}]", lo, hi)
+                 for i, v in enumerate(_require_type(value, where, size=2)))
+
+
 def from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be a mapping")
@@ -178,30 +192,32 @@ def from_dict(data: dict) -> Scenario:
     for key in ("path", "ego"):
         if key not in data:
             raise ScenarioError(f"missing required section '{key}'")
+    for key in ("path", "ego", "tvapf", "weights", "planner", "tracker",
+                "sim"):
+        _require_type(data.get(key, {}), key, dict)
 
     ego = data["ego"]
     _require_number(ego.get("v0", 0.0), "ego.v0", 0.0, GLOBAL_V_MAX)
     _require_number(ego.get("v_des", 12.0), "ego.v_des", 0.0, GLOBAL_V_MAX)
 
     actors = []
-    for i, a in enumerate(data.get("actors", [])):
+    for i, a in enumerate(_require_type(data.get("actors", []), "actors")):
         where = f"actors[{i}]"
-        unknown = set(a) - _ACTOR_KEYS
+        unknown = set(_require_type(a, where, dict)) - _ACTOR_KEYS
         if unknown:
             raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
         for key in ("s0", "d0", "v0", "v_bounds", "a_bounds"):
             if key not in a:
                 raise ScenarioError(f"{where}: missing '{key}'")
-        v_bounds = tuple(float(v) for v in a["v_bounds"])
-        a_bounds = tuple(float(v) for v in a["a_bounds"])
-        if len(v_bounds) != 2 or len(a_bounds) != 2:
-            raise ScenarioError(f"{where}: bounds must be [lo, hi] pairs")
-        _require_number(v_bounds[1], f"{where}.v_bounds[1]", 0.0, GLOBAL_V_MAX)
-        _require_number(a_bounds[0], f"{where}.a_bounds[0]", -GLOBAL_A_MAX, 0.0 + GLOBAL_A_MAX)
-        _require_number(a_bounds[1], f"{where}.a_bounds[1]", -GLOBAL_A_MAX, GLOBAL_A_MAX)
+        v_bounds = _require_pair(a["v_bounds"], f"{where}.v_bounds", 0.0,
+                                 GLOBAL_V_MAX)
+        a_bounds = _require_pair(a["a_bounds"], f"{where}.a_bounds",
+                                 -GLOBAL_A_MAX, GLOBAL_A_MAX)
         script = []
         prev_t = -math.inf
-        for j, entry in enumerate(a.get("script", [])):
+        for j, entry in enumerate(_require_type(a.get("script", []),
+                                                f"{where}.script")):
+            _require_type(entry, f"{where}.script[{j}]", dict)
             t = _require_number(entry.get("t"), f"{where}.script[{j}].t", 0.0)
             tv = _require_number(entry.get("target_v"),
                                  f"{where}.script[{j}].target_v",
@@ -210,19 +226,30 @@ def from_dict(data: dict) -> Scenario:
                 raise ScenarioError(f"{where}.script: times must increase")
             prev_t = t
             script.append((t, tv))
-        direction = int(a.get("direction", 1))
-        if direction not in (1, -1):
-            raise ScenarioError(f"{where}.direction must be 1 or -1")
+        direction = a.get("direction", 1)
+        if direction not in (1, -1) or isinstance(direction, bool):
+            raise ScenarioError(f"{where}.direction must be 1 or -1, got "
+                                f"{direction!r}")
+        actor_id = str(a.get("id", f"A{i}"))
+        if actor_id in {spec.id for spec in actors}:
+            raise ScenarioError(f"{where}.id: duplicate actor id {actor_id!r}")
         try:
-            spec = ActorSpec(id=str(a.get("id", f"A{i}")),
+            spec = ActorSpec(id=actor_id,
                              s0=float(a["s0"]), d0=float(a["d0"]),
                              v0=float(a["v0"]), v_bounds=v_bounds,
-                             a_bounds=a_bounds, direction=direction,
+                             a_bounds=a_bounds, direction=int(direction),
                              script=tuple(script))
             spec.initial_state()  # bounds consistency
         except Exception as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
         actors.append(spec)
+
+    tracker = data.get("tracker", {})
+    for key, size in (("Q", 5), ("R", 2)):
+        if key in tracker:
+            for i, q in enumerate(_require_type(tracker[key],
+                                                f"tracker.{key}", size=size)):
+                _require_number(q, f"tracker.{key}[{i}]", 0.0)
 
     scn = Scenario(path=dict(data["path"]), ego=dict(ego),
                    actors=tuple(actors),
@@ -232,18 +259,17 @@ def from_dict(data: dict) -> Scenario:
                    tracker=dict(data.get("tracker", {})),
                    sim=dict(data.get("sim", {})))
     # configuration sections must construct cleanly
-    try:
-        scn.build_path()
-        scn.planner_config()
-        scn.tracker_config()
-        scn.potential_config()
-        scn.tvapf_params()
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError(str(exc)) from exc
+    for where, build in (("path", scn.build_path),
+                         ("planner", scn.planner_config),
+                         ("tracker", scn.tracker_config),
+                         ("weights/tvapf", scn.potential_config),
+                         ("tvapf", scn.tvapf_params)):
+        try:
+            build()
+        except Exception as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
     sim = scn.sim
-    duration = _require_number(sim.get("duration", 60.0), "sim.duration", 0.1)
+    _require_number(sim.get("duration", 60.0), "sim.duration", 0.1)
     step = _require_number(sim.get("plant_step", 0.02), "sim.plant_step",
                            1e-4, 1.0)
     _require_number(sim.get("sensor_range", 300.0), "sim.sensor_range", 1.0)
@@ -257,8 +283,6 @@ def from_dict(data: dict) -> Scenario:
         ratio = big / small
         if abs(ratio - round(ratio)) > 1e-9:
             raise ScenarioError(f"{name} must divide evenly (got {ratio})")
-    if duration <= 0:
-        raise ScenarioError("sim.duration must be positive")
     return scn
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,8 +68,6 @@ class SolveOptions:
     tol: float = 1e-6
     max_iter: int = 300
     max_wall_time: Optional[float] = None
-    mu_init: float = 1e-1
-    log_iterations: bool = False
 
 
 @dataclass
@@ -83,7 +81,6 @@ class SolveResult:
     constraint_violation: float
     y_eq: np.ndarray
     w_ineq: np.ndarray
-    iteration_log: list = field(default_factory=list)
 
 
 class SparsePattern:
@@ -188,7 +185,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     def eval_Ji(x):
         return _as_csr(problem.ineq_jacobian(x) if mi else None, mi, n)
 
-    mu = opts.mu_init
+    mu = 0.1  # initial barrier parameter
     s = np.maximum(-ci, 1e-2) if mi else np.zeros(0)
     w = mu / s if mi else np.zeros(0)
     y = np.zeros(me)
@@ -224,7 +221,6 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
     kkt = _KktSystem(n, me)
     delta_w = 0.0
-    iteration_log = []
     best_violation = np.inf
     stall_count = 0
     status = SolveStatus.ITER_LIMIT
@@ -355,15 +351,6 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
             Ji = eval_Ji(z)
             delta_w = max(delta_w / 3.0, 0.0) if delta_w > 1e-10 else 0.0
             accepted = True
-            if opts.log_iterations:
-                iteration_log.append({
-                    "iteration": it,
-                    "objective": f_val,
-                    "constraint_violation": violation(ce, ci),
-                    "step_size": alpha,
-                    "mu": mu,
-                    "merit": phi_t,
-                })
             break
 
         if not accepted:
@@ -394,7 +381,6 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         constraint_violation=final_violation,
         y_eq=y,
         w_ineq=w,
-        iteration_log=iteration_log,
     )
 
 

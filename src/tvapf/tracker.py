@@ -3,8 +3,15 @@
 The tracker follows the resampled Cartesian reference with a kinematic
 single-track model at a fast sampling rate.  The program is transcribed by
 single shooting over the input sequence plus one slack variable that softens
-the terminal error equality, and solved by SciPy's SLSQP; gradients come
-from forward sensitivity propagation.
+the terminal error equality, and solved by SciPy's SLSQP.
+
+The states come from the RK4 kernel shared with the planner
+(``dynamics.rk4``), one step at a time in scalar arithmetic, and are kept
+per iterate with the stage points of every step, so the objective and the
+constraint values never touch derivatives.  When SLSQP asks for the gradient
+or the constraint Jacobian, the step Jacobians of the whole horizon follow
+from those stage points in one batched chain rule
+(``dynamics.rk4_jacobians``) and are chained into the sensitivities dX/du.
 """
 
 from __future__ import annotations
@@ -13,10 +20,12 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.optimize
 
+from .dynamics import rk4, rk4_jacobians, rollout
 from .planner import PlannerConfig
 from .potentials import ConfigError
 
@@ -58,9 +67,8 @@ class TrackerConfig:
     a_min: float = -0.85
     a_max: float = 0.85
     w_delta_max: float = 0.4
-    # per-tick input rate set
+    # per-tick acceleration change
     delta_a_max: float = 0.17
-    delta_w_max: float | None = None
     # state limits
     v_min: float = 0.0
     v_max: float = 12.5
@@ -104,33 +112,22 @@ def check_hierarchy(tcfg: TrackerConfig, pcfg: PlannerConfig) -> None:
         raise ConfigError(
             "tracker authority does not cover the planner's margin-reduced "
             "input box; saturated plans would be untrackable")
-    if pcfg.delta_alpha_max is not None and tcfg.delta_a_max is not None:
-        planner_jerk = pcfg.delta_alpha_max / pcfg.T_sL
-        if planner_jerk > tcfg.delta_a_max / tcfg.T_sMPC + 1e-12:
-            raise ConfigError(
-                "planner jerk bound exceeds the tracker input-rate authority; "
-                "reference acceleration ramps would be untrackable")
+    if (pcfg.delta_alpha_max / pcfg.T_sL
+            > tcfg.delta_a_max / tcfg.T_sMPC + 1e-12):
+        raise ConfigError(
+            "planner jerk bound exceeds the tracker input-rate authority; "
+            "reference acceleration ramps would be untrackable")
 
 
 # -- dynamics ---------------------------------------------------------------
 
 
-def _f(chi: np.ndarray, u: np.ndarray, L: float) -> np.ndarray:
-    x, y, th, v, de = chi
+def _f(chi, u, L):
+    """Single-track vector field on one state, in scalar arithmetic: numpy
+    on a 5-vector costs more than the five products."""
+    _, _, th, v, de = chi.tolist()
     return np.array([v * math.cos(th), v * math.sin(th),
                      v * math.tan(de) / L, u[0], u[1]])
-
-
-def _A(chi: np.ndarray, L: float) -> np.ndarray:
-    _, _, th, v, de = chi
-    A = np.zeros((5, 5))
-    A[0, 2] = -v * math.sin(th)
-    A[0, 3] = math.cos(th)
-    A[1, 2] = v * math.cos(th)
-    A[1, 3] = math.sin(th)
-    A[2, 3] = math.tan(de) / L
-    A[2, 4] = v / (L * math.cos(de) ** 2)
-    return A
 
 
 _B = np.zeros((5, 2))
@@ -138,40 +135,18 @@ _B[3, 0] = 1.0
 _B[4, 1] = 1.0
 
 
-def _rk4_step(chi: np.ndarray, u: np.ndarray, T: float, L: float) -> np.ndarray:
-    k1 = _f(chi, u, L)
-    k2 = _f(chi + 0.5 * T * k1, u, L)
-    k3 = _f(chi + 0.5 * T * k2, u, L)
-    k4 = _f(chi + T * k3, u, L)
-    return chi + (T / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_jacobians(chi: np.ndarray, u: np.ndarray, T: float, L: float):
-    I = np.eye(5)
-    k1 = _f(chi, u, L)
-    x2 = chi + 0.5 * T * k1
-    k2 = _f(x2, u, L)
-    x3 = chi + 0.5 * T * k2
-    k3 = _f(x3, u, L)
-    x4 = chi + T * k3
-    k4 = _f(x4, u, L)
-
-    A1 = _A(chi, L)
-    dk1x, dk1u = A1, _B
-    A2 = _A(x2, L)
-    dk2x = A2 @ (I + 0.5 * T * dk1x)
-    dk2u = A2 @ (0.5 * T * dk1u) + _B
-    A3 = _A(x3, L)
-    dk3x = A3 @ (I + 0.5 * T * dk2x)
-    dk3u = A3 @ (0.5 * T * dk2u) + _B
-    A4 = _A(x4, L)
-    dk4x = A4 @ (I + T * dk3x)
-    dk4u = A4 @ (T * dk3u) + _B
-
-    chi_next = chi + (T / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    Fx = I + (T / 6.0) * (dk1x + 2.0 * dk2x + 2.0 * dk3x + dk4x)
-    Fu = (T / 6.0) * (dk1u + 2.0 * dk2u + 2.0 * dk3u + dk4u)
-    return chi_next, Fx, Fu
+def _jac(Y, U, L):
+    """df/dx and df/du of the single track at every state of Y (..., 5)."""
+    th, v, de = Y[..., 2], Y[..., 3], Y[..., 4]
+    sin, cos = np.sin(th), np.cos(th)
+    A = np.zeros(Y.shape + (5,))
+    A[..., 0, 2] = -v * sin
+    A[..., 0, 3] = cos
+    A[..., 1, 2] = v * cos
+    A[..., 1, 3] = sin
+    A[..., 2, 3] = np.tan(de) / L
+    A[..., 2, 4] = v / (L * np.cos(de) ** 2)
+    return A, np.broadcast_to(_B, Y.shape[:-1] + _B.shape)
 
 
 def bicycle_step(chi: VehicleState, u, T: float,
@@ -179,8 +154,9 @@ def bicycle_step(chi: VehicleState, u, T: float,
     """One zero-order-hold step of the kinematic single-track model."""
     if T <= 0:
         raise ValueError("T must be positive")
-    return VehicleState.from_array(
-        _rk4_step(chi.as_array(), np.asarray(u, dtype=float), T, wheelbase))
+    return VehicleState.from_array(rk4(
+        partial(_f, L=wheelbase), chi.as_array(), np.asarray(u, dtype=float),
+        T)[0])
 
 
 def _wrap(angle):
@@ -200,7 +176,18 @@ class NmpcSolution:
 
 
 class _NmpcProgram:
-    """Single-shooting transcription: z = [u_0 .. u_{N_P-1}, sigma]."""
+    """Single-shooting transcription: z = [u_0 .. u_{N_P-1}, sigma].
+
+    The forward pass (states, RK4 stage points, tracking errors) is memoized
+    per iterate; the sensitivities dX/du are built from its stage points only
+    when the gradient or the constraint Jacobian asks for them.
+
+    The inequality rows h(z) <= 0 are, in order: the terminal error against
+    sigma; per step k = 1 .. N_P the upper and the lower bound of each of
+    delta, v, the yaw rate and the four tracking errors (x, y, theta, v);
+    then the upper and the lower acceleration-rate bound of each pair of
+    consecutive inputs, starting from u_prev when it is given.
+    """
 
     def __init__(self, chi0: np.ndarray, ref: np.ndarray, cfg: TrackerConfig,
                  u_prev: np.ndarray | None):
@@ -209,118 +196,101 @@ class _NmpcProgram:
         self.cfg = cfg
         self.N = cfg.N_P
         self.n = 2 * self.N + 1
-        self.u_prev = u_prev
         self.Q = np.asarray(cfg.Q, dtype=float)
         self.R = np.asarray(cfg.R, dtype=float)
-        self._cache_z = None
+        self._f = partial(_f, L=cfg.wheelbase)
+        self._jac = partial(_jac, L=cfg.wheelbase)
+        e = np.array([cfg.e_pos, cfg.e_pos, cfg.e_theta, cfg.e_v])
+        self._hi = np.concatenate([[cfg.delta_max, cfg.v_max,
+                                    cfg.yaw_rate_max], e])
+        self._lo = np.concatenate([[-cfg.delta_max, cfg.v_min,
+                                    -cfg.yaw_rate_max], -e])
+        # rate rows: +1 on a_k and -1 on a_{k-1}, then the same negated
+        self._a_prev = 0.0 if u_prev is None else float(u_prev[0])
+        self._rate_first = 0 if u_prev is not None else 1
+        k = np.arange(self._rate_first, self.N)
+        rows = np.arange(len(k))
+        rate = np.zeros((len(k), self.n))
+        rate[rows, 2 * k] = 1.0
+        rate[rows[k > 0], 2 * k[k > 0] - 2] = -1.0
+        self._rate_jac = np.stack([rate, -rate], axis=1).reshape(-1, self.n)
+        self._fwd_z = self._sens_z = None
 
-    # rollout with sensitivities, memoized on the current iterate
-    def _rollout(self, z):
-        if self._cache_z is not None and np.array_equal(z, self._cache_z):
-            return self._cache
-        cfg = self.cfg
+    def _forward(self, z):
+        """(U, X, Y, E) at z: inputs, states, the stage points of each step
+        (4, N_P, 5) and tracking errors."""
+        if self._fwd_z is not None and np.array_equal(z, self._fwd_z):
+            return self._fwd
+        z = np.array(z, dtype=float)
         U = z[:2 * self.N].reshape(self.N, 2)
-        X = np.empty((self.N + 1, 5))
-        S = np.zeros((self.N + 1, 5, 2 * self.N))
-        X[0] = self.chi0
-        for k in range(self.N):
-            X[k + 1], Fx, Fu = _rk4_jacobians(X[k], U[k], cfg.T_sMPC,
-                                              cfg.wheelbase)
-            S[k + 1] = Fx @ S[k]
-            S[k + 1][:, 2 * k:2 * k + 2] += Fu
+        X, Y = rollout(self._f, self.chi0, U.tolist(), self.cfg.T_sMPC)
         E = X - self.ref
         E[:, 2] = _wrap(E[:, 2])
-        self._cache_z = z.copy()
-        self._cache = (U, X, S, E)
-        return self._cache
+        self._fwd_z, self._fwd = z, (U, X, Y, E)
+        return self._fwd
+
+    def _sensitivities(self, z):
+        """S (N_P + 1, 5, 2 N_P) with S[k] = dX[k]/du at z."""
+        if self._sens_z is not None and np.array_equal(z, self._sens_z):
+            return self._sens
+        U, _, Y, _ = self._forward(z)
+        Fx, Fu = rk4_jacobians(self._jac, Y, U, self.cfg.T_sMPC)
+        S = np.zeros((self.N + 1, 5, 2 * self.N))
+        for k in range(self.N):
+            S[k + 1] = Fx[k] @ S[k]
+            S[k + 1, :, 2 * k:2 * k + 2] += Fu[k]
+        self._sens_z, self._sens = self._fwd_z, S
+        return S
 
     def objective(self, z):
-        U, X, S, E = self._rollout(z)
-        sigma = z[-1]
+        U, _, _, E = self._forward(z)
         J = float(np.sum(E[1:] ** 2 @ self.Q))
         J += float(np.sum(U ** 2 @ self.R))
-        J += self.cfg.rho * sigma ** 2
+        J += self.cfg.rho * z[-1] ** 2
         return J
 
     def gradient(self, z):
-        U, X, S, E = self._rollout(z)
-        g = np.zeros(self.n)
-        for k in range(1, self.N + 1):
-            g[:2 * self.N] += 2.0 * (self.Q * E[k]) @ S[k]
-        g[:2 * self.N] += (2.0 * U * self.R).ravel()
+        U, _, _, E = self._forward(z)
+        S = self._sensitivities(z)
+        g = np.empty(self.n)
+        # one product per step, summed in step order: one flattened product
+        # sums in another order and moves the result by an ulp
+        W = 2.0 * (self.Q * E[1:])
+        g[:-1] = (np.sum(W[:, None] @ S[1:], axis=0)[0]
+                  + (2.0 * U * self.R).ravel())
         g[-1] = 2.0 * self.cfg.rho * z[-1]
         return g
 
     # inequality constraints h(z) <= 0
     def ineq_constraints(self, z):
-        cfg = self.cfg
-        U, X, S, E = self._rollout(z)
-        sigma = z[-1]
-        vals = [float(np.sum(E[self.N] ** 2)) - sigma]
-        for k in range(1, self.N + 1):
-            yaw = X[k, 3] * math.tan(X[k, 4]) / cfg.wheelbase
-            vals.extend([
-                X[k, 4] - cfg.delta_max, -X[k, 4] - cfg.delta_max,
-                X[k, 3] - cfg.v_max, cfg.v_min - X[k, 3],
-                yaw - cfg.yaw_rate_max, -yaw - cfg.yaw_rate_max,
-                E[k, 0] - cfg.e_pos, -E[k, 0] - cfg.e_pos,
-                E[k, 1] - cfg.e_pos, -E[k, 1] - cfg.e_pos,
-                E[k, 2] - cfg.e_theta, -E[k, 2] - cfg.e_theta,
-                E[k, 3] - cfg.e_v, -E[k, 3] - cfg.e_v,
-            ])
-        for kp, kn, comp, bound in self._rate_tuples():
-            prev = self.u_prev[comp] if kp < 0 else U[kp, comp]
-            diff = U[kn, comp] - prev
-            vals.extend([diff - bound, -diff - bound])
-        return np.array(vals)
-
-    def _rate_tuples(self):
-        out = []
-        for comp, bound in ((0, self.cfg.delta_a_max),
-                            (1, self.cfg.delta_w_max)):
-            if bound is None:
-                continue
-            if self.u_prev is not None:
-                out.append((-1, 0, comp, bound))
-            for k in range(self.N - 1):
-                out.append((k, k + 1, comp, bound))
-        return out
+        U, X, _, E = self._forward(z)
+        v, de = X[1:, 3], X[1:, 4]
+        q = np.column_stack([de, v, v * np.tan(de) / self.cfg.wheelbase,
+                             E[1:, :4]])
+        diff = np.diff(np.concatenate([[self._a_prev], U[:, 0]]))
+        diff = diff[self._rate_first:]
+        bound = self.cfg.delta_a_max
+        return np.concatenate([
+            [np.sum(E[self.N] ** 2) - z[-1]],
+            np.stack([q - self._hi, self._lo - q], axis=2).ravel(),
+            np.stack([diff - bound, -diff - bound], axis=1).ravel()])
 
     def ineq_jacobian(self, z):
-        cfg = self.cfg
-        U, X, S, E = self._rollout(z)
-        rows = []
-        nu = 2 * self.N
-
-        r = np.zeros(self.n)
-        r[:nu] = 2.0 * E[self.N] @ S[self.N]
-        r[-1] = -1.0
-        rows.append(r)
-
-        for k in range(1, self.N + 1):
-            Sd = S[k, 4]
-            Sv = S[k, 3]
-            tan_d = math.tan(X[k, 4])
-            sec2 = 1.0 / math.cos(X[k, 4]) ** 2
-            Syaw = (tan_d * Sv + X[k, 3] * sec2 * Sd) / cfg.wheelbase
-            for vec, sign in ((Sd, 1), (Sd, -1), (Sv, 1), (Sv, -1),
-                              (Syaw, 1), (Syaw, -1),
-                              (S[k, 0], 1), (S[k, 0], -1),
-                              (S[k, 1], 1), (S[k, 1], -1),
-                              (S[k, 2], 1), (S[k, 2], -1),
-                              (S[k, 3], 1), (S[k, 3], -1)):
-                r = np.zeros(self.n)
-                r[:nu] = sign * vec
-                rows.append(r)
-
-        for kp, kn, comp, bound in self._rate_tuples():
-            r = np.zeros(self.n)
-            r[2 * kn + comp] = 1.0
-            if kp >= 0:
-                r[2 * kp + comp] = -1.0
-            rows.append(r)
-            rows.append(-r)
-        return np.vstack(rows)
+        _, X, _, E = self._forward(z)
+        S = self._sensitivities(z)
+        v, de = X[1:, 3, None], X[1:, 4, None]
+        Sk = S[1:]
+        Syaw = (np.tan(de) * Sk[:, 3]
+                + v * (1.0 / np.cos(de) ** 2) * Sk[:, 4]) / self.cfg.wheelbase
+        G = np.stack([Sk[:, 4], Sk[:, 3], Syaw, Sk[:, 0], Sk[:, 1], Sk[:, 2],
+                      Sk[:, 3]], axis=1)
+        nu, rows = 2 * self.N, 14 * self.N
+        J = np.zeros((1 + rows + len(self._rate_jac), self.n))
+        J[0, :nu] = 2.0 * E[self.N] @ S[self.N]
+        J[0, -1] = -1.0
+        J[1:1 + rows, :nu] = np.stack([G, -G], axis=2).reshape(rows, nu)
+        J[1 + rows:] = self._rate_jac
+        return J
 
     def bounds(self):
         cfg = self.cfg
@@ -383,10 +353,7 @@ def solve_nmpc(chi0: VehicleState, ref, cfg: TrackerConfig,
     U = result.x[:2 * cfg.N_P].reshape(cfg.N_P, 2)
     np.clip(U[:, 0], cfg.a_min, cfg.a_max, out=U[:, 0])
     np.clip(U[:, 1], -cfg.w_delta_max, cfg.w_delta_max, out=U[:, 1])
-    X = np.empty((cfg.N_P + 1, 5))
-    X[0] = chi0.as_array()
-    for k in range(cfg.N_P):
-        X[k + 1] = _rk4_step(X[k], U[k], cfg.T_sMPC, cfg.wheelbase)
+    X = rollout(prog._f, prog.chi0, U, cfg.T_sMPC)[0]
     return NmpcSolution(
         u0=U[0].copy(),
         predicted=tuple(VehicleState.from_array(x) for x in X),

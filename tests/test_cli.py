@@ -73,6 +73,31 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+def _set_actor(i, key, value):
+    return lambda d: d["actors"][i].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit", [
+    _set_actor(0, "v_bounds", ["x", 6.1]),
+    _set_actor(0, "v_bounds", 6.1),
+    _set_actor(0, "direction", "left"),
+    lambda d: d["actors"].__setitem__(0, 5),
+    _set_actor(0, "script", [[10.0, 4.0]]),
+    lambda d: d.__setitem__("ego", [20.0, -2.0]),
+    lambda d: d.setdefault("tracker", {}).__setitem__("Q", [1, 2]),
+    _set_actor(1, "id", "L1"),
+], ids=["v_bounds_string", "v_bounds_scalar", "direction_string",
+        "actor_not_mapping", "script_entry_not_mapping", "ego_not_mapping",
+        "Q_short", "duplicate_id"])
+def test_malformed_scenario_run_exits_2(tmp_path, capsys, edit):
+    data = json.loads((SCENARIO_DIR / "overtake.json").read_text())
+    edit(data)
+    bad = _write(tmp_path, "bad.json", data)
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "scenario error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_writes_artifacts(tmp_path, capsys):
     scn = _write(tmp_path, "mini.json", _mini_scenario())
     out = tmp_path / "out"

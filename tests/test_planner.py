@@ -2,14 +2,17 @@
 the finite-horizon program, the braking fallback, and maneuver labeling."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from tvapf import planner, tracker
+from tvapf.dynamics import rk4, rk4_jacobians
 from tvapf.geometry import straight_path
 from tvapf.planner import (ControlInput, Decision, EgoModelState,
                            EmptyTerminalSet, PlannerConfig, TerminalBox,
-                           _LtpProgram, _rk4, braking_distance,
+                           _LtpProgram, braking_distance,
                            decision_label, discretize_dynamics,
                            safe_stop_trajectory, shift_warm_start, solve_ltp,
                            terminal_set)
@@ -92,10 +95,24 @@ def test_discretize_matches_fine_integration():
     assert np.allclose(coarse, fine.as_array(), atol=1e-8)
 
 
-def _rk4_reference(x, u, h):
+def _rk4_reference(f, dfdx, B, x, u, h):
     """One RK4 step of a single state with its Jacobians, stage by stage,
-    by the chain rule through the four stages."""
-    def f(y):
+    by the chain rule through the four stages; f(y, u) is the vector field,
+    dfdx(y) its state Jacobian and B its constant input Jacobian."""
+    I = np.eye(len(x))
+    k, dkx, dku = [f(x, u)], [dfdx(x)], [B]
+    for c in (0.5 * h, 0.5 * h, h):
+        y = x + c * k[-1]
+        k.append(f(y, u))
+        dkx.append(dfdx(y) @ (I + c * dkx[-1]))
+        dku.append(dfdx(y) @ (c * dku[-1]) + B)
+    return (x + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]),
+            I + (h / 6.0) * (dkx[0] + 2.0 * dkx[1] + 2.0 * dkx[2] + dkx[3]),
+            (h / 6.0) * (dku[0] + 2.0 * dku[1] + 2.0 * dku[2] + dku[3]))
+
+
+def _point_mass_reference():
+    def f(y, u):
         return np.array([y[3] * math.cos(y[2]), y[3] * math.sin(y[2]),
                          u[1], u[0]])
 
@@ -106,32 +123,55 @@ def _rk4_reference(x, u, h):
         return A
 
     B = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    I = np.eye(4)
-    k, dkx, dku = [f(x)], [dfdx(x)], [B]
-    for c in (0.5 * h, 0.5 * h, h):
-        y = x + c * k[-1]
-        k.append(f(y))
-        dkx.append(dfdx(y) @ (I + c * dkx[-1]))
-        dku.append(dfdx(y) @ (c * dku[-1]) + B)
-    return (x + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]),
-            I + (h / 6.0) * (dkx[0] + 2.0 * dkx[1] + 2.0 * dkx[2] + dkx[3]),
-            (h / 6.0) * (dku[0] + 2.0 * dku[1] + 2.0 * dku[2] + dku[3]))
+    return f, dfdx, B
 
 
-def test_batched_rk4_matches_per_stage_reference():
+def _bicycle_reference(L=2.7):
+    def f(y, u):
+        return np.array([y[3] * math.cos(y[2]), y[3] * math.sin(y[2]),
+                         y[3] * math.tan(y[4]) / L, u[0], u[1]])
+
+    def dfdx(y):
+        A = np.zeros((5, 5))
+        A[0, 2], A[0, 3] = -y[3] * math.sin(y[2]), math.cos(y[2])
+        A[1, 2], A[1, 3] = y[3] * math.cos(y[2]), math.sin(y[2])
+        A[2, 3] = math.tan(y[4]) / L
+        A[2, 4] = y[3] / (L * math.cos(y[4]) ** 2)
+        return A
+
+    B = np.zeros((5, 2))
+    B[3, 0] = B[4, 1] = 1.0
+    return f, dfdx, B
+
+
+# f, jac, reference, state box, input box and step of each vehicle model
+_MODELS = {
+    "point_mass": (planner._f, planner._jac, _point_mass_reference(),
+                   [(0.0, 500.0), (-4.0, 4.0), (-1.2, 1.2), (0.0, 12.5)],
+                   [(-0.9, 0.9), (-0.08, 0.08)], 0.5),
+    "bicycle": (partial(tracker._f, L=2.7), partial(tracker._jac, L=2.7),
+                _bicycle_reference(2.7),
+                [(0.0, 500.0), (-4.0, 4.0), (-math.pi, math.pi),
+                 (0.0, 12.5), (-0.43, 0.43)],
+                [(-0.85, 0.85), (-0.4, 0.4)], 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MODELS))
+def test_batched_rk4_matches_per_stage_reference(name):
+    f, jac, ref, x_box, u_box, h = _MODELS[name]
     rng = np.random.default_rng(5)
-    X = np.column_stack([rng.uniform(0.0, 500.0, 40),
-                         rng.uniform(-4.0, 4.0, 40),
-                         rng.uniform(-1.2, 1.2, 40),
-                         rng.uniform(0.0, 12.5, 40)])
-    U = np.column_stack([rng.uniform(-0.9, 0.9, 40),
-                         rng.uniform(-0.08, 0.08, 40)])
-    x_next, Fx, Fu = _rk4(X, U, 0.5, sensitivities=True)
-    np.testing.assert_array_equal(_rk4(X, U, 0.5), x_next)
-    for i in range(len(X)):
-        ref = _rk4_reference(X[i], U[i], 0.5)
-        for got, want in zip((x_next[i], Fx[i], Fu[i]), ref):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    X = np.column_stack([rng.uniform(lo, hi, 40) for lo, hi in x_box])
+    U = np.column_stack([rng.uniform(lo, hi, 40) for lo, hi in u_box])
+    steps = [rk4(f, x, u, h) for x, u in zip(X, U)]
+    Fx, Fu = rk4_jacobians(jac, np.stack([s[1] for s in steps], axis=1), U, h)
+    if name == "point_mass":  # the planner steps all stages in one call
+        np.testing.assert_array_equal(rk4(f, X, U, h)[0],
+                                      [s[0] for s in steps])
+    for i, (x_next, _) in enumerate(steps):
+        want = _rk4_reference(*ref, X[i], U[i], h)
+        for got, w in zip((x_next, Fx[i], Fu[i]), want):
+            np.testing.assert_allclose(got, w, rtol=1e-13, atol=1e-13)
 
 
 def test_discretize_validation():

@@ -2,6 +2,7 @@
 bundled scenario files."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,14 @@ def test_bad_actor_bounds():
     data["actors"][0]["a_bounds"] = [-2.0, 0.2]  # beyond the global cap
     with pytest.raises(ScenarioError):
         from_dict(data)
+    data = minimal_dict()
+    data["actors"][0]["v_bounds"] = ["x", 6.1]  # not a number
+    with pytest.raises(ScenarioError, match=r"actors\[0\]\.v_bounds\[0\]"):
+        from_dict(data)
+    data = minimal_dict()
+    data["actors"][0]["v_bounds"] = 6.1  # not a pair
+    with pytest.raises(ScenarioError, match=r"actors\[0\]\.v_bounds"):
+        from_dict(data)
 
 
 def test_actor_v0_outside_bounds():
@@ -167,6 +176,38 @@ def test_bad_direction():
     data = minimal_dict()
     data["actors"][0]["direction"] = 0
     with pytest.raises(ScenarioError, match="direction"):
+        from_dict(data)
+    data["actors"][0]["direction"] = "left"
+    with pytest.raises(ScenarioError, match=r"actors\[0\]\.direction"):
+        from_dict(data)
+
+
+@pytest.mark.parametrize("where, edit", [
+    ("actors[0]", lambda d: d["actors"].__setitem__(0, 5)),
+    ("actors[0].script[0]", lambda d: d["actors"][0].__setitem__(
+        "script", [[10.0, 4.0]])),
+    ("ego", lambda d: d.__setitem__("ego", [20.0, -2.0])),
+    ("sim", lambda d: d.__setitem__("sim", 10.0)),
+], ids=["actor", "script_entry", "ego", "sim"])
+def test_bad_section_type(where, edit):
+    data = minimal_dict()
+    edit(data)
+    with pytest.raises(ScenarioError, match=re.escape(where)):
+        from_dict(data)
+
+
+@pytest.mark.parametrize("key, value", [("Q", [1.0, 2.0]), ("R", [0.05]),
+                                        ("Q", 10.0)],
+                         ids=["Q_short", "R_short", "Q_scalar"])
+def test_bad_tracker_weights(key, value):
+    with pytest.raises(ScenarioError, match=f"tracker.{key}"):
+        from_dict(minimal_dict(tracker={key: value}))
+
+
+def test_bad_duplicate_actor_id():
+    data = minimal_dict()
+    data["actors"].append(dict(data["actors"][0], s0=320.0))
+    with pytest.raises(ScenarioError, match=r"actors\[1\]\.id: duplicate"):
         from_dict(data)
 
 

@@ -139,17 +139,6 @@ def test_deterministic_iterates():
     assert ra.objective == rb.objective
 
 
-def test_iteration_log():
-    r = solve(_equality_qp(), SolveOptions(log_iterations=True))
-    assert len(r.iteration_log) >= 1
-    entry = r.iteration_log[0]
-    for key in ("iteration", "objective", "constraint_violation",
-                "step_size", "mu"):
-        assert key in entry
-    r_quiet = solve(_equality_qp())
-    assert r_quiet.iteration_log == []
-
-
 def test_wall_time_limit():
     r = solve(_equality_qp(), SolveOptions(max_wall_time=0.0))
     assert r.wall_time >= 0.0
