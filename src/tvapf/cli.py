@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,46 +65,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(file) -> Scenario | None:
+def _load_scenario(file, overrides=None) -> Scenario | None:
     try:
-        return scenario_mod.load(file)
+        return scenario_mod.load(file, overrides)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return None
 
 
-def _apply_overrides(scn: Scenario, args) -> Scenario:
-    planner = dict(scn.planner)
-    if getattr(args, "instance_period", None) is not None:
-        planner["instance_period"] = args.instance_period
-    if getattr(args, "horizon", None) is not None:
-        planner["N_L"] = args.horizon
-    return replace(scn, planner=planner)
-
-
 def cmd_run(args) -> int:
-    scn = _load_scenario(args.scenario)
+    # the overrides replace the file's entries and pass the same checks
+    planner = {key: value for key, value in (
+        ("instance_period", args.instance_period), ("N_L", args.horizon))
+        if value is not None}
+    scn = _load_scenario(args.scenario, {"planner": planner})
     if scn is None:
         return 2
-    scn = _apply_overrides(scn, args)
-    try:
-        resolved = {
-            "scenario": scn.to_dict(),
-            "planner_config": vars(scn.planner_config()).copy(),
-            "tracker_config": vars(scn.tracker_config()).copy(),
-        }
-    except (ScenarioError, ValueError, TypeError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    for cfg in (resolved["planner_config"], resolved["tracker_config"]):
-        for key, value in list(cfg.items()):
-            if not isinstance(value, (int, float, str, tuple, list,
-                                      type(None))):
-                cfg[key] = repr(value)
-            elif isinstance(value, tuple):
-                cfg[key] = list(value)
     if args.dry_run:
-        json.dump(resolved, sys.stdout, indent=2)
+        json.dump({"scenario": scn.to_dict(),
+                   "planner_config": asdict(scn.planner_config()),
+                   "tracker_config": asdict(scn.tracker_config())},
+                  sys.stdout, indent=2)
         print()
         return 0
 
@@ -140,7 +121,7 @@ def _scene_at(scn: Scenario, t: float):
     """Road, ego state, actors and scene time at the plant step nearest t;
     for t > 0 the closed loop is replayed up to and including that step."""
     path = scn.build_path()
-    h = float(scn.sim.get("plant_step", 0.02))
+    h = float(scn.sim["plant_step"])
     n = max(0, int(round(t / h)))
     if n == 0:
         actors = [ActorRuntime(spec=a, s=a.s0, d=a.d0, v=a.v0)
@@ -159,16 +140,12 @@ def cmd_plan(args) -> int:
     scn = _load_scenario(args.scenario)
     if scn is None:
         return 2
-    try:
-        pcfg = scn.planner_config()
-        potentials_cfg = scn.potential_config()
-        tvapf = scn.tvapf_params()
-    except (ScenarioError, ValueError, TypeError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
+    pcfg = scn.planner_config()
+    potentials_cfg = scn.potential_config()
+    tvapf = scn.tvapf_params()
     path, chi, actors, t0 = _scene_at(scn, args.at)
-    xi0, forecasts, sensed = perceive(
-        chi, actors, path, pcfg, float(scn.sim.get("sensor_range", 300.0)))
+    xi0, forecasts, sensed = perceive(chi, actors, path, pcfg,
+                                      float(scn.sim["sensor_range"]))
 
     try:
         traj = solve_ltp(xi0, forecasts, path, pcfg,

@@ -9,7 +9,7 @@ direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -34,6 +34,10 @@ class PathNotSmooth(GeometryError):
 # 5-point Gauss-Legendre nodes/weights on [0, 1]
 _GL_NODES = (np.polynomial.legendre.leggauss(5)[0] + 1.0) / 2.0
 _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)[1] / 2.0
+
+# Largest curvature difference between adjacent samples [1/m] before a path
+# is rejected as not twice continuously differentiable.
+MAX_CURVATURE_JUMP = 0.5
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,10 @@ class ReferencePath:
     speed_limit : float or array_like
         Speed limit, either a scalar for the whole path or one value per
         sample (piecewise, the value at the nearest sample at or before s).
-    max_curvature_jump : float
-        Largest allowed curvature difference between adjacent samples before
-        the path is rejected as not twice continuously differentiable.
     """
 
-    def __init__(self, points, lane_count: int, lane_width: float,
-                 speed_limit=12.5, max_curvature_jump: float = 0.5):
+    def __init__(self, points, lane_count: int = 2, lane_width: float = 4.0,
+                 speed_limit=12.5):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
             raise ValueError("need at least 4 (x, y) samples")
@@ -109,15 +110,13 @@ class ReferencePath:
 
         kappa = self.curvature(s)
         jump = np.max(np.abs(np.diff(kappa))) if len(kappa) > 1 else 0.0
-        if jump > max_curvature_jump:
+        if jump > MAX_CURVATURE_JUMP:
             raise PathNotSmooth(
                 f"curvature jump {jump:.3g} 1/m between adjacent samples "
-                f"exceeds {max_curvature_jump:.3g}")
+                f"exceeds {MAX_CURVATURE_JUMP:.3g}")
 
         self.samples = pts
         self.arc_length = s
-        self.heading_samples = self.heading(s)
-        self.curvature_samples = kappa
 
     @staticmethod
     def _arc_lengths(sx: CubicSpline, sy: CubicSpline, s: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ class ObstacleState:
     v_o: float
     v_bounds: tuple
     a_bounds: tuple
-    a_o: float = 0.0
     direction: int = 1
 
     def __post_init__(self):

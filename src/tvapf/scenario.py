@@ -3,25 +3,27 @@
 A scenario file (JSON or YAML) fully determines a closed-loop run: road
 geometry, ego start and desired speed, scripted actors with uncertainty
 bounds, field/weight parameters, planner/tracker configuration and the
-simulation grid.  Parsing is strict — unknown keys and invalid values fail
+simulation grid.  ``SCHEMA`` lists every key a section accepts, and
+``from_dict`` is the one place a scenario is checked: unknown keys, values
+of the wrong kind and configurations that fail a start-up check are refused
 with path-qualified diagnostics.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .geometry import ReferencePath, straight_path
 from .planner import PlannerConfig
-from .potentials import PotentialConfig
+from .potentials import PotentialConfig, verify_lane_centering
 from .prediction import ObstacleState, TvapfParams
-from .tracker import TrackerConfig
+from .tracker import TrackerConfig, check_hierarchy
 
 
 class ScenarioError(Exception):
@@ -62,89 +64,43 @@ class Scenario:
     sim: dict = field(default_factory=dict)
 
     # -- factories for the runtime objects ---------------------------------
+    # Each config takes the section entries named like its fields.
 
     def build_path(self) -> ReferencePath:
-        p = self.path
-        if "points" in p:
-            return ReferencePath(np.asarray(p["points"], dtype=float),
-                                 lane_count=p.get("lane_count", 2),
-                                 lane_width=p.get("lane_width", 4.0),
-                                 speed_limit=p.get("speed_limit", 12.5))
-        return straight_path(length=p.get("length", 1500.0),
-                             spacing=p.get("spacing", 5.0),
-                             lane_count=p.get("lane_count", 2),
-                             lane_width=p.get("lane_width", 4.0),
-                             speed_limit=p.get("speed_limit", 12.5))
+        make = ReferencePath if "points" in self.path else straight_path
+        return make(**_pick(self.path, make))
 
     def planner_config(self) -> PlannerConfig:
-        p = dict(self.planner)
-        terminal = p.pop("terminal", {})
-        kw = {}
-        for key in ("T_sL", "N_L", "instance_period"):
-            if key in p:
-                kw[key] = p[key]
-        for key in ("tau", "j_max", "alpha_min", "nu_ter"):
-            if key in terminal:
-                kw[key] = terminal[key]
-        if "eps_d" in terminal:
-            kw["eps_d"] = terminal["eps_d"]
-        if "eps_psi" in terminal:
-            kw["eps_psi"] = terminal["eps_psi"]
-        if "K_o" in self.weights:
-            kw["K_o"] = self.weights["K_o"]
-        return PlannerConfig(**kw)
+        terminal = self.planner.get("terminal", {})
+        return PlannerConfig(**_pick({**self.planner, **terminal,
+                                      **self.weights}, PlannerConfig))
 
     def tracker_config(self) -> TrackerConfig:
-        t = self.tracker
-        kw = {}
-        for key in ("T_sMPC", "N_P", "rho", "wheelbase"):
-            if key in t:
-                kw[key] = t[key]
-        if "Q" in t:
-            kw["Q"] = tuple(t["Q"])
-        if "R" in t:
-            kw["R"] = tuple(t["R"])
+        kw = _pick(self.tracker, TrackerConfig)
+        kw.update((key, tuple(kw[key])) for key in ("Q", "R") if key in kw)
         return TrackerConfig(**kw)
 
     def potential_config(self) -> PotentialConfig:
-        kw = {"v_des": self.ego.get("v_des", 12.0)}
-        for key in ("K_v", "K_b", "K_l", "K_c"):
-            if key in self.weights:
-                kw[key] = self.weights[key]
-        for key in ("eta", "a_l_max"):
-            if key in self.tvapf:
-                kw[key] = self.tvapf[key]
-        return PotentialConfig(**kw)
+        return PotentialConfig(**_pick({**self.ego, **self.weights,
+                                        **self.tvapf}, PotentialConfig))
 
     def tvapf_params(self) -> TvapfParams:
-        kw = {"l_W": self.path.get("lane_width", 4.0)}
-        for key in ("sigma_s", "sigma_d", "c", "edge_value", "epsilon_o",
-                    "alpha_s", "alpha_d"):
-            if key in self.tvapf:
-                kw[key] = self.tvapf[key]
+        kw = _pick(self.tvapf, TvapfParams)
+        if "lane_width" in self.path:
+            kw["l_W"] = self.path["lane_width"]
         return TvapfParams(**kw)
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "path": dict(self.path),
-            "ego": dict(self.ego),
-            "actors": [
-                {
-                    "id": a.id, "s0": a.s0, "d0": a.d0, "v0": a.v0,
-                    "v_bounds": list(a.v_bounds), "a_bounds": list(a.a_bounds),
-                    "direction": a.direction,
-                    "script": [{"t": t, "target_v": v} for t, v in a.script],
-                }
-                for a in self.actors
-            ],
-            "tvapf": dict(self.tvapf),
-            "weights": dict(self.weights),
-            "planner": dict(self.planner),
-            "tracker": dict(self.tracker),
-            "sim": dict(self.sim),
-        }
+        data = {name: dict(getattr(self, name)) for name in SCHEMA}
+        data["actors"] = [
+            {"id": a.id, "s0": a.s0, "d0": a.d0, "v0": a.v0,
+             "v_bounds": list(a.v_bounds), "a_bounds": list(a.a_bounds),
+             "direction": a.direction,
+             "script": [{"t": t, "target_v": v} for t, v in a.script]}
+            for a in self.actors]
+        return data
 
     def save(self, file) -> None:
         path = Path(file)
@@ -155,10 +111,76 @@ class Scenario:
             path.write_text(json.dumps(data, indent=2) + "\n")
 
 
-_TOP_KEYS = {"path", "ego", "actors", "tvapf", "weights", "planner",
-             "tracker", "sim"}
+@dataclass(frozen=True)
+class Key:
+    """The values one scenario key accepts: a "number" or an "int" in
+    [lo, hi], a number or null ("optional"), a list of ``size`` "numbers" in
+    [lo, hi], a "number or list", or a list of "points".  Only ``sim`` keys
+    have a ``default``; the others take their config field's default."""
+
+    kind: str = "number"
+    lo: float = -math.inf
+    hi: float = math.inf
+    size: int | None = None
+    default: float | None = None
+
+    def check(self, value, where) -> None:
+        kind = self.kind
+        if kind == "number or list":
+            kind = "numbers" if isinstance(value, (list, tuple)) else "number"
+        if kind == "points":
+            _require_type(value, where)  # ReferencePath checks the entries
+        elif kind == "numbers":
+            for i, v in enumerate(_require_type(value, where, size=self.size)):
+                _require_number(v, f"{where}[{i}]", self.lo, self.hi)
+        elif not (kind == "optional" and value is None):
+            _require_number(value, where, self.lo, self.hi)
+            if kind == "int" and not isinstance(value, int):
+                raise ScenarioError(f"{where}: expected an integer, got "
+                                    f"{value!r}")
+
+
+_NUMBER = Key()
+_INT = Key("int")
+_SPEED = Key(lo=0.0, hi=GLOBAL_V_MAX)
+
+# Every key each section accepts; a nested mapping is a nested section.  A
+# key feeds the field of the same name: path -> straight_path/ReferencePath,
+# planner, its terminal section and weights.K_o -> PlannerConfig, tracker ->
+# TrackerConfig, the other weights, tvapf.eta/a_l_max and ego.v_des ->
+# PotentialConfig, tvapf -> TvapfParams (l_W is path.lane_width), sim -> run.
+SCHEMA = {
+    "path": {"points": Key("points"), "length": _NUMBER, "spacing": _NUMBER,
+             "lane_count": _INT, "lane_width": _NUMBER,
+             "speed_limit": Key("number or list")},
+    "ego": {"x0": _NUMBER, "y0": _NUMBER, "theta0": _NUMBER, "v0": _SPEED,
+            "v_des": _SPEED},
+    "tvapf": {"sigma_s": _NUMBER, "sigma_d": _NUMBER, "c": _INT,
+              "edge_value": _NUMBER, "epsilon_o": _NUMBER,
+              "alpha_s": Key("optional"), "alpha_d": Key("optional"),
+              "eta": _NUMBER, "a_l_max": _NUMBER},
+    "weights": dict.fromkeys(("K_v", "K_b", "K_l", "K_c", "K_o"), _NUMBER),
+    "planner": {"T_sL": _NUMBER, "N_L": _INT, "instance_period": _NUMBER,
+                "terminal": dict.fromkeys(("tau", "j_max", "alpha_min",
+                                           "nu_ter", "eps_d", "eps_psi"),
+                                          _NUMBER)},
+    "tracker": {"T_sMPC": _NUMBER, "N_P": _INT, "rho": _NUMBER,
+                "wheelbase": _NUMBER, "Q": Key("numbers", lo=0.0, size=5),
+                "R": Key("numbers", lo=0.0, size=2)},
+    "sim": {"duration": Key(lo=0.1, default=60.0),
+            "plant_step": Key(lo=1e-4, hi=1.0, default=0.02),
+            "sensor_range": Key(lo=1.0, default=300.0),
+            "collision_margin": Key(lo=0.0, default=2.0)},
+}
 _ACTOR_KEYS = {"id", "s0", "d0", "v0", "v_bounds", "a_bounds", "direction",
                "script"}
+
+
+def _pick(entries, target):
+    """The entries named like a parameter of ``target``, a config class or
+    a path factory."""
+    names = inspect.signature(target).parameters
+    return {key: value for key, value in entries.items() if key in names}
 
 
 def _require_number(value, where, lo=-math.inf, hi=math.inf):
@@ -183,22 +205,47 @@ def _require_pair(value, where, lo, hi):
                  for i, v in enumerate(_require_type(value, where, size=2)))
 
 
-def from_dict(data: dict) -> Scenario:
+def _section(raw, where, schema, overrides):
+    """One section, with ``overrides[where]`` merged in, checked against
+    ``schema`` and completed with the schema's defaults."""
+    entries = {**_require_type(raw, where, dict), **overrides.get(where, {})}
+    unknown = set(entries) - set(schema)
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, value in entries.items():
+        if isinstance(schema[key], dict):
+            entries[key] = _section(value, f"{where}.{key}", schema[key],
+                                    overrides)
+        else:
+            schema[key].check(value, f"{where}.{key}")
+    return {**{key: spec.default for key, spec in schema.items()
+               if isinstance(spec, Key) and spec.default is not None},
+            **entries}
+
+
+def _checked(where, build, *args):
+    """build(*args), with any error it raises reported under ``where``."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def from_dict(data: dict, overrides: dict | None = None) -> Scenario:
+    """The scenario ``data`` describes, checked against ``SCHEMA`` and the
+    loop's start-up checks; ``overrides`` maps a section name to entries
+    that replace the file's before anything is checked."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be a mapping")
-    unknown = set(data) - _TOP_KEYS
+    unknown = set(data) - set(SCHEMA) - {"actors"}
     if unknown:
         raise ScenarioError(f"unknown top-level keys: {sorted(unknown)}")
     for key in ("path", "ego"):
         if key not in data:
             raise ScenarioError(f"missing required section '{key}'")
-    for key in ("path", "ego", "tvapf", "weights", "planner", "tracker",
-                "sim"):
-        _require_type(data.get(key, {}), key, dict)
-
-    ego = data["ego"]
-    _require_number(ego.get("v0", 0.0), "ego.v0", 0.0, GLOBAL_V_MAX)
-    _require_number(ego.get("v_des", 12.0), "ego.v_des", 0.0, GLOBAL_V_MAX)
+    sections = {name: _section(data.get(name, {}), name, schema,
+                               overrides or {})
+                for name, schema in SCHEMA.items()}
 
     actors = []
     for i, a in enumerate(_require_type(data.get("actors", []), "actors")):
@@ -233,60 +280,34 @@ def from_dict(data: dict) -> Scenario:
         actor_id = str(a.get("id", f"A{i}"))
         if actor_id in {spec.id for spec in actors}:
             raise ScenarioError(f"{where}.id: duplicate actor id {actor_id!r}")
-        try:
-            spec = ActorSpec(id=actor_id,
-                             s0=float(a["s0"]), d0=float(a["d0"]),
-                             v0=float(a["v0"]), v_bounds=v_bounds,
-                             a_bounds=a_bounds, direction=int(direction),
-                             script=tuple(script))
-            spec.initial_state()  # bounds consistency
-        except Exception as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
+        spec = _checked(where, lambda: ActorSpec(
+            id=actor_id, s0=float(a["s0"]), d0=float(a["d0"]),
+            v0=float(a["v0"]), v_bounds=v_bounds, a_bounds=a_bounds,
+            direction=int(direction), script=tuple(script)))
+        _checked(where, spec.initial_state)  # bounds consistency
         actors.append(spec)
 
-    tracker = data.get("tracker", {})
-    for key, size in (("Q", 5), ("R", 2)):
-        if key in tracker:
-            for i, q in enumerate(_require_type(tracker[key],
-                                                f"tracker.{key}", size=size)):
-                _require_number(q, f"tracker.{key}[{i}]", 0.0)
-
-    scn = Scenario(path=dict(data["path"]), ego=dict(ego),
-                   actors=tuple(actors),
-                   tvapf=dict(data.get("tvapf", {})),
-                   weights=dict(data.get("weights", {})),
-                   planner=dict(data.get("planner", {})),
-                   tracker=dict(data.get("tracker", {})),
-                   sim=dict(data.get("sim", {})))
-    # configuration sections must construct cleanly
-    for where, build in (("path", scn.build_path),
-                         ("planner", scn.planner_config),
-                         ("tracker", scn.tracker_config),
-                         ("weights/tvapf", scn.potential_config),
-                         ("tvapf", scn.tvapf_params)):
-        try:
-            build()
-        except Exception as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-    sim = scn.sim
-    _require_number(sim.get("duration", 60.0), "sim.duration", 0.1)
-    step = _require_number(sim.get("plant_step", 0.02), "sim.plant_step",
-                           1e-4, 1.0)
-    _require_number(sim.get("sensor_range", 300.0), "sim.sensor_range", 1.0)
-    _require_number(sim.get("collision_margin", 2.0), "sim.collision_margin",
-                    0.0)
-    tcfg = scn.tracker_config()
-    pcfg = scn.planner_config()
-    for big, small, name in ((tcfg.T_sMPC, step, "T_sMPC/plant_step"),
+    scn = Scenario(actors=tuple(actors), **sections)
+    path = _checked("path", scn.build_path)
+    pcfg = _checked("planner", scn.planner_config)
+    tcfg = _checked("tracker", scn.tracker_config)
+    potentials_cfg = _checked("weights/tvapf", scn.potential_config)
+    _checked("tvapf", scn.tvapf_params)
+    for big, small, name in ((tcfg.T_sMPC, scn.sim["plant_step"],
+                              "T_sMPC/plant_step"),
                              (pcfg.instance_period, tcfg.T_sMPC,
                               "instance_period/T_sMPC")):
         ratio = big / small
         if abs(ratio - round(ratio)) > 1e-9:
             raise ScenarioError(f"{name} must divide evenly (got {ratio})")
+    _checked("planner/tracker", check_hierarchy, tcfg, pcfg)
+    _checked("path/weights/tvapf", verify_lane_centering, path,
+             potentials_cfg)
     return scn
 
 
-def load(file) -> Scenario:
+def load(file, overrides: dict | None = None) -> Scenario:
+    """The scenario in a JSON or YAML file; see ``from_dict``."""
     path = Path(file)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
@@ -298,4 +319,4 @@ def load(file) -> Scenario:
             data = json.loads(text)
         except json.JSONDecodeError:
             data = yaml.safe_load(text)
-    return from_dict(data)
+    return from_dict(data, overrides)

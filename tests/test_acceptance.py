@@ -315,7 +315,7 @@ def test_criterion_7_gradients():
 def test_criterion_8_tracking_contract(overtake_run, overtake_scenario):
     log, _ = overtake_run
     tcfg = overtake_scenario.tracker_config()
-    h = overtake_scenario.sim.get("plant_step", 0.02)
+    h = overtake_scenario.sim["plant_step"]
     per_tick = int(round(tcfg.T_sMPC / h))
     ticks = log.steps[::per_tick]
     err = np.array([[r["err_x"], r["err_y"]] for r in ticks])

@@ -77,24 +77,52 @@ def _set_actor(i, key, value):
     return lambda d: d["actors"][i].__setitem__(key, value)
 
 
-@pytest.mark.parametrize("edit", [
-    _set_actor(0, "v_bounds", ["x", 6.1]),
-    _set_actor(0, "v_bounds", 6.1),
-    _set_actor(0, "direction", "left"),
-    lambda d: d["actors"].__setitem__(0, 5),
-    _set_actor(0, "script", [[10.0, 4.0]]),
-    lambda d: d.__setitem__("ego", [20.0, -2.0]),
-    lambda d: d.setdefault("tracker", {}).__setitem__("Q", [1, 2]),
-    _set_actor(1, "id", "L1"),
+def _set(key, value):
+    """Edit that sets a dotted section key, e.g. "planner.terminal.tau"."""
+    *sections, name = key.split(".")
+
+    def edit(d):
+        for part in sections:
+            d = d.setdefault(part, {})
+        d[name] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_set_actor(0, "v_bounds", ["x", 6.1]), "actors[0].v_bounds[0]"),
+    (_set_actor(0, "v_bounds", 6.1), "actors[0].v_bounds"),
+    (_set_actor(0, "direction", "left"), "actors[0].direction"),
+    (lambda d: d["actors"].__setitem__(0, 5), "actors[0]"),
+    (_set_actor(0, "script", [[10.0, 4.0]]), "actors[0].script[0]"),
+    (lambda d: d.__setitem__("ego", [20.0, -2.0]), "ego"),
+    (lambda d: d.setdefault("tracker", {}).__setitem__("Q", [1, 2]),
+     "tracker.Q"),
+    (_set_actor(1, "id", "L1"), "actors[1].id"),
+    (_set("ego.x0", "x"), "ego.x0"),
+    (_set("planner.N_L", 70.5), "planner.N_L"),
+    (_set("tracker.N_P", 10.0), "tracker.N_P"),
+    (_set("planner.N_l", 70), "planner: unknown keys ['N_l']"),
+    (_set("sim.durration", 60.0), "sim: unknown keys ['durration']"),
+    (_set("path.lane_count", 2.5), "path.lane_count"),
+    (_set("weights.K_v", True), "weights.K_v"),
+    (_set("tvapf.c", 4.0), "tvapf.c"),
+    (_set("planner.terminal", [1]), "planner.terminal"),
+    (_set("planner.terminal.alpha_min", -0.8), "planner/tracker"),
+    (_set("weights.K_l", 0), "path/weights/tvapf"),
 ], ids=["v_bounds_string", "v_bounds_scalar", "direction_string",
         "actor_not_mapping", "script_entry_not_mapping", "ego_not_mapping",
-        "Q_short", "duplicate_id"])
-def test_malformed_scenario_run_exits_2(tmp_path, capsys, edit):
+        "Q_short", "duplicate_id", "x0_string", "N_L_float", "N_P_float",
+        "N_L_misspelt", "duration_misspelt", "lane_count_float",
+        "K_v_bool", "c_float", "terminal_not_mapping",
+        "alpha_min_above_tracker", "K_l_zero"])
+def test_malformed_scenario_run_exits_2(tmp_path, capsys, edit, where):
     data = json.loads((SCENARIO_DIR / "overtake.json").read_text())
     edit(data)
     bad = _write(tmp_path, "bad.json", data)
+    assert main(["run", str(bad), "--dry-run"]) == 2
     assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
-    assert "scenario error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count(f"scenario error: {where}") == 2, err
     assert not (tmp_path / "out").exists()
 
 
@@ -133,9 +161,12 @@ def test_horizon_override(tmp_path, capsys):
     assert out["planner_config"]["instance_period"] == 4.0
 
 
-def test_strict_exits_3_when_degraded(tmp_path, capsys):
-    # ego boxed in by two standing vehicles: no terminal anchor exists and
-    # the run degrades to the safe-stop fallback
+@pytest.fixture(scope="module")
+def blocked_run(tmp_path_factory):
+    """(scenario file, output directory, exit code) of a strict run with the
+    ego boxed in by two standing vehicles: no terminal anchor exists and the
+    run degrades to the safe-stop fallback."""
+    tmp = tmp_path_factory.mktemp("blocked")
     blocked = _mini_scenario(
         ego={"x0": 300.0, "y0": -2.0, "v0": 8.33, "v_des": 12.0},
         actors=[
@@ -145,14 +176,37 @@ def test_strict_exits_3_when_degraded(tmp_path, capsys):
              "v_bounds": [0.0, 0.01], "a_bounds": [-0.01, 0.01]},
         ],
         sim={"duration": 6.0})
-    scn = _write(tmp_path, "blocked.json", blocked)
-    out = tmp_path / "out"
-    rc = main(["run", str(scn), "--out", str(out), "--strict"])
+    scn = _write(tmp, "blocked.json", blocked)
+    out = tmp / "out"
+    return scn, out, main(["run", str(scn), "--out", str(out), "--strict"])
+
+
+def test_strict_exits_3_when_degraded(blocked_run, tmp_path, capsys):
+    scn, out, rc = blocked_run
     assert rc == 3
     summary = json.loads((out / "summary.json").read_text())
     assert "planner_fallback" in summary["events"]
     # without --strict the same run exits 0 and still writes artifacts
     assert main(["run", str(scn), "--out", str(tmp_path / "out2")]) == 0
+
+
+def test_solve_time_samples_only_solved_candidates(blocked_run):
+    _, out, _ = blocked_run
+    instances = json.loads((out / "instances.json").read_text())["instances"]
+    walls = [c["wall_time"] for i in instances
+             for c in i["stats"].get("candidates", ()) if "wall_time" in c]
+    assert walls and len(walls) < len(instances)  # fallbacks solve nothing
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["solve_time_mean"] == pytest.approx(np.mean(walls))
+    assert summary["solve_time_max"] == max(walls)
+
+
+def test_override_passes_the_file_checks(capsys):
+    # 1.5 s is a multiple of T_sL = 0.5 s but not of T_sMPC = 0.2 s
+    assert main(["run", str(SCENARIO_DIR / "overtake.json"), "--dry-run",
+                 "--instance-period", "1.5"]) == 2
+    assert "instance_period/T_sMPC must divide evenly" in \
+        capsys.readouterr().err
 
 
 def test_strict_exits_3_on_collision_margin(oncoming_run):

@@ -9,7 +9,9 @@ import pytest
 
 import tvapf
 from tvapf import scenario as scenario_mod
-from tvapf.scenario import ScenarioError, from_dict
+from tvapf.cli import main
+from tvapf.scenario import SCHEMA, ScenarioError, from_dict
+from tvapf.simulation import initial_ego_state
 
 SCENARIO_DIR = Path(tvapf.__file__).parent / "scenarios"
 
@@ -32,15 +34,18 @@ def minimal_dict(**extra):
 # -- bundled files -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["overtake.json", "empty_road.json"])
-def test_bundled_scenarios_load(name):
-    scn = scenario_mod.load(SCENARIO_DIR / name)
+@pytest.mark.parametrize("file", sorted(SCENARIO_DIR.glob("*.json")),
+                         ids=lambda file: file.name)
+def test_bundled_scenarios_load(file, capsys):
+    scn = scenario_mod.load(file)
     path = scn.build_path()
     assert path.lane_count == 2
     scn.planner_config()
     scn.tracker_config()
     scn.potential_config()
     scn.tvapf_params()
+    assert main(["run", str(file), "--dry-run"]) == 0
+    assert json.loads(capsys.readouterr().out)["scenario"] == scn.to_dict()
 
 
 def test_overtake_scenario_contents(overtake_scenario):
@@ -228,6 +233,74 @@ def test_grid_ratio_mismatch():
 def test_bad_sim_value(key, value):
     with pytest.raises(ScenarioError, match=f"sim.{key}"):
         from_dict(minimal_dict(sim={"duration": 10.0, key: value}))
+
+
+# A valid value other than the default for every key SCHEMA lists.
+NON_DEFAULT = {
+    "path.points": [[float(x), 0.05 * x] for x in range(0, 610, 10)],
+    "path.length": 800.0, "path.spacing": 10.0, "path.lane_count": 3,
+    "path.lane_width": 3.5, "path.speed_limit": 10.0,
+    "ego.x0": 30.0, "ego.y0": -1.5, "ego.theta0": 0.05, "ego.v0": 7.0,
+    "ego.v_des": 11.0,
+    "tvapf.sigma_s": 5.0, "tvapf.sigma_d": 0.25, "tvapf.c": 6,
+    "tvapf.edge_value": 0.5, "tvapf.epsilon_o": 0.1, "tvapf.alpha_s": 0.5,
+    "tvapf.alpha_d": 0.5, "tvapf.eta": 1.5, "tvapf.a_l_max": 1.5,
+    "weights.K_v": 2.0, "weights.K_b": 40.0, "weights.K_l": 4.0,
+    "weights.K_c": 1.0, "weights.K_o": 10.0,
+    "planner.T_sL": 1.0, "planner.N_L": 40, "planner.instance_period": 10.0,
+    "planner.terminal.tau": 0.4, "planner.terminal.j_max": 0.8,
+    "planner.terminal.alpha_min": -0.92, "planner.terminal.nu_ter": 4.0,
+    "planner.terminal.eps_d": 0.4, "planner.terminal.eps_psi": 0.05,
+    "tracker.T_sMPC": 0.1, "tracker.N_P": 8, "tracker.rho": 1000.0,
+    "tracker.wheelbase": 3.0, "tracker.Q": [1.0, 1.0, 1.0, 1.0, 1.0],
+    "tracker.R": [0.1, 0.1],
+    "sim.duration": 5.0, "sim.plant_step": 0.04, "sim.sensor_range": 100.0,
+    "sim.collision_margin": 3.0,
+}
+
+
+def _schema_keys(schema, prefix=""):
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield from _schema_keys(spec, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+def _fed(scn):
+    """Everything the scenario's section entries feed."""
+    path = scn.build_path()
+    return {"path": (path.length, path.lane_count, path.lane_width,
+                     path.samples.tolist(), path.speed_limit_at(100.0)),
+            "ego": initial_ego_state(scn, path),
+            "planner": scn.planner_config(), "tracker": scn.tracker_config(),
+            "potentials": scn.potential_config(),
+            "tvapf": scn.tvapf_params(), "sim": scn.sim}
+
+
+@pytest.mark.parametrize("key", list(_schema_keys(SCHEMA)))
+def test_every_schema_key_feeds_an_object(key):
+    data = minimal_dict()
+    *sections, name = key.split(".")
+    section = data
+    for part in sections:
+        section = section.setdefault(part, {})
+    section[name] = NON_DEFAULT[key]
+    assert _fed(from_dict(data)) != _fed(from_dict(minimal_dict()))
+
+
+def test_renamed_routes():
+    # keys that feed a field of another name or type
+    scn = from_dict(minimal_dict(path={"length": 600.0, "lane_width": 3.5},
+                                 tracker={"Q": [1, 1, 1, 1, 1], "R": [1, 1]}))
+    assert scn.tvapf_params().l_W == 3.5
+    assert scn.tracker_config().Q == (1, 1, 1, 1, 1)
+    assert scn.tracker_config().R == (1, 1)
+
+
+def test_null_alpha_accepted():
+    scn = from_dict(minimal_dict(tvapf={"alpha_s": None, "alpha_d": None}))
+    assert scn.tvapf_params().alpha_s is None
 
 
 def test_invalid_subconfig_reported_as_scenario_error():

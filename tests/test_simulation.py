@@ -64,7 +64,7 @@ def test_empty_road_run_is_clean(empty_road_run, empty_road_scenario):
     scn = empty_road_scenario
     assert log.events == []
     duration = scn.sim["duration"]
-    h = scn.sim.get("plant_step", 0.02)
+    h = scn.sim["plant_step"]
     assert len(log.steps) == int(round(duration / h))
     v = np.array([r["ego_v"] for r in log.steps])
     y = np.array([r["ego_y"] for r in log.steps])
