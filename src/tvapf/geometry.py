@@ -1,7 +1,7 @@
 """Reference-path geometry and Cartesian <-> Frenet transformations.
 
 The reference path is ingested as an ordered list of Cartesian samples and
-represented internally by cubic splines in x(s), y(s) over arc length, which
+represented internally by one cubic spline of (x, y) over arc length, which
 gives the curvature continuity the road-aligned coordinate math relies on.
 Sign convention: the lateral offset d is positive to the left of the travel
 direction.
@@ -85,16 +85,13 @@ class ReferencePath:
 
         # Chord-length parameterization first, then re-parameterize by true
         # spline arc length so s queries agree with closed-form geometry.
-        sx = CubicSpline(s, pts[:, 0])
-        sy = CubicSpline(s, pts[:, 1])
+        spline = CubicSpline(s, pts)
         for _ in range(3):
-            s = self._arc_lengths(sx, sy, s)
-            sx = CubicSpline(s, pts[:, 0])
-            sy = CubicSpline(s, pts[:, 1])
+            s = self._arc_lengths(spline, s)
+            spline = CubicSpline(s, pts)
 
         self._s = s
-        self._sx = sx
-        self._sy = sy
+        self._spline = spline
         self.length = float(s[-1])
         self.lane_count = int(lane_count)
         self.lane_width = float(lane_width)
@@ -119,24 +116,24 @@ class ReferencePath:
         self.arc_length = s
 
     @staticmethod
-    def _arc_lengths(sx: CubicSpline, sy: CubicSpline, s: np.ndarray) -> np.ndarray:
+    def _arc_lengths(spline: CubicSpline, s: np.ndarray) -> np.ndarray:
         """Cumulative true arc length of the spline at the knots."""
         a, b = s[:-1], s[1:]
         h = (b - a)[:, None]
         t = a[:, None] + h * _GL_NODES[None, :]
-        speed = np.hypot(sx(t, 1), sy(t, 1))
+        d = spline(t, 1)
+        speed = np.hypot(d[..., 0], d[..., 1])
         seg = (speed * _GL_WEIGHTS[None, :]).sum(axis=1) * h[:, 0]
         return np.concatenate(([0.0], np.cumsum(seg)))
 
     # -- evaluation ---------------------------------------------------------
 
     def position(self, s):
-        return np.stack([self._sx(s), self._sy(s)], axis=-1)
+        return self._spline(s)
 
     def tangent(self, s):
-        dx, dy = self._sx(s, 1), self._sy(s, 1)
-        n = np.hypot(dx, dy)
-        return np.stack([dx / n, dy / n], axis=-1)
+        d = self._spline(s, 1)
+        return d / np.hypot(d[..., 0], d[..., 1])[..., None]
 
     def normal(self, s):
         """Unit normal pointing to the left of the travel direction."""
@@ -144,11 +141,12 @@ class ReferencePath:
         return np.stack([-t[..., 1], t[..., 0]], axis=-1)
 
     def heading(self, s):
-        return np.arctan2(self._sy(s, 1), self._sx(s, 1))
+        d = self._spline(s, 1)
+        return np.arctan2(d[..., 1], d[..., 0])
 
     def curvature(self, s):
-        dx, dy = self._sx(s, 1), self._sy(s, 1)
-        ddx, ddy = self._sx(s, 2), self._sy(s, 2)
+        d, dd = self._spline(s, 1), self._spline(s, 2)
+        dx, dy, ddx, ddy = d[..., 0], d[..., 1], dd[..., 0], dd[..., 1]
         return (dx * ddy - dy * ddx) / np.power(dx * dx + dy * dy, 1.5)
 
     def speed_limit_at(self, s):
@@ -228,8 +226,8 @@ def _refine_projection(path: ReferencePath, xy: np.ndarray, s0: float) -> float:
     s = float(np.clip(s0, 0.0, path.length))
     for _ in range(50):
         r = path.position(s)
-        dr = np.array([path._sx(s, 1), path._sy(s, 1)])
-        ddr = np.array([path._sx(s, 2), path._sy(s, 2)])
+        dr = path._spline(s, 1)
+        ddr = path._spline(s, 2)
         e = xy - r
         g = float(np.dot(e, dr))
         h = float(-np.dot(dr, dr) + np.dot(e, ddr))
@@ -245,12 +243,17 @@ def _refine_projection(path: ReferencePath, xy: np.ndarray, s0: float) -> float:
 
 
 def frenet_to_cartesian(path: ReferencePath, q: FrenetPoint) -> CartesianPoint:
-    """Inverse transformation on the validity corridor: path(s) + d * normal(s)."""
-    if q.s < -1e-9 or q.s > path.length + 1e-9:
-        raise OutOfRange(f"s={q.s:.3f} outside [0, {path.length:.3f}]")
-    s = float(np.clip(q.s, 0.0, path.length))
-    p = path.position(s) + q.d * path.normal(s)
-    return CartesianPoint(x=float(p[0]), y=float(p[1]))
+    """Inverse transformation on the validity corridor, path(s) + d normal(s),
+    of floats (giving floats) or of arrays of one shape (giving arrays)."""
+    s = np.asarray(q.s, dtype=float)
+    off = (s < -1e-9) | (s > path.length + 1e-9)
+    if np.any(off):
+        raise OutOfRange(f"s={s[off][0]:.3f} outside [0, {path.length:.3f}]")
+    s = np.clip(s, 0.0, path.length)
+    p = path.position(s) + np.asarray(q.d)[..., None] * path.normal(s)
+    if s.ndim == 0:
+        return CartesianPoint(x=float(p[0]), y=float(p[1]))
+    return CartesianPoint(x=p[..., 0], y=p[..., 1])
 
 
 def boundary_distances(path: ReferencePath, q: FrenetPoint):

@@ -6,9 +6,13 @@ point-mass model in road-aligned coordinates (direct multiple shooting, RK4
 discretization).  Static potentials shape speed and lane preference, the
 time-varying obstacle fields enter both as a weighted cost and as hard
 inequality constraints, and a safe-stop terminal set guarantees a feasible
-braking continuation behind the nearest same-lane leader.  There is no
-maneuver enumeration anywhere: overtaking, following and lane keeping all
-emerge from the one continuous program.
+braking continuation behind the nearest same-lane leader.  ``solve_ltp``
+poses the program for up to two terminal sets: ``stay`` stops behind the
+nearest leader in the ego lane (or at the path end), and ``pass``, posed only
+when that bound falls short of the horizon's reach, stops behind the next
+leader from a guess that overtakes it.  The cheaper feasible solution is
+published; within each program the lane change, the following distance and
+the braking profile emerge from one continuous optimization.
 """
 
 from __future__ import annotations
@@ -192,10 +196,9 @@ _FU_NONZERO = np.array([[True, True],
 
 
 def _f(x, u):
-    """Point-mass vector field on states (..., 4) and inputs (..., 2)."""
-    psi, nu = x[..., 2], x[..., 3]
-    return np.stack([nu * np.cos(psi), nu * np.sin(psi), u[..., 1],
-                     u[..., 0]], axis=-1)
+    """Point-mass vector field on state and input components, see rk4."""
+    _, _, psi, nu = x
+    return nu * np.cos(psi), nu * np.sin(psi), u[1], u[0]
 
 
 def _jac(Y, U):
@@ -216,7 +219,7 @@ def discretize_dynamics(xi: EgoModelState, lam: ControlInput,
     if T_sL <= 0:
         raise ValueError("T_sL must be positive")
     return EgoModelState.from_array(
-        rk4(_f, xi.as_array(), lam.as_array(), T_sL)[0])
+        rk4(_f, (xi.s, xi.d, xi.psi, xi.nu), (lam.alpha, lam.omega), T_sL)[0])
 
 
 # -- terminal set -----------------------------------------------------------
@@ -654,17 +657,18 @@ class _LtpProgram:
 
     def _step(self, z):
         """(U, x_next, Y): the inputs, and the RK4 step from each stage's
-        previous state with its stage points."""
+        previous state with its stage points, as components over stages."""
         prev = np.concatenate([self.x0[None, :], self._states(z)[:-1]])
         U = self._inputs(z)
-        return (U,) + rk4(_f, prev, U, self.cfg.T_sL)
+        return (U,) + rk4(_f, prev.T, U.T, self.cfg.T_sL)
 
     def eq_constraints(self, z):
-        return (self._states(z) - self._step(z)[1]).ravel()
+        return (self._states(z) - np.transpose(self._step(z)[1])).ravel()
 
     def eq_jacobian(self, z):
         U, _, Y = self._step(z)
-        Fx, Fu = rk4_jacobians(_jac, Y, U, self.cfg.T_sL)
+        Fx, Fu = rk4_jacobians(_jac, np.transpose(Y, (0, 2, 1)), U,
+                               self.cfg.T_sL)
         return self._eq_pattern.matrix(np.concatenate([
             np.ones(4 * self.N), -Fx[1:, _FX_NONZERO].ravel(),
             -Fu[:, _FU_NONZERO].ravel()]))
@@ -824,8 +828,8 @@ def safe_stop_trajectory(xi0: EgoModelState, cfg: PlannerConfig,
     hold until stand-still, steer the heading to zero.
     """
     h = cfg.T_sL
-    x = xi0.as_array()
-    states = [x.copy()]
+    x = xi0.as_array().tolist()
+    states = [x]
     inputs = []
     alpha = float(alpha_prev)
     for _ in range(cfg.N_L):
@@ -835,10 +839,10 @@ def safe_stop_trajectory(xi0: EgoModelState, cfg: PlannerConfig,
         if x[3] + a * h < 0.0:
             a = -x[3] / h
         omega = float(np.clip(-x[2] / h, -cfg.omega_max, cfg.omega_max))
-        u = np.array([a, omega])
+        u = (a, omega)
         x = rk4(_f, x, u, h)[0]
         x[3] = max(x[3], 0.0)
-        states.append(x.copy())
+        states.append(x)
         inputs.append(u)
     return PlannedTrajectory(
         t0=t0, T_sL=h,

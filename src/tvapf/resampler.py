@@ -43,23 +43,6 @@ def _sample(traj: PlannedTrajectory, t: float):
     return s, d, psi, nu, omega
 
 
-def _reference_state(traj: PlannedTrajectory, path: ReferencePath, t: float,
-                     wheelbase: float) -> VehicleState:
-    s, d, psi, nu, omega = _sample(traj, t)
-    s_clip = min(max(s, 0.0), path.length)
-    p = frenet_to_cartesian(path, FrenetPoint(s=s_clip, d=d))
-    heading = float(path.heading(s_clip))
-    kappa_path = float(path.curvature(s_clip))
-    theta = psi + heading
-    # curvature of the planned motion: heading rate over speed, where the
-    # absolute heading rate combines the commanded psi rate with the path
-    # tangent rotation rate s_dot * kappa
-    nu_safe = max(nu, 0.3)
-    kappa_traj = (omega + kappa_path * nu * math.cos(psi)) / nu_safe
-    delta = math.atan(wheelbase * kappa_traj)
-    return VehicleState(x=p.x, y=p.y, theta=theta, v=max(nu, 0.0), delta=delta)
-
-
 def resample(traj: PlannedTrajectory, path: ReferencePath, t_query: float,
              N_P: int, T_sMPC: float, wheelbase: float = 2.7):
     """Reference states for one controller tick: N_P + 1 samples starting at
@@ -76,5 +59,20 @@ def resample(traj: PlannedTrajectory, path: ReferencePath, t_query: float,
         raise HorizonExhausted(
             f"reference window end {t_last:.3f}s exceeds trajectory end "
             f"{traj.t_end:.3f}s")
-    return [_reference_state(traj, path, t_query + k * T_sMPC, wheelbase)
-            for k in range(N_P + 1)]
+    s, d, psi, nu, omega = zip(*(_sample(traj, t_query + k * T_sMPC)
+                                 for k in range(N_P + 1)))
+    s = np.clip(s, 0.0, path.length)
+    p = frenet_to_cartesian(path, FrenetPoint(s=s, d=np.array(d)))
+    refs = []
+    for x, y, heading, kappa_path, psi_k, nu_k, omega_k in zip(
+            p.x.tolist(), p.y.tolist(), path.heading(s).tolist(),
+            path.curvature(s).tolist(), psi, nu, omega):
+        # curvature of the planned motion: heading rate over speed, where
+        # the absolute heading rate combines the commanded psi rate with the
+        # path tangent rotation rate s_dot * kappa
+        kappa_traj = ((omega_k + kappa_path * nu_k * math.cos(psi_k))
+                      / max(nu_k, 0.3))
+        refs.append(VehicleState(x=x, y=y, theta=psi_k + heading,
+                                 v=max(nu_k, 0.0),
+                                 delta=math.atan(wheelbase * kappa_traj)))
+    return refs

@@ -300,6 +300,8 @@ def from_dict(data: dict, overrides: dict | None = None) -> Scenario:
         ratio = big / small
         if abs(ratio - round(ratio)) > 1e-9:
             raise ScenarioError(f"{name} must divide evenly (got {ratio})")
+    if scn.sim["duration"] < scn.sim["plant_step"]:
+        raise ScenarioError("sim.duration: shorter than sim.plant_step")
     _checked("planner/tracker", check_hierarchy, tcfg, pcfg)
     _checked("path/weights/tvapf", verify_lane_centering, path,
              potentials_cfg)

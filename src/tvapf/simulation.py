@@ -58,9 +58,9 @@ def step_actor(actor: ActorRuntime, t: float, T: float) -> None:
         if t >= t_entry:
             target = target_v
     a_lo, a_hi = actor.spec.a_bounds
-    dv = float(np.clip(target - actor.v, a_lo * T, a_hi * T))
+    dv = min(max(target - actor.v, a_lo * T), a_hi * T)
     v_lo, v_hi = actor.spec.v_bounds
-    actor.v = float(np.clip(actor.v + dv, v_lo, v_hi))
+    actor.v = float(min(max(actor.v + dv, v_lo), v_hi))
 
 
 @dataclass
@@ -190,7 +190,7 @@ def run(scenario: Scenario) -> RunLog:
     h = float(sim["plant_step"])
     sensor_range = float(sim["sensor_range"])
     margin = float(sim["collision_margin"])
-    steps_per_tick = int(round(tcfg.T_sMPC / h))
+    steps_per_tick = int(round(tcfg.T_sMPC / scenario.sim["plant_step"]))
     steps_per_instance = int(round(pcfg.instance_period / h))
     n_steps = int(round(float(sim["duration"]) / h))
 
@@ -264,10 +264,13 @@ def run(scenario: Scenario) -> RunLog:
 
         # log the state at time t with the input applied over [t, t+h)
         gaps = []
-        for actor in actors:
+        if actors:
             p = frenet_to_cartesian(path, FrenetPoint(
-                s=float(np.clip(actor.s, 0.0, path.length)), d=actor.d))
-            gaps.append(math.hypot(chi.x - p.x, chi.y - p.y))
+                s=np.clip([a.s for a in actors], 0.0, path.length),
+                d=np.array([a.d for a in actors])))
+            # math.hypot: np.hypot can differ in the logged min_gap's last bit
+            gaps = [math.hypot(chi.x - x, chi.y - y)
+                    for x, y in zip(p.x.tolist(), p.y.tolist())]
         min_gap = min(gaps) if gaps else math.inf
         for i, gap in enumerate(gaps):
             aid = actors[i].spec.id
@@ -310,7 +313,7 @@ def summarize(log: RunLog, scenario: Scenario) -> dict:
     yaw_rate = v * np.tan(delta) / L
 
     # jerk between consecutive controller ticks
-    steps_per_tick = int(round(tcfg.T_sMPC / (times[1] - times[0])))
+    steps_per_tick = int(round(tcfg.T_sMPC / scenario.sim["plant_step"]))
     tick_a = u_a[::steps_per_tick]
     jerk = np.abs(np.diff(tick_a)) / tcfg.T_sMPC if len(tick_a) > 1 else \
         np.zeros(1)
@@ -326,7 +329,7 @@ def summarize(log: RunLog, scenario: Scenario) -> dict:
     err_pos = np.array([[r["err_x"], r["err_y"]]
                         for r in log.steps[::steps_per_tick]])
     return {
-        "duration": times[-1] + (times[1] - times[0]),
+        "duration": times[-1] + scenario.sim["plant_step"],
         "min_speed": float(np.min(v)),
         "max_speed": float(np.max(v)),
         "max_abs_a_lon": float(np.max(np.abs(u_a))),

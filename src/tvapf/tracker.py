@@ -5,12 +5,12 @@ single-track model at a fast sampling rate.  The program is transcribed by
 single shooting over the input sequence plus one slack variable that softens
 the terminal error equality, and solved by SciPy's SLSQP.
 
-The states come from the RK4 kernel shared with the planner
-(``dynamics.rk4``), one step at a time in scalar arithmetic, and are kept
-per iterate with the stage points of every step, so the objective and the
-constraint values never touch derivatives.  When SLSQP asks for the gradient
-or the constraint Jacobian, the step Jacobians of the whole horizon follow
-from those stage points in one batched chain rule
+The states come from the RK4 scheme shared with the planner
+(``dynamics.rk4``), one step at a time on the five state components as
+floats, and are kept per iterate with the stage points of every step, so the
+objective and the constraint values never touch derivatives.  When SLSQP
+asks for the gradient or the constraint Jacobian, the step Jacobians of the
+whole horizon follow from those stage points in one batched chain rule
 (``dynamics.rk4_jacobians``) and are chained into the sensitivities dX/du.
 """
 
@@ -122,12 +122,12 @@ def check_hierarchy(tcfg: TrackerConfig, pcfg: PlannerConfig) -> None:
 # -- dynamics ---------------------------------------------------------------
 
 
-def _f(chi, u, L):
-    """Single-track vector field on one state, in scalar arithmetic: numpy
-    on a 5-vector costs more than the five products."""
-    _, _, th, v, de = chi.tolist()
-    return np.array([v * math.cos(th), v * math.sin(th),
-                     v * math.tan(de) / L, u[0], u[1]])
+def _f(L, chi, u):
+    """Single-track vector field on the float components of one state:
+    numpy on a 5-vector costs more than the five products."""
+    _, _, th, v, de = chi
+    return (v * math.cos(th), v * math.sin(th), v * math.tan(de) / L,
+            u[0], u[1])
 
 
 _B = np.zeros((5, 2))
@@ -135,7 +135,7 @@ _B[3, 0] = 1.0
 _B[4, 1] = 1.0
 
 
-def _jac(Y, U, L):
+def _jac(L, Y, U):
     """df/dx and df/du of the single track at every state of Y (..., 5)."""
     th, v, de = Y[..., 2], Y[..., 3], Y[..., 4]
     sin, cos = np.sin(th), np.cos(th)
@@ -154,9 +154,9 @@ def bicycle_step(chi: VehicleState, u, T: float,
     """One zero-order-hold step of the kinematic single-track model."""
     if T <= 0:
         raise ValueError("T must be positive")
-    return VehicleState.from_array(rk4(
-        partial(_f, L=wheelbase), chi.as_array(), np.asarray(u, dtype=float),
-        T)[0])
+    return VehicleState(*rk4(
+        partial(_f, wheelbase), (chi.x, chi.y, chi.theta, chi.v, chi.delta),
+        (float(u[0]), float(u[1])), T)[0])
 
 
 def _wrap(angle):
@@ -198,8 +198,8 @@ class _NmpcProgram:
         self.n = 2 * self.N + 1
         self.Q = np.asarray(cfg.Q, dtype=float)
         self.R = np.asarray(cfg.R, dtype=float)
-        self._f = partial(_f, L=cfg.wheelbase)
-        self._jac = partial(_jac, L=cfg.wheelbase)
+        self._f = partial(_f, cfg.wheelbase)
+        self._jac = partial(_jac, cfg.wheelbase)
         e = np.array([cfg.e_pos, cfg.e_pos, cfg.e_theta, cfg.e_v])
         self._hi = np.concatenate([[cfg.delta_max, cfg.v_max,
                                     cfg.yaw_rate_max], e])
@@ -353,7 +353,7 @@ def solve_nmpc(chi0: VehicleState, ref, cfg: TrackerConfig,
     U = result.x[:2 * cfg.N_P].reshape(cfg.N_P, 2)
     np.clip(U[:, 0], cfg.a_min, cfg.a_max, out=U[:, 0])
     np.clip(U[:, 1], -cfg.w_delta_max, cfg.w_delta_max, out=U[:, 1])
-    X = rollout(prog._f, prog.chi0, U, cfg.T_sMPC)[0]
+    X = rollout(prog._f, prog.chi0, U.tolist(), cfg.T_sMPC)[0]
     return NmpcSolution(
         u0=U[0].copy(),
         predicted=tuple(VehicleState.from_array(x) for x in X),

@@ -1,7 +1,8 @@
 """Shared fixtures.
 
-The bundled overtake scenario takes about 20 s of wall clock to simulate
-(19.6-23.1 s over six tier-1 runs on a 2-core x86-64 host), so the
+The bundled overtake scenario takes about 10 s of wall clock to simulate
+(9.6-10.6 s over three runs with the default BLAS threads, 7.1-9.6 s over
+three with BLAS pinned to one thread, on a 2-core x86-64 host), so the
 closed-loop run is executed once per session and shared by every test that
 inspects it.
 """

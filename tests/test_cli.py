@@ -209,6 +209,30 @@ def test_override_passes_the_file_checks(capsys):
         capsys.readouterr().err
 
 
+def _short_empty_road(tmp_path, plant_step):
+    data = json.loads((SCENARIO_DIR / "empty_road.json").read_text())
+    data["sim"].update(duration=0.1, plant_step=plant_step)
+    return _write(tmp_path, "short.json", data)
+
+
+def test_one_plant_step_run_exits_0(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(_short_empty_road(tmp_path, 0.1)),
+                 "--out", str(out)]) == 0
+    with open(out / "runlog.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["duration"] == pytest.approx(0.1)
+
+
+def test_run_shorter_than_a_plant_step_exits_2(tmp_path, capsys):
+    scn = _short_empty_road(tmp_path, 0.2)
+    assert main(["run", str(scn), "--dry-run"]) == 2
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count("scenario error: sim.duration") == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_strict_exits_3_on_collision_margin(oncoming_run):
     _, out, rc = oncoming_run
     summary = json.loads((out / "summary.json").read_text())

@@ -123,6 +123,33 @@ def test_round_trip(factory):
         assert math.hypot(p.x - p2.x, p.y - p2.y) < 1e-6
 
 
+def test_batched_frenet_to_cartesian_matches_per_point():
+    # a 150 m-radius arc: curvature 1/150, so a dropped or misplaced
+    # curvature-dependent term shows
+    path = circle_path(radius=150.0, span=0.5 * math.pi, n=120)
+    rng = np.random.default_rng(11)
+    s = np.concatenate([[0.0, path.length], rng.uniform(0.0, path.length, 40)])
+    d = rng.uniform(-3.5, 3.5, len(s))
+    want = [frenet_to_cartesian(path, FrenetPoint(s=float(a), d=float(b)))
+            for a, b in zip(s, d)]
+    assert all(type(w.x) is float and type(w.y) is float for w in want)
+    for shape in ((len(s),), (2, len(s) // 2)):
+        p = frenet_to_cartesian(path, FrenetPoint(s=s.reshape(shape),
+                                                  d=d.reshape(shape)))
+        np.testing.assert_array_equal(p.x, np.reshape([w.x for w in want],
+                                                      shape))
+        np.testing.assert_array_equal(p.y, np.reshape([w.y for w in want],
+                                                      shape))
+
+
+def test_batched_frenet_to_cartesian_out_of_range():
+    path = circle_path(radius=150.0, span=0.5 * math.pi, n=120)
+    for off in (path.length + 1.0, -1.0):
+        with pytest.raises(OutOfRange):
+            frenet_to_cartesian(path, FrenetPoint(
+                s=np.array([0.0, 10.0, off, 20.0]), d=np.zeros(4)))
+
+
 def test_projection_monotone_along_offset_curve():
     path = s_curve_path()
     s_grid = np.linspace(1.0, path.length - 1.0, 200)

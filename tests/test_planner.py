@@ -6,9 +6,11 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from tvapf import planner, tracker
-from tvapf.dynamics import rk4, rk4_jacobians
+from tvapf.dynamics import rk4, rk4_jacobians, rollout
 from tvapf.geometry import straight_path
 from tvapf.planner import (ControlInput, Decision, EgoModelState,
                            EmptyTerminalSet, PlannerConfig, TerminalBox,
@@ -144,13 +146,26 @@ def _bicycle_reference(L=2.7):
     return f, dfdx, B
 
 
-# f, jac, reference, state box, input box and step of each vehicle model
+def _pointwise(f):
+    """f evaluated state by state on components that are arrays over a
+    batch: the tracker's vector field takes floats only."""
+    def batched(x, u):
+        out = (f(xi, ui) for xi, ui in zip(zip(*(c.tolist() for c in x)),
+                                           zip(*(c.tolist() for c in u))))
+        return tuple(np.array(c) for c in zip(*out))
+    return batched
+
+
+# f on one state's floats, f on batched components, jac, reference, state
+# box, input box and step of each vehicle model
 _MODELS = {
-    "point_mass": (planner._f, planner._jac, _point_mass_reference(),
+    "point_mass": (planner._f, planner._f, planner._jac,
+                   _point_mass_reference(),
                    [(0.0, 500.0), (-4.0, 4.0), (-1.2, 1.2), (0.0, 12.5)],
                    [(-0.9, 0.9), (-0.08, 0.08)], 0.5),
-    "bicycle": (partial(tracker._f, L=2.7), partial(tracker._jac, L=2.7),
-                _bicycle_reference(2.7),
+    "bicycle": (partial(tracker._f, 2.7),
+                _pointwise(partial(tracker._f, 2.7)),
+                partial(tracker._jac, 2.7), _bicycle_reference(2.7),
                 [(0.0, 500.0), (-4.0, 4.0), (-math.pi, math.pi),
                  (0.0, 12.5), (-0.43, 0.43)],
                 [(-0.85, 0.85), (-0.4, 0.4)], 0.2),
@@ -159,19 +174,46 @@ _MODELS = {
 
 @pytest.mark.parametrize("name", sorted(_MODELS))
 def test_batched_rk4_matches_per_stage_reference(name):
-    f, jac, ref, x_box, u_box, h = _MODELS[name]
+    f, _, jac, ref, x_box, u_box, h = _MODELS[name]
     rng = np.random.default_rng(5)
     X = np.column_stack([rng.uniform(lo, hi, 40) for lo, hi in x_box])
     U = np.column_stack([rng.uniform(lo, hi, 40) for lo, hi in u_box])
-    steps = [rk4(f, x, u, h) for x, u in zip(X, U)]
+    steps = [rk4(f, x, u, h) for x, u in zip(X.tolist(), U.tolist())]
     Fx, Fu = rk4_jacobians(jac, np.stack([s[1] for s in steps], axis=1), U, h)
     if name == "point_mass":  # the planner steps all stages in one call
-        np.testing.assert_array_equal(rk4(f, X, U, h)[0],
+        np.testing.assert_array_equal(np.transpose(rk4(f, X.T, U.T, h)[0]),
                                       [s[0] for s in steps])
     for i, (x_next, _) in enumerate(steps):
         want = _rk4_reference(*ref, X[i], U[i], h)
         for got, w in zip((x_next, Fx[i], Fu[i]), want):
             np.testing.assert_allclose(got, w, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(_MODELS))
+@seed(6)
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_float_rollout_equals_batched_rk4(name, data):
+    # one scheme: stepping each state alone in floats and stepping the
+    # stack of states as arrays give the same bits, stage points included
+    f, f_batch, _, _, x_box, u_box, h = _MODELS[name]
+    n_states = data.draw(st.integers(1, 6), label="states")
+    n_steps = data.draw(st.integers(1, 4), label="steps")
+
+    def box(bounds, count):
+        return np.array([[data.draw(st.floats(lo, hi)) for lo, hi in bounds]
+                         for _ in range(count)])
+
+    X0 = box(x_box, n_states)
+    U = box(u_box, n_states * n_steps).reshape(n_states, n_steps, -1)
+    alone = [rollout(f, x0, u.tolist(), h) for x0, u in zip(X0, U)]
+    x = tuple(X0.T)
+    for k in range(n_steps):
+        x, Y = rk4(f_batch, x, tuple(U[:, k].T), h)
+        np.testing.assert_array_equal(np.transpose(x),
+                                      [X[k + 1] for X, _ in alone])
+        np.testing.assert_array_equal(np.transpose(Y, (2, 0, 1)),
+                                      [Ys[:, k] for _, Ys in alone])
 
 
 def test_discretize_validation():

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from tvapf.geometry import straight_path
+from tvapf.geometry import (FrenetPoint, ReferencePath, frenet_to_cartesian,
+                            straight_path)
 from tvapf.planner import ControlInput, EgoModelState, PlannedTrajectory
-from tvapf.resampler import HorizonExhausted, resample
+from tvapf.resampler import HorizonExhausted, _sample, resample
+from tvapf.tracker import VehicleState
 
 
 def _constant_speed_traj(nu=10.0, d=-2.0, n=20, t0=0.0):
@@ -93,3 +95,34 @@ def test_nonzero_t0_alignment(path):
     refs = resample(traj, path, t_query=5.0, N_P=10, T_sMPC=0.2)
     assert refs[0].x == pytest.approx(0.0, abs=1e-12)
     assert refs[5].x == pytest.approx(10.0, abs=1e-9)
+
+
+def _reference_state(traj, path, t, wheelbase):
+    """One reference state on its own, point by point: the formula resample
+    evaluates on the whole window at once."""
+    s, d, psi, nu, omega = _sample(traj, t)
+    s_clip = min(max(s, 0.0), path.length)
+    p = frenet_to_cartesian(path, FrenetPoint(s=s_clip, d=d))
+    heading = float(path.heading(s_clip))
+    kappa_path = float(path.curvature(s_clip))
+    kappa_traj = (omega + kappa_path * nu * math.cos(psi)) / max(nu, 0.3)
+    return VehicleState(x=p.x, y=p.y, theta=psi + heading, v=max(nu, 0.0),
+                        delta=math.atan(wheelbase * kappa_traj))
+
+
+def test_window_matches_per_sample_reference_on_arc():
+    # left-hand arc of radius 150 m: kappa = 1/150 enters theta and delta
+    th = np.linspace(0.0, 0.5 * math.pi, 120)
+    path = ReferencePath(150.0 * np.stack([np.sin(th), 1.0 - np.cos(th)],
+                                          axis=1))
+    assert float(path.curvature(50.0)) == pytest.approx(1.0 / 150.0, rel=1e-3)
+    states = tuple(EgoModelState(s=10.0 + 4.0 * k, d=-2.0 + 0.15 * k,
+                                 psi=0.03 * math.sin(k), nu=8.0 - 0.4 * k)
+                   for k in range(21))
+    inputs = tuple(ControlInput(-0.2, 0.02 * math.cos(k)) for k in range(20))
+    traj = PlannedTrajectory(t0=2.0, T_sL=0.5, states=states, inputs=inputs)
+    for t_query in (2.0, 2.3, 7.9):
+        refs = resample(traj, path, t_query, N_P=10, T_sMPC=0.2)
+        want = [_reference_state(traj, path, t_query + k * 0.2, 2.7)
+                for k in range(11)]
+        assert refs == want
