@@ -19,7 +19,7 @@ import numpy as np
 from . import scenario as scenario_mod
 from .planner import (EmptyTerminalSet, Infeasible, decision_label,
                       safe_stop_trajectory, solve_ltp, terminal_set)
-from .prediction import tvapf_value
+from .prediction import ObstacleField
 from .scenario import Scenario, ScenarioError
 from .simulation import (ActorRuntime, EventKind, initial_ego_state,
                          perceive, run, summarize)
@@ -173,10 +173,8 @@ def cmd_plan(args) -> int:
     field = []
     for j in j_grid:
         # overlay of the per-obstacle fields (each normalized to [0, 1])
-        W = np.zeros(S.shape)
-        for fc in forecasts:
-            W = np.maximum(W, tvapf_value(S, D, fc, j, tvapf))
-        field.append(W.tolist())
+        w = ObstacleField(forecasts, np.full(S.shape, j), tvapf).terms(S, D)[2]
+        field.append(np.max(w, axis=0, initial=0.0).tolist())
 
     dump = {
         "t0": t0,

@@ -256,20 +256,6 @@ def frenet_to_cartesian(path: ReferencePath, q: FrenetPoint) -> CartesianPoint:
     return CartesianPoint(x=p[..., 0], y=p[..., 1])
 
 
-def boundary_distances(path: ReferencePath, q: FrenetPoint):
-    """Distances to the road edges and to the left boundary of the rightmost
-    free lane, all affine in d.
-
-    h_l and h_r are positive inside the road.  h_c is positive when the
-    vehicle is on the right of the rightmost-free-lane left boundary, which
-    is where the lane-keeping potential is low.
-    """
-    h_l = path.left_edge_offset - q.d
-    h_r = q.d - path.right_edge_offset
-    h_c = (path.right_edge_offset + path.lane_width) - q.d
-    return float(h_l), float(h_r), float(h_c)
-
-
 def straight_path(length: float = 1500.0, spacing: float = 5.0,
                   lane_count: int = 2, lane_width: float = 4.0,
                   speed_limit=12.5) -> ReferencePath:

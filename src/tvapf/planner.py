@@ -26,9 +26,10 @@ import numpy as np
 from .dynamics import rk4, rk4_jacobians, rollout
 from .geometry import ReferencePath
 from .potentials import (PotentialConfig, boundary_potential,
-                         boundary_potential_grad, effective_speed,
-                         lane_potential, lane_potential_grad)
-from .prediction import TvapfParams, _scales_from_spread
+                         boundary_potential_curv, boundary_potential_grad,
+                         effective_speed, lane_potential, lane_potential_curv,
+                         lane_potential_grad, lateral_offsets)
+from .prediction import ObstacleField, TvapfParams
 from .solver import (NlpProblem, SolveOptions, SolveStatus, SparsePattern,
                      solve)
 
@@ -122,6 +123,8 @@ class PlannerConfig:
             raise ValueError("invalid terminal parameters")
         if self.eps_d <= 0 or self.eps_psi <= 0:
             raise ValueError("terminal box tolerances must be positive")
+        if not (math.isfinite(self.K_o) and self.K_o >= 0):
+            raise ValueError("K_o must be finite and non-negative")
 
     @property
     def shift_steps(self) -> int:
@@ -403,7 +406,6 @@ class _LtpProgram:
                  guess_states, guess_inputs, box: TerminalBox,
                  alpha_prev: float | None):
         self.x0 = xi0.as_array()
-        self.forecasts = list(forecasts)
         self.path = path
         self.cfg = cfg
         self.pcfg = pcfg
@@ -425,19 +427,8 @@ class _LtpProgram:
                                   guess_inputs.ravel()])
         self.lb, self.ub = self._bounds()
 
-        # field parameters over steps 1..N, one row per forecast
-        F = len(self.forecasts)
-        self._fc_center = np.empty((F, self.N))
-        self._fc_gamma_s = np.empty((F, self.N))
-        self._fc_gamma_d = np.empty((F, self.N))
-        for i, fc in enumerate(self.forecasts):
-            gamma_s, gamma_d = _scales_from_spread(fc.delta_s[1:self.N + 1],
-                                                   tvapf)
-            self._fc_center[i] = fc.s_center[1:self.N + 1]
-            self._fc_gamma_s[i] = gamma_s
-            self._fc_gamma_d[i] = gamma_d
-        self._fc_d = np.array([[fc.d_o] for fc in self.forecasts],
-                              dtype=float).reshape(F, 1)
+        # the states x_1 .. x_N meet the field at their own prediction steps
+        self.field = ObstacleField(forecasts, np.arange(1, self.N + 1), tvapf)
         self._build_patterns()
 
     def _build_patterns(self):
@@ -534,51 +525,30 @@ class _LtpProgram:
         U = self._inputs(z)
         d = X[:, 1]
         nu = X[:, 3]
-        path, pcfg = self.path, self.pcfg
-        h_l = path.left_edge_offset - d
-        h_r = d - path.right_edge_offset
-        h_c = (path.right_edge_offset + path.lane_width) - d
+        pcfg = self.pcfg
+        h_l, h_r, h_c = lateral_offsets(d, self.path)
         J = pcfg.K_v * float(np.sum((nu - self.v_bar) ** 2))
         J += pcfg.K_b * float(np.sum(boundary_potential(h_l, h_r, pcfg.eta)))
         J += pcfg.K_l * float(np.sum(lane_potential(h_c)))
         # comfort: input j paired with the speed state at the same step
         nu_at_u = np.concatenate([[self.x0[3]], nu[:-1]])
         J += pcfg.K_c * float(np.sum((nu_at_u * U[:, 1]) ** 2))
-        J += self.cfg.K_o * float(np.sum(self._field(X)))
+        J += self.cfg.K_o * float(np.sum(self.field.value(X[:, 0], d)))
         return J
-
-    def _field_terms(self, X):
-        """Scaled offsets xs, xd and field values w, one row per forecast."""
-        xs = (X[:, 0] - self._fc_center) / self._fc_gamma_s
-        xd = (X[:, 1] - self._fc_d) / self._fc_gamma_d
-        c = self.tvapf.c
-        return xs, xd, np.exp(-(xs ** c + xd ** c))
-
-    def _field(self, X):
-        return np.sum(self._field_terms(X)[2], axis=0)
-
-    def _field_grad(self, X):
-        """(dO/ds_j, dO/dd_j) arrays over the horizon."""
-        c = self.tvapf.c
-        xs, xd, w = self._field_terms(X)
-        return (np.sum(-w * c * xs ** (c - 1) / self._fc_gamma_s, axis=0),
-                np.sum(-w * c * xd ** (c - 1) / self._fc_gamma_d, axis=0))
 
     def gradient(self, z):
         X = self._states(z)
         U = self._inputs(z)
         d = X[:, 1]
         nu = X[:, 3]
-        path, pcfg = self.path, self.pcfg
+        pcfg = self.pcfg
         g = np.zeros(self.n)
         gX = g[:4 * self.N].reshape(self.N, 4)
         gU = g[4 * self.N:].reshape(self.N, 2)
 
         gX[:, 3] += 2.0 * pcfg.K_v * (nu - self.v_bar)
 
-        h_l = path.left_edge_offset - d
-        h_r = d - path.right_edge_offset
-        h_c = (path.right_edge_offset + path.lane_width) - d
+        h_l, h_r, h_c = lateral_offsets(d, self.path)
         gl, gr = boundary_potential_grad(h_l, h_r, pcfg.eta)
         gX[:, 1] += pcfg.K_b * (-gl + gr)
         gX[:, 1] += pcfg.K_l * (-lane_potential_grad(h_c))
@@ -587,7 +557,7 @@ class _LtpProgram:
         gU[:, 1] += 2.0 * pcfg.K_c * nu_at_u ** 2 * U[:, 1]
         gX[:-1, 3] += 2.0 * pcfg.K_c * nu_at_u[1:] * U[1:, 1] ** 2
 
-        gs, gd = self._field_grad(X)
+        gs, gd = self.field.grad(X[:, 0], d)
         gX[:, 0] += self.cfg.K_o * gs
         gX[:, 1] += self.cfg.K_o * gd
         return g
@@ -600,30 +570,17 @@ class _LtpProgram:
         om = self._inputs(z)[:, 1]
         d = X[:, 1]
         nu = X[:, 3]
-        path, pcfg = self.path, self.pcfg
+        pcfg = self.pcfg
 
         # lateral curvature, clamped to keep the block PSD
-        eta = pcfg.eta
-        cb = 0.0
-        for hh in (path.left_edge_offset - d, d - path.right_edge_offset):
-            x = eta * hh
-            cb = cb + eta * eta * (16.0 * x ** 6 - 12.0 * x ** 2) * np.exp(-x ** 4)
-        sig = 1.0 / (1.0 + np.exp((path.right_edge_offset + path.lane_width)
-                                  - d))
-        cl = sig * (1.0 - sig) * (1.0 - 2.0 * sig)
-        lateral = np.maximum(pcfg.K_b * cb + pcfg.K_l * cl, 0.0) + 1e-8
+        h_l, h_r, h_c = lateral_offsets(d, self.path)
+        lateral = np.maximum(
+            pcfg.K_b * boundary_potential_curv(h_l, h_r, pcfg.eta)
+            + pcfg.K_l * lane_potential_curv(h_c), 0.0) + 1e-8
 
         # obstacle-field curvature (cost weight + constraint multiplier),
         # per-step 2x2 block over (s, d), projected onto the PSD cone
-        c = self.tvapf.c
-        xs, xd, w = self._field_terms(X)
-        g_s, g_d = self._fc_gamma_s, self._fc_gamma_d
-        Wss = np.sum(w * (c * c * xs ** (2 * c - 2)
-                          - c * (c - 1) * xs ** (c - 2)) / g_s ** 2, axis=0)
-        Wdd = np.sum(w * (c * c * xd ** (2 * c - 2)
-                          - c * (c - 1) * xd ** (c - 2)) / g_d ** 2, axis=0)
-        Wsd = np.sum(w * c * c * xs ** (c - 1) * xd ** (c - 1) / (g_s * g_d),
-                     axis=0)
+        Wss, Wsd, Wdd = self.field.curvature(X[:, 0], d)
         mult = self.cfg.K_o + (np.asarray(w_ineq[:N], dtype=float)
                                if w_ineq is not None and len(w_ineq) >= N
                                else 0.0)
@@ -676,7 +633,8 @@ class _LtpProgram:
     # -- inequalities -------------------------------------------------------
 
     def ineq_constraints(self, z):
-        O = self._field(self._states(z))
+        X = self._states(z)
+        O = self.field.value(X[:, 0], X[:, 1])
         ze = np.append(z, 0.0 if self.alpha_prev is None else self.alpha_prev)
         diff = ze[self._rate_next] - ze[self._rate_prev]
         bound = self.cfg.delta_alpha_max
@@ -685,7 +643,8 @@ class _LtpProgram:
             np.stack([diff - bound, -diff - bound], axis=1).ravel()])
 
     def ineq_jacobian(self, z):
-        gs, gd = self._field_grad(self._states(z))
+        X = self._states(z)
+        gs, gd = self.field.grad(X[:, 0], X[:, 1])
         return self._ineq_pattern.matrix(
             np.concatenate([gs, gd, self._rate_jac]))
 

@@ -1,8 +1,9 @@
 """Static objective terms of the local planner cost.
 
-Speed tracking, road-boundary repulsion, lane preference and comfort are all
-smooth scalar fields; their analytic derivatives are provided alongside so the
-optimizer can assemble exact gradients.
+Road-boundary repulsion and lane preference are smooth scalar fields of the
+lateral offset; their first and second derivatives are provided alongside so
+the planner assembles its gradient and Hessian from the same code.  The speed
+reference bounds the desired speed by the road's curvature.
 """
 
 from __future__ import annotations
@@ -50,8 +51,13 @@ def effective_speed(v_des, v_max, kappa_eff, a_l_max=2.0):
     return np.minimum(np.minimum(v_des, v_max), v_comfort)
 
 
-def speed_cost(v, v_bar):
-    return (np.asarray(v, dtype=float) - v_bar) ** 2
+def lateral_offsets(d, path: ReferencePath):
+    """(h_l, h_r, h_c): distances from lateral offset d to the left and the
+    right road edge, positive inside the road, and to the left boundary of
+    the rightmost lane, positive on its right, where the lane potential is
+    low.  All three are affine in d with slope -1, +1 and -1."""
+    return (path.left_edge_offset - d, d - path.right_edge_offset,
+            (path.right_edge_offset + path.lane_width) - d)
 
 
 def boundary_potential(h_l, h_r, eta):
@@ -68,6 +74,14 @@ def boundary_potential_grad(h_l, h_r, eta):
     return gl, gr
 
 
+def boundary_potential_curv(h_l, h_r, eta):
+    """d2W/dh_l2 + d2W/dh_r2, the curvature in d of the edge repulsion."""
+    def curv(h):
+        x = eta * np.asarray(h, dtype=float)
+        return eta * eta * (16.0 * x ** 6 - 12.0 * x ** 2) * np.exp(-x ** 4)
+    return curv(h_l) + curv(h_r)
+
+
 def lane_potential(h_c):
     """Sigmoid pull toward the rightmost free lane; low for h_c >> 0."""
     return 1.0 / (1.0 + np.exp(np.asarray(h_c, dtype=float)))
@@ -78,24 +92,14 @@ def lane_potential_grad(h_c):
     return -w * (1.0 - w)
 
 
-def comfort_cost(nu, omega):
-    """Squared lateral acceleration of the point-mass model."""
-    return (np.asarray(nu, dtype=float) * omega) ** 2
-
-
-def comfort_cost_grad(nu, omega):
-    """(dW/dnu, dW/domega)."""
-    nu = np.asarray(nu, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    return 2.0 * nu * omega ** 2, 2.0 * nu ** 2 * omega
+def lane_potential_curv(h_c):
+    w = lane_potential(h_c)
+    return w * (1.0 - w) * (1.0 - 2.0 * w)
 
 
 def lateral_cost_profile(d, path: ReferencePath, cfg: PotentialConfig):
     """Combined weighted lateral cost K_b*W_b + K_l*W_l as a function of d."""
-    d = np.asarray(d, dtype=float)
-    h_l = path.left_edge_offset - d
-    h_r = d - path.right_edge_offset
-    h_c = (path.right_edge_offset + path.lane_width) - d
+    h_l, h_r, h_c = lateral_offsets(np.asarray(d, dtype=float), path)
     return cfg.K_b * boundary_potential(h_l, h_r, cfg.eta) + cfg.K_l * lane_potential(h_c)
 
 

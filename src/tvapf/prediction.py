@@ -10,17 +10,13 @@ is an even-exponent exponential bump centered on that interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class InvalidBounds(Exception):
     """Velocity or acceleration bounds are unordered."""
-
-
-class NoSolution(Exception):
-    """Field-edge calibration has no finite solution."""
 
 
 @dataclass(frozen=True)
@@ -76,10 +72,11 @@ class UncertainForecast:
 class TvapfParams:
     """Shape parameters of the obstacle field.
 
-    When ``alpha_s``/``alpha_d`` are None they are derived per evaluation from
-    ``edge_value``: the field equals edge_value at the safety-zone edge
-    (longitudinal offset delta_s/2 + sigma_s, lateral offset l_W/2 + sigma_d
-    from the center).
+    The field's scales follow from ``edge_value`` in (0, 1): the field of
+    each forecast equals edge_value at the edge of its safety zone, at
+    longitudinal offset delta_s/2 + sigma_s and lateral offset
+    l_W/2 + sigma_d from the reachable-set center.  The planner keeps the
+    superposed field at or below ``epsilon_o``.
     """
 
     sigma_s: float = 10.0
@@ -88,20 +85,16 @@ class TvapfParams:
     l_W: float = 4.0
     edge_value: float = math.exp(-1.0)
     epsilon_o: float = 0.05
-    alpha_s: float | None = None
-    alpha_d: float | None = None
 
     def __post_init__(self):
         if self.c < 2 or self.c % 2 != 0:
             raise ValueError("c must be an even integer >= 2")
         if self.sigma_s < 0 or self.sigma_d < 0:
             raise ValueError("safety margins must be non-negative")
+        if not 0.0 < self.edge_value < 1.0:
+            raise ValueError("edge_value must lie in (0, 1)")
         if not 0.0 < self.epsilon_o < 1.0:
             raise ValueError("epsilon_o must lie in (0, 1)")
-        if self.alpha_s is not None and self.alpha_s <= 0:
-            raise ValueError("alpha_s must be positive")
-        if self.alpha_d is not None and self.alpha_d <= 0:
-            raise ValueError("alpha_d must be positive")
 
 
 def propagate_obstacle(o: ObstacleState, T_sL: float, N_L: int) -> UncertainForecast:
@@ -137,62 +130,59 @@ def propagate_obstacle(o: ObstacleState, T_sL: float, N_L: int) -> UncertainFore
     )
 
 
-def calibrate_alphas(p: TvapfParams, delta_s: float = 0.0) -> TvapfParams:
-    """Solve the edge condition for the scaling factors.
+class ObstacleField:
+    """Superposed obstacle fields of ``forecasts`` at prediction step ``j``,
+    an index or an index array.
 
-    alpha_s is chosen so the field evaluated at longitudinal offset
-    delta_s/2 + sigma_s from the center (at d = d_o) equals edge_value;
-    alpha_d analogously at lateral offset l_W/2 + sigma_d.
+    The field of one forecast is W = exp(-(xs**c + xd**c)) with scaled
+    offsets xs = (s - s_center[j]) / gamma_s and xd = (d - d_o) / gamma_d.
+    It peaks at 1 on the reachable-set center, decays with even symmetry in
+    both axes and equals edge_value at the safety-zone edge.  The scales are
+    arrays indexed (forecast, j), so the points (s, d) given to the methods
+    must broadcast against j's shape.  ``terms`` keeps one row per forecast;
+    ``value``, ``grad`` and ``curvature`` sum the rows (zero without
+    forecasts).
     """
-    if not 0.0 < p.edge_value < 1.0:
-        raise NoSolution(f"edge_value {p.edge_value} admits no finite scaling")
-    root = (-math.log(p.edge_value)) ** (1.0 / p.c)
-    alpha_s = root * (delta_s + p.sigma_s) / (0.5 * delta_s + p.sigma_s)
-    alpha_d = root * (p.l_W + p.sigma_d) / (0.5 * p.l_W + p.sigma_d)
-    return replace(p, alpha_s=alpha_s, alpha_d=alpha_d)
 
-
-def tvapf_scales(f: UncertainForecast, j: int, p: TvapfParams):
-    """(gamma_s, gamma_d) of the field at prediction step j."""
-    delta_s = float(f.delta_s[j])
-    return _scales_from_spread(delta_s, p)
-
-
-def _scales_from_spread(delta_s, p: TvapfParams):
-    delta_s = np.asarray(delta_s, dtype=float)
-    if p.alpha_s is None or p.alpha_d is None:
+    def __init__(self, forecasts, j, p: TvapfParams):
+        j = np.asarray(j)
+        shape = (len(forecasts),) + j.shape
         root = (-math.log(p.edge_value)) ** (1.0 / p.c)
-        gamma_s = (0.5 * delta_s + p.sigma_s) / root
-        gamma_d = (0.5 * p.l_W + p.sigma_d) / root
-    else:
-        gamma_s = (delta_s + p.sigma_s) / p.alpha_s
-        gamma_d = (p.l_W + p.sigma_d) / p.alpha_d
-    return gamma_s, gamma_d
+        self.c = p.c
+        self.center = np.array([fc.s_center[j] for fc in forecasts],
+                               dtype=float).reshape(shape)
+        spread = np.array([fc.delta_s[j] for fc in forecasts],
+                          dtype=float).reshape(shape)
+        self.gamma_s = (0.5 * spread + p.sigma_s) / root
+        self.d_o = np.array([fc.d_o for fc in forecasts],
+                            dtype=float).reshape((-1,) + (1,) * j.ndim)
+        self.gamma_d = np.full(shape, (0.5 * p.l_W + p.sigma_d) / root)
 
+    def terms(self, s, d):
+        """Scaled offsets xs, xd and field values w, one row per forecast."""
+        xs = (s - self.center) / self.gamma_s
+        xd = (d - self.d_o) / self.gamma_d
+        c = self.c
+        return xs, xd, np.exp(-(xs ** c + xd ** c))
 
-def tvapf_value(s, d, f: UncertainForecast, j: int, p: TvapfParams):
-    """Field magnitude at (s, d) for prediction step j; peaks at 1 on the
-    reachable-set center and decays with even symmetry in both axes."""
-    gamma_s, gamma_d = tvapf_scales(f, j, p)
-    xs = (np.asarray(s, dtype=float) - f.s_center[j]) / gamma_s
-    xd = (np.asarray(d, dtype=float) - f.d_o) / gamma_d
-    return np.exp(-(xs ** p.c + xd ** p.c))
+    def value(self, s, d):
+        return np.sum(self.terms(s, d)[2], axis=0)
 
+    def grad(self, s, d):
+        """(dW/ds, dW/dd)."""
+        c = self.c
+        xs, xd, w = self.terms(s, d)
+        return (np.sum(-w * c * xs ** (c - 1) / self.gamma_s, axis=0),
+                np.sum(-w * c * xd ** (c - 1) / self.gamma_d, axis=0))
 
-def tvapf_grad(s, d, f: UncertainForecast, j: int, p: TvapfParams):
-    """(dW/ds, dW/dd) of the field at (s, d), prediction step j."""
-    gamma_s, gamma_d = tvapf_scales(f, j, p)
-    xs = (np.asarray(s, dtype=float) - f.s_center[j]) / gamma_s
-    xd = (np.asarray(d, dtype=float) - f.d_o) / gamma_d
-    w = np.exp(-(xs ** p.c + xd ** p.c))
-    gs = -w * p.c * xs ** (p.c - 1) / gamma_s
-    gd = -w * p.c * xd ** (p.c - 1) / gamma_d
-    return gs, gd
-
-
-def total_obstacle_field(s, d, forecasts, j: int, p: TvapfParams):
-    """Superposition of all obstacle fields at prediction step j."""
-    total = np.zeros_like(np.asarray(s, dtype=float), dtype=float)
-    for f in forecasts:
-        total = total + tvapf_value(s, d, f, j, p)
-    return total
+    def curvature(self, s, d):
+        """(d2W/ds2, d2W/ds dd, d2W/dd2)."""
+        c = self.c
+        xs, xd, w = self.terms(s, d)
+        g_s, g_d = self.gamma_s, self.gamma_d
+        return (np.sum(w * (c * c * xs ** (2 * c - 2)
+                            - c * (c - 1) * xs ** (c - 2)) / g_s ** 2, axis=0),
+                np.sum(w * c * c * xs ** (c - 1) * xd ** (c - 1)
+                       / (g_s * g_d), axis=0),
+                np.sum(w * (c * c * xd ** (2 * c - 2)
+                            - c * (c - 1) * xd ** (c - 2)) / g_d ** 2, axis=0))

@@ -114,8 +114,8 @@ class Scenario:
 @dataclass(frozen=True)
 class Key:
     """The values one scenario key accepts: a "number" or an "int" in
-    [lo, hi], a number or null ("optional"), a list of ``size`` "numbers" in
-    [lo, hi], a "number or list", or a list of "points".  Only ``sim`` keys
+    [lo, hi], a list of ``size`` "numbers" in [lo, hi], a "number or list",
+    or a list of "points".  Only ``sim`` keys
     have a ``default``; the others take their config field's default."""
 
     kind: str = "number"
@@ -133,7 +133,7 @@ class Key:
         elif kind == "numbers":
             for i, v in enumerate(_require_type(value, where, size=self.size)):
                 _require_number(v, f"{where}[{i}]", self.lo, self.hi)
-        elif not (kind == "optional" and value is None):
+        else:
             _require_number(value, where, self.lo, self.hi)
             if kind == "int" and not isinstance(value, int):
                 raise ScenarioError(f"{where}: expected an integer, got "
@@ -156,9 +156,8 @@ SCHEMA = {
     "ego": {"x0": _NUMBER, "y0": _NUMBER, "theta0": _NUMBER, "v0": _SPEED,
             "v_des": _SPEED},
     "tvapf": {"sigma_s": _NUMBER, "sigma_d": _NUMBER, "c": _INT,
-              "edge_value": _NUMBER, "epsilon_o": _NUMBER,
-              "alpha_s": Key("optional"), "alpha_d": Key("optional"),
-              "eta": _NUMBER, "a_l_max": _NUMBER},
+              "edge_value": _NUMBER, "epsilon_o": _NUMBER, "eta": _NUMBER,
+              "a_l_max": _NUMBER},
     "weights": dict.fromkeys(("K_v", "K_b", "K_l", "K_c", "K_o"), _NUMBER),
     "planner": {"T_sL": _NUMBER, "N_L": _INT, "instance_period": _NUMBER,
                 "terminal": dict.fromkeys(("tau", "j_max", "alpha_min",

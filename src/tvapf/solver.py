@@ -136,8 +136,9 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     OPTIMAL means the scaled KKT residuals and constraint violation are below
     tolerance.  If iteration or time limits hit first, the best iterate is
     classified FEASIBLE_POINT when it satisfies the constraints, otherwise
-    ITER_LIMIT.  INFEASIBLE is declared when constraint violation stalls above
-    tolerance while the barrier parameter has bottomed out.
+    ITER_LIMIT.  INFEASIBLE is declared when the constraint violation is still
+    above max(100 tol, 1e-5) after iteration 60, or after iteration 25 once
+    the barrier parameter is at or below 1e-4; it does not measure progress.
     """
     opts = opts or SolveOptions()
     t_start = time.perf_counter()
@@ -221,8 +222,6 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
     kkt = _KktSystem(n, me)
     delta_w = 0.0
-    best_violation = np.inf
-    stall_count = 0
     status = SolveStatus.ITER_LIMIT
     no_step = False
     it = 0
@@ -242,14 +241,9 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         if err_mu < 10.0 * mu:
             mu = max(opts.tol / 10.0, min(0.2 * mu, mu ** 1.5))
 
-        # stalled-infeasibility heuristic
-        if viol < best_violation - max(1e-3 * best_violation, 1e-12):
-            best_violation = viol
-            stall_count = 0
-        else:
-            stall_count += 1
+        # infeasibility verdict by iteration count
         if viol > max(100 * opts.tol, 1e-5) and \
-                ((stall_count > 25 and mu <= 1e-4) or stall_count > 60):
+                (it > 60 or (it > 25 and mu <= 1e-4)):
             status = SolveStatus.INFEASIBLE
             break
 

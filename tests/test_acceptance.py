@@ -17,8 +17,8 @@ from tvapf.planner import (EgoModelState, PlannerConfig, TerminalBox,
                            _LtpProgram, braking_distance, safe_stop_trajectory,
                            terminal_set)
 from tvapf.potentials import PotentialConfig
-from tvapf.prediction import (ObstacleState, TvapfParams, propagate_obstacle,
-                              total_obstacle_field)
+from tvapf.prediction import (ObstacleField, ObstacleState, TvapfParams,
+                              propagate_obstacle)
 from tvapf.simulation import run
 from tvapf.tracker import TrackerConfig, VehicleState, _NmpcProgram
 
@@ -209,11 +209,10 @@ def test_criterion_6_safe_stop():
                 psi=float(rng.uniform(-box.eps_psi, box.eps_psi)),
                 nu=float(rng.uniform(0.0, box.nu_max)))
             traj = safe_stop_trajectory(x, cfg)
-            O_max = max(
-                float(total_obstacle_field(
-                    st.s, st.d, [ext],
-                    min(cfg.N_L + i, ext.steps), tv))
-                for i, st in enumerate(traj.states))
+            X = np.array([st.as_array() for st in traj.states])
+            j = np.minimum(cfg.N_L + np.arange(len(X)), ext.steps)
+            O_max = float(np.max(
+                ObstacleField([ext], j, tv).value(X[:, 0], X[:, 1])))
             worst_O = max(worst_O, O_max)
             stop_ok = traj.states[-1].s <= box.s_max + D + 1e-9
             if O_max > tv.epsilon_o or not stop_ok:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 import tvapf
 from tvapf import scenario as scenario_mod
 from tvapf.cli import main
-from tvapf.prediction import tvapf_value
 from tvapf.simulation import ActorRuntime, initial_ego_state, perceive
 
 SCENARIO_DIR = Path(tvapf.__file__).parent / "scenarios"
@@ -109,12 +109,17 @@ def _set(key, value):
     (_set("planner.terminal", [1]), "planner.terminal"),
     (_set("planner.terminal.alpha_min", -0.8), "planner/tracker"),
     (_set("weights.K_l", 0), "path/weights/tvapf"),
+    (_set("tvapf.edge_value", 1.0), "tvapf: edge_value"),
+    (_set("tvapf.edge_value", 1.5), "tvapf: edge_value"),
+    (_set("tvapf.edge_value", 0.0), "tvapf: edge_value"),
+    (_set("weights.K_o", 1e400), "planner: K_o"),
 ], ids=["v_bounds_string", "v_bounds_scalar", "direction_string",
         "actor_not_mapping", "script_entry_not_mapping", "ego_not_mapping",
         "Q_short", "duplicate_id", "x0_string", "N_L_float", "N_P_float",
         "N_L_misspelt", "duration_misspelt", "lane_count_float",
         "K_v_bool", "c_float", "terminal_not_mapping",
-        "alpha_min_above_tracker", "K_l_zero"])
+        "alpha_min_above_tracker", "K_l_zero", "edge_value_one",
+        "edge_value_above_one", "edge_value_zero", "K_o_infinite"])
 def test_malformed_scenario_run_exits_2(tmp_path, capsys, edit, where):
     data = json.loads((SCENARIO_DIR / "overtake.json").read_text())
     edit(data)
@@ -278,10 +283,25 @@ def test_plan_field_matches_per_point_reference(tmp_path):
     _, forecasts, sensed = perceive(initial_ego_state(scn, path), actors,
                                     path, scn.planner_config(), 300.0)
     assert sensed == ["O1", "L1"]
+    root = (-math.log(tv.edge_value)) ** (1.0 / tv.c)
+    gamma_d = (0.5 * tv.l_W + tv.sigma_d) / root
+
+    def field_at(s, d, fc, j):
+        gamma_s = (0.5 * fc.delta_s[j] + tv.sigma_s) / root
+        return math.exp(-(((s - fc.s_center[j]) / gamma_s) ** tv.c
+                          + ((d - fc.d_o) / gamma_d) ** tv.c))
+
     for j, W in zip(field["j"], field["W"]):
-        ref = [[max(tvapf_value(s, d, fc, j, tv) for fc in forecasts)
+        ref = [[max(field_at(s, d, fc, j) for fc in forecasts)
                 for d in field["d"]] for s in field["s"]]
         np.testing.assert_allclose(W, ref, rtol=0.0, atol=1e-12)
+
+    # with no sensed actor the overlay is its floor, zero everywhere
+    empty = _write(tmp_path, "empty.json", _mini_scenario())
+    assert main(["plan", str(empty), "--field-step", "35",
+                 "--out", str(out)]) == 0
+    W = np.array(json.loads(out.read_text())["field"]["W"])
+    assert W.shape == (3, 141, 33) and not W.any()
 
 
 def test_plan_bundled_scenario(tmp_path, capsys):

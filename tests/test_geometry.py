@@ -7,8 +7,9 @@ import pytest
 
 from tvapf.geometry import (AmbiguousProjection, CartesianPoint, FrenetPoint,
                             OutOfRange, PathNotSmooth, ReferencePath,
-                            boundary_distances, cartesian_to_frenet,
-                            frenet_to_cartesian, straight_path)
+                            cartesian_to_frenet, frenet_to_cartesian,
+                            straight_path)
+from tvapf.potentials import lateral_offsets
 
 
 def circle_path(radius=50.0, span=1.6 * math.pi, n=400, lane_count=2,
@@ -180,24 +181,29 @@ def test_out_of_range_and_ambiguous():
 
 
 def test_boundary_distances_two_lane():
+    # the lateral potentials' offsets h_l, h_r, h_c of a lateral offset d
     path = straight_path()  # two lanes, 4 m each, centerline on the divider
-    h_l, h_r, h_c = boundary_distances(path, FrenetPoint(s=10.0, d=-2.0))
+    h_l, h_r, h_c = lateral_offsets(-2.0, path)
     assert (h_l, h_r) == (pytest.approx(6.0), pytest.approx(2.0))
     # h_c is positive on the right of the rightmost-lane left boundary
     assert h_c == pytest.approx(2.0)
     # symmetric road center
-    h_l0, h_r0, _ = boundary_distances(path, FrenetPoint(s=10.0, d=0.0))
+    h_l0, h_r0, _ = lateral_offsets(0.0, path)
     assert h_l0 == pytest.approx(h_r0)
     # on the rightmost-lane left boundary
-    assert boundary_distances(path, FrenetPoint(10.0, 0.0))[2] == \
-        pytest.approx(0.0)
+    assert lateral_offsets(0.0, path)[2] == pytest.approx(0.0)
+    # arrays of offsets give arrays, element by element
+    d = np.array([-2.0, 0.0, 1.5])
+    for h, ref in zip(lateral_offsets(d, path),
+                      zip(*(lateral_offsets(float(x), path) for x in d))):
+        np.testing.assert_array_equal(h, ref)
 
 
 def test_boundary_distances_affine_slope_one():
     path = straight_path()
     d0, d1 = -1.3, 0.9
-    a = boundary_distances(path, FrenetPoint(5.0, d0))
-    b = boundary_distances(path, FrenetPoint(5.0, d1))
+    a = lateral_offsets(d0, path)
+    b = lateral_offsets(d1, path)
     slopes = [(bb - aa) / (d1 - d0) for aa, bb in zip(a, b)]
     assert slopes == [pytest.approx(-1.0), pytest.approx(1.0),
                       pytest.approx(-1.0)]

@@ -19,8 +19,8 @@ from tvapf.planner import (ControlInput, Decision, EgoModelState,
                            safe_stop_trajectory, shift_warm_start, solve_ltp,
                            terminal_set)
 from tvapf.potentials import PotentialConfig
-from tvapf.prediction import (ObstacleState, TvapfParams, UncertainForecast,
-                              propagate_obstacle, total_obstacle_field)
+from tvapf.prediction import (ObstacleField, ObstacleState, TvapfParams,
+                              UncertainForecast, propagate_obstacle)
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +353,12 @@ def _follow_scene(cfg):
                                                              cfg)
 
 
+def _field_along(traj, fcs, tv):
+    """Obstacle field at each published state, at the state's own step."""
+    X = np.array([x.as_array() for x in traj.states])
+    return ObstacleField(fcs, np.arange(len(X)), tv).value(X[:, 0], X[:, 1])
+
+
 def test_follow_leader_when_oncoming_blocks(path, cfg, pot, tv):
     xi0, fcs = _follow_scene(cfg)
     traj = solve_ltp(xi0, fcs, path, cfg, pot, tvapf=tv)
@@ -365,9 +371,7 @@ def test_follow_leader_when_oncoming_blocks(path, cfg, pot, tv):
     # stays in lane, slows to the terminal speed, keeps the field low
     assert max(x.d for x in traj.states) <= -1.9
     assert traj.states[-1].nu == pytest.approx(cfg.nu_ter, abs=1e-4)
-    O = [float(total_obstacle_field(x.s, x.d, fcs, j, tv))
-         for j, x in enumerate(traj.states)]
-    assert max(O) <= tv.epsilon_o + 1e-6
+    assert max(_field_along(traj, fcs, tv)) <= tv.epsilon_o + 1e-6
     # ends at least a stopping distance behind the leader's reachable set
     gap = float(fcs[0].s_min[cfg.N_L]) - traj.states[-1].s
     assert gap >= braking_distance(cfg.nu_ter, cfg.tau, cfg.alpha_min,
@@ -388,9 +392,7 @@ def test_overtake_when_left_lane_clear(path, cfg, pot, tv):
         Decision.OVERTAKE
     # actually changes lane and keeps clear of the obstacle field
     assert max(x.d for x in traj.states) > 0.0
-    O = [float(total_obstacle_field(x.s, x.d, fcs, j, tv))
-         for j, x in enumerate(traj.states)]
-    assert max(O) <= tv.epsilon_o + 1e-6
+    assert max(_field_along(traj, fcs, tv)) <= tv.epsilon_o + 1e-6
     # terminal anchor jumped past the passed leader
     assert stats["terminal_s_max"] > float(fcs[0].s_max[cfg.N_L])
 
@@ -497,8 +499,7 @@ def test_hessian_symmetric_psd_and_exact_on_quadratic_terms(path, pot, tv):
 
         # obstacle (s, d) blocks: the PSD projection of the multiplier times
         # the field's curvature (a central difference of its Jacobian rows,
-        # each of which depends on its own step only); the d-d entry also
-        # holds the lateral term, so the s-s and s-d entries are compared
+        # each of which depends on its own step only)
         mult = cfg.K_o + (0.0 if w_ineq is None else w_ineq[:N])
         curv = np.empty((N, 2, 2))
         for c in (0, 1):
@@ -517,6 +518,15 @@ def test_hessian_symmetric_psd_and_exact_on_quadratic_terms(path, pot, tv):
         np.testing.assert_allclose(H[b, b], P[:, 0, 0], rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(H[b, b + 1], P[:, 0, 1], rtol=1e-5,
                                    atol=1e-7)
+        # the d-d entry adds the lateral curvature clamped at zero: a central
+        # difference of the gradient's d entries less the field's share
+        e = np.zeros(prog.n)
+        e[1:4 * N:4] = h
+        g_dd = ((prog.gradient(z + e) - prog.gradient(z - e))
+                / (2.0 * h))[b + 1]
+        lateral = np.maximum(g_dd - cfg.K_o * curv[:, 1, 1], 0.0) + 1e-8
+        np.testing.assert_allclose(H[b + 1, b + 1], P[:, 1, 1] + lateral,
+                                   rtol=1e-5, atol=1e-6)
         tiny = 1e-6 * max(float(np.max(np.abs(lam))), 1e-300)
         indefinite += int(np.sum((lam[:, 0] < -tiny) & (lam[:, 1] > tiny)))
     # the PSD projection of indefinite blocks was exercised

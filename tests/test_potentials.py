@@ -1,5 +1,5 @@
-"""Static cost terms: speed tracking, boundary repulsion, lane preference,
-comfort, and their analytic derivatives."""
+"""Static cost terms: the speed reference, boundary repulsion and lane
+preference, and their first and second derivatives."""
 
 import math
 
@@ -8,11 +8,10 @@ import pytest
 
 from tvapf.geometry import straight_path
 from tvapf.potentials import (ConfigError, PotentialConfig, boundary_potential,
-                              boundary_potential_grad, comfort_cost,
-                              comfort_cost_grad, effective_speed,
-                              lane_potential, lane_potential_grad,
-                              lateral_cost_profile, speed_cost,
-                              verify_lane_centering)
+                              boundary_potential_curv, boundary_potential_grad,
+                              effective_speed, lane_potential,
+                              lane_potential_curv, lane_potential_grad,
+                              lateral_cost_profile, verify_lane_centering)
 
 
 def test_config_validation():
@@ -47,12 +46,6 @@ def test_effective_speed_is_pointwise_min():
         assert min(v_des, v_max, comfort) == pytest.approx(v)
 
 
-def test_speed_cost():
-    assert speed_cost(12.0, 12.0) == pytest.approx(0.0)
-    assert speed_cost(8.6, 12.0) == pytest.approx(11.56)
-    assert speed_cost(0.0, 5.0) == pytest.approx(25.0)
-
-
 def test_boundary_potential():
     assert boundary_potential(0.0, 100.0, 1.2) == pytest.approx(1.0, abs=1e-12)
     assert boundary_potential(1.0, 1.0, 1.0) == \
@@ -85,17 +78,13 @@ def test_lane_potential():
     assert np.allclose(lane_potential(h) + lane_potential(-h), 1.0)
 
 
-def test_comfort_cost():
-    assert comfort_cost(10.0, 0.0) == pytest.approx(0.0)
-    assert comfort_cost(10.0, 0.1) == pytest.approx(1.0)
-    assert comfort_cost(0.0, 0.5) == pytest.approx(0.0)
-
-
 def _central_fd(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def test_gradients_match_finite_differences():
+    """First derivatives against central differences of the potentials, and
+    the lateral curvature against central differences of the gradients."""
     rng = np.random.default_rng(11)
     for _ in range(50):
         eta = rng.uniform(1.05, 2.0)
@@ -108,17 +97,20 @@ def test_gradients_match_finite_differences():
         assert gl == pytest.approx(fd_l, rel=1e-5, abs=1e-8)
         assert gr == pytest.approx(fd_r, rel=1e-5, abs=1e-8)
 
+        # both offsets move with slope +-1 in d, so the curvature in d is
+        # the sum of the second derivatives in h_l and h_r
+        fd_cb = (_central_fd(lambda x: boundary_potential_grad(x, h_r, eta)[0],
+                             h_l)
+                 + _central_fd(lambda x: boundary_potential_grad(h_l, x, eta)[1],
+                               h_r))
+        assert boundary_potential_curv(h_l, h_r, eta) == pytest.approx(
+            fd_cb, rel=1e-5, abs=1e-8)
+
         h_c = rng.uniform(-4.0, 4.0)
         assert lane_potential_grad(h_c) == pytest.approx(
             _central_fd(lane_potential, h_c), rel=1e-5, abs=1e-10)
-
-        nu = rng.uniform(0.5, 12.0)
-        om = rng.uniform(-0.08, 0.08)
-        gnu, gom = comfort_cost_grad(nu, om)
-        assert gnu == pytest.approx(
-            _central_fd(lambda x: comfort_cost(x, om), nu), rel=1e-5, abs=1e-8)
-        assert gom == pytest.approx(
-            _central_fd(lambda x: comfort_cost(nu, x), om), rel=1e-5, abs=1e-8)
+        assert lane_potential_curv(h_c) == pytest.approx(
+            _central_fd(lane_potential_grad, h_c), rel=1e-5, abs=1e-10)
 
 
 def test_lane_centering_check():

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from tvapf.prediction import (InvalidBounds, NoSolution, ObstacleState,
-                              TvapfParams, UncertainForecast, calibrate_alphas,
-                              propagate_obstacle, total_obstacle_field,
-                              tvapf_grad, tvapf_scales, tvapf_value)
+from tvapf.prediction import (InvalidBounds, ObstacleField, ObstacleState,
+                              TvapfParams, UncertainForecast,
+                              propagate_obstacle)
 
 TABLE_BOUNDS = {"v_bounds": (0.0, 12.5), "a_bounds": (-0.9, 0.9)}
 
@@ -35,8 +34,10 @@ def test_params_validation():
         TvapfParams(sigma_s=-1.0)
     with pytest.raises(ValueError):
         TvapfParams(epsilon_o=0.0)
-    with pytest.raises(ValueError):
-        TvapfParams(alpha_s=-2.0)
+    # the edge condition has a finite positive scale only for 0 < edge < 1
+    for edge in (0.0, 1.0, 1.5, -0.2, math.nan):
+        with pytest.raises(ValueError, match="edge_value"):
+            TvapfParams(edge_value=edge)
 
 
 # -- propagation -------------------------------------------------------------
@@ -106,62 +107,57 @@ def _flat_forecast(s_o=200.0, d_o=-2.0, steps=10):
                              s_center=np.full(n, s_o), delta_s=z, d_o=d_o)
 
 
-def test_scales_with_explicit_alphas():
-    p = TvapfParams(sigma_s=10.0, sigma_d=1.0, l_W=4.0, alpha_s=2.0,
-                    alpha_d=1.0)
-    gamma_s, gamma_d = tvapf_scales(_flat_forecast(), 0, p)
-    assert float(gamma_s) == pytest.approx(5.0)
-    assert float(gamma_d) == pytest.approx(5.0)
+def _reference(s, d, fc, j, p):
+    """Closed-form field of one forecast at step j and point (s, d)."""
+    root = (-math.log(p.edge_value)) ** (1.0 / p.c)
+    gamma_s = (0.5 * fc.delta_s[j] + p.sigma_s) / root
+    gamma_d = (0.5 * p.l_W + p.sigma_d) / root
+    return math.exp(-(((s - fc.s_center[j]) / gamma_s) ** p.c
+                      + ((d - fc.d_o) / gamma_d) ** p.c))
 
 
-def test_calibrated_edge_condition():
-    # after calibration the field equals edge_value at the safety-zone edge
+def test_auto_calibration_default_edge():
+    # the field equals edge_value at the safety-zone edge: delta_s/2 +
+    # sigma_s ahead of the center and l_W/2 + sigma_d beside it
     for edge in (0.1, math.exp(-1.0)):
+        p = TvapfParams(edge_value=edge)
         for delta_s in (0.0, 25.0):
-            p = calibrate_alphas(TvapfParams(edge_value=edge), delta_s=delta_s)
             n = 3
             fc = UncertainForecast(
                 s_min=np.full(n, 100.0 - delta_s / 2),
                 s_max=np.full(n, 100.0 + delta_s / 2),
                 s_center=np.full(n, 100.0),
                 delta_s=np.full(n, delta_s), d_o=-2.0)
-            w_lon = tvapf_value(100.0 + delta_s / 2 + p.sigma_s, -2.0, fc, 0, p)
+            field = ObstacleField([fc], 0, p)
+            w_lon = field.value(100.0 + delta_s / 2 + p.sigma_s, -2.0)
             assert float(w_lon) == pytest.approx(edge, rel=1e-12)
-            w_lat = tvapf_value(100.0, -2.0 + p.l_W / 2 + p.sigma_d, fc, 0, p)
+            w_lat = field.value(100.0, -2.0 + p.l_W / 2 + p.sigma_d)
             assert float(w_lat) == pytest.approx(edge, rel=1e-12)
-
-
-def test_calibrate_alphas_no_solution():
-    with pytest.raises(NoSolution):
-        calibrate_alphas(TvapfParams(edge_value=1.0))
-
-
-def test_auto_calibration_default_edge():
-    # without explicit alphas the scales are derived from edge_value directly
-    p = TvapfParams()  # edge_value = e^-1 -> unit root for c = 4
-    fc = _flat_forecast()
-    gamma_s, gamma_d = tvapf_scales(fc, 0, p)
-    assert float(gamma_s) == pytest.approx(p.sigma_s)
-    assert float(gamma_d) == pytest.approx(0.5 * p.l_W + p.sigma_d)
-    w = tvapf_value(200.0 + p.sigma_s, -2.0, fc, 0, p)
-    assert float(w) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    # the default edge_value e^-1 has a unit root for c = 4: the scales are
+    # the safety-zone half-widths
+    p = TvapfParams()
+    field = ObstacleField([_flat_forecast()], 0, p)
+    assert float(field.gamma_s[0]) == pytest.approx(p.sigma_s)
+    assert float(field.gamma_d[0]) == pytest.approx(0.5 * p.l_W + p.sigma_d)
 
 
 def test_field_peak_and_decay():
     p = TvapfParams()
     fc = _flat_forecast()
-    assert float(tvapf_value(200.0, -2.0, fc, 0, p)) == pytest.approx(1.0)
-    gamma_s, _ = tvapf_scales(fc, 0, p)
-    assert float(tvapf_value(200.0 + float(gamma_s), -2.0, fc, 0, p)) == \
+    field = ObstacleField([fc], 0, p)
+    assert float(field.value(200.0, -2.0)) == pytest.approx(1.0)
+    gamma_s = float(field.gamma_s[0])
+    assert float(field.value(200.0 + gamma_s, -2.0)) == \
         pytest.approx(math.exp(-1.0))
-    assert float(tvapf_value(200.0 + 1e4, -2.0, fc, 0, p)) == 0.0
+    assert float(field.value(200.0 + 1e4, -2.0)) == 0.0
     # even symmetry in both axes
     for ds, dd in ((7.0, 0.0), (0.0, 1.3), (4.0, 2.0)):
-        assert float(tvapf_value(200 + ds, -2 + dd, fc, 0, p)) == \
-            pytest.approx(float(tvapf_value(200 - ds, -2 - dd, fc, 0, p)))
+        assert float(field.value(200 + ds, -2 + dd)) == \
+            pytest.approx(float(field.value(200 - ds, -2 - dd)))
     # values stay in (0, 1]
     s = np.linspace(100, 300, 50)
-    w = tvapf_value(s, -1.0, fc, 0, p)
+    w = ObstacleField([fc], np.zeros(50, dtype=int), p).value(s, -1.0)
+    assert w.shape == s.shape
     assert np.all((w >= 0.0) & (w <= 1.0))
 
 
@@ -171,14 +167,16 @@ def test_superlevel_sets_compact():
                       a_bounds=(-0.5, 0.5))
     fc = propagate_obstacle(o, 0.5, 30)
     rng = np.random.default_rng(17)
+    root = (-math.log(p.edge_value)) ** (1.0 / p.c)
     for j in (0, 10, 30):
-        gamma_s, gamma_d = tvapf_scales(fc, j, p)
+        gamma_s = (0.5 * fc.delta_s[j] + p.sigma_s) / root
+        gamma_d = (0.5 * p.l_W + p.sigma_d) / root
         for eps in (0.05, 0.3, 0.8):
-            half_s = float(gamma_s) * (-math.log(eps)) ** (1.0 / p.c)
-            half_d = float(gamma_d) * (-math.log(eps)) ** (1.0 / p.c)
+            half_s = gamma_s * (-math.log(eps)) ** (1.0 / p.c)
+            half_d = gamma_d * (-math.log(eps)) ** (1.0 / p.c)
             s = rng.uniform(fc.s_center[j] - 300, fc.s_center[j] + 300, 400)
             d = rng.uniform(-10, 10, 400)
-            w = tvapf_value(s, d, fc, j, p)
+            w = ObstacleField([fc], np.full(400, j), p).value(s, d)
             inside = w >= eps
             assert np.all(np.abs(s[inside] - fc.s_center[j])
                           <= half_s + 1e-9)
@@ -188,14 +186,36 @@ def test_superlevel_sets_compact():
 def test_total_field_superposition():
     p = TvapfParams()
     fc = _flat_forecast()
-    assert float(total_obstacle_field(123.0, 0.0, [], 0, p)) == 0.0
-    assert float(total_obstacle_field(200.0, -2.0, [fc], 0, p)) == \
+    assert float(ObstacleField([], 0, p).value(123.0, 0.0)) == 0.0
+    assert float(ObstacleField([fc], 0, p).value(200.0, -2.0)) == \
         pytest.approx(1.0)
-    assert float(total_obstacle_field(200.0, -2.0, [fc, fc], 0, p)) == \
+    assert float(ObstacleField([fc, fc], 0, p).value(200.0, -2.0)) == \
         pytest.approx(2.0)
+    # no forecasts: every term is zero over a step array
+    empty = ObstacleField([], np.arange(1, 4), p)
+    for out in (empty.value(np.ones(3), np.ones(3)),
+                *empty.grad(np.ones(3), np.ones(3)),
+                *empty.curvature(np.ones(3), np.ones(3))):
+        assert np.array_equal(out, np.zeros(3))
+    # two forecasts over a step array sum the per-point closed form
+    fcs = [propagate_obstacle(ObstacleState(s_o=s_o, d_o=d_o, v_o=v_o,
+                                            direction=direction,
+                                            **TABLE_BOUNDS), 0.5, 20)
+           for s_o, d_o, v_o, direction in ((150.0, -2.0, 5.0, 1),
+                                            (260.0, 2.0, 7.0, -1))]
+    rng = np.random.default_rng(5)
+    j = np.arange(1, 21)
+    s = rng.uniform(120.0, 280.0, 20)
+    d = rng.uniform(-4.0, 4.0, 20)
+    ref = [sum(_reference(s[k], d[k], f, j[k], p) for f in fcs)
+           for k in range(20)]
+    np.testing.assert_allclose(ObstacleField(fcs, j, p).value(s, d), ref,
+                               rtol=1e-12, atol=1e-300)
 
 
 def test_field_gradient_matches_finite_differences():
+    """The gradient against central differences of the value, and the three
+    second derivatives against central differences of the gradient."""
     p = TvapfParams()
     o = ObstacleState(s_o=150.0, d_o=-2.0, v_o=5.0, v_bounds=(2, 8),
                       a_bounds=(-0.4, 0.4))
@@ -204,14 +224,25 @@ def test_field_gradient_matches_finite_differences():
     h = 1e-6
     for _ in range(60):
         j = int(rng.integers(0, 21))
-        gamma_s, gamma_d = tvapf_scales(fc, j, p)
+        field = ObstacleField([fc], j, p)
+        gamma_s, gamma_d = float(field.gamma_s[0]), float(field.gamma_d[0])
         # sample inside the curved region, away from the flat tails
-        s = fc.s_center[j] + rng.uniform(-1.3, 1.3) * float(gamma_s)
-        d = fc.d_o + rng.uniform(-1.3, 1.3) * float(gamma_d)
-        gs, gd = tvapf_grad(s, d, fc, j, p)
-        fs = (tvapf_value(s + h, d, fc, j, p)
-              - tvapf_value(s - h, d, fc, j, p)) / (2 * h)
-        fd = (tvapf_value(s, d + h, fc, j, p)
-              - tvapf_value(s, d - h, fc, j, p)) / (2 * h)
+        s = fc.s_center[j] + rng.uniform(-1.3, 1.3) * gamma_s
+        d = fc.d_o + rng.uniform(-1.3, 1.3) * gamma_d
+        gs, gd = field.grad(s, d)
+        fs = (field.value(s + h, d) - field.value(s - h, d)) / (2 * h)
+        fd = (field.value(s, d + h) - field.value(s, d - h)) / (2 * h)
         assert float(gs) == pytest.approx(float(fs), rel=1e-5, abs=1e-9)
         assert float(gd) == pytest.approx(float(fd), rel=1e-5, abs=1e-9)
+
+        wss, wsd, wdd = field.curvature(s, d)
+        (gs_p, gd_p), (gs_m, gd_m) = field.grad(s + h, d), field.grad(s - h, d)
+        assert float(wss) == pytest.approx(float(gs_p - gs_m) / (2 * h),
+                                           rel=1e-5, abs=1e-8)
+        assert float(wsd) == pytest.approx(float(gd_p - gd_m) / (2 * h),
+                                           rel=1e-5, abs=1e-8)
+        (gs_p, gd_p), (gs_m, gd_m) = field.grad(s, d + h), field.grad(s, d - h)
+        assert float(wsd) == pytest.approx(float(gs_p - gs_m) / (2 * h),
+                                           rel=1e-5, abs=1e-8)
+        assert float(wdd) == pytest.approx(float(gd_p - gd_m) / (2 * h),
+                                           rel=1e-5, abs=1e-8)

@@ -243,8 +243,8 @@ NON_DEFAULT = {
     "ego.x0": 30.0, "ego.y0": -1.5, "ego.theta0": 0.05, "ego.v0": 7.0,
     "ego.v_des": 11.0,
     "tvapf.sigma_s": 5.0, "tvapf.sigma_d": 0.25, "tvapf.c": 6,
-    "tvapf.edge_value": 0.5, "tvapf.epsilon_o": 0.1, "tvapf.alpha_s": 0.5,
-    "tvapf.alpha_d": 0.5, "tvapf.eta": 1.5, "tvapf.a_l_max": 1.5,
+    "tvapf.edge_value": 0.5, "tvapf.epsilon_o": 0.1, "tvapf.eta": 1.5,
+    "tvapf.a_l_max": 1.5,
     "weights.K_v": 2.0, "weights.K_b": 40.0, "weights.K_l": 4.0,
     "weights.K_c": 1.0, "weights.K_o": 10.0,
     "planner.T_sL": 1.0, "planner.N_L": 40, "planner.instance_period": 10.0,
@@ -298,9 +298,14 @@ def test_renamed_routes():
     assert scn.tracker_config().R == (1, 1)
 
 
-def test_null_alpha_accepted():
-    scn = from_dict(minimal_dict(tvapf={"alpha_s": None, "alpha_d": None}))
-    assert scn.tvapf_params().alpha_s is None
+def test_alpha_key_refused():
+    # the field's scales follow from edge_value alone; the explicit scaling
+    # factors are not scenario keys
+    for key in ("alpha_s", "alpha_d"):
+        for value in (0.5, None):
+            with pytest.raises(ScenarioError,
+                               match=rf"tvapf: unknown keys \['{key}'\]"):
+                from_dict(minimal_dict(tvapf={key: value}))
 
 
 def test_invalid_subconfig_reported_as_scenario_error():
