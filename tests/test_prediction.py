@@ -34,10 +34,6 @@ def test_params_validation():
         TvapfParams(sigma_s=-1.0)
     with pytest.raises(ValueError):
         TvapfParams(epsilon_o=0.0)
-    # the edge condition has a finite positive scale only for 0 < edge < 1
-    for edge in (0.0, 1.0, 1.5, -0.2, math.nan):
-        with pytest.raises(ValueError, match="edge_value"):
-            TvapfParams(edge_value=edge)
 
 
 # -- propagation -------------------------------------------------------------
@@ -116,7 +112,7 @@ def _reference(s, d, fc, j, p):
                       + ((d - fc.d_o) / gamma_d) ** p.c))
 
 
-def test_auto_calibration_default_edge():
+def test_calibrated_edge_condition():
     # the field equals edge_value at the safety-zone edge: delta_s/2 +
     # sigma_s ahead of the center and l_W/2 + sigma_d beside it
     for edge in (0.1, math.exp(-1.0)):
@@ -133,6 +129,17 @@ def test_auto_calibration_default_edge():
             assert float(w_lon) == pytest.approx(edge, rel=1e-12)
             w_lat = field.value(100.0, -2.0 + p.l_W / 2 + p.sigma_d)
             assert float(w_lat) == pytest.approx(edge, rel=1e-12)
+
+
+def test_calibrate_alphas_no_solution():
+    # the edge condition has a finite positive scale only for 0 < edge < 1;
+    # any other edge_value is refused when the parameters are built
+    for edge in (0.0, 1.0, 1.5, -0.2, math.nan):
+        with pytest.raises(ValueError, match="edge_value"):
+            TvapfParams(edge_value=edge)
+
+
+def test_auto_calibration_default_edge():
     # the default edge_value e^-1 has a unit root for c = 4: the scales are
     # the safety-zone half-widths
     p = TvapfParams()
