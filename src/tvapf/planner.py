@@ -430,6 +430,7 @@ class _LtpProgram:
         # the states x_1 .. x_N meet the field at their own prediction steps
         self.field = ObstacleField(forecasts, np.arange(1, self.N + 1), tvapf)
         self._build_patterns()
+        self._step_z = None
 
     def _build_patterns(self):
         """Index arrays of the acceleration-rate limits and the fixed sparsity
@@ -614,10 +615,16 @@ class _LtpProgram:
 
     def _step(self, z):
         """(U, x_next, Y): the inputs, and the RK4 step from each stage's
-        previous state with its stage points, as components over stages."""
+        previous state with its stage points, as components over stages.
+        The last iterate's step is kept for the Jacobian at the same z."""
+        if self._step_z is not None and np.array_equal(z, self._step_z):
+            return self._step_out
+        z = np.array(z, dtype=float)
         prev = np.concatenate([self.x0[None, :], self._states(z)[:-1]])
         U = self._inputs(z)
-        return (U,) + rk4(_f, prev.T, U.T, self.cfg.T_sL)
+        self._step_z, self._step_out = z, (U,) + rk4(_f, prev.T, U.T,
+                                                      self.cfg.T_sL)
+        return self._step_out
 
     def eq_constraints(self, z):
         return (self._states(z) - np.transpose(self._step(z)[1])).ravel()
@@ -740,6 +747,7 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
             "status": result.status.value,
             "objective": result.objective,
             "iterations": result.iterations,
+            "violation": result.constraint_violation,
             "wall_time": result.wall_time,
             "overtakes": overtakes,
         })

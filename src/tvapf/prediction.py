@@ -141,7 +141,8 @@ class ObstacleField:
     arrays indexed (forecast, j), so the points (s, d) given to the methods
     must broadcast against j's shape.  ``terms`` keeps one row per forecast;
     ``value``, ``grad`` and ``curvature`` sum the rows (zero without
-    forecasts).
+    forecasts).  The terms of the last point asked for are kept, since a
+    solver asks for the value, gradient and curvature at one iterate in turn.
     """
 
     def __init__(self, forecasts, j, p: TvapfParams):
@@ -149,6 +150,10 @@ class ObstacleField:
         shape = (len(forecasts),) + j.shape
         root = (-math.log(p.edge_value)) ** (1.0 / p.c)
         self.c = p.c
+        # exp(-x) is 0 in float64 for x > 745.2, so w is 0 wherever an
+        # offset is clipped at x_max (x_max**c = 750): no power overflows,
+        # whatever c, and w times a power stays a zero of the same sign
+        self._x_max = 750.0 ** (1.0 / p.c)
         self.center = np.array([fc.s_center[j] for fc in forecasts],
                                dtype=float).reshape(shape)
         spread = np.array([fc.delta_s[j] for fc in forecasts],
@@ -157,13 +162,21 @@ class ObstacleField:
         self.d_o = np.array([fc.d_o for fc in forecasts],
                             dtype=float).reshape((-1,) + (1,) * j.ndim)
         self.gamma_d = np.full(shape, (0.5 * p.l_W + p.sigma_d) / root)
+        self._at = None
 
     def terms(self, s, d):
-        """Scaled offsets xs, xd and field values w, one row per forecast."""
-        xs = (s - self.center) / self.gamma_s
-        xd = (d - self.d_o) / self.gamma_d
+        """Scaled offsets xs, xd (clipped where w has underflowed to 0) and
+        field values w, one row per forecast."""
+        if self._at is not None and np.array_equal(s, self._at[0]) \
+                and np.array_equal(d, self._at[1]):
+            return self._terms
+        x_max = self._x_max
+        xs = np.clip((s - self.center) / self.gamma_s, -x_max, x_max)
+        xd = np.clip((d - self.d_o) / self.gamma_d, -x_max, x_max)
         c = self.c
-        return xs, xd, np.exp(-(xs ** c + xd ** c))
+        self._at = np.array(s), np.array(d)
+        self._terms = xs, xd, np.exp(-(xs ** c + xd ** c))
+        return self._terms
 
     def value(self, s, d):
         return np.sum(self.terms(s, d)[2], axis=0)

@@ -116,6 +116,11 @@ class SparsePattern:
                          shape=self.shape)
 
 
+# the stalled-violation verdict of ``solve``
+STALL_WINDOW = 20
+STALL_RATIO = 0.1
+
+
 def _finite(x, what):
     if not np.all(np.isfinite(x)):
         raise CallbackFailure(f"non-finite value from {what}")
@@ -136,9 +141,18 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     OPTIMAL means the scaled KKT residuals and constraint violation are below
     tolerance.  If iteration or time limits hit first, the best iterate is
     classified FEASIBLE_POINT when it satisfies the constraints, otherwise
-    ITER_LIMIT.  INFEASIBLE is declared when the constraint violation is still
-    above max(100 tol, 1e-5) after iteration 60, or after iteration 25 once
-    the barrier parameter is at or below 1e-4; it does not measure progress.
+    ITER_LIMIT.  INFEASIBLE is declared when the violation has stalled: it is
+    above max(100 tol, 1e-5), and the best violation of the last STALL_WINDOW
+    (20) iterations is not STALL_RATIO (10 %) below the best one before them.
+
+    The constants come from traces of all 259 planner solves of the
+    benchmark's overtake runs (seeds 0-4) and cold-start scenes (seeds 0-5):
+    the rule stops every blocked candidate by iteration 48 (median 25,
+    against 61 under the iteration cap it replaces) and cuts no solve that
+    ends optimal or at a feasible point.  The nearest miss is the t0 = 30 s
+    pass candidate of overtake seeds 1, 3 and 4: its violation sits at 0.95
+    for 14 iterations, falls to 0.55 at iteration 15 and the solve converges
+    at iteration 52-56, so a window of 13 or fewer would kill it.
     """
     opts = opts or SolveOptions()
     t_start = time.perf_counter()
@@ -224,6 +238,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     delta_w = 0.0
     status = SolveStatus.ITER_LIMIT
     no_step = False
+    history = []  # constraint violation at each iteration
     it = 0
 
     for it in range(1, opts.max_iter + 1):
@@ -241,9 +256,11 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         if err_mu < 10.0 * mu:
             mu = max(opts.tol / 10.0, min(0.2 * mu, mu ** 1.5))
 
-        # infeasibility verdict by iteration count
-        if viol > max(100 * opts.tol, 1e-5) and \
-                (it > 60 or (it > 25 and mu <= 1e-4)):
+        # infeasibility verdict: the violation has stalled above tolerance
+        history.append(viol)
+        if viol > max(100 * opts.tol, 1e-5) and len(history) > STALL_WINDOW \
+                and min(history[-STALL_WINDOW:]) > \
+                (1.0 - STALL_RATIO) * min(history[:-STALL_WINDOW]):
             status = SolveStatus.INFEASIBLE
             break
 

@@ -1,10 +1,10 @@
 """Shared fixtures.
 
-The bundled overtake scenario takes about 10 s of wall clock to simulate
-(9.6-10.6 s over three runs with the default BLAS threads, 7.1-9.6 s over
-three with BLAS pinned to one thread, on a 2-core x86-64 host), so the
-closed-loop run is executed once per session and shared by every test that
-inspects it.
+The bundled overtake scenario takes about 7 s of wall clock to simulate
+(6.8-7.3 s over three runs with the default BLAS threads, 6.6-7.5 s over
+three with BLAS pinned to one thread, on a shared 2-core x86-64 host), so
+the closed-loop run is executed once per session and shared by every test
+that inspects it.
 """
 
 import time

@@ -107,6 +107,29 @@ def test_criterion_3_solve_time(overtake_run, overtake_summary,
             f"iterations, {slowest.get('wall_time', 0.0):.3f} s")
 
 
+def test_infeasible_candidates_stop_on_a_stall(overtake_run,
+                                               overtake_summary):
+    """Blocked candidates end on the solver's stall verdict, before the 61
+    iterations an iteration cap gave them, and the overtake verdicts
+    criterion 1 reads stay as they are."""
+    log, _ = overtake_run
+    infeasible = [(inst["t0"], c["candidate"], c["iterations"],
+                   c["violation"])
+                  for inst in log.instances
+                  for c in inst["stats"].get("candidates", ())
+                  if c["status"] == "infeasible"]
+    assert infeasible
+    assert all(it < 61 and viol > 1e-4 for _, _, it, viol in infeasible), \
+        infeasible
+    flags = [(e["t0"], e["overtake_feasible"])
+             for e in overtake_summary["decision_timeline"]]
+    # pass blocked up to 30 s, feasible from 35 s, not posed at 55 s
+    assert flags == ([(t0, False) for t0 in (0.0, 5.0, 10.0, 15.0, 20.0,
+                                             25.0, 30.0)]
+                     + [(t0, True) for t0 in (35.0, 40.0, 45.0, 50.0)]
+                     + [(55.0, None)]), flags
+
+
 # -- 4: reachable-set Monte Carlo ---------------------------------------------
 
 

@@ -304,6 +304,20 @@ def test_plan_field_matches_per_point_reference(tmp_path):
     assert W.shape == (3, 141, 33) and not W.any()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [100, 200])
+def test_plan_with_steep_field_exponent(tmp_path, capsys, c):
+    # far from an obstacle the field's powers of large c overflow unless
+    # they stop where the field has underflowed to 0
+    data = json.loads((SCENARIO_DIR / "overtake.json").read_text())
+    data.setdefault("tvapf", {})["c"] = c
+    out = tmp_path / "plan.json"
+    assert main(["plan", str(_write(tmp_path, "steep.json", data)),
+                 "--at", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["decision"] == "FollowLeader"
+    assert "planner fallback" not in capsys.readouterr().err
+
+
 def test_plan_bundled_scenario(tmp_path, capsys):
     out = tmp_path / "plan.json"
     rc = main(["plan", str(SCENARIO_DIR / "overtake.json"), "--at", "0",

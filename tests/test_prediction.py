@@ -139,6 +139,22 @@ def test_calibrate_alphas_no_solution():
             TvapfParams(edge_value=edge)
 
 
+@pytest.mark.parametrize("c", [4, 50, 100, 200])
+def test_field_far_away_is_exactly_zero_for_any_c(c):
+    # 1e4 gamma_s ahead and 10 gamma_d beside the center every power of the
+    # raw offsets overflows for c = 200; the field and all its derivatives
+    # must still read 0, with no overflow or invalid value on the way
+    p = TvapfParams(c=c)
+    field = ObstacleField([_flat_forecast()], 0, p)
+    far = [(200.0 + 1e4 * float(field.gamma_s[0]), -2.0),
+           (200.0, -2.0 - 10.0 * float(field.gamma_d[0]))]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for s, d in far:
+            out = [field.value(s, d), *field.grad(s, d),
+                   *field.curvature(s, d)]
+            assert all(float(x) == 0.0 for x in out), out
+
+
 def test_auto_calibration_default_edge():
     # the default edge_value e^-1 has a unit root for c = 4: the scales are
     # the safety-zone half-widths

@@ -97,6 +97,26 @@ def test_infeasible_pair():
     r = solve(p)
     assert r.status is SolveStatus.INFEASIBLE
     assert r.constraint_violation >= 0.4
+    # the violation sits at 0.5 from the first iteration, so the verdict
+    # comes as soon as a 20-iteration window follows the first
+    assert r.iterations <= 21
+
+
+def test_steady_progress_is_not_infeasible():
+    # the Jacobian overstates the slope of z - 1 tenfold, so each Newton
+    # step removes a tenth of the violation: far from a stall, but still
+    # above tolerance at iteration 61
+    p = NlpProblem(n=1,
+                   objective=lambda z: float(z[0] ** 2),
+                   gradient=lambda z: np.array([2.0 * z[0]]),
+                   hessian=_constant_hessian(2.0),
+                   z0=np.array([0.0]),
+                   eq_constraints=lambda z: np.array([z[0] - 1.0]),
+                   eq_jacobian=lambda z: np.array([[10.0]]))
+    r = solve(p)
+    assert r.status is SolveStatus.OPTIMAL
+    assert r.iterations > 61
+    assert r.z[0] == pytest.approx(1.0, abs=1e-5)
 
 
 def test_iteration_limit_reports_feasible_point():
