@@ -3,7 +3,7 @@
 ``tvapf run`` executes the closed-loop simulation and writes plot-ready
 artifacts (runlog.csv, instances.json, summary.json); ``tvapf plan`` solves a
 single planner instance at a chosen scene time and dumps the trajectory, the
-sampled obstacle field, and the terminal set.
+sampled obstacle field, and the published candidate's terminal set.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import scenario as scenario_mod
 from .planner import (EmptyTerminalSet, Infeasible, decision_label,
-                      safe_stop_trajectory, solve_ltp, terminal_set)
+                      safe_stop_trajectory, solve_ltp)
 from .prediction import ObstacleField
 from .scenario import Scenario, ScenarioError
 from .simulation import (ActorRuntime, EventKind, initial_ego_state,
@@ -154,14 +154,8 @@ def cmd_plan(args) -> int:
         print(f"planner fallback: {exc}", file=sys.stderr)
         traj = safe_stop_trajectory(xi0, pcfg, t0=t0)
     label = decision_label(traj, path, forecasts, v_des=potentials_cfg.v_des)
-
-    try:
-        box = terminal_set(forecasts, pcfg, path, xi0)
-        box_dump = {"s_max": box.s_max, "d_center": box.d_center,
-                    "eps_d": box.eps_d, "eps_psi": box.eps_psi,
-                    "nu_max": box.nu_max}
-    except EmptyTerminalSet:
-        box_dump = None
+    # the box of the published candidate; the fallback has none
+    box_dump = traj.solve_stats.get("terminal_set")
 
     # obstacle-field samples on an (s, d, j) grid around the planned motion
     s_lo = xi0.s - 50.0

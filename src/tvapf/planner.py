@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -774,7 +774,7 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
         "wall_time": sum(c.get("wall_time", 0.0) for c in cand_stats),
         "kkt_error": result.kkt_error,
         "constraint_violation": result.constraint_violation,
-        "terminal_s_max": box.s_max,
+        "terminal_set": asdict(box),
         "overtake_feasible": (any(c.get("overtakes") and c["status"] in
                                   ("optimal", "feasible_point")
                                   for c in cand_stats)

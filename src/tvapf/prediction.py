@@ -89,8 +89,12 @@ class TvapfParams:
     def __post_init__(self):
         if self.c < 2 or self.c % 2 != 0:
             raise ValueError("c must be an even integer >= 2")
-        if self.sigma_s < 0 or self.sigma_d < 0:
-            raise ValueError("safety margins must be non-negative")
+        # sigma_s is the field's whole longitudinal scale while a
+        # reachable set has no spread yet (delta_s = 0)
+        if not self.sigma_s > 0:
+            raise ValueError("sigma_s must be positive")
+        if self.sigma_d < 0:
+            raise ValueError("sigma_d must be non-negative")
         if not 0.0 < self.edge_value < 1.0:
             raise ValueError("edge_value must lie in (0, 1)")
         if not 0.0 < self.epsilon_o < 1.0:

@@ -127,23 +127,34 @@ def _finite(x, what):
     return x
 
 
-def _as_csr(J, m, n):
-    if J is None:
-        return sp.csr_matrix((m, n))
-    if sp.issparse(J):
-        return J.tocsr()
-    return sp.csr_matrix(np.atleast_2d(np.asarray(J, dtype=float)))
+def _as_csr(M):
+    if sp.issparse(M):
+        return M.tocsr()
+    return sp.csr_matrix(np.atleast_2d(np.asarray(M, dtype=float)))
+
+
+def _family(constraints, jacobian, n):
+    """Callbacks of one constraint family; an absent family has zero rows."""
+    if constraints is None:
+        return (lambda z: np.zeros(0)), (lambda z: sp.csr_matrix((0, n)))
+    return constraints, jacobian
 
 
 def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     """Solve the NLP; see SolveStatus for outcome semantics.
 
+    An absent equality or inequality family enters as a family of zero rows
+    (an empty vector with a (0, n) Jacobian), so every program takes one
+    path through the iteration.
+
     OPTIMAL means the scaled KKT residuals and constraint violation are below
     tolerance.  If iteration or time limits hit first, the best iterate is
     classified FEASIBLE_POINT when it satisfies the constraints, otherwise
-    ITER_LIMIT.  INFEASIBLE is declared when the violation has stalled: it is
-    above max(100 tol, 1e-5), and the best violation of the last STALL_WINDOW
-    (20) iterations is not STALL_RATIO (10 %) below the best one before them.
+    ITER_LIMIT.  INFEASIBLE has two exits, both with the violation above
+    max(100 tol, 1e-5): the violation has stalled, i.e. the best violation
+    of the last STALL_WINDOW (20) iterations is not STALL_RATIO (10 %) below
+    the best one before them; or no step is acceptable even under the
+    heaviest regularization.
 
     The constants come from traces of all 259 planner solves of the
     benchmark's overtake runs (seeds 0-4) and cold-start scenes (seeds 0-5):
@@ -162,6 +173,10 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     ub = np.full(n, np.inf) if problem.ub is None else np.asarray(problem.ub, dtype=float)
     if np.any(ub - lb < 1e-12):
         raise ValueError("degenerate box bounds; use an equality constraint instead")
+    eq, eq_jacobian = _family(problem.eq_constraints, problem.eq_jacobian, n)
+    ineq, ineq_jacobian = _family(problem.ineq_constraints,
+                                  problem.ineq_jacobian, n)
+    viol_floor = max(100 * opts.tol, 1e-5)  # INFEASIBLE needs a violation above it
 
     z = np.clip(np.asarray(problem.z0, dtype=float).copy(), lb, ub)
     has_lb = np.isfinite(lb)
@@ -179,60 +194,45 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         return _finite(np.asarray(problem.gradient(x), dtype=float).ravel(), "gradient")
 
     def eval_ce(x):
-        if problem.eq_constraints is None:
-            return np.zeros(0)
-        return _finite(np.atleast_1d(np.asarray(problem.eq_constraints(x), dtype=float)),
+        return _finite(np.atleast_1d(np.asarray(eq(x), dtype=float)),
                        "equality constraints")
 
     def eval_ci(x):
-        if problem.ineq_constraints is None:
-            return np.zeros(0)
-        return _finite(np.atleast_1d(np.asarray(problem.ineq_constraints(x), dtype=float)),
+        return _finite(np.atleast_1d(np.asarray(ineq(x), dtype=float)),
                        "inequality constraints")
 
     ce = eval_ce(z)
     ci = eval_ci(z)
-    me, mi = len(ce), len(ci)
-
-    def eval_Je(x):
-        return _as_csr(problem.eq_jacobian(x) if me else None, me, n)
-
-    def eval_Ji(x):
-        return _as_csr(problem.ineq_jacobian(x) if mi else None, mi, n)
+    me = len(ce)
 
     mu = 0.1  # initial barrier parameter
-    s = np.maximum(-ci, 1e-2) if mi else np.zeros(0)
-    w = mu / s if mi else np.zeros(0)
+    s = np.maximum(-ci, 1e-2)
+    w = mu / s
     y = np.zeros(me)
     zeta_lo = np.where(has_lb, mu / np.maximum(z - lb, 1e-12), 0.0)
     zeta_up = np.where(has_ub, mu / np.maximum(ub - z, 1e-12), 0.0)
 
     f_val = eval_f(z)
     g = eval_g(z)
-    Je = eval_Je(z)
-    Ji = eval_Ji(z)
+    Je = _as_csr(eq_jacobian(z))
+    Ji = _as_csr(ineq_jacobian(z))
 
     def violation(cev, civ):
-        v = 0.0
-        if me:
-            v = max(v, float(np.max(np.abs(cev))))
-        if mi:
-            v = max(v, float(np.max(np.maximum(civ, 0.0))))
-        return v
+        return max(float(np.max(np.abs(cev), initial=0.0)),
+                   float(np.max(np.maximum(civ, 0.0), initial=0.0)))
 
     def kkt_errors(gJy, viol, *mu_vals):
         """KKT error of the current iterate at each barrier parameter.
 
         ``gJy`` is g + Je'y and ``viol`` the constraint violation; the dual
         residual and the complementarity products are formed once."""
-        r_d = (gJy + Ji.T @ w if mi else gJy) - zeta_lo + zeta_up
-        base = max(float(np.max(np.abs(r_d))) if n else 0.0, viol)
-        comp = np.concatenate([s * w if mi else np.zeros(0),
+        r_d = gJy + Ji.T @ w - zeta_lo + zeta_up
+        base = max(float(np.max(np.abs(r_d), initial=0.0)), viol)
+        comp = np.concatenate([s * w,
                                (z - lb)[has_lb] * zeta_lo[has_lb],
                                (ub - z)[has_ub] * zeta_up[has_ub]])
-        if not len(comp):
-            return [base for _ in mu_vals]
-        return [max(base, float(np.max(np.abs(comp - m)))) for m in mu_vals]
+        return [max(base, float(np.max(np.abs(comp - m), initial=0.0)))
+                for m in mu_vals]
 
     kkt = _KktSystem(n, me)
     delta_w = 0.0
@@ -245,7 +245,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         if opts.max_wall_time is not None and time.perf_counter() - t_start > opts.max_wall_time:
             break
 
-        gJy = g + Je.T @ y if me else g
+        gJy = g + Je.T @ y
         viol = violation(ce, ci)
         err0, err_mu = kkt_errors(gJy, viol, 0.0, mu)
         if err0 < opts.tol:
@@ -258,15 +258,14 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
         # infeasibility verdict: the violation has stalled above tolerance
         history.append(viol)
-        if viol > max(100 * opts.tol, 1e-5) and len(history) > STALL_WINDOW \
+        if viol > viol_floor and len(history) > STALL_WINDOW \
                 and min(history[-STALL_WINDOW:]) > \
                 (1.0 - STALL_RATIO) * min(history[:-STALL_WINDOW]):
             status = SolveStatus.INFEASIBLE
             break
 
         # Hessian of the Lagrangian (approximate)
-        H = problem.hessian(z, y, w)
-        H = H.tocsr() if sp.issparse(H) else sp.csr_matrix(np.atleast_2d(H))
+        H = _as_csr(problem.hessian(z, y, w))
 
         # condensed primal-dual system
         d_lo = np.zeros(n)
@@ -275,12 +274,9 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         d_up[has_ub] = zeta_up[has_ub] / (ub - z)[has_ub]
         d_bound = d_lo + d_up
 
-        rhs_z = -gJy
-        sigma = np.zeros(0)
-        if mi:
-            s_safe = np.maximum(s, 1e-12)
-            sigma = np.minimum(w / s_safe, 1e12)
-            rhs_z = rhs_z - Ji.T @ (sigma * (ci + s) + mu / s_safe)
+        s_safe = np.maximum(s, 1e-12)
+        sigma = np.minimum(w / s_safe, 1e12)
+        rhs_z = -gJy - Ji.T @ (sigma * (ci + s) + mu / s_safe)
         rhs_z = rhs_z + np.where(has_lb, mu / np.maximum(z - lb, 1e-300), 0.0)
         rhs_z = rhs_z - np.where(has_ub, mu / np.maximum(ub - z, 1e-300), 0.0)
 
@@ -298,14 +294,10 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
                 continue
 
             dz = sol[:n]
-            dy = sol[n:] if me else np.zeros(0)
-            if mi:
-                Ji_dz = Ji @ dz
-                ds = -(ci + s) - Ji_dz
-                dw = sigma * (ci + s) + mu / s_safe - w + sigma * Ji_dz
-            else:
-                ds = np.zeros(0)
-                dw = np.zeros(0)
+            dy = sol[n:]
+            Ji_dz = Ji @ dz
+            ds = -(ci + s) - Ji_dz
+            dw = sigma * (ci + s) + mu / s_safe - w + sigma * Ji_dz
             dzeta_lo = np.where(has_lb,
                                 mu / np.maximum(z - lb, 1e-300) - zeta_lo
                                 - d_lo * dz, 0.0)
@@ -315,18 +307,16 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
             # fraction-to-boundary
             tau = max(0.99, 1.0 - mu)
-            alpha_pri = _max_step(s, ds, tau) if mi else 1.0
-            alpha_pri = min(alpha_pri,
+            alpha_pri = min(_max_step(s, ds, tau),
                             _max_step((z - lb)[has_lb], dz[has_lb], tau),
                             _max_step((ub - z)[has_ub], -dz[has_ub], tau))
-            alpha_dual = min(_max_step(w, dw, tau) if mi else 1.0,
+            alpha_dual = min(_max_step(w, dw, tau),
                              _max_step(zeta_lo[has_lb], dzeta_lo[has_lb], tau),
                              _max_step(zeta_up[has_ub], dzeta_up[has_ub], tau))
 
             # backtracking on a barrier + L1-penalty merit function
-            nu_pen = 10.0 + 2.0 * max(
-                float(np.max(np.abs(y))) if me else 0.0,
-                float(np.max(np.abs(w))) if mi else 0.0)
+            nu_pen = 10.0 + 2.0 * max(float(np.max(np.abs(y), initial=0.0)),
+                                      float(np.max(np.abs(w), initial=0.0)))
             phi0 = _merit(f_val, z, s, ce, ci, lb, ub, has_lb, has_ub, mu, nu_pen)
             alpha = alpha_pri
             ls_ok = False
@@ -350,16 +340,15 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
                 delta_w = max(1e-6, 10.0 * (delta_w or 1e-6))
                 continue
 
-            z = z_t
-            s = s_t if mi else s
-            y = y + alpha_dual * dy if me else y
-            w = np.maximum(w + alpha_dual * dw, 1e-16) if mi else w
+            z, s = z_t, s_t
+            y = y + alpha_dual * dy
+            w = np.maximum(w + alpha_dual * dw, 1e-16)
             zeta_lo = np.where(has_lb, np.maximum(zeta_lo + alpha_dual * dzeta_lo, 1e-16), 0.0)
             zeta_up = np.where(has_ub, np.maximum(zeta_up + alpha_dual * dzeta_up, 1e-16), 0.0)
             f_val, ce, ci = f_t, ce_t, ci_t
             g = eval_g(z)
-            Je = eval_Je(z)
-            Ji = eval_Ji(z)
+            Je = _as_csr(eq_jacobian(z))
+            Ji = _as_csr(ineq_jacobian(z))
             delta_w = max(delta_w / 3.0, 0.0) if delta_w > 1e-10 else 0.0
             accepted = True
             break
@@ -371,16 +360,14 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
     wall = time.perf_counter() - t_start
     final_violation = violation(ce, ci)
-    final_err, = kkt_errors(g + Je.T @ y if me else g, final_violation, 0.0)
-    if status is not SolveStatus.OPTIMAL and status is not SolveStatus.INFEASIBLE:
+    final_err, = kkt_errors(g + Je.T @ y, final_violation, 0.0)
+    if status is SolveStatus.ITER_LIMIT:
         if final_err < opts.tol:
             status = SolveStatus.OPTIMAL
         elif final_violation < opts.tol:
             status = SolveStatus.FEASIBLE_POINT
-        elif final_violation > max(100 * opts.tol, 1e-5) and (mu <= 1e-4 or no_step):
+        elif no_step and final_violation > viol_floor:
             status = SolveStatus.INFEASIBLE
-        else:
-            status = SolveStatus.ITER_LIMIT
 
     return SolveResult(
         z=z,
@@ -464,8 +451,6 @@ class _KktSystem:
 
 def _max_step(x, dx, tau):
     """Largest alpha in (0, 1] keeping x + alpha*dx >= (1 - tau) * x."""
-    if len(x) == 0:
-        return 1.0
     neg = dx < 0
     if not np.any(neg):
         return 1.0
@@ -476,22 +461,10 @@ def _max_step(x, dx, tau):
 
 def _merit(f, z, s, ce, ci, lb, ub, has_lb, has_ub, mu, nu_pen):
     phi = f
-    if len(s):
-        if np.any(s <= 0):
-            return np.inf
-        phi -= mu * float(np.sum(np.log(s)))
-    if np.any(has_lb):
-        gap = (z - lb)[has_lb]
+    for gap in (s, (z - lb)[has_lb], (ub - z)[has_ub]):
         if np.any(gap <= 0):
             return np.inf
         phi -= mu * float(np.sum(np.log(gap)))
-    if np.any(has_ub):
-        gap = (ub - z)[has_ub]
-        if np.any(gap <= 0):
-            return np.inf
-        phi -= mu * float(np.sum(np.log(gap)))
-    if len(ce):
-        phi += nu_pen * float(np.sum(np.abs(ce)))
-    if len(s):
-        phi += nu_pen * float(np.sum(np.abs(ci + s)))
+    phi += nu_pen * float(np.sum(np.abs(ce)))
+    phi += nu_pen * float(np.sum(np.abs(ci + s)))
     return phi

@@ -11,6 +11,7 @@ import pytest
 import tvapf
 from tvapf import scenario as scenario_mod
 from tvapf.cli import main
+from tvapf.planner import EgoModelState, TerminalBox
 from tvapf.simulation import ActorRuntime, initial_ego_state, perceive
 
 SCENARIO_DIR = Path(tvapf.__file__).parent / "scenarios"
@@ -113,13 +114,15 @@ def _set(key, value):
     (_set("tvapf.edge_value", 1.5), "tvapf: edge_value"),
     (_set("tvapf.edge_value", 0.0), "tvapf: edge_value"),
     (_set("weights.K_o", 1e400), "planner: K_o"),
+    (_set("tvapf.sigma_s", 0), "tvapf: sigma_s"),
 ], ids=["v_bounds_string", "v_bounds_scalar", "direction_string",
         "actor_not_mapping", "script_entry_not_mapping", "ego_not_mapping",
         "Q_short", "duplicate_id", "x0_string", "N_L_float", "N_P_float",
         "N_L_misspelt", "duration_misspelt", "lane_count_float",
         "K_v_bool", "c_float", "terminal_not_mapping",
         "alpha_min_above_tracker", "K_l_zero", "edge_value_one",
-        "edge_value_above_one", "edge_value_zero", "K_o_infinite"])
+        "edge_value_above_one", "edge_value_zero", "K_o_infinite",
+        "sigma_s_zero"])
 def test_malformed_scenario_run_exits_2(tmp_path, capsys, edit, where):
     data = json.loads((SCENARIO_DIR / "overtake.json").read_text())
     edit(data)
@@ -346,6 +349,35 @@ def test_plan_overtake_feasible(tmp_path):
     dump = json.loads(out.read_text())
     assert dump["decision"] == "Overtake"
     assert max(s[1] for s in dump["states"]) > 0.0  # enters the left lane
+
+
+def test_plan_dumps_the_published_terminal_set(tmp_path):
+    # the pass candidate is published, so its box, not the stay box behind
+    # the leader, bounds the last state
+    scn = _write(tmp_path, "pass.json", _mini_scenario(
+        ego={"x0": 300.0, "y0": -2.0, "v0": 8.33, "v_des": 12.0},
+        actors=[{"id": "L1", "s0": 400.0, "d0": -2.0, "v0": 5.0,
+                 "v_bounds": [2.9, 6.1], "a_bounds": [-0.01, 0.25]}]))
+    out = tmp_path / "plan.json"
+    assert main(["plan", str(scn), "--out", str(out)]) == 0
+    dump = json.loads(out.read_text())
+    assert dump["stats"]["candidate"] == "pass"
+    assert dump["terminal_set"] == dump["stats"]["terminal_set"]
+    assert TerminalBox(**dump["terminal_set"]).contains(
+        EgoModelState(*dump["states"][-1]))
+
+
+def test_plan_fallback_dumps_no_terminal_set(tmp_path, capsys):
+    # a leader on the ego's bumper leaves no safe-stop anchor ahead
+    scn = _write(tmp_path, "blocked.json", _mini_scenario(
+        actors=[{"id": "L1", "s0": 21.0, "d0": -2.0, "v0": 0.0,
+                 "v_bounds": [0.0, 0.1], "a_bounds": [-0.01, 0.01]}]))
+    out = tmp_path / "plan.json"
+    assert main(["plan", str(scn), "--out", str(out)]) == 0
+    assert "planner fallback" in capsys.readouterr().err
+    dump = json.loads(out.read_text())
+    assert dump["stats"] == {"status": "fallback"}
+    assert dump["terminal_set"] is None
 
 
 def test_plan_missing_scenario_exits_2(capsys):

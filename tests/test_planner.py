@@ -394,7 +394,7 @@ def test_overtake_when_left_lane_clear(path, cfg, pot, tv):
     assert max(x.d for x in traj.states) > 0.0
     assert max(_field_along(traj, fcs, tv)) <= tv.epsilon_o + 1e-6
     # terminal anchor jumped past the passed leader
-    assert stats["terminal_s_max"] > float(fcs[0].s_max[cfg.N_L])
+    assert stats["terminal_set"]["s_max"] > float(fcs[0].s_max[cfg.N_L])
 
 
 def test_solver_is_deterministic(path, cfg, pot, tv):

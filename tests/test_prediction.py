@@ -33,6 +33,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         TvapfParams(sigma_s=-1.0)
     with pytest.raises(ValueError):
+        TvapfParams(sigma_s=0.0)
+    with pytest.raises(ValueError):
         TvapfParams(epsilon_o=0.0)
 
 

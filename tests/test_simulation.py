@@ -2,13 +2,16 @@
 logging, and the summary statistics."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from tvapf import simulation
 from tvapf.scenario import ActorSpec
 from tvapf.simulation import ActorRuntime, run, step_actor, summarize
+from tvapf.tracker import Infeasible as TrackerInfeasible, max_braking_input
 
 
 def _actor(script=(), direction=1, v_bounds=(0.0, 12.5),
@@ -115,6 +118,78 @@ def test_to_json_dict(empty_road_run):
     d = empty_road_run.to_json_dict()
     assert set(d) == {"instances", "events"}
     assert len(d["instances"]) == len(empty_road_run.instances)
+
+
+# -- tracker degradation -----------------------------------------------------
+
+
+def _run_with_failing_ticks(scn, monkeypatch, ticks, failing, edit=None):
+    """Log of the first ``ticks`` tracker ticks of ``scn`` with the tracker
+    refusing the ticks whose indices are in ``failing``, and the solution of
+    every other tick, passed through ``edit(k, solution)`` when given."""
+    solve_nmpc = simulation.solve_nmpc
+    solutions = []
+
+    def flaky(*args, **kwargs):
+        k = len(solutions)
+        solutions.append(None)
+        if k in failing:
+            raise TrackerInfeasible(f"tick {k} refused")
+        sol = solve_nmpc(*args, **kwargs)
+        solutions[k] = edit(k, sol) if edit else sol
+        return solutions[k]
+
+    monkeypatch.setattr(simulation, "solve_nmpc", flaky)
+    duration = ticks * scn.tracker_config().T_sMPC
+    log = run(dataclasses.replace(scn, sim={**scn.sim, "duration": duration}))
+    return log, solutions
+
+
+def test_tracker_failure_without_guess_brakes(empty_road_scenario,
+                                              monkeypatch):
+    log, _ = _run_with_failing_ticks(empty_road_scenario, monkeypatch, 1, {0})
+    tcfg = empty_road_scenario.tracker_config()
+    row = log.steps[0]
+    assert row["u_a"] == max_braking_input(None, tcfg)[0]
+    assert row["u_w"] == 0.0
+    assert math.isnan(row["sigma"])
+    assert [(e["t"], e["kind"]) for e in log.events] == \
+        [(0.0, "tracker_infeasible")]
+
+
+@pytest.mark.parametrize("jump", [0.0, 1.0, -1.0])
+def test_tracker_failure_inside_the_box_holds_the_shifted_plan(
+        empty_road_scenario, monkeypatch, jump):
+    # the solution before the refused tick gets its next acceleration moved
+    # by ``jump``, beyond one tick's rate when nonzero
+    k = 3
+
+    def edit(i, sol):
+        if i == k - 1:
+            inputs = sol.inputs.copy()
+            inputs[1, 0] += jump
+            sol = dataclasses.replace(sol, inputs=inputs)
+        return sol
+
+    log, solutions = _run_with_failing_ticks(empty_road_scenario,
+                                             monkeypatch, k + 2, {k}, edit)
+    tcfg = empty_road_scenario.tracker_config()
+    per_tick = round(tcfg.T_sMPC / empty_road_scenario.sim["plant_step"])
+    row, prev = log.steps[k * per_tick], log.steps[(k - 1) * per_tick]
+    assert abs(row["err_x"]) <= tcfg.e_pos and abs(row["err_y"]) <= tcfg.e_pos
+    assert abs(row["err_v"]) <= tcfg.e_v
+    # the previous tick's next input, within one tick's rate of the last one
+    a_next, w_next = solutions[k - 1].inputs[1]
+    assert row["u_a"] == min(max(a_next, prev["u_a"] - tcfg.delta_a_max),
+                             prev["u_a"] + tcfg.delta_a_max)
+    if jump:
+        assert row["u_a"] == prev["u_a"] + math.copysign(tcfg.delta_a_max,
+                                                         jump)
+    assert row["u_w"] == w_next
+    assert math.isnan(row["sigma"])
+    assert [(e["t"], e["kind"]) for e in log.events] == \
+        [(row["time"], "tracker_infeasible")]
+    assert not math.isnan(log.steps[(k + 1) * per_tick]["sigma"])
 
 
 # -- summary -----------------------------------------------------------------

@@ -119,6 +119,23 @@ def test_steady_progress_is_not_infeasible():
     assert r.z[0] == pytest.approx(1.0, abs=1e-5)
 
 
+def test_no_acceptable_step_is_infeasible():
+    # the objective is finite only at z0 = 0, so every trial point of the
+    # line search fails and no regularization yields a step toward z = 1
+    p = NlpProblem(n=1,
+                   objective=lambda z: 0.0 if z[0] == 0.0 else float("nan"),
+                   gradient=lambda z: np.zeros(1),
+                   hessian=_constant_hessian(2.0),
+                   z0=np.array([0.0]),
+                   eq_constraints=lambda z: np.array([z[0] - 1.0]),
+                   eq_jacobian=lambda z: np.array([[1.0]]))
+    r = solve(p)
+    assert r.status is SolveStatus.INFEASIBLE
+    assert r.iterations == 1
+    assert r.constraint_violation == 1.0
+    assert r.z[0] == 0.0
+
+
 def test_iteration_limit_reports_feasible_point():
     r = solve(_equality_qp(z0=(0.6, 0.4)), SolveOptions(max_iter=1))
     assert r.status in (SolveStatus.FEASIBLE_POINT, SolveStatus.ITER_LIMIT,
