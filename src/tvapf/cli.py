@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 ``tvapf run`` executes the closed-loop simulation and writes plot-ready
-artifacts (runlog.csv, instances.json, summary.json); ``tvapf plan`` solves a
-single planner instance at a chosen scene time and dumps the trajectory, the
-sampled obstacle field, and the published candidate's terminal set.
+artifacts (runlog.csv, instances.json, summary.json); ``tvapf plan`` runs the
+closed loop's planner instance at a chosen scene time and dumps its record,
+the sampled obstacle field, and the published candidate's terminal set.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import scenario as scenario_mod
-from .planner import (EmptyTerminalSet, Infeasible, decision_label,
-                      safe_stop_trajectory, solve_ltp)
 from .prediction import ObstacleField
 from .scenario import Scenario, ScenarioError
-from .simulation import (ActorRuntime, EventKind, initial_ego_state,
-                         perceive, run, summarize)
+from .simulation import (ActorRuntime, EventKind, RunLog, _plan_instance,
+                         initial_ego_state, run, summarize)
 from .tracker import VehicleState
 
 # Event kinds that mean the run degraded to the safe-stop fallback or came
@@ -122,7 +120,7 @@ def _scene_at(scn: Scenario, t: float):
     for t > 0 the closed loop is replayed up to and including that step."""
     path = scn.build_path()
     h = float(scn.sim["plant_step"])
-    n = max(0, int(round(t / h)))
+    n = int(round(t / h))
     if n == 0:
         actors = [ActorRuntime(spec=a, s=a.s0, d=a.d0, v=a.v0)
                   for a in scn.actors]
@@ -140,27 +138,25 @@ def cmd_plan(args) -> int:
     scn = _load_scenario(args.scenario)
     if scn is None:
         return 2
+    if not 0.0 <= args.at <= scn.sim["duration"]:  # refuses nan and inf too
+        print(f"--at must be a time in [0, {scn.sim['duration']:g}] s, got "
+              f"{args.at}", file=sys.stderr)
+        return 2
     pcfg = scn.planner_config()
-    potentials_cfg = scn.potential_config()
     tvapf = scn.tvapf_params()
     path, chi, actors, t0 = _scene_at(scn, args.at)
-    xi0, forecasts, sensed = perceive(chi, actors, path, pcfg,
-                                      float(scn.sim["sensor_range"]))
-
-    try:
-        traj = solve_ltp(xi0, forecasts, path, pcfg,
-                         potentials_cfg=potentials_cfg, tvapf=tvapf, t0=t0)
-    except (Infeasible, EmptyTerminalSet) as exc:
-        print(f"planner fallback: {exc}", file=sys.stderr)
-        traj = safe_stop_trajectory(xi0, pcfg, t0=t0)
-    label = decision_label(traj, path, forecasts, v_des=potentials_cfg.v_des)
-    # the box of the published candidate; the fallback has none
-    box_dump = traj.solve_stats.get("terminal_set")
+    # the closed loop's instance, cold: no warm start, no applied input
+    log = RunLog()
+    traj, forecasts = _plan_instance(
+        t0, chi, actors, path, pcfg, scn.potential_config(), tvapf,
+        float(scn.sim["sensor_range"]), None, log)
+    for event in log.events:
+        print(f"planner fallback: {event['message']}", file=sys.stderr)
 
     # obstacle-field samples on an (s, d, j) grid around the planned motion
-    s_lo = xi0.s - 50.0
-    s_hi = min(path.length, xi0.s + pcfg.v_max * pcfg.N_L * pcfg.T_sL + 50.0)
-    s_grid = np.linspace(s_lo, s_hi, 141)
+    s0 = traj.states[0].s
+    s_hi = min(path.length, s0 + pcfg.v_max * pcfg.N_L * pcfg.T_sL + 50.0)
+    s_grid = np.linspace(s0 - 50.0, s_hi, 141)
     d_grid = np.linspace(path.right_edge_offset, path.left_edge_offset, 33)
     j_grid = list(range(0, pcfg.N_L + 1, max(1, args.field_step)))
     S, D = np.meshgrid(s_grid, d_grid, indexing="ij")
@@ -170,23 +166,16 @@ def cmd_plan(args) -> int:
         w = ObstacleField(forecasts, np.full(S.shape, j), tvapf).terms(S, D)[2]
         field.append(np.max(w, axis=0, initial=0.0).tolist())
 
-    dump = {
-        "t0": t0,
-        "decision": label.value,
-        "sensed": sensed,
-        "stats": traj.solve_stats,
-        "states": [[x.s, x.d, x.psi, x.nu] for x in traj.states],
-        "inputs": [[u.alpha, u.omega] for u in traj.inputs],
-        "terminal_set": box_dump,
-        "field": {"s": s_grid.tolist(), "d": d_grid.tolist(), "j": j_grid,
-                  "W": field},
-    }
+    # the box of the published candidate; the fallback has none
+    box = traj.solve_stats.get("terminal_set")
+    dump = {**log.instances[0], "terminal_set": box,
+            "field": {"s": s_grid.tolist(), "d": d_grid.tolist(), "j": j_grid,
+                      "W": field}}
     with open(args.out, "w") as fh:
         json.dump(dump, fh)
-    w_max = max(max(max(row) for row in sl) for sl in field) if field else 0.0
-    print(f"wrote {args.out}  decision={label.value} "
-          f"terminal_s_max={box_dump['s_max'] if box_dump else 'n/a'} "
-          f"max W={w_max:.3f}")
+    print(f"wrote {args.out}  decision={dump['decision']} "
+          f"terminal_s_max={box['s_max'] if box else 'n/a'} "
+          f"max W={np.max(field):.3f}")
     return 0
 
 

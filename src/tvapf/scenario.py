@@ -3,10 +3,10 @@
 A scenario file (JSON or YAML) fully determines a closed-loop run: road
 geometry, ego start and desired speed, scripted actors with uncertainty
 bounds, field/weight parameters, planner/tracker configuration and the
-simulation grid.  ``SCHEMA`` lists every key a section accepts, and
-``from_dict`` is the one place a scenario is checked: unknown keys, values
-of the wrong kind and configurations that fail a start-up check are refused
-with path-qualified diagnostics.
+simulation grid.  ``SCHEMA`` lists every key a section accepts and ``ACTOR``
+every key an actor accepts; ``from_dict`` alone checks a scenario, refusing
+unknown or missing keys, values of the wrong kind, non-finite numbers and
+failed start-up checks with path-qualified diagnostics.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,16 +114,18 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Key:
-    """The values one scenario key accepts: a "number" or an "int" in
+    """The values one scenario key accepts: a finite "number" or "int" in
     [lo, hi], a list of ``size`` "numbers" in [lo, hi], a "number or list",
-    or a list of "points".  Only ``sim`` keys
-    have a ``default``; the others take their config field's default."""
+    a "string" or a list of "points".  Only ``sim`` keys have a ``default``;
+    the others take their config field's default.  A ``required`` key must
+    be given."""
 
     kind: str = "number"
     lo: float = -math.inf
     hi: float = math.inf
     size: int | None = None
     default: float | None = None
+    required: bool = False
 
     def check(self, value, where) -> None:
         kind = self.kind
@@ -130,6 +133,8 @@ class Key:
             kind = "numbers" if isinstance(value, (list, tuple)) else "number"
         if kind == "points":
             _require_type(value, where)  # ReferencePath checks the entries
+        elif kind == "string":
+            _require_type(value, where, str)
         elif kind == "numbers":
             for i, v in enumerate(_require_type(value, where, size=self.size)):
                 _require_number(v, f"{where}[{i}]", self.lo, self.hi)
@@ -171,8 +176,17 @@ SCHEMA = {
             "sensor_range": Key(lo=1.0, default=300.0),
             "collision_margin": Key(lo=0.0, default=2.0)},
 }
-_ACTOR_KEYS = {"id", "s0", "d0", "v0", "v_bounds", "a_bounds", "direction",
-               "script"}
+
+# Every key an actor accepts ([entry]: a list of entries with entry's keys).
+# It feeds ActorSpec, whose defaults fill direction and script; id is A<i>.
+_GIVEN = Key(required=True)
+_GIVEN_SPEED = Key(lo=0.0, hi=GLOBAL_V_MAX, required=True)
+ACTOR = {"id": Key("string"), "s0": _GIVEN, "d0": _GIVEN, "v0": _GIVEN_SPEED,
+         "v_bounds": Key("numbers", 0.0, GLOBAL_V_MAX, 2, required=True),
+         "a_bounds": Key("numbers", -GLOBAL_A_MAX, GLOBAL_A_MAX, 2,
+                         required=True),
+         "direction": _INT, "script": [{"t": Key(lo=0.0, required=True),
+                                        "target_v": _GIVEN_SPEED}]}
 
 
 def _pick(entries, target):
@@ -183,40 +197,43 @@ def _pick(entries, target):
 
 
 def _require_number(value, where, lo=-math.inf, hi=math.inf):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{where}: expected a number, got {value!r}")
+    if not isinstance(value, (int, float)) or isinstance(value, bool) \
+            or not abs(value) <= sys.float_info.max:  # nan, inf, huge ints
+        raise ScenarioError(f"{where}: expected a finite number, got "
+                            f"{value!r}")
     if not lo <= value <= hi:
         raise ScenarioError(f"{where}: {value} outside [{lo}, {hi}]")
-    return float(value)
 
 
 def _require_type(value, where, kind=(list, tuple), size=None):
     """value itself, if it is a ``kind`` (with ``size`` entries if given)."""
     if not isinstance(value, kind) or size not in (None, len(value)):
-        what = ("a mapping" if kind is dict else "a list" if size is None
-                else f"a list of {size} entries")
+        what = ("a mapping" if kind is dict else "a string" if kind is str
+                else "a list" if size is None else f"a list of {size} entries")
         raise ScenarioError(f"{where}: expected {what}, got {value!r}")
     return value
 
 
-def _require_pair(value, where, lo, hi):
-    return tuple(_require_number(v, f"{where}[{i}]", lo, hi)
-                 for i, v in enumerate(_require_type(value, where, size=2)))
-
-
 def _section(raw, where, schema, overrides):
     """One section, with ``overrides[where]`` merged in, checked against
-    ``schema`` and completed with the schema's defaults."""
+    ``schema`` and completed with the schema's defaults; for a schema
+    [entry], a list of sections, each checked against ``entry``."""
+    if isinstance(schema, list):
+        return [_section(item, f"{where}[{i}]", schema[0], overrides)
+                for i, item in enumerate(_require_type(raw, where))]
     entries = {**_require_type(raw, where, dict), **overrides.get(where, {})}
     unknown = set(entries) - set(schema)
     if unknown:
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, spec in schema.items():
+        if isinstance(spec, Key) and spec.required and key not in entries:
+            raise ScenarioError(f"{where}: missing '{key}'")
     for key, value in entries.items():
-        if isinstance(schema[key], dict):
-            entries[key] = _section(value, f"{where}.{key}", schema[key],
-                                    overrides)
+        spec, here = schema[key], f"{where}.{key}"
+        if isinstance(spec, (dict, list)):
+            entries[key] = _section(value, here, spec, overrides)
         else:
-            schema[key].check(value, f"{where}.{key}")
+            spec.check(value, here)
     return {**{key: spec.default for key, spec in schema.items()
                if isinstance(spec, Key) and spec.default is not None},
             **entries}
@@ -231,9 +248,9 @@ def _checked(where, build, *args):
 
 
 def from_dict(data: dict, overrides: dict | None = None) -> Scenario:
-    """The scenario ``data`` describes, checked against ``SCHEMA`` and the
-    loop's start-up checks; ``overrides`` maps a section name to entries
-    that replace the file's before anything is checked."""
+    """The scenario ``data`` describes, checked against ``SCHEMA``,
+    ``ACTOR`` and the loop's start-up checks; ``overrides`` maps a section
+    name to entries that replace the file's before anything is checked."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be a mapping")
     unknown = set(data) - set(SCHEMA) - {"actors"}
@@ -247,43 +264,22 @@ def from_dict(data: dict, overrides: dict | None = None) -> Scenario:
                 for name, schema in SCHEMA.items()}
 
     actors = []
-    for i, a in enumerate(_require_type(data.get("actors", []), "actors")):
+    for i, a in enumerate(_section(data.get("actors", []), "actors", [ACTOR],
+                                   {})):
         where = f"actors[{i}]"
-        unknown = set(_require_type(a, where, dict)) - _ACTOR_KEYS
-        if unknown:
-            raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-        for key in ("s0", "d0", "v0", "v_bounds", "a_bounds"):
-            if key not in a:
-                raise ScenarioError(f"{where}: missing '{key}'")
-        v_bounds = _require_pair(a["v_bounds"], f"{where}.v_bounds", 0.0,
-                                 GLOBAL_V_MAX)
-        a_bounds = _require_pair(a["a_bounds"], f"{where}.a_bounds",
-                                 -GLOBAL_A_MAX, GLOBAL_A_MAX)
-        script = []
-        prev_t = -math.inf
-        for j, entry in enumerate(_require_type(a.get("script", []),
-                                                f"{where}.script")):
-            _require_type(entry, f"{where}.script[{j}]", dict)
-            t = _require_number(entry.get("t"), f"{where}.script[{j}].t", 0.0)
-            tv = _require_number(entry.get("target_v"),
-                                 f"{where}.script[{j}].target_v",
-                                 0.0, GLOBAL_V_MAX)
-            if t <= prev_t:
-                raise ScenarioError(f"{where}.script: times must increase")
-            prev_t = t
-            script.append((t, tv))
-        direction = a.get("direction", 1)
-        if direction not in (1, -1) or isinstance(direction, bool):
-            raise ScenarioError(f"{where}.direction must be 1 or -1, got "
-                                f"{direction!r}")
-        actor_id = str(a.get("id", f"A{i}"))
+        script = tuple((float(e["t"]), float(e["target_v"]))
+                       for e in a.get("script", ()))
+        if any(t1 <= t0 for (t0, _), (t1, _) in zip(script, script[1:])):
+            raise ScenarioError(f"{where}.script: times must increase")
+        actor_id = a.get("id", f"A{i}")
         if actor_id in {spec.id for spec in actors}:
             raise ScenarioError(f"{where}.id: duplicate actor id {actor_id!r}")
-        spec = _checked(where, lambda: ActorSpec(
-            id=actor_id, s0=float(a["s0"]), d0=float(a["d0"]),
-            v0=float(a["v0"]), v_bounds=v_bounds, a_bounds=a_bounds,
-            direction=int(direction), script=tuple(script)))
-        _checked(where, spec.initial_state)  # bounds consistency
+        spec = ActorSpec(
+            id=actor_id, direction=a.get("direction", 1), script=script,
+            **{key: float(a[key]) for key in ("s0", "d0", "v0")},
+            **{key: tuple(map(float, a[key]))
+               for key in ("v_bounds", "a_bounds")})
+        _checked(where, spec.initial_state)  # bounds and direction
         actors.append(spec)
 
     scn = Scenario(actors=tuple(actors), **sections)

@@ -134,29 +134,22 @@ def perceive(ego_chi, actors, path, pcfg, sensor_range):
 
 def _plan_instance(t, ego_chi, actors, path, pcfg, potentials_cfg, tvapf,
                    sensor_range, warm, log, a_applied=None):
-    """Build forecasts from sensed actors, solve one planner instance, log
-    it and return the trajectory to publish."""
+    """The planner instance of ``run`` and ``tvapf plan`` at scene time t:
+    perceive, solve from the ``warm`` start with the first input anchored to
+    the tracker's ``a_applied`` (both None when cold), so the reference has
+    no jerk step the tracker cannot follow; on failure log the event and
+    publish safe-stop.  Appends the instance record to ``log`` and returns
+    the trajectory with the forecasts it was planned against."""
     xi0, forecasts, sensed = perceive(ego_chi, actors, path, pcfg,
                                       sensor_range)
-
-    # Anchor the first planned input to the acceleration the tracker is
-    # actually applying, so the published reference never carries a jerk
-    # discontinuity the tracker cannot follow within its error contract.
-    alpha_prev = None
-    if a_applied is not None:
-        alpha_prev = float(a_applied)
-    elif warm is not None and not warm.fallback:
-        idx = min(pcfg.shift_steps, warm.horizon - 1)
-        alpha_prev = warm.inputs[idx].alpha
-
     try:
         traj = solve_ltp(xi0, forecasts, path, pcfg,
                          potentials_cfg=potentials_cfg, tvapf=tvapf,
-                         warm_start=warm, t0=t, alpha_prev=alpha_prev)
+                         warm_start=warm, t0=t, alpha_prev=a_applied)
     except (Infeasible, EmptyTerminalSet) as exc:
         log.event(t, EventKind.PLANNER_FALLBACK, str(exc))
         traj = safe_stop_trajectory(xi0, pcfg, t0=t,
-                                    alpha_prev=alpha_prev or 0.0)
+                                    alpha_prev=a_applied or 0.0)
     label = decision_label(traj, path, forecasts,
                            v_des=potentials_cfg.v_des)
     record = {
@@ -173,7 +166,7 @@ def _plan_instance(t, ego_chi, actors, path, pcfg, potentials_cfg, tvapf,
         ],
     }
     log.instances.append(record)
-    return traj
+    return traj, forecasts
 
 
 def run(scenario: Scenario) -> RunLog:
@@ -213,14 +206,14 @@ def run(scenario: Scenario) -> RunLog:
 
         # planner instance
         if n % steps_per_instance == 0:
-            a_now = None if u_prev is None else float(u_prev[0])
-            traj = _plan_instance(t, chi, actors, path, pcfg, potentials_cfg,
-                                  tvapf, sensor_range, traj, log,
-                                  a_applied=a_now)
+            traj, _ = _plan_instance(
+                t, chi, actors, path, pcfg, potentials_cfg, tvapf,
+                sensor_range, traj, log,
+                a_applied=None if u_prev is None else float(u_prev[0]))
             traj_id += 1
 
-        # tracker tick
-        if n % steps_per_tick == 0 and traj is not None:
+        # tracker tick; the instance at step 0 has published a trajectory
+        if n % steps_per_tick == 0:
             try:
                 refs = resample(traj, path, t, tcfg.N_P, tcfg.T_sMPC,
                                 wheelbase=tcfg.wheelbase)

@@ -113,8 +113,19 @@ def _set(key, value):
     (_set("tvapf.edge_value", 1.0), "tvapf: edge_value"),
     (_set("tvapf.edge_value", 1.5), "tvapf: edge_value"),
     (_set("tvapf.edge_value", 0.0), "tvapf: edge_value"),
-    (_set("weights.K_o", 1e400), "planner: K_o"),
+    (_set("weights.K_o", 1e400), "weights.K_o"),
     (_set("tvapf.sigma_s", 0), "tvapf: sigma_s"),
+    (_set_actor(0, "s0", "120"), "actors[0].s0"),
+    (_set_actor(0, "s0", True), "actors[0].s0"),
+    (_set_actor(0, "s0", math.nan), "actors[0].s0"),
+    (lambda d: d["actors"][0]["script"][0].__setitem__("target", 4.0),
+     "actors[0].script[0]: unknown keys ['target']"),
+    (_set_actor(0, "id", 1), "actors[0].id"),
+    (_set("ego.x0", math.inf), "ego.x0"),
+    (_set("ego.x0", 10 ** 400), "ego.x0"),  # beyond every float
+    (_set("path.lane_width", math.inf), "path.lane_width"),
+    (_set("sim.duration", math.inf), "sim.duration"),
+    (_set("planner.terminal.tau", math.inf), "planner.terminal.tau"),
 ], ids=["v_bounds_string", "v_bounds_scalar", "direction_string",
         "actor_not_mapping", "script_entry_not_mapping", "ego_not_mapping",
         "Q_short", "duplicate_id", "x0_string", "N_L_float", "N_P_float",
@@ -122,7 +133,9 @@ def _set(key, value):
         "K_v_bool", "c_float", "terminal_not_mapping",
         "alpha_min_above_tracker", "K_l_zero", "edge_value_one",
         "edge_value_above_one", "edge_value_zero", "K_o_infinite",
-        "sigma_s_zero"])
+        "sigma_s_zero", "s0_string", "s0_bool", "s0_nan",
+        "script_entry_unknown_key", "id_number", "x0_infinite", "x0_huge_int",
+        "lane_width_infinite", "duration_infinite", "tau_infinite"])
 def test_malformed_scenario_run_exits_2(tmp_path, capsys, edit, where):
     data = json.loads((SCENARIO_DIR / "overtake.json").read_text())
     edit(data)
@@ -265,7 +278,18 @@ def test_plan_at_starts_from_closed_loop_state(oncoming_run, tmp_path):
     dump = json.loads(plan.read_text())
     assert dump["t0"] == 5.0
     assert dump["sensed"] == instance["sensed"]
+    assert dump["forecasts"] == instance["forecasts"]
     assert dump["states"][0] == instance["states"][0]  # bit for bit
+
+
+@pytest.mark.parametrize("at", ["nan", "inf", "-5", "10.5"])
+def test_plan_at_outside_the_scene_exits_2(oncoming_run, tmp_path, capsys,
+                                           at):
+    scn, _, _ = oncoming_run  # a 10 s scene
+    out = tmp_path / "plan.json"
+    assert main(["plan", str(scn), "--at", at, "--out", str(out)]) == 2
+    assert "--at must be a time in [0, 10] s" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plan_field_matches_per_point_reference(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 import tvapf
 from tvapf import scenario as scenario_mod
 from tvapf.cli import main
-from tvapf.scenario import SCHEMA, ScenarioError, from_dict
+from tvapf.scenario import ACTOR, SCHEMA, ScenarioError, from_dict
 from tvapf.simulation import initial_ego_state
 
 SCENARIO_DIR = Path(tvapf.__file__).parent / "scenarios"
@@ -287,6 +287,26 @@ def test_every_schema_key_feeds_an_object(key):
         section = section.setdefault(part, {})
     section[name] = NON_DEFAULT[key]
     assert _fed(from_dict(data)) != _fed(from_dict(minimal_dict()))
+
+
+# A valid value other than minimal_dict's for every key ACTOR lists, and for
+# every key of a script entry.
+ACTOR_NON_DEFAULT = {
+    "id": "L2", "s0": 250.0, "d0": -1.5, "v0": 4.5, "v_bounds": [3.0, 7.0],
+    "a_bounds": [-0.3, 0.3], "direction": -1,
+    "script": [{"t": 5.0, "target_v": 5.0}],
+    "script.t": 12.0, "script.target_v": 4.5,
+}
+
+
+@pytest.mark.parametrize("key", [*ACTOR, *(f"script.{key}"
+                                           for key in ACTOR["script"][0])])
+def test_every_actor_key_feeds_the_actor_spec(key):
+    data = minimal_dict()
+    actor = data["actors"][0]
+    entry = actor["script"][0] if key.startswith("script.") else actor
+    entry[key.removeprefix("script.")] = ACTOR_NON_DEFAULT[key]
+    assert from_dict(data).actors != from_dict(minimal_dict()).actors
 
 
 def test_renamed_routes():
