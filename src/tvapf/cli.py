@@ -25,8 +25,7 @@ from .tracker import VehicleState
 
 # Event kinds that mean the run degraded to the safe-stop fallback or came
 # closer to an actor than the scenario's collision margin.
-_SAFESTOP_EVENTS = {EventKind.PLANNER_FALLBACK, EventKind.HORIZON_EXHAUSTED,
-                    EventKind.COLLISION_MARGIN}
+_SAFESTOP_EVENTS = {EventKind.PLANNER_FALLBACK, EventKind.COLLISION_MARGIN}
 
 
 def build_parser() -> argparse.ArgumentParser:

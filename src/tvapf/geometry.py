@@ -40,6 +40,11 @@ _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)[1] / 2.0
 MAX_CURVATURE_JUMP = 0.5
 
 
+def wrap_angle(angle):
+    """Angle (float or array) wrapped into [-pi, pi)."""
+    return (angle + np.pi) % (2.0 * np.pi) - np.pi
+
+
 @dataclass(frozen=True)
 class FrenetPoint:
     s: float

@@ -38,7 +38,7 @@ class Infeasible(Exception):
     """No feasible trajectory exists for the posed program."""
 
 
-class EmptyTerminalSet(Exception):
+class EmptyTerminalSet(Infeasible):
     """The safe-stop box lies behind the current ego position."""
 
 
@@ -594,6 +594,11 @@ class _LtpProgram:
         flat = np.abs(b) <= 1e-300
         vx = np.where(flat, np.where(a >= e, 1.0, 0.0), b)
         vy = np.where(flat, np.where(a >= e, 0.0, 1.0), l1 - a)
+        # where b^2 underflows, |v|^2 loses its digits or l1 / |v|^2
+        # overflows: there v is first scaled to max-norm 1
+        small = vx * vx + vy * vy < np.finfo(float).tiny * np.maximum(l1, 1.0)
+        m = np.where(small, np.maximum(np.abs(vx), np.abs(vy)), 1.0)
+        vx, vy = vx / m, vy / m
         norm2 = vx * vx + vy * vy
         psd = l2 >= 0.0
         keep = (l1 > 0.0) & (psd | (norm2 > 0.0))
@@ -683,8 +688,8 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
     """Solve one planner instance and return the published trajectory.
 
     Raises Infeasible when no feasible trajectory exists (callers fall back
-    to safe_stop_trajectory) and EmptyTerminalSet when the safe-stop bound
-    already lies behind the ego.
+    to safe_stop_trajectory), as its subclass EmptyTerminalSet when the
+    safe-stop bound already lies behind the ego.
     """
     tvapf = tvapf or TvapfParams()
     guess_states, guess_inputs = _initial_guess(xi0, cfg, warm_start)

@@ -12,19 +12,14 @@ import math
 
 import numpy as np
 
-from .geometry import FrenetPoint, ReferencePath, frenet_to_cartesian
+from .geometry import (FrenetPoint, ReferencePath, frenet_to_cartesian,
+                       wrap_angle)
 from .planner import PlannedTrajectory
-from .tracker import VehicleState
-
-
-class HorizonExhausted(Exception):
-    """The query time runs past the end of the planned trajectory."""
 
 
 def _interp_angle(a0: float, a1: float, w: float) -> float:
     """Linear interpolation along the shortest angular arc."""
-    diff = (a1 - a0 + math.pi) % (2.0 * math.pi) - math.pi
-    return a0 + w * diff
+    return a0 + w * wrap_angle(a1 - a0)
 
 
 def _sample(traj: PlannedTrajectory, t: float):
@@ -44,26 +39,24 @@ def _sample(traj: PlannedTrajectory, t: float):
 
 
 def resample(traj: PlannedTrajectory, path: ReferencePath, t_query: float,
-             N_P: int, T_sMPC: float, wheelbase: float = 2.7):
-    """Reference states for one controller tick: N_P + 1 samples starting at
-    t_query, spaced T_sMPC apart.
+             N_P: int, T_sMPC: float, wheelbase: float = 2.7) -> np.ndarray:
+    """Reference for one controller tick: the (N_P + 1, 5) array of
+    (x, y, theta, v, delta) at N_P + 1 times from t_query, T_sMPC apart.
 
-    Raises HorizonExhausted when the requested window runs past the planned
-    horizon, signalling a missed planner deadline.
+    Raises ValueError when the window does not lie inside the trajectory.
+    Validation (``tracker.check_hierarchy``) makes every plan reach past
+    the last tick of its instance, so the closed loop never does this.
     """
-    if t_query < traj.t0 - 1e-9:
-        raise ValueError(f"t_query={t_query:.3f} precedes trajectory start "
-                         f"{traj.t0:.3f}")
     t_last = t_query + N_P * T_sMPC
-    if t_last > traj.t_end + 1e-9:
-        raise HorizonExhausted(
-            f"reference window end {t_last:.3f}s exceeds trajectory end "
-            f"{traj.t_end:.3f}s")
+    if t_query < traj.t0 - 1e-9 or t_last > traj.t_end + 1e-9:
+        raise ValueError(
+            f"reference window [{t_query:.3f}, {t_last:.3f}] s is not inside "
+            f"the trajectory's [{traj.t0:.3f}, {traj.t_end:.3f}] s")
     s, d, psi, nu, omega = zip(*(_sample(traj, t_query + k * T_sMPC)
                                  for k in range(N_P + 1)))
     s = np.clip(s, 0.0, path.length)
     p = frenet_to_cartesian(path, FrenetPoint(s=s, d=np.array(d)))
-    refs = []
+    rows = []
     for x, y, heading, kappa_path, psi_k, nu_k, omega_k in zip(
             p.x.tolist(), p.y.tolist(), path.heading(s).tolist(),
             path.curvature(s).tolist(), psi, nu, omega):
@@ -72,7 +65,6 @@ def resample(traj: PlannedTrajectory, path: ReferencePath, t_query: float,
         # path tangent rotation rate s_dot * kappa
         kappa_traj = ((omega_k + kappa_path * nu_k * math.cos(psi_k))
                       / max(nu_k, 0.3))
-        refs.append(VehicleState(x=x, y=y, theta=psi_k + heading,
-                                 v=max(nu_k, 0.0),
-                                 delta=math.atan(wheelbase * kappa_traj)))
-    return refs
+        rows.append((x, y, psi_k + heading, max(nu_k, 0.0),
+                     math.atan(wheelbase * kappa_traj)))
+    return np.array(rows)

@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FrenetPoint, cartesian_to_frenet, frenet_to_cartesian
-from .planner import (EgoModelState, EmptyTerminalSet, Infeasible,
-                      decision_label, safe_stop_trajectory, solve_ltp)
+from .geometry import (FrenetPoint, cartesian_to_frenet, frenet_to_cartesian,
+                       wrap_angle)
+from .planner import (EgoModelState, Infeasible, decision_label,
+                      safe_stop_trajectory, solve_ltp)
 from .prediction import ObstacleState, propagate_obstacle
-from .resampler import HorizonExhausted, resample
+from .resampler import resample
 from .scenario import Scenario
 from .tracker import (Infeasible as TrackerInfeasible, VehicleState,
                       bicycle_step, max_braking_input, solve_nmpc)
@@ -31,7 +32,6 @@ class EventKind(str, enum.Enum):
 
     PLANNER_FALLBACK = "planner_fallback"
     TRACKER_INFEASIBLE = "tracker_infeasible"
-    HORIZON_EXHAUSTED = "horizon_exhausted"
     COLLISION_MARGIN = "collision_margin"
 
 
@@ -107,8 +107,7 @@ def perceive(ego_chi, actors, path, pcfg, sensor_range):
     planner's state box, and the forecasts of the actors within sensor
     range.  Returns (xi0, forecasts, sensed actor ids)."""
     q = cartesian_to_frenet(path, (ego_chi.x, ego_chi.y))
-    psi = (ego_chi.theta - float(path.heading(q.s)) + math.pi) \
-        % (2.0 * math.pi) - math.pi
+    psi = wrap_angle(ego_chi.theta - float(path.heading(q.s)))
     xi0 = EgoModelState(
         s=q.s,
         d=float(np.clip(q.d, path.right_edge_offset + pcfg.d_margin,
@@ -146,7 +145,7 @@ def _plan_instance(t, ego_chi, actors, path, pcfg, potentials_cfg, tvapf,
         traj = solve_ltp(xi0, forecasts, path, pcfg,
                          potentials_cfg=potentials_cfg, tvapf=tvapf,
                          warm_start=warm, t0=t, alpha_prev=a_applied)
-    except (Infeasible, EmptyTerminalSet) as exc:
+    except Infeasible as exc:
         log.event(t, EventKind.PLANNER_FALLBACK, str(exc))
         traj = safe_stop_trajectory(xi0, pcfg, t0=t,
                                     alpha_prev=a_applied or 0.0)
@@ -171,8 +170,9 @@ def _plan_instance(t, ego_chi, actors, path, pcfg, potentials_cfg, tvapf,
 
 def run(scenario: Scenario) -> RunLog:
     """Execute the closed loop and return the full run log.  The start-up
-    checks (grid ratios, controller hierarchy, lane centering) ran when
-    ``scenario.from_dict`` built the scenario."""
+    checks (grid ratios, controller hierarchy and horizon, lane centering)
+    ran when ``scenario.from_dict`` built the scenario, so every plan covers
+    its ticks and a tick fails only when the tracker refuses its solve."""
     path = scenario.build_path()
     pcfg = scenario.planner_config()
     tcfg = scenario.tracker_config()
@@ -192,13 +192,7 @@ def run(scenario: Scenario) -> RunLog:
               for a in scenario.actors]
     log = RunLog(actor_ids=[a.spec.id for a in actors])
 
-    traj = None
-    traj_id = -1
-    u_applied = np.zeros(2)
-    u_prev = None
-    u_guess = None
-    sigma = 0.0
-    err = np.zeros(4)
+    traj = u_applied = u_guess = None
     collided = set()
 
     for n in range(n_steps):
@@ -209,51 +203,38 @@ def run(scenario: Scenario) -> RunLog:
             traj, _ = _plan_instance(
                 t, chi, actors, path, pcfg, potentials_cfg, tvapf,
                 sensor_range, traj, log,
-                a_applied=None if u_prev is None else float(u_prev[0]))
-            traj_id += 1
+                a_applied=None if u_applied is None else float(u_applied[0]))
 
-        # tracker tick; the instance at step 0 has published a trajectory
+        # tracker tick on the plan of the latest instance
         if n % steps_per_tick == 0:
+            ref = resample(traj, path, t, tcfg.N_P, tcfg.T_sMPC,
+                           wheelbase=tcfg.wheelbase)
+            err = chi.as_array()[:4] - ref[0, :4]
+            err[2] = wrap_angle(err[2])
             try:
-                refs = resample(traj, path, t, tcfg.N_P, tcfg.T_sMPC,
-                                wheelbase=tcfg.wheelbase)
-                ref0 = refs[0].as_array()
-                try:
-                    sol = solve_nmpc(chi, [r.as_array() for r in refs], tcfg,
-                                     u_prev=u_prev, u_guess=u_guess)
-                    u_applied = sol.u0
-                    sigma = sol.sigma
-                    u_guess = np.vstack([sol.inputs[1:], sol.inputs[-1:]])
-                except TrackerInfeasible as exc:
-                    log.event(t, EventKind.TRACKER_INFEASIBLE, str(exc))
-                    e0 = chi.as_array() - ref0
-                    inside = (abs(e0[0]) <= tcfg.e_pos
-                              and abs(e0[1]) <= tcfg.e_pos
-                              and abs(e0[3]) <= tcfg.e_v)
-                    if inside and u_guess is not None:
-                        # error still inside the contract box: hold the
-                        # shifted plan from the previous tick instead of
-                        # braking, which would only widen the error
-                        u_applied = u_guess[0].copy()
-                        if u_prev is not None:
-                            lo = u_prev[0] - tcfg.delta_a_max
-                            hi = u_prev[0] + tcfg.delta_a_max
-                            u_applied[0] = min(max(u_applied[0], lo), hi)
-                        u_guess = np.vstack([u_guess[1:], u_guess[-1:]])
-                    else:
-                        u_applied = max_braking_input(u_prev, tcfg)
-                        u_guess = None
-                    sigma = math.nan
-            except HorizonExhausted as exc:
-                log.event(t, EventKind.HORIZON_EXHAUSTED, str(exc))
-                u_applied = max_braking_input(u_prev, tcfg)
+                sol = solve_nmpc(chi, ref, tcfg, u_prev=u_applied,
+                                 u_guess=u_guess)
+                u_applied = sol.u0
+                sigma = sol.sigma
+                u_guess = np.vstack([sol.inputs[1:], sol.inputs[-1:]])
+            except TrackerInfeasible as exc:
+                log.event(t, EventKind.TRACKER_INFEASIBLE, str(exc))
+                inside = (abs(err[0]) <= tcfg.e_pos
+                          and abs(err[1]) <= tcfg.e_pos
+                          and abs(err[3]) <= tcfg.e_v)
+                if inside and u_guess is not None:
+                    # error inside the contract box: hold the previous
+                    # tick's shifted plan, rate-limited around the applied
+                    # input; braking would only widen the error
+                    lo = u_applied[0] - tcfg.delta_a_max
+                    hi = u_applied[0] + tcfg.delta_a_max
+                    u_applied = u_guess[0].copy()
+                    u_applied[0] = min(max(u_applied[0], lo), hi)
+                    u_guess = np.vstack([u_guess[1:], u_guess[-1:]])
+                else:
+                    u_applied = max_braking_input(u_applied, tcfg)
+                    u_guess = None
                 sigma = math.nan
-                ref0 = chi.as_array()
-                u_guess = None
-            u_prev = u_applied
-            e = chi.as_array() - ref0
-            e[2] = (e[2] + math.pi) % (2.0 * math.pi) - math.pi
-            err = e[:4]
 
         # log the state at time t with the input applied over [t, t+h)
         gaps = []
@@ -275,7 +256,7 @@ def run(scenario: Scenario) -> RunLog:
             "time": t, "ego_x": chi.x, "ego_y": chi.y, "ego_theta": chi.theta,
             "ego_v": chi.v, "ego_delta": chi.delta,
             "u_a": float(u_applied[0]), "u_w": float(u_applied[1]),
-            "traj_id": traj_id, "sigma": sigma,
+            "traj_id": len(log.instances) - 1, "sigma": sigma,
             "err_x": float(err[0]), "err_y": float(err[1]),
             "err_theta": float(err[2]), "err_v": float(err[3]),
             "min_gap": min_gap,

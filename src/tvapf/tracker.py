@@ -26,6 +26,7 @@ import numpy as np
 import scipy.optimize
 
 from .dynamics import rk4, rk4_jacobians, rollout
+from .geometry import wrap_angle
 from .planner import PlannerConfig
 from .potentials import ConfigError
 
@@ -98,7 +99,9 @@ class TrackerConfig:
 
 def check_hierarchy(tcfg: TrackerConfig, pcfg: PlannerConfig) -> None:
     """Verify the controller's admissible sets sit strictly inside the
-    planner's, so every planned trajectory stays trackable."""
+    planner's, so every planned trajectory stays trackable, and that every
+    plan covers the reference windows of its instance's ticks, the last of
+    which ends (N_P - 1) T_sMPC after the next instance."""
     if not (pcfg.alpha_min < tcfg.a_min and tcfg.a_max < pcfg.alpha_max):
         raise ConfigError(
             f"tracker acceleration box [{tcfg.a_min}, {tcfg.a_max}] is not a "
@@ -117,6 +120,12 @@ def check_hierarchy(tcfg: TrackerConfig, pcfg: PlannerConfig) -> None:
         raise ConfigError(
             "planner jerk bound exceeds the tracker input-rate authority; "
             "reference acceleration ramps would be untrackable")
+    span = pcfg.N_L * pcfg.T_sL
+    need = pcfg.instance_period + (tcfg.N_P - 1) * tcfg.T_sMPC
+    if span < need - 1e-9:
+        raise ConfigError(
+            f"planner horizon N_L*T_sL = {span:g} s is shorter than "
+            f"instance_period + (N_P - 1)*T_sMPC = {need:g} s")
 
 
 # -- dynamics ---------------------------------------------------------------
@@ -157,10 +166,6 @@ def bicycle_step(chi: VehicleState, u, T: float,
     return VehicleState(*rk4(
         partial(_f, wheelbase), (chi.x, chi.y, chi.theta, chi.v, chi.delta),
         (float(u[0]), float(u[1])), T)[0])
-
-
-def _wrap(angle):
-    return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
 # -- NMPC program -----------------------------------------------------------
@@ -225,7 +230,7 @@ class _NmpcProgram:
         U = z[:2 * self.N].reshape(self.N, 2)
         X, Y = rollout(self._f, self.chi0, U.tolist(), self.cfg.T_sMPC)
         E = X - self.ref
-        E[:, 2] = _wrap(E[:, 2])
+        E[:, 2] = wrap_angle(E[:, 2])
         self._fwd_z, self._fwd = z, (U, X, Y, E)
         return self._fwd
 

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +257,35 @@ def test_run_shorter_than_a_plant_step_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _empty_road(tmp_path, duration):
+    data = json.loads((SCENARIO_DIR / "empty_road.json").read_text())
+    data["sim"]["duration"] = duration
+    return _write(tmp_path, "empty_road.json", data)
+
+
+@pytest.mark.parametrize("horizon", ["5", "13"])
+def test_horizon_shorter_than_an_instance_exits_2(tmp_path, capsys, horizon):
+    # a plan of N_L * T_sL = 2.5 or 6.5 s does not reach the window end of
+    # the instance's last tick, instance_period + (N_P - 1) * T_sMPC = 6.8 s
+    scn = _empty_road(tmp_path, 10.0)
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--dry-run", "--horizon", horizon]) == 2
+    assert main(["run", str(scn), "--out", str(out),
+                 "--horizon", horizon]) == 2
+    err = capsys.readouterr().err
+    assert err.count("scenario error: planner/tracker: planner horizon "
+                     f"N_L*T_sL = {int(horizon) / 2:g} s") == 2, err
+    assert "6.8 s" in err
+    assert not out.exists()
+
+
+def test_horizon_covering_an_instance_passes(tmp_path, capsys):
+    # 7 s covers the 6.8 s the ticks of one instance read
+    scn = _empty_road(tmp_path, 10.0)
+    assert main(["run", str(scn), "--dry-run", "--horizon", "14"]) == 0
+    assert json.loads(capsys.readouterr().out)["planner_config"]["N_L"] == 14
+
+
 def test_strict_exits_3_on_collision_margin(oncoming_run):
     _, out, rc = oncoming_run
     summary = json.loads((out / "summary.json").read_text())
@@ -406,3 +438,30 @@ def test_plan_fallback_dumps_no_terminal_set(tmp_path, capsys):
 
 def test_plan_missing_scenario_exits_2(capsys):
     assert main(["plan", "/nonexistent.json"]) == 2
+
+
+def _plan_dump(tmp_path, threads):
+    """``tvapf plan overtake.json --at 0`` in a fresh process with the BLAS
+    pools at ``threads`` threads: the dump without its wall times."""
+    out = tmp_path / f"plan-{threads}.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
+               PYTHONPATH=str(Path(tvapf.__file__).parents[1]))
+    subprocess.run([sys.executable, "-m", "tvapf.cli", "plan",
+                    str(SCENARIO_DIR / "overtake.json"), "--at", "0",
+                    "--out", str(out)], env=env, check=True,
+                   capture_output=True)
+
+    def strip(node):
+        if isinstance(node, dict):
+            return {k: strip(v) for k, v in node.items() if k != "wall_time"}
+        if isinstance(node, list):
+            return [strip(v) for v in node]
+        return node
+    return strip(json.loads(out.read_text()))
+
+
+def test_plan_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the planner and its solver give the same instance on 1 and 2 threads;
+    # the thread dependence of run logs lies in the tracker's SLSQP
+    assert _plan_dump(tmp_path, 1) == _plan_dump(tmp_path, 2)

@@ -2,6 +2,8 @@
 the finite-horizon program, the braking fallback, and maneuver labeling."""
 
 import math
+import types
+import warnings
 from functools import partial
 
 import numpy as np
@@ -531,6 +533,38 @@ def test_hessian_symmetric_psd_and_exact_on_quadratic_terms(path, pot, tv):
         indefinite += int(np.sum((lam[:, 0] < -tiny) & (lam[:, 1] > tiny)))
     # the PSD projection of indefinite blocks was exercised
     assert indefinite > 0
+
+
+@pytest.mark.parametrize("a", [1.0, 1e4])
+@pytest.mark.parametrize("b", [1.6e-154, 1e-155, 1e-160, 1e-170])
+def test_hessian_keeps_the_positive_eigenpair_when_b_squared_underflows(
+        path, pot, tv, a, b):
+    """An indefinite obstacle block (a, b, -1) with b * b below the normal
+    range projects onto a v v' with v along s."""
+    cfg = PlannerConfig(N_L=10, instance_period=5.0)
+    N = cfg.N_L
+    xi0 = EgoModelState(300.0, -2.0, 0.0, 8.33)
+    states = np.empty((N + 1, 4))
+    states[0] = xi0.as_array()
+    for j in range(N):
+        states[j + 1] = states[j] + cfg.T_sL * np.array(
+            [states[j, 3], 0.0, 0.0, 0.0])
+    box = TerminalBox(s_max=400.0, d_center=-2.0, eps_d=0.5, eps_psi=0.1,
+                      nu_max=5.0)
+    prog = _LtpProgram(xi0, [], path, cfg, pot, tv, states,
+                       np.zeros((N, 2)), box, alpha_prev=0.1)
+    # the multiplier K_o times the stub curvature is the block (a, b, -1)
+    prog.field = types.SimpleNamespace(curvature=lambda s, d: (
+        np.full(N, a / cfg.K_o), np.full(N, b / cfg.K_o),
+        np.full(N, -1.0 / cfg.K_o)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        H = prog.hessian(prog.z0, None, None).toarray()
+    assert np.all(np.isfinite(H))
+    eig = np.linalg.eigvalsh(H)
+    assert eig[0] >= -1e-12 * eig[-1]
+    i_s = 4 * np.arange(N)
+    np.testing.assert_allclose(H[i_s, i_s], a, rtol=1e-12)
 
 
 # -- decision labels on hand-built trajectories -------------------------------

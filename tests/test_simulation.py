@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from tvapf import simulation
-from tvapf.scenario import ActorSpec
+from tvapf import scenario as scenario_mod
+from tvapf.scenario import ActorSpec, ScenarioError
 from tvapf.simulation import ActorRuntime, run, step_actor, summarize
 from tvapf.tracker import Infeasible as TrackerInfeasible, max_braking_input
 
@@ -82,6 +83,20 @@ def test_empty_road_run_is_clean(empty_road_run, empty_road_scenario):
     sig = np.array([r["sigma"] for r in log.steps])
     assert np.nanmax(sig) <= 1e-3
     assert not log.actor_ids
+
+
+def test_shortest_accepted_horizon_runs_clean(empty_road_scenario):
+    # N_L * T_sL = 7 s: the last tick of an instance reads its plan up to
+    # instance_period + (N_P - 1) * T_sMPC = 6.8 s
+    data = empty_road_scenario.to_dict()
+    data["planner"]["N_L"] = 14
+    data["sim"]["duration"] = 10.0
+    log = run(scenario_mod.from_dict(data))
+    assert len(log.instances) == 2
+    assert log.events == []
+    data["planner"]["N_L"] = 13
+    with pytest.raises(ScenarioError, match="planner/tracker"):
+        scenario_mod.from_dict(data)
 
 
 def test_empty_road_instances(empty_road_run):

@@ -82,6 +82,7 @@ def test_hierarchy_default_configs_compatible(cfg):
     {"yaw_rate_max": 0.09},    # yaw-rate limit above planner heading rate
     {"a_max": 0.7},            # cannot cover the planner's margin-reduced box
     {"delta_a_max": 0.05},     # cannot follow planner acceleration ramps
+    {"N_P": 200},              # windows run past the plan before the next
 ])
 def test_hierarchy_violations(cfg, override):
     with pytest.raises(ConfigError):
