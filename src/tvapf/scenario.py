@@ -170,7 +170,8 @@ SCHEMA = {
                                           _NUMBER)},
     "tracker": {"T_sMPC": _NUMBER, "N_P": _INT, "rho": _NUMBER,
                 "wheelbase": _NUMBER, "Q": Key("numbers", lo=0.0, size=5),
-                "R": Key("numbers", lo=0.0, size=2)},
+                # R > 0: the smallest positive float
+                "R": Key("numbers", lo=math.ulp(0.0), size=2)},
     "sim": {"duration": Key(lo=0.1, default=60.0),
             "plant_step": Key(lo=1e-4, hi=1.0, default=0.02),
             "sensor_range": Key(lo=1.0, default=300.0),

@@ -12,17 +12,27 @@ objective and the constraint values never touch derivatives.  When SLSQP
 asks for the gradient or the constraint Jacobian, the step Jacobians of the
 whole horizon follow from those stage points in one batched chain rule
 (``dynamics.rk4_jacobians``) and are chained into the sensitivities dX/du.
+
+SLSQP restarts its quasi-Newton matrix at the identity on every tick, but
+the tracking cost is a weighted least-squares sum whose Gauss-Newton Hessian
+H = 2 sum_k S_k^T Q S_k + 2R (2 rho on the slack), built from the
+sensitivities S_k at the warm start, is far from it.  So SLSQP works on
+preconditioned variables y = L^T z, where H = L L^T (R > 0 keeps H positive
+definite): its identity start is then H itself.  The objective and the
+constraints are evaluated at z = L^-T y, their gradients map through L^-T,
+the variable box becomes linear rows of the one inequality constraint, and
+the solution maps back to z before the violation check.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .dynamics import rk4, rk4_jacobians, rollout
@@ -85,8 +95,11 @@ class TrackerConfig:
     def __post_init__(self):
         if self.T_sMPC <= 0 or self.N_P < 1 or self.wheelbase <= 0:
             raise ConfigError("invalid horizon or wheelbase")
-        if any(q < 0 for q in self.Q) or any(r < 0 for r in self.R):
-            raise ConfigError("Q and R entries must be non-negative")
+        # R > 0 keeps the Gauss-Newton Hessian that solve_nmpc factors
+        # positive definite
+        if any(q < 0 for q in self.Q) or any(r <= 0 for r in self.R):
+            raise ConfigError("Q entries must be non-negative and R entries "
+                              "positive")
         if self.rho <= 0:
             raise ConfigError("slack penalty must be positive")
         if not (self.a_min < 0 < self.a_max) or self.w_delta_max <= 0:
@@ -266,6 +279,14 @@ class _NmpcProgram:
         g[-1] = 2.0 * self.cfg.rho * z[-1]
         return g
 
+    def gauss_newton(self, z):
+        """Gauss-Newton Hessian of the objective at z: 2 sum_k S_k^T Q S_k
+        + 2R on the inputs and 2 rho on sigma."""
+        S = self._sensitivities(z)[1:].reshape(-1, 2 * self.N)
+        H = np.diag(2.0 * np.append(np.tile(self.R, self.N), self.cfg.rho))
+        H[:-1, :-1] += 2.0 * (S.T @ (np.tile(self.Q, self.N)[:, None] * S))
+        return H
+
     # inequality constraints h(z) <= 0
     def ineq_constraints(self, z):
         U, X, _, E = self._forward(z)
@@ -331,20 +352,29 @@ def solve_nmpc(chi0: VehicleState, ref, cfg: TrackerConfig,
         z0 = np.concatenate([np.asarray(u_guess, dtype=float).ravel(), [0.0]])
     lb, ub = prog.bounds()
     z0 = np.clip(z0, lb, ub)
+    # SLSQP runs on y = L^T z, L L^T the Gauss-Newton Hessian at z0, so its
+    # identity start is that Hessian; z = M y with M = L^-T, and the box
+    # becomes linear rows (sigma has no upper bound)
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        # SLSQP probes slightly outside the variable bounds and clips back;
-        # the warning it emits for that is routine here
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = scipy.optimize.minimize(
-            prog.objective, z0, jac=prog.gradient, method="SLSQP",
-            bounds=list(zip(lb, ub)),
-            constraints=[{"type": "ineq",
-                          "fun": lambda zz: -prog.ineq_constraints(zz),
-                          "jac": lambda zz: -prog.ineq_jacobian(zz)}],
-            options={"maxiter": cfg.max_iter, "ftol": 1e-9})
+    L = np.linalg.cholesky(prog.gauss_newton(z0))
+    M = scipy.linalg.solve_triangular(L, np.eye(prog.n), lower=True).T
+    box_jac = np.concatenate([-M[:-1], M])
+
+    def ineq(y):
+        z = M @ y
+        return np.concatenate([-prog.ineq_constraints(z), ub[:-1] - z[:-1],
+                               z - lb])
+
+    result = scipy.optimize.minimize(
+        lambda y: prog.objective(M @ y), L.T @ z0,
+        jac=lambda y: M.T @ prog.gradient(M @ y), method="SLSQP",
+        constraints=[{"type": "ineq", "fun": ineq,
+                      "jac": lambda y: np.concatenate([
+                          -prog.ineq_jacobian(M @ y) @ M, box_jac])}],
+        options={"maxiter": cfg.max_iter, "ftol": 1e-9})
     wall = time.perf_counter() - t0
-    viol = float(np.max(np.maximum(prog.ineq_constraints(result.x), 0.0),
+    z = M @ result.x
+    viol = float(np.max(np.maximum(prog.ineq_constraints(z), 0.0),
                         initial=0.0))
     if result.success and viol <= 1e-6:
         status = "optimal"
@@ -355,7 +385,7 @@ def solve_nmpc(chi0: VehicleState, ref, cfg: TrackerConfig,
     else:
         raise Infeasible(
             f"tracker tick: {result.message}, violation {viol:.2e}")
-    U = result.x[:2 * cfg.N_P].reshape(cfg.N_P, 2)
+    U = z[:2 * cfg.N_P].reshape(cfg.N_P, 2)
     np.clip(U[:, 0], cfg.a_min, cfg.a_max, out=U[:, 0])
     np.clip(U[:, 1], -cfg.w_delta_max, cfg.w_delta_max, out=U[:, 1])
     X = rollout(prog._f, prog.chi0, U.tolist(), cfg.T_sMPC)[0]
@@ -363,7 +393,7 @@ def solve_nmpc(chi0: VehicleState, ref, cfg: TrackerConfig,
         u0=U[0].copy(),
         predicted=tuple(VehicleState.from_array(x) for x in X),
         inputs=U,
-        sigma=float(max(result.x[-1], 0.0)),
+        sigma=float(max(z[-1], 0.0)),
         stats={
             "status": status,
             "iterations": int(result.nit),

@@ -1,7 +1,7 @@
 """Shared fixtures.
 
-The bundled overtake scenario takes about 7 s of wall clock to simulate
-(6.8-7.3 s over three runs with the default BLAS threads, 6.6-7.5 s over
+The bundled overtake scenario takes about 5 s of wall clock to simulate
+(4.7-5.8 s over three runs with the default BLAS threads, 4.4-4.7 s over
 three with BLAS pinned to one thread, on a shared 2-core x86-64 host), so
 the closed-loop run is executed once per session and shared by every test
 that inspects it.

@@ -105,6 +105,7 @@ def _set(key, value):
     (_set("ego.x0", "x"), "ego.x0"),
     (_set("planner.N_L", 70.5), "planner.N_L"),
     (_set("tracker.N_P", 10.0), "tracker.N_P"),
+    (_set("tracker.R", [0.0, 0.05]), "tracker.R[0]"),
     (_set("planner.N_l", 70), "planner: unknown keys ['N_l']"),
     (_set("sim.durration", 60.0), "sim: unknown keys ['durration']"),
     (_set("path.lane_count", 2.5), "path.lane_count"),
@@ -132,7 +133,7 @@ def _set(key, value):
 ], ids=["v_bounds_string", "v_bounds_scalar", "direction_string",
         "actor_not_mapping", "script_entry_not_mapping", "ego_not_mapping",
         "Q_short", "duplicate_id", "x0_string", "N_L_float", "N_P_float",
-        "N_L_misspelt", "duration_misspelt", "lane_count_float",
+        "R_zero", "N_L_misspelt", "duration_misspelt", "lane_count_float",
         "K_v_bool", "c_float", "terminal_not_mapping",
         "alpha_min_above_tracker", "K_l_zero", "edge_value_one",
         "edge_value_above_one", "edge_value_zero", "K_o_infinite",

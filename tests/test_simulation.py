@@ -172,6 +172,23 @@ def test_tracker_failure_without_guess_brakes(empty_road_scenario,
         [(0.0, "tracker_infeasible")]
 
 
+def test_one_refused_tick_without_guess_fails_until_the_next_instance(
+        empty_road_scenario, monkeypatch):
+    # braking at max_braking_input widens err_v beyond e_v while the
+    # reference accelerates, so every tick of the instance refuses; the next
+    # instance plans from the braked state and the loop recovers
+    log, _ = _run_with_failing_ticks(empty_road_scenario, monkeypatch, 30,
+                                     {0})
+    tcfg = empty_road_scenario.tracker_config()
+    period = empty_road_scenario.planner_config().instance_period
+    failed = [e["t"] for e in log.events if e["kind"] == "tracker_infeasible"]
+    assert len(log.events) == len(failed) == 25  # t = 0, 0.2, .., 4.8 s
+    assert max(failed) < period
+    assert min(r["err_v"] for r in log.steps) < -tcfg.e_v
+    assert not any(math.isnan(r["sigma"]) for r in log.steps
+                   if r["time"] >= period)
+
+
 @pytest.mark.parametrize("jump", [0.0, 1.0, -1.0])
 def test_tracker_failure_inside_the_box_holds_the_shifted_plan(
         empty_road_scenario, monkeypatch, jump):

@@ -3,20 +3,41 @@ against the planner, and the per-tick NMPC solve."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import warnings
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+import tvapf
+from tvapf.dynamics import rollout
 from tvapf.planner import PlannerConfig
 from tvapf.potentials import ConfigError
 from tvapf.tracker import (Infeasible, TrackerConfig, VehicleState,
-                           bicycle_step, check_hierarchy, max_braking_input,
-                           solve_nmpc)
+                           _f, _NmpcProgram, bicycle_step, check_hierarchy,
+                           max_braking_input, solve_nmpc)
 
 
 @pytest.fixture(scope="module")
 def cfg():
     return TrackerConfig()
+
+
+def _lane_change_tick(cfg):
+    """(chi0, reference, u_prev) of a tick whose reference bends: the single
+    track's own rollout from 8 m/s under 0.3 m/s^2 and a steering-rate wave,
+    the window of a lane change, with the ego 0.15 m off it and slower."""
+    k = np.arange(cfg.N_P)
+    U = np.stack([np.full(cfg.N_P, 0.3),
+                  0.02 * np.sin(2 * np.pi * k / cfg.N_P)], axis=1)
+    ref = rollout(partial(_f, cfg.wheelbase), [0.0, 0.0, 0.0, 8.0, 0.0],
+                  U.tolist(), cfg.T_sMPC)[0]
+    return VehicleState(0.0, 0.15, 0.0, 7.9, 0.0), ref, np.array([0.3, 0.0])
 
 
 def _straight_ref(cfg, v=8.0, a=0.0):
@@ -64,6 +85,8 @@ def test_config_validation():
         TrackerConfig(T_sMPC=0.0)
     with pytest.raises(ConfigError):
         TrackerConfig(Q=(1, 1, 1, -1, 1))
+    with pytest.raises(ConfigError):
+        TrackerConfig(R=(0.0, 0.05))  # the Gauss-Newton Hessian needs R > 0
     with pytest.raises(ConfigError):
         TrackerConfig(rho=0.0)
     with pytest.raises(ConfigError):
@@ -160,3 +183,90 @@ def test_solution_determinism(cfg):
     b = solve_nmpc(chi0, _straight_ref(cfg), cfg, u_prev=np.zeros(2))
     assert np.array_equal(a.inputs, b.inputs)
     assert a.sigma == b.sigma
+
+
+def _plain_slsqp(prog):
+    """SLSQP on the program's own variables from z = 0, its quasi-Newton
+    matrix started at the identity: the reference for the preconditioned
+    solve."""
+    lb, ub = prog.bounds()
+    with warnings.catch_warnings():
+        # SLSQP probes slightly outside the variable bounds and clips back
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return scipy.optimize.minimize(
+            prog.objective, np.zeros(prog.n), jac=prog.gradient,
+            method="SLSQP",
+            bounds=list(zip(lb, ub)),
+            constraints=[{"type": "ineq",
+                          "fun": lambda z: -prog.ineq_constraints(z),
+                          "jac": lambda z: -prog.ineq_jacobian(z)}],
+            options={"maxiter": prog.cfg.max_iter, "ftol": 1e-9})
+
+
+def test_preconditioned_solve_matches_plain_slsqp_in_fewer_iterations(cfg):
+    chi0, ref, u_prev = _lane_change_tick(cfg)
+    sol = solve_nmpc(chi0, ref, cfg, u_prev=u_prev)
+    prog = _NmpcProgram(chi0.as_array(), ref, cfg, u_prev)
+    plain = _plain_slsqp(prog)
+    assert plain.success
+    assert np.max(prog.ineq_constraints(plain.x)) <= 1e-6
+    assert sol.stats["status"] == "optimal"
+    assert np.abs(sol.u0 - plain.x[:2]).max() <= 1e-5
+    assert sol.stats["iterations"] < plain.nit
+
+
+def test_gauss_newton_hessian_matches_central_differences(cfg):
+    chi0, ref, u_prev = _lane_change_tick(cfg)
+    prog = _NmpcProgram(chi0.as_array(), ref, cfg, u_prev)
+    z = np.append(np.tile([0.2, 0.01], cfg.N_P), 0.3)
+
+    def residuals(w):
+        return (np.sqrt(prog.Q) * prog._forward(w)[3][1:]).ravel()
+
+    h = 1e-6
+    Jr = np.column_stack([
+        (residuals(z + h * e) - residuals(z - h * e)) / (2.0 * h)
+        for e in np.eye(prog.n)])
+    expected = 2.0 * Jr.T @ Jr + np.diag(
+        2.0 * np.append(np.tile(prog.R, cfg.N_P), cfg.rho))
+    assert np.allclose(prog.gauss_newton(z), expected, rtol=1e-6, atol=1e-6)
+
+
+_CAPTURE_START = """
+import hashlib, sys
+import numpy as np, scipy.optimize
+sys.path.insert(0, {tests!r})
+from test_tracker import _lane_change_tick
+from tvapf.tracker import TrackerConfig, solve_nmpc
+
+minimize = scipy.optimize.minimize
+seen = []
+
+
+def capture(fun, y0, jac, constraints, **kwargs):
+    # y0 = L^T z0 carries the factor, the box rows of the Jacobian carry M
+    seen.append(y0.tobytes() + constraints[0]["jac"](y0).tobytes())
+    return minimize(fun, y0, jac=jac, constraints=constraints, **kwargs)
+
+
+scipy.optimize.minimize = capture
+cfg = TrackerConfig()
+chi0, ref, u_prev = _lane_change_tick(cfg)
+solve_nmpc(chi0, ref, cfg, u_prev=u_prev, u_guess=np.full((cfg.N_P, 2), 0.1))
+print(hashlib.sha256(seen[0]).hexdigest())
+"""
+
+
+def _start_digest(threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
+               PYTHONPATH=str(Path(tvapf.__file__).parents[1]))
+    code = _CAPTURE_START.format(tests=str(Path(__file__).parent))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_preconditioner_does_not_depend_on_the_blas_thread_count():
+    # the factor L and M = L^-T of one tick, as SLSQP receives them, have
+    # the same bytes on 1 and 2 BLAS threads
+    assert _start_digest(1) == _start_digest(2)
