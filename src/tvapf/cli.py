@@ -115,22 +115,24 @@ def cmd_run(args) -> int:
 
 
 def _scene_at(scn: Scenario, t: float):
-    """Road, ego state, actors and scene time at the plant step nearest t;
-    for t > 0 the closed loop is replayed up to and including that step."""
+    """Road, ego state, actors, scene time and the longitudinal input
+    applied just before, at the plant step nearest t; for t > 0 the closed
+    loop is replayed up to and including that step.  The input is None at
+    t = 0, where no tracker tick has run."""
     path = scn.build_path()
     h = float(scn.sim["plant_step"])
     n = int(round(t / h))
     if n == 0:
         actors = [ActorRuntime(spec=a, s=a.s0, d=a.d0, v=a.v0)
                   for a in scn.actors]
-        return path, initial_ego_state(scn, path), actors, 0.0
+        return path, initial_ego_state(scn, path), actors, 0.0, None
     log = run(replace(scn, sim={**scn.sim, "duration": (n + 1) * h}))
     row = log.steps[n]
     chi = VehicleState(x=row["ego_x"], y=row["ego_y"], theta=row["ego_theta"],
                        v=row["ego_v"], delta=row["ego_delta"])
     actors = [ActorRuntime(spec=a, s=row[f"{a.id}_s"], d=row[f"{a.id}_d"],
                            v=row[f"{a.id}_v"]) for a in scn.actors]
-    return path, chi, actors, row["time"]
+    return path, chi, actors, row["time"], log.steps[n - 1]["u_a"]
 
 
 def cmd_plan(args) -> int:
@@ -143,12 +145,12 @@ def cmd_plan(args) -> int:
         return 2
     pcfg = scn.planner_config()
     tvapf = scn.tvapf_params()
-    path, chi, actors, t0 = _scene_at(scn, args.at)
-    # the closed loop's instance, cold: no warm start, no applied input
+    path, chi, actors, t0, a_applied = _scene_at(scn, args.at)
+    # the closed loop's instance, anchored to the input the loop applied
     log = RunLog()
     traj, forecasts = _plan_instance(
         t0, chi, actors, path, pcfg, scn.potential_config(), tvapf,
-        float(scn.sim["sensor_range"]), None, log)
+        float(scn.sim["sensor_range"]), log, a_applied=a_applied)
     for event in log.events:
         print(f"planner fallback: {event['message']}", file=sys.stderr)
 

@@ -7,12 +7,13 @@ discretization).  Static potentials shape speed and lane preference, the
 time-varying obstacle fields enter both as a weighted cost and as hard
 inequality constraints, and a safe-stop terminal set guarantees a feasible
 braking continuation behind the nearest same-lane leader.  ``solve_ltp``
-poses the program for up to two terminal sets: ``stay`` stops behind the
-nearest leader in the ego lane (or at the path end), and ``pass``, posed only
-when that bound falls short of the horizon's reach, stops behind the next
-leader from a guess that overtakes it.  The cheaper feasible solution is
-published; within each program the lane change, the following distance and
-the braking profile emerge from one continuous optimization.
+poses the program for up to two terminal sets, each solved cold from its own
+guess: ``stay`` stops behind the nearest leader in the ego lane from a guess
+that follows it, or at the path end from a coasting guess, and ``pass``,
+posed only when that bound falls short of the horizon's reach, stops behind
+the next leader from a guess that overtakes it.  The cheaper feasible
+solution is published; within each program the lane change, the following
+distance and the braking profile emerge from one continuous optimization.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ class ControlInput:
 
     alpha: float
     omega: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.omega])
 
 
 @dataclass(frozen=True)
@@ -125,10 +123,6 @@ class PlannerConfig:
             raise ValueError("terminal box tolerances must be positive")
         if not (math.isfinite(self.K_o) and self.K_o >= 0):
             raise ValueError("K_o must be finite and non-negative")
-
-    @property
-    def shift_steps(self) -> int:
-        return int(round(self.instance_period / self.T_sL))
 
 
 @dataclass(frozen=True)
@@ -249,9 +243,7 @@ def _lane_leaders(forecasts, path: ReferencePath, xi0: EgoModelState):
 
 
 def _terminal_box(leaders, cfg: PlannerConfig, path: ReferencePath,
-                  xi0: EgoModelState, d_center: float | None) -> TerminalBox:
-    if d_center is None:
-        d_center = path.rightmost_lane_center
+                  xi0: EgoModelState) -> TerminalBox:
     D = braking_distance(cfg.nu_ter, cfg.tau, cfg.alpha_min, cfg.j_max)
     s_t = path.length
     for fc in leaders:
@@ -260,57 +252,23 @@ def _terminal_box(leaders, cfg: PlannerConfig, path: ReferencePath,
     if s_t < xi0.s:
         raise EmptyTerminalSet(
             f"safe-stop bound s_t={s_t:.2f} behind ego s={xi0.s:.2f}")
-    return TerminalBox(s_max=s_t, d_center=float(d_center), eps_d=cfg.eps_d,
-                       eps_psi=cfg.eps_psi, nu_max=cfg.nu_ter)
+    return TerminalBox(s_max=s_t, d_center=float(path.rightmost_lane_center),
+                       eps_d=cfg.eps_d, eps_psi=cfg.eps_psi, nu_max=cfg.nu_ter)
 
 
 def terminal_set(forecasts, cfg: PlannerConfig, path: ReferencePath,
-                 xi0: EgoModelState, d_center: float | None = None) -> TerminalBox:
+                 xi0: EgoModelState) -> TerminalBox:
     """Safe-stop box at the end of the horizon.
 
     The longitudinal bound s_t sits the ego stopping distance behind the
     lower edge of the end-of-horizon reachable set of the nearest leading
     obstacle in the ego lane; lateral/heading/speed bounds are fixed
-    tolerances around a stand-still in lane.
+    tolerances around a stand-still in the rightmost lane.
     """
-    return _terminal_box(_lane_leaders(forecasts, path, xi0), cfg, path, xi0,
-                         d_center)
+    return _terminal_box(_lane_leaders(forecasts, path, xi0), cfg, path, xi0)
 
 
-# -- initial guess / warm start --------------------------------------------
-
-
-def shift_warm_start(warm: PlannedTrajectory, cfg: PlannerConfig):
-    """Shift the previous solution by one instance period and pad by coasting.
-
-    Returns (states (N_L+1, 4), inputs (N_L, 2)) aligned with the new t0.
-    """
-    k = cfg.shift_steps
-    states = np.array([x.as_array() for x in warm.states])
-    inputs = np.array([u.as_array() for u in warm.inputs])
-    if k >= len(inputs):
-        k = len(inputs) - 1
-    states = states[k:]
-    inputs = inputs[k:]
-    pad = cfg.N_L - len(inputs)
-    if pad > 0:
-        coast = np.zeros((pad, 2))
-        tail = rollout(_f, states[-1], coast, cfg.T_sL)[0]
-        states = np.vstack([states, tail[1:]])
-        inputs = np.vstack([inputs, coast])
-    return states[:cfg.N_L + 1], inputs[:cfg.N_L]
-
-
-def _initial_guess(xi0: EgoModelState, cfg: PlannerConfig,
-                   warm_start: PlannedTrajectory | None):
-    if warm_start is not None and not warm_start.fallback:
-        states, inputs = shift_warm_start(warm_start, cfg)
-        states = states.copy()
-        states[0] = xi0.as_array()
-        return states, inputs
-    inputs = np.zeros((cfg.N_L, 2))
-    states = rollout(_f, xi0.as_array(), inputs, cfg.T_sL)[0]
-    return states, inputs
+# -- initial guesses --------------------------------------------------------
 
 
 def _follow_guess(xi0: EgoModelState, leader, box: TerminalBox,
@@ -682,20 +640,20 @@ class _LtpProgram:
 def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
               cfg: PlannerConfig, potentials_cfg: PotentialConfig,
               tvapf: TvapfParams | None = None,
-              warm_start: PlannedTrajectory | None = None,
+              warm_start: None = None,
               t0: float = 0.0,
               alpha_prev: float | None = None) -> PlannedTrajectory:
     """Solve one planner instance and return the published trajectory.
 
+    Each candidate solves cold from its own guess; ``warm_start`` is kept
+    only for callers that still pass it, and must be None.
     Raises Infeasible when no feasible trajectory exists (callers fall back
     to safe_stop_trajectory), as its subclass EmptyTerminalSet when the
     safe-stop bound already lies behind the ego.
     """
+    if warm_start is not None:
+        raise ValueError("solve_ltp solves cold: warm_start must be None")
     tvapf = tvapf or TvapfParams()
-    guess_states, guess_inputs = _initial_guess(xi0, cfg, warm_start)
-    d_center = None
-    if warm_start is not None and not warm_start.fallback:
-        d_center = path.lane_center(path.lane_index_of(guess_states[-1, 1]))
     leaders = _lane_leaders(forecasts, path, xi0)
 
     # Candidate terminal anchors.  The safe-stop bound must sit behind the
@@ -705,11 +663,12 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
     candidates = []
     box0 = None
     try:
-        box0 = _terminal_box(leaders, cfg, path, xi0, d_center)
-        if leaders and (warm_start is None or warm_start.fallback):
+        box0 = _terminal_box(leaders, cfg, path, xi0)
+        if leaders:
             g_s, g_i = _follow_guess(xi0, leaders[0], box0, cfg)
         else:
-            g_s, g_i = guess_states, guess_inputs
+            g_i = np.zeros((cfg.N_L, 2))
+            g_s = rollout(_f, xi0.as_array(), g_i, cfg.T_sL)[0]
         candidates.append(("stay", box0, g_s, g_i))
     except EmptyTerminalSet:
         pass
@@ -718,7 +677,7 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
         horizon_reach = xi0.s + cfg.v_max * cfg.N_L * cfg.T_sL
         if box0 is None or box0.s_max < horizon_reach:
             try:
-                box1 = _terminal_box(leaders[1:], cfg, path, xi0, None)
+                box1 = _terminal_box(leaders[1:], cfg, path, xi0)
             except EmptyTerminalSet:
                 box1 = None
             if box1 is not None and (box0 is None

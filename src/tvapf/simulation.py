@@ -132,19 +132,19 @@ def perceive(ego_chi, actors, path, pcfg, sensor_range):
 
 
 def _plan_instance(t, ego_chi, actors, path, pcfg, potentials_cfg, tvapf,
-                   sensor_range, warm, log, a_applied=None):
+                   sensor_range, log, a_applied=None):
     """The planner instance of ``run`` and ``tvapf plan`` at scene time t:
-    perceive, solve from the ``warm`` start with the first input anchored to
-    the tracker's ``a_applied`` (both None when cold), so the reference has
-    no jerk step the tracker cannot follow; on failure log the event and
-    publish safe-stop.  Appends the instance record to ``log`` and returns
-    the trajectory with the forecasts it was planned against."""
+    perceive, solve cold with the first input anchored to the tracker's
+    ``a_applied`` (None before the first tick), so the reference has no jerk
+    step the tracker cannot follow; on failure log the event and publish
+    safe-stop.  Appends the instance record to ``log`` and returns the
+    trajectory with the forecasts it was planned against."""
     xi0, forecasts, sensed = perceive(ego_chi, actors, path, pcfg,
                                       sensor_range)
     try:
         traj = solve_ltp(xi0, forecasts, path, pcfg,
                          potentials_cfg=potentials_cfg, tvapf=tvapf,
-                         warm_start=warm, t0=t, alpha_prev=a_applied)
+                         t0=t, alpha_prev=a_applied)
     except Infeasible as exc:
         log.event(t, EventKind.PLANNER_FALLBACK, str(exc))
         traj = safe_stop_trajectory(xi0, pcfg, t0=t,
@@ -202,7 +202,7 @@ def run(scenario: Scenario) -> RunLog:
         if n % steps_per_instance == 0:
             traj, _ = _plan_instance(
                 t, chi, actors, path, pcfg, potentials_cfg, tvapf,
-                sensor_range, traj, log,
+                sensor_range, log,
                 a_applied=None if u_applied is None else float(u_applied[0]))
 
         # tracker tick on the plan of the latest instance

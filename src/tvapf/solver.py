@@ -157,13 +157,15 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     heaviest regularization.
 
     The constants come from traces of all 259 planner solves of the
-    benchmark's overtake runs (seeds 0-4) and cold-start scenes (seeds 0-5):
-    the rule stops every blocked candidate by iteration 48 (median 25,
-    against 61 under the iteration cap it replaces) and cuts no solve that
-    ends optimal or at a feasible point.  The nearest miss is the t0 = 30 s
-    pass candidate of overtake seeds 1, 3 and 4: its violation sits at 0.95
-    for 14 iterations, falls to 0.55 at iteration 15 and the solve converges
-    at iteration 52-56, so a window of 13 or fewer would kill it.
+    benchmark's overtake runs (seeds 0-4) and cold-start scenes (seeds 0-5).
+    Without the rule, the 70 it stops (65 pass candidates, and overtake's
+    stay at t0 = 50 s, mid lane change) run to the 150-iteration cap with a
+    violation of 0.45 or more; the rule stops them by iteration 48 (median
+    24) and cuts no solve that ends optimal or at a feasible point.  The
+    nearest miss is the t0 = 30 s pass candidate of overtake seeds 1, 3 and
+    4: its violation sits at 0.95 for 14 iterations, falls to 0.55 at
+    iteration 15 and the solve converges at iteration 52-56, so a window of
+    13 or fewer would kill it.
     """
     opts = opts or SolveOptions()
     t_start = time.perf_counter()

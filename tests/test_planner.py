@@ -18,8 +18,7 @@ from tvapf.planner import (ControlInput, Decision, EgoModelState,
                            EmptyTerminalSet, PlannerConfig, TerminalBox,
                            _LtpProgram, braking_distance,
                            decision_label, discretize_dynamics,
-                           safe_stop_trajectory, shift_warm_start, solve_ltp,
-                           terminal_set)
+                           safe_stop_trajectory, solve_ltp, terminal_set)
 from tvapf.potentials import PotentialConfig
 from tvapf.prediction import (ObstacleField, ObstacleState, TvapfParams,
                               UncertainForecast, propagate_obstacle)
@@ -76,7 +75,6 @@ def test_config_validation():
         PlannerConfig(psi_max=2.0)
     with pytest.raises(ValueError):
         PlannerConfig(nu_ter=0.0)
-    assert PlannerConfig().shift_steps == 10
 
 
 def test_discretize_constant_acceleration():
@@ -408,25 +406,12 @@ def test_solver_is_deterministic(path, cfg, pot, tv):
                for x, y in zip(a.states, b.states))
 
 
-def test_warm_start_consistency(path, cfg, pot, tv):
+def test_solve_ltp_refuses_a_warm_start(path, cfg, pot, tv):
+    # every instance solves cold; a previous plan is no seed
     xi0, fcs = _follow_scene(cfg)
-    cold = solve_ltp(xi0, fcs, path, cfg, pot, tvapf=tv)
-    warm = solve_ltp(xi0, fcs, path, cfg, pot, tvapf=tv, warm_start=cold)
-    assert warm.solve_stats["objective"] == \
-        pytest.approx(cold.solve_stats["objective"], abs=1e-6)
-    assert warm.solve_stats["candidate"] == "stay"
-
-
-def test_shift_warm_start(cfg, path, pot, tv):
-    xi0, fcs = _follow_scene(cfg)
-    traj = solve_ltp(xi0, fcs, path, cfg, pot, tvapf=tv)
-    states, inputs = shift_warm_start(traj, cfg)
-    assert states.shape == (cfg.N_L + 1, 4)
-    assert inputs.shape == (cfg.N_L, 2)
-    # aligned with the next instance: starts at the shift_steps-th old state
-    assert np.allclose(states[0], traj.states[cfg.shift_steps].as_array())
-    # the padded tail coasts (zero input)
-    assert np.allclose(inputs[-cfg.shift_steps:], 0.0)
+    prev = safe_stop_trajectory(xi0, cfg)
+    with pytest.raises(ValueError, match="warm_start must be None"):
+        solve_ltp(xi0, fcs, path, cfg, pot, tvapf=tv, warm_start=prev)
 
 
 def test_empty_terminal_set_propagates(path, cfg, pot):
