@@ -12,8 +12,9 @@ guess: ``stay`` stops behind the nearest leader in the ego lane from a guess
 that follows it, or at the path end from a coasting guess, and ``pass``,
 posed only when that bound falls short of the horizon's reach, stops behind
 the next leader from a guess that overtakes it.  The cheaper feasible
-solution is published; within each program the lane change, the following
-distance and the braking profile emerge from one continuous optimization.
+solution is published, ``stay`` when the two tie to ``TIE_RTOL``; within
+each program the lane change, the following distance and the braking
+profile emerge from one continuous optimization.
 """
 
 from __future__ import annotations
@@ -636,6 +637,12 @@ class _LtpProgram:
 
 # -- public entry points ----------------------------------------------------
 
+# Candidates whose objectives agree to this relative tolerance reached one
+# plan from two seeds; ``stay`` is published then, not the rounding winner.
+# On overtake seeds 0-4 such ties part by 3.3e-10 at most, and distinct
+# plans by 1.2e-2 at least.
+TIE_RTOL = 1e-8
+
 
 def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
               cfg: PlannerConfig, potentials_cfg: PotentialConfig,
@@ -722,8 +729,9 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
             f"planner instance at t0={t0:.1f}s: no feasible candidate "
             f"({[c['status'] for c in cand_stats]})")
 
-    solved.sort(key=lambda item: (item[0], item[1]))
-    obj, name, box, result, U, X = solved[0]
+    best = min(item[0] for item in solved)
+    obj, name, box, result, U, X = min(solved, key=lambda item: (
+        item[0] - best > TIE_RTOL * abs(best), item[1] != "stay", item[0]))
 
     # Published states re-integrate the optimal inputs so they satisfy the
     # dynamics exactly, not merely to solver tolerance.

@@ -8,9 +8,10 @@ constraints get slacks with a log barrier, box bounds are handled by a direct
 barrier, and each iteration factorizes one sparse symmetric KKT system.  All
 linear algebra goes through scipy.sparse.  On the 70-step multiple-shooting
 planner program (420 variables, 280 equality and 210 inequality rows,
-block-banded Jacobians) an iteration takes about 4 ms on a 2-core x86-64
-host, callback evaluations and line search included; about a sixth of it
-is the SuperLU factorization.  The solver is deterministic: identical
+block-banded Jacobians) an iteration takes about 3 ms on a 2-core x86-64
+host with BLAS on one thread (2.6-3.2 ms over the benchmark's workloads),
+callback evaluations and line search included; a sixth to a fifth of it is
+the SuperLU factorization.  The solver is deterministic: identical
 problems, options and initial guesses produce identical iterate sequences.
 """
 
@@ -147,7 +148,8 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     (an empty vector with a (0, n) Jacobian), so every program takes one
     path through the iteration.
 
-    OPTIMAL means the scaled KKT residuals and constraint violation are below
+    OPTIMAL means the max-norm KKT residuals (dual residual and
+    complementarity, unscaled) and the constraint violation are below
     tolerance.  If iteration or time limits hit first, the best iterate is
     classified FEASIBLE_POINT when it satisfies the constraints, otherwise
     ITER_LIMIT.  INFEASIBLE has two exits, both with the violation above
@@ -158,14 +160,19 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
     The constants come from traces of all 259 planner solves of the
     benchmark's overtake runs (seeds 0-4) and cold-start scenes (seeds 0-5).
-    Without the rule, the 70 it stops (65 pass candidates, and overtake's
-    stay at t0 = 50 s, mid lane change) run to the 150-iteration cap with a
-    violation of 0.45 or more; the rule stops them by iteration 48 (median
+    Without the rule, none of the 68 it stops (63 pass candidates, and
+    overtake's stay at t0 = 50 s, mid lane change) converges: 49 run to the
+    150-iteration cap and 19 end with no acceptable step, all with a
+    violation of 0.42 or more.  The rule stops them by iteration 48 (median
     24) and cuts no solve that ends optimal or at a feasible point.  The
-    nearest miss is the t0 = 30 s pass candidate of overtake seeds 1, 3 and
-    4: its violation sits at 0.95 for 14 iterations, falls to 0.55 at
-    iteration 15 and the solve converges at iteration 52-56, so a window of
-    13 or fewer would kill it.
+    nearest miss is overtake's t0 = 30 s pass candidate: its violation sits
+    at 0.95 for 7-8 iterations, falls to 0.38 two iterations later and the
+    solve converges at iteration 51-54, so a window of 8 or fewer would
+    kill it.
+
+    Each step is a Newton step of the primal-dual system: the KKT matrix
+    carries Sigma = W S^-1 exactly, whatever its size, as its right-hand
+    side and the multiplier step do.
     """
     opts = opts or SolveOptions()
     t_start = time.perf_counter()
@@ -277,7 +284,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         d_bound = d_lo + d_up
 
         s_safe = np.maximum(s, 1e-12)
-        sigma = np.minimum(w / s_safe, 1e12)
+        sigma = w / s_safe
         rhs_z = -gJy - Ji.T @ (sigma * (ci + s) + mu / s_safe)
         rhs_z = rhs_z + np.where(has_lb, mu / np.maximum(z - lb, 1e-300), 0.0)
         rhs_z = rhs_z - np.where(has_ub, mu / np.maximum(ub - z, 1e-300), 0.0)

@@ -112,9 +112,10 @@ def test_infeasible_candidates_stop_on_a_stall(overtake_run,
     """Blocked candidates end on the solver's stall verdict, before the 61
     iterations an iteration cap gave them, and the overtake verdicts
     criterion 1 reads stay as they are.  Each candidate starts from its own
-    seed, so only blocked ones end infeasible: pass at four instances before
-    the passing lane opens at 35 s, and stay at 50 s, where the ego is mid
-    lane change; the stay candidates at 40 and 45 s brake into their boxes."""
+    seed, so only blocked ones end infeasible: pass at three instances
+    before the passing lane opens at 35 s, and stay at 50 s, where the ego
+    is mid lane change; the stay candidates at 40 and 45 s brake into their
+    boxes, and pass at 30 s converges to a plan that keeps its lane."""
     log, _ = overtake_run
     infeasible = [(inst["t0"], c["candidate"], c["iterations"],
                    c["violation"])
@@ -122,8 +123,8 @@ def test_infeasible_candidates_stop_on_a_stall(overtake_run,
                   for c in inst["stats"].get("candidates", ())
                   if c["status"] == "infeasible"]
     assert [(t0, name) for t0, name, _, _ in infeasible] == [
-        (10.0, "pass"), (20.0, "pass"), (25.0, "pass"), (30.0, "pass"),
-        (50.0, "stay")], infeasible
+        (10.0, "pass"), (20.0, "pass"), (25.0, "pass"), (50.0, "stay")], \
+        infeasible
     assert all(it < 61 and viol > 1e-4 for _, _, it, viol in infeasible), \
         infeasible
     flags = [(e["t0"], e["overtake_feasible"])

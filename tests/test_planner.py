@@ -406,6 +406,56 @@ def test_solver_is_deterministic(path, cfg, pot, tv):
                for x, y in zip(a.states, b.states))
 
 
+def test_stay_behind_a_slow_leader_converges_without_crawling(
+        overtake_scenario):
+    """A cold instance whose stay candidate has obstacle rows with
+    multipliers of order 1e3: at the barrier floor their w/s reaches 7e13,
+    and the solve converges quickly only if the KKT matrix carries it."""
+    scn = overtake_scenario
+    path, cfg = scn.build_path(), scn.planner_config()
+    spec = scn.actors[0]
+    right = path.rightmost_lane_center
+    s = 335.1247
+    lead = ObstacleState(s_o=s + 53.6856, d_o=right, v_o=4.1086,
+                         v_bounds=spec.v_bounds, a_bounds=spec.a_bounds)
+    traj = solve_ltp(EgoModelState(s, right, 0.0, 6.3415),
+                     _forecasts([lead], cfg), path, cfg,
+                     scn.potential_config(), tvapf=scn.tvapf_params())
+    stay = traj.solve_stats["candidates"][0]
+    assert stay["candidate"] == "stay"
+    assert stay["status"] == "optimal"
+    assert stay["iterations"] <= 80
+
+
+@pytest.mark.parametrize("gap, published", [(1e-10, "stay"),
+                                            (1e-6, "pass")])
+def test_candidates_tied_to_rounding_publish_stay(path, cfg, pot, tv,
+                                                  monkeypatch, gap,
+                                                  published):
+    # pass is made cheaper than stay by a relative ``gap``: within
+    # TIE_RTOL both reached one plan and stay is published
+    assert 1e-10 < planner.TIE_RTOL < 1e-6
+    planner_solve = planner.solve
+    objectives = []
+
+    def solve(problem, opts):
+        result = planner_solve(problem, opts)
+        objectives.append(result.objective)
+        if len(objectives) == 2:
+            result.objective = objectives[0] * (1.0 - gap)
+        return result
+
+    monkeypatch.setattr(planner, "solve", solve)
+    lead = ObstacleState(s_o=400.0, d_o=-2.0, v_o=5.0, v_bounds=(2.9, 6.1),
+                         a_bounds=(-0.01, 0.25))
+    traj = solve_ltp(EgoModelState(300.0, -2.0, 0.0, 8.33),
+                     _forecasts([lead], cfg), path, cfg, pot, tvapf=tv)
+    stats = traj.solve_stats
+    assert [(c["candidate"], c["status"]) for c in stats["candidates"]] == \
+        [("stay", "optimal"), ("pass", "optimal")]
+    assert stats["candidate"] == published
+
+
 def test_solve_ltp_refuses_a_warm_start(path, cfg, pot, tv):
     # every instance solves cold; a previous plan is no seed
     xi0, fcs = _follow_scene(cfg)

@@ -68,6 +68,28 @@ def test_inequality_constraint():
     assert r.w_ineq[0] == pytest.approx(4.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("K", [5e3, 5e5])
+def test_large_multiplier_converges_in_few_iterations(K):
+    """min K (z0 - 2)^2 + (z1 - 1)^2  s.t. z0 <= 1: the multiplier is 2K.
+    At the barrier floor the active row has w/s = w^2/mu far above 1e12,
+    and each step is a Newton step only if the KKT matrix carries that
+    w/s exactly."""
+    p = NlpProblem(n=2,
+                   objective=lambda z: float(K * (z[0] - 2.0) ** 2
+                                             + (z[1] - 1.0) ** 2),
+                   gradient=lambda z: np.array([2.0 * K * (z[0] - 2.0),
+                                                2.0 * (z[1] - 1.0)]),
+                   hessian=_constant_hessian(2.0 * K, 2.0),
+                   z0=np.zeros(2),
+                   ineq_constraints=lambda z: np.array([z[0] - 1.0]),
+                   ineq_jacobian=lambda z: np.array([[1.0, 0.0]]))
+    r = solve(p)
+    assert r.status is SolveStatus.OPTIMAL
+    assert r.iterations <= 20
+    assert r.z[0] == pytest.approx(1.0, abs=1e-6)
+    assert r.w_ineq[0] == pytest.approx(2.0 * K, rel=1e-6)
+
+
 def test_rosenbrock():
     p = NlpProblem(
         n=2,
