@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -93,6 +94,9 @@ def cmd_run(args) -> int:
     with open(out / "instances.json", "w") as fh:
         json.dump(log.to_json_dict(), fh, indent=2)
     summary = summarize(log, scn)
+    # the run log's last digits depend on the BLAS thread count (SLSQP)
+    summary["threads"] = {name: os.environ.get(name) for name in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
 

@@ -523,8 +523,10 @@ class _LtpProgram:
         return g
 
     def hessian(self, z, y_eq, w_ineq):
-        """Positive-semidefinite Gauss-Newton approximation of the cost
-        Hessian; constraint curvature is left to the interior-point method."""
+        """Positive-semidefinite Gauss-Newton approximation of the
+        Lagrangian's Hessian: the cost's curvature, and that of the field
+        rows weighted by their multipliers w_ineq[:N].  The rate rows are
+        linear; the curvature of the dynamics (y_eq) is left out."""
         N = self.N
         X = self._states(z)
         om = self._inputs(z)[:, 1]
@@ -538,40 +540,16 @@ class _LtpProgram:
             pcfg.K_b * boundary_potential_curv(h_l, h_r, pcfg.eta)
             + pcfg.K_l * lane_potential_curv(h_c), 0.0) + 1e-8
 
-        # obstacle-field curvature (cost weight + constraint multiplier),
-        # per-step 2x2 block over (s, d), projected onto the PSD cone
-        Wss, Wsd, Wdd = self.field.curvature(X[:, 0], d)
-        mult = self.cfg.K_o + (np.asarray(w_ineq[:N], dtype=float)
-                               if w_ineq is not None and len(w_ineq) >= N
-                               else 0.0)
-        a, b, e = mult * Wss, mult * Wsd, mult * Wdd
-        half = 0.5 * (a - e)
-        disc = np.sqrt(half * half + b * b)
-        l1 = 0.5 * (a + e) + disc
-        l2 = 0.5 * (a + e) - disc
-        # an indefinite block keeps its positive eigenpair l1 v v' / |v|^2
-        flat = np.abs(b) <= 1e-300
-        vx = np.where(flat, np.where(a >= e, 1.0, 0.0), b)
-        vy = np.where(flat, np.where(a >= e, 0.0, 1.0), l1 - a)
-        # where b^2 underflows, |v|^2 loses its digits or l1 / |v|^2
-        # overflows: there v is first scaled to max-norm 1
-        small = vx * vx + vy * vy < np.finfo(float).tiny * np.maximum(l1, 1.0)
-        m = np.where(small, np.maximum(np.abs(vx), np.abs(vy)), 1.0)
-        vx, vy = vx / m, vy / m
-        norm2 = vx * vx + vy * vy
-        psd = l2 >= 0.0
-        keep = (l1 > 0.0) & (psd | (norm2 > 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = l1 / norm2
-            Pss = np.where(keep, np.where(psd, a, scale * vx * vx), 0.0)
-            Psd = np.where(keep, np.where(psd, b, scale * vx * vy), 0.0)
-            Pdd = np.where(keep, np.where(psd, e, scale * vy * vy), 0.0)
+        # obstacle field (cost weight + constraint multiplier), per-step
+        # Gauss-Newton block over (s, d)
+        mult = self.cfg.K_o + w_ineq[:N]
+        Gss, Gsd, Gdd = (mult * g for g in self.field.gauss_newton(X[:, 0], d))
 
         # comfort term K_c (nu_{j-1} omega_j)^2, Gauss-Newton block
         nu_at_u = np.concatenate([[self.x0[3]], nu[:-1]])
         cross = 2.0 * pcfg.K_c * nu_at_u[1:] * om[1:]
         return self._hess_pattern.matrix(np.concatenate([
-            np.full(N, 2.0 * pcfg.K_v), lateral, Pss, Psd, Psd, Pdd,
+            np.full(N, 2.0 * pcfg.K_v), lateral, Gss, Gsd, Gsd, Gdd,
             2.0 * pcfg.K_c * nu_at_u * nu_at_u + 1e-8,
             2.0 * pcfg.K_c * om[1:] * om[1:], cross, cross]))
 

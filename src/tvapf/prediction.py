@@ -144,9 +144,9 @@ class ObstacleField:
     both axes and equals edge_value at the safety-zone edge.  The scales are
     arrays indexed (forecast, j), so the points (s, d) given to the methods
     must broadcast against j's shape.  ``terms`` keeps one row per forecast;
-    ``value``, ``grad`` and ``curvature`` sum the rows (zero without
+    ``value``, ``grad`` and ``gauss_newton`` sum the rows (zero without
     forecasts).  The terms of the last point asked for are kept, since a
-    solver asks for the value, gradient and curvature at one iterate in turn.
+    solver asks for the value, gradient and Hessian at one iterate in turn.
     """
 
     def __init__(self, forecasts, j, p: TvapfParams):
@@ -169,8 +169,10 @@ class ObstacleField:
         self._at = None
 
     def terms(self, s, d):
-        """Scaled offsets xs, xd (clipped where w has underflowed to 0) and
-        field values w, one row per forecast."""
+        """Gradient factors fs = c xs**(c-1) / gamma_s, fd = c xd**(c-1) /
+        gamma_d of phi = xs**c + xd**c, with the offsets clipped where w has
+        underflowed to 0, and field values w = exp(-phi), one row per
+        forecast."""
         if self._at is not None and np.array_equal(s, self._at[0]) \
                 and np.array_equal(d, self._at[1]):
             return self._terms
@@ -179,7 +181,9 @@ class ObstacleField:
         xd = np.clip((d - self.d_o) / self.gamma_d, -x_max, x_max)
         c = self.c
         self._at = np.array(s), np.array(d)
-        self._terms = xs, xd, np.exp(-(xs ** c + xd ** c))
+        self._terms = (c * xs ** (c - 1) / self.gamma_s,
+                       c * xd ** (c - 1) / self.gamma_d,
+                       np.exp(-(xs ** c + xd ** c)))
         return self._terms
 
     def value(self, s, d):
@@ -187,19 +191,15 @@ class ObstacleField:
 
     def grad(self, s, d):
         """(dW/ds, dW/dd)."""
-        c = self.c
-        xs, xd, w = self.terms(s, d)
-        return (np.sum(-w * c * xs ** (c - 1) / self.gamma_s, axis=0),
-                np.sum(-w * c * xd ** (c - 1) / self.gamma_d, axis=0))
+        fs, fd, w = self.terms(s, d)
+        return np.sum(-w * fs, axis=0), np.sum(-w * fd, axis=0)
 
-    def curvature(self, s, d):
-        """(d2W/ds2, d2W/ds dd, d2W/dd2)."""
-        c = self.c
-        xs, xd, w = self.terms(s, d)
-        g_s, g_d = self.gamma_s, self.gamma_d
-        return (np.sum(w * (c * c * xs ** (2 * c - 2)
-                            - c * (c - 1) * xs ** (c - 2)) / g_s ** 2, axis=0),
-                np.sum(w * c * c * xs ** (c - 1) * xd ** (c - 1)
-                       / (g_s * g_d), axis=0),
-                np.sum(w * (c * c * xd ** (2 * c - 2)
-                            - c * (c - 1) * xd ** (c - 2)) / g_d ** 2, axis=0))
+    def gauss_newton(self, s, d):
+        """(ss, sd, dd) entries of the sum of w grad(phi) grad(phi)', the
+        positive-semidefinite part of the curvature w (grad(phi) grad(phi)'
+        - hess(phi)) of each W = exp(-phi): phi is convex for even c, so the
+        part dropped is negative semidefinite (Nocedal & Wright, Numerical
+        Optimization, sec. 10.3)."""
+        fs, fd, w = self.terms(s, d)
+        return (np.sum(w * (fs * fs), axis=0), np.sum(w * (fs * fd), axis=0),
+                np.sum(w * (fd * fd), axis=0))

@@ -68,7 +68,6 @@ class NlpProblem:
 class SolveOptions:
     tol: float = 1e-6
     max_iter: int = 300
-    max_wall_time: Optional[float] = None
 
 
 @dataclass
@@ -150,7 +149,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
     OPTIMAL means the max-norm KKT residuals (dual residual and
     complementarity, unscaled) and the constraint violation are below
-    tolerance.  If iteration or time limits hit first, the best iterate is
+    tolerance.  If the iteration limit hits first, the best iterate is
     classified FEASIBLE_POINT when it satisfies the constraints, otherwise
     ITER_LIMIT.  INFEASIBLE has two exits, both with the violation above
     max(100 tol, 1e-5): the violation has stalled, i.e. the best violation
@@ -251,9 +250,6 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     it = 0
 
     for it in range(1, opts.max_iter + 1):
-        if opts.max_wall_time is not None and time.perf_counter() - t_start > opts.max_wall_time:
-            break
-
         gJy = g + Je.T @ y
         viol = violation(ce, ci)
         err0, err_mu = kkt_errors(gJy, viol, 0.0, mu)

@@ -58,11 +58,6 @@ class VehicleState:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.theta, self.v, self.delta])
 
-    @staticmethod
-    def from_array(chi) -> "VehicleState":
-        return VehicleState(float(chi[0]), float(chi[1]), float(chi[2]),
-                            float(chi[3]), float(chi[4]))
-
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -187,7 +182,6 @@ def bicycle_step(chi: VehicleState, u, T: float,
 @dataclass(frozen=True)
 class NmpcSolution:
     u0: np.ndarray
-    predicted: tuple
     inputs: np.ndarray
     sigma: float
     stats: dict
@@ -388,10 +382,8 @@ def solve_nmpc(chi0: VehicleState, ref, cfg: TrackerConfig,
     U = z[:2 * cfg.N_P].reshape(cfg.N_P, 2)
     np.clip(U[:, 0], cfg.a_min, cfg.a_max, out=U[:, 0])
     np.clip(U[:, 1], -cfg.w_delta_max, cfg.w_delta_max, out=U[:, 1])
-    X = rollout(prog._f, prog.chi0, U.tolist(), cfg.T_sMPC)[0]
     return NmpcSolution(
         u0=U[0].copy(),
-        predicted=tuple(VehicleState.from_array(x) for x in X),
         inputs=U,
         sigma=float(max(z[-1], 0.0)),
         stats={

@@ -250,6 +250,19 @@ def test_one_plant_step_run_exits_0(tmp_path):
     assert summary["duration"] == pytest.approx(0.1)
 
 
+def test_run_records_the_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "out"
+    assert main(["run", str(_short_empty_road(tmp_path, 0.1)),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                  "OMP_NUM_THREADS": "2",
+                                  "MKL_NUM_THREADS": None}
+
+
 def test_run_shorter_than_a_plant_step_exits_2(tmp_path, capsys):
     scn = _short_empty_road(tmp_path, 0.2)
     assert main(["run", str(scn), "--dry-run"]) == 2

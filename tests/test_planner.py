@@ -2,7 +2,6 @@
 the finite-horizon program, the braking fallback, and maneuver labeling."""
 
 import math
-import types
 import warnings
 from functools import partial
 
@@ -476,22 +475,12 @@ def test_empty_terminal_set_propagates(path, cfg, pot):
 # -- Hessian of the program ---------------------------------------------------
 
 
-def test_hessian_symmetric_psd_and_exact_on_quadratic_terms(path, pot, tv):
-    """The reduced program of acceptance criterion 7 at random feasible
-    points, without and with inequality multipliers.
-
-    The speed term K_v (nu - v_bar)^2 is an exact quadratic, and the comfort
-    term K_c (nu_{j-1} omega_j)^2 is quadratic in each of nu and omega, so
-    the nu-nu and omega-omega entries equal a central difference of the
-    gradient.  Their nu-omega coupling is the Gauss-Newton one, 2 K_c nu
-    omega, half of the exact 4 K_c nu omega: the exact block is indefinite.
-    """
+def _hessian_program(path, pot, tv, obstacles):
+    """The reduced program of acceptance criterion 7, with its forecasts."""
     cfg = PlannerConfig(N_L=10, instance_period=5.0)
     N = cfg.N_L
     xi0 = EgoModelState(300.0, -2.0, 0.0, 8.33)
-    obs = ObstacleState(350.0, -2.0, 5.0, v_bounds=(2.9, 6.1),
-                        a_bounds=(-0.01, 0.25))
-    fcs = _forecasts([obs], cfg)
+    fcs = _forecasts(obstacles, cfg)
     states = np.empty((N + 1, 4))
     states[0] = xi0.as_array()
     for j in range(N):
@@ -499,24 +488,44 @@ def test_hessian_symmetric_psd_and_exact_on_quadratic_terms(path, pot, tv):
             [states[j, 3], 0.0, 0.0, 0.0])
     box = TerminalBox(s_max=400.0, d_center=-2.0, eps_d=0.5, eps_psi=0.1,
                       nu_max=5.0)
-    prog = _LtpProgram(xi0, fcs, path, cfg, pot, tv, states,
-                       np.zeros((N, 2)), box, alpha_prev=0.1)
+    return _LtpProgram(xi0, fcs, path, cfg, pot, tv, states,
+                       np.zeros((N, 2)), box, alpha_prev=0.1), fcs
+
+
+_LEADER = ObstacleState(350.0, -2.0, 5.0, v_bounds=(2.9, 6.1),
+                        a_bounds=(-0.01, 0.25))
+
+
+def test_hessian_symmetric_psd_and_exact_on_quadratic_terms(path, pot, tv):
+    """The reduced program of acceptance criterion 7 at random feasible
+    points, with zero and with random inequality multipliers.
+
+    The speed term K_v (nu - v_bar)^2 is an exact quadratic, and the comfort
+    term K_c (nu_{j-1} omega_j)^2 is quadratic in each of nu and omega, so
+    the nu-nu and omega-omega entries equal a central difference of the
+    gradient.  Their nu-omega coupling is the Gauss-Newton one, 2 K_c nu
+    omega, half of the exact 4 K_c nu omega: the exact block is indefinite.
+    """
+    prog, fcs = _hessian_program(path, pot, tv, [_LEADER])
+    cfg = prog.cfg
+    N = cfg.N_L
     i_nu = 4 * np.arange(N) + 3
     i_om = 4 * N + 2 * np.arange(N) + 1
     idx = np.concatenate([i_nu, i_om])
+    b = 4 * np.arange(N)
     m_ineq = len(prog.ineq_constraints(prog.z0))
     rng = np.random.default_rng(11)
     h = 1e-4
-    indefinite = 0
     for k in range(20):
         z = prog.z0 + rng.normal(0.0, 0.05, prog.n)
         if k >= 10:
             # states on the flank of the leader's field, where its
-            # curvature is indefinite and needs the PSD projection
+            # curvature is indefinite
             z[0:4 * N:4] = fcs[0].s_center[1:] + rng.uniform(-20.0, 20.0, N)
             z[1:4 * N:4] = rng.uniform(-3.5, -0.5, N)
         z = np.clip(z, prog.lb + 1e-4, prog.ub - 1e-4)
-        w_ineq = None if k % 2 == 0 else rng.uniform(0.0, 50.0, m_ineq)
+        w_ineq = (np.zeros(m_ineq) if k % 2 == 0
+                  else rng.uniform(0.0, 50.0, m_ineq))
         H = prog.hessian(z, None, w_ineq).toarray()
 
         assert np.array_equal(H, H.T)
@@ -534,72 +543,69 @@ def test_hessian_symmetric_psd_and_exact_on_quadratic_terms(path, pot, tv):
         np.testing.assert_allclose(H[np.ix_(idx, idx)], fd, rtol=1e-6,
                                    atol=1e-6)
 
-        # obstacle (s, d) blocks: the PSD projection of the multiplier times
-        # the field's curvature (a central difference of its Jacobian rows,
-        # each of which depends on its own step only)
-        mult = cfg.K_o + (0.0 if w_ineq is None else w_ineq[:N])
-        curv = np.empty((N, 2, 2))
-        for c in (0, 1):
-            e = np.zeros(prog.n)
-            e[c:4 * N:4] = h
-            dJ = (prog.ineq_jacobian(z + e).toarray()
-                  - prog.ineq_jacobian(z - e).toarray()) / (2.0 * h)
-            curv[:, 0, c] = dJ[np.arange(N), 4 * np.arange(N)]
-            curv[:, 1, c] = dJ[np.arange(N), 4 * np.arange(N) + 1]
-        lam, V = np.linalg.eigh(mult[:, None, None] * 0.5
-                                * (curv + curv.transpose(0, 2, 1))
-                                if np.ndim(mult) else
-                                mult * 0.5 * (curv + curv.transpose(0, 2, 1)))
-        P = (V * np.maximum(lam, 0.0)[:, None, :]) @ V.transpose(0, 2, 1)
-        b = 4 * np.arange(N)
-        np.testing.assert_allclose(H[b, b], P[:, 0, 0], rtol=1e-5, atol=1e-7)
-        np.testing.assert_allclose(H[b, b + 1], P[:, 0, 1], rtol=1e-5,
-                                   atol=1e-7)
+        # obstacle (s, d) blocks: the multiplier times grad(W) grad(W)' / W,
+        # from the field rows of the constraints and their Jacobian
+        mult = cfg.K_o + w_ineq[:N]
+        J = prog.ineq_jacobian(z).toarray()
+        gW = np.stack([J[np.arange(N), b], J[np.arange(N), b + 1]], axis=1)
+        W = prog.ineq_constraints(z)[:N] + tv.epsilon_o
+        G = mult[:, None, None] * np.divide(
+            gW[:, :, None] * gW[:, None, :], W[:, None, None],
+            out=np.zeros((N, 2, 2)), where=W[:, None, None] > 0.0)
+        np.testing.assert_allclose(H[b, b], G[:, 0, 0], rtol=1e-8,
+                                   atol=1e-10)
+        np.testing.assert_allclose(H[b, b + 1], G[:, 0, 1], rtol=1e-8,
+                                   atol=1e-10)
         # the d-d entry adds the lateral curvature clamped at zero: a central
-        # difference of the gradient's d entries less the field's share
+        # difference of the gradient's d entries less the field's share, a
+        # central difference of its Jacobian's d entries
         e = np.zeros(prog.n)
         e[1:4 * N:4] = h
         g_dd = ((prog.gradient(z + e) - prog.gradient(z - e))
                 / (2.0 * h))[b + 1]
-        lateral = np.maximum(g_dd - cfg.K_o * curv[:, 1, 1], 0.0) + 1e-8
-        np.testing.assert_allclose(H[b + 1, b + 1], P[:, 1, 1] + lateral,
+        w_dd = ((prog.ineq_jacobian(z + e) - prog.ineq_jacobian(z - e))
+                .toarray()[np.arange(N), b + 1] / (2.0 * h))
+        lateral = np.maximum(g_dd - cfg.K_o * w_dd, 0.0) + 1e-8
+        np.testing.assert_allclose(H[b + 1, b + 1], G[:, 1, 1] + lateral,
                                    rtol=1e-5, atol=1e-6)
-        tiny = 1e-6 * max(float(np.max(np.abs(lam))), 1e-300)
-        indefinite += int(np.sum((lam[:, 0] < -tiny) & (lam[:, 1] > tiny)))
-    # the PSD projection of indefinite blocks was exercised
-    assert indefinite > 0
 
 
-@pytest.mark.parametrize("a", [1.0, 1e4])
-@pytest.mark.parametrize("b", [1.6e-154, 1e-155, 1e-160, 1e-170])
-def test_hessian_keeps_the_positive_eigenpair_when_b_squared_underflows(
-        path, pot, tv, a, b):
-    """An indefinite obstacle block (a, b, -1) with b * b below the normal
-    range projects onto a v v' with v along s."""
-    cfg = PlannerConfig(N_L=10, instance_period=5.0)
-    N = cfg.N_L
-    xi0 = EgoModelState(300.0, -2.0, 0.0, 8.33)
-    states = np.empty((N + 1, 4))
-    states[0] = xi0.as_array()
-    for j in range(N):
-        states[j + 1] = states[j] + cfg.T_sL * np.array(
-            [states[j, 3], 0.0, 0.0, 0.0])
-    box = TerminalBox(s_max=400.0, d_center=-2.0, eps_d=0.5, eps_psi=0.1,
-                      nu_max=5.0)
-    prog = _LtpProgram(xi0, [], path, cfg, pot, tv, states,
-                       np.zeros((N, 2)), box, alpha_prev=0.1)
-    # the multiplier K_o times the stub curvature is the block (a, b, -1)
-    prog.field = types.SimpleNamespace(curvature=lambda s, d: (
-        np.full(N, a / cfg.K_o), np.full(N, b / cfg.K_o),
-        np.full(N, -1.0 / cfg.K_o)))
+@pytest.mark.parametrize("multiplier", [0.0, 1e160])
+@pytest.mark.parametrize("where", ["flank", "tail"])
+def test_hessian_obstacle_blocks_are_finite_and_psd_at_any_scale(
+        path, pot, tv, where, multiplier):
+    """Every (s, d) block (a, b; b, e) of H has a, e >= 0 and |b| <=
+    sqrt(a) sqrt(e), with no overflow: on the leader's flank and where the
+    field is subnormal beside it (block entries far below 1e-154), with
+    zero multipliers and with every multiplier at 1e160.  a e and b b
+    overflow or underflow there, so the test compares square roots."""
+    prog, fcs = _hessian_program(path, pot, tv, [_LEADER])
+    N = prog.cfg.N_L
+    rng = np.random.default_rng(3)
+    z = prog.z0.copy()
+    field = prog.field
+    if where == "flank":
+        xs = rng.uniform(-1.5, 1.5, N)
+        xd = rng.uniform(-1.5, 1.5, N)
+    else:
+        # near the reachable-set center in s, where d2W/ds2 < 0, and far
+        # enough beside it in d that W = exp(-710) is subnormal
+        xs = rng.uniform(-0.5, 0.5, N)
+        xd = rng.choice([-1.0, 1.0], N) * (710.0 - xs ** 4) ** 0.25
+    z[0:4 * N:4] = field.center[0] + xs * field.gamma_s[0]
+    z[1:4 * N:4] = field.d_o[0] + xd * field.gamma_d[0]
+    if where == "tail":
+        W = field.value(z[0:4 * N:4], z[1:4 * N:4])
+        assert np.all((W > 0.0) & (W < np.finfo(float).tiny))
+    w_ineq = np.full(len(prog.ineq_constraints(z)), multiplier)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        H = prog.hessian(prog.z0, None, None).toarray()
+        H = prog.hessian(z, None, w_ineq).toarray()
     assert np.all(np.isfinite(H))
-    eig = np.linalg.eigvalsh(H)
-    assert eig[0] >= -1e-12 * eig[-1]
     i_s = 4 * np.arange(N)
-    np.testing.assert_allclose(H[i_s, i_s], a, rtol=1e-12)
+    a, b, e = H[i_s, i_s], H[i_s, i_s + 1], H[i_s + 1, i_s + 1]
+    assert np.all(a >= 0.0) and np.all(e >= 0.0)
+    assert np.all(np.abs(b) <= np.sqrt(a) * np.sqrt(e) * (1.0 + 1e-12))
 
 
 # -- decision labels on hand-built trajectories -------------------------------

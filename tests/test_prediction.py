@@ -144,8 +144,9 @@ def test_calibrate_alphas_no_solution():
 @pytest.mark.parametrize("c", [4, 50, 100, 200])
 def test_field_far_away_is_exactly_zero_for_any_c(c):
     # 1e4 gamma_s ahead and 10 gamma_d beside the center every power of the
-    # raw offsets overflows for c = 200; the field and all its derivatives
-    # must still read 0, with no overflow or invalid value on the way
+    # raw offsets overflows for c = 200; the field, its gradient and its
+    # Gauss-Newton block must still read 0, with no overflow or invalid
+    # value on the way
     p = TvapfParams(c=c)
     field = ObstacleField([_flat_forecast()], 0, p)
     far = [(200.0 + 1e4 * float(field.gamma_s[0]), -2.0),
@@ -153,7 +154,7 @@ def test_field_far_away_is_exactly_zero_for_any_c(c):
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for s, d in far:
             out = [field.value(s, d), *field.grad(s, d),
-                   *field.curvature(s, d)]
+                   *field.gauss_newton(s, d)]
             assert all(float(x) == 0.0 for x in out), out
 
 
@@ -220,7 +221,7 @@ def test_total_field_superposition():
     empty = ObstacleField([], np.arange(1, 4), p)
     for out in (empty.value(np.ones(3), np.ones(3)),
                 *empty.grad(np.ones(3), np.ones(3)),
-                *empty.curvature(np.ones(3), np.ones(3))):
+                *empty.gauss_newton(np.ones(3), np.ones(3))):
         assert np.array_equal(out, np.zeros(3))
     # two forecasts over a step array sum the per-point closed form
     fcs = [propagate_obstacle(ObstacleState(s_o=s_o, d_o=d_o, v_o=v_o,
@@ -238,9 +239,31 @@ def test_total_field_superposition():
                                rtol=1e-12, atol=1e-300)
 
 
+def test_gauss_newton_of_superposed_forecasts_is_psd():
+    """Each forecast adds a rank-one PSD block, so their sum is PSD: the
+    (ss, sd, dd) entries meet |sd| <= sqrt(ss) sqrt(dd)."""
+    p = TvapfParams()
+    fcs = [propagate_obstacle(ObstacleState(s_o=s_o, d_o=d_o, v_o=v_o,
+                                            direction=direction,
+                                            **TABLE_BOUNDS), 0.5, 20)
+           for s_o, d_o, v_o, direction in ((150.0, -2.0, 5.0, 1),
+                                            (170.0, 2.0, 7.0, -1),
+                                            (160.0, -1.0, 6.0, 1))]
+    rng = np.random.default_rng(29)
+    j = rng.integers(0, 21, 400)
+    s = rng.uniform(120.0, 220.0, 400)
+    d = rng.uniform(-4.0, 4.0, 400)
+    ss, sd, dd = ObstacleField(fcs, j, p).gauss_newton(s, d)
+    assert np.all(ss >= 0.0) and np.all(dd >= 0.0)
+    assert np.all(np.abs(sd) <= np.sqrt(ss) * np.sqrt(dd) * (1.0 + 1e-12))
+    # rank two where two forecasts both bend the field
+    assert np.any(sd * sd < 0.5 * ss * dd)
+
+
 def test_field_gradient_matches_finite_differences():
-    """The gradient against central differences of the value, and the three
-    second derivatives against central differences of the gradient."""
+    """The gradient against central differences of the value, and the
+    Gauss-Newton block of one forecast against grad(W) grad(W)' / W, which
+    it equals since grad(W) = -W grad(phi)."""
     p = TvapfParams()
     o = ObstacleState(s_o=150.0, d_o=-2.0, v_o=5.0, v_bounds=(2, 8),
                       a_bounds=(-0.4, 0.4))
@@ -260,14 +283,7 @@ def test_field_gradient_matches_finite_differences():
         assert float(gs) == pytest.approx(float(fs), rel=1e-5, abs=1e-9)
         assert float(gd) == pytest.approx(float(fd), rel=1e-5, abs=1e-9)
 
-        wss, wsd, wdd = field.curvature(s, d)
-        (gs_p, gd_p), (gs_m, gd_m) = field.grad(s + h, d), field.grad(s - h, d)
-        assert float(wss) == pytest.approx(float(gs_p - gs_m) / (2 * h),
-                                           rel=1e-5, abs=1e-8)
-        assert float(wsd) == pytest.approx(float(gd_p - gd_m) / (2 * h),
-                                           rel=1e-5, abs=1e-8)
-        (gs_p, gd_p), (gs_m, gd_m) = field.grad(s, d + h), field.grad(s, d - h)
-        assert float(wsd) == pytest.approx(float(gs_p - gs_m) / (2 * h),
-                                           rel=1e-5, abs=1e-8)
-        assert float(wdd) == pytest.approx(float(gd_p - gd_m) / (2 * h),
-                                           rel=1e-5, abs=1e-8)
+        w = field.value(s, d)
+        np.testing.assert_allclose(field.gauss_newton(s, d),
+                                   [gs * gs / w, gs * gd / w, gd * gd / w],
+                                   rtol=1e-12, atol=0.0)

@@ -196,9 +196,3 @@ def test_deterministic_iterates():
     assert np.array_equal(ra.z, rb.z)  # bitwise identical
     assert ra.iterations == rb.iterations
     assert ra.objective == rb.objective
-
-
-def test_wall_time_limit():
-    r = solve(_equality_qp(), SolveOptions(max_wall_time=0.0))
-    assert r.wall_time >= 0.0
-    assert r.iterations <= 1

@@ -49,6 +49,14 @@ def _straight_ref(cfg, v=8.0, a=0.0):
     return np.stack([x, zeros, zeros, vr, zeros], axis=1)
 
 
+def _predicted(chi0, sol, cfg):
+    """The states the solution's inputs drive the model through from chi0."""
+    states = [chi0]
+    for u in sol.inputs:
+        states.append(bicycle_step(states[-1], u, cfg.T_sMPC, cfg.wheelbase))
+    return states
+
+
 # -- dynamics ----------------------------------------------------------------
 
 
@@ -124,23 +132,27 @@ def test_max_braking_input(cfg):
 
 def test_perfect_reference_needs_no_input(cfg):
     chi0 = VehicleState(0.0, 0.0, 0.0, 8.0, 0.0)
-    sol = solve_nmpc(chi0, _straight_ref(cfg), cfg)
+    ref = _straight_ref(cfg)
+    sol = solve_nmpc(chi0, ref, cfg)
     assert sol.stats["status"] == "optimal"
     assert np.abs(sol.inputs).max() == pytest.approx(0.0, abs=1e-10)
     assert sol.sigma == pytest.approx(0.0, abs=1e-10)
-    assert sol.predicted[0] == chi0
+    # its inputs drive the model along the reference
+    np.testing.assert_allclose(
+        [x.as_array() for x in _predicted(chi0, sol, cfg)], ref, atol=1e-8)
 
 
 def test_lateral_offset_decays(cfg):
     chi0 = VehicleState(0.0, 0.3, 0.0, 8.0, 0.0)
     sol = solve_nmpc(chi0, _straight_ref(cfg), cfg, u_prev=np.zeros(2))
     assert sol.stats["status"] == "optimal"
-    ys = [x.y for x in sol.predicted]
+    predicted = _predicted(chi0, sol, cfg)
+    ys = [x.y for x in predicted]
     # steers back toward the reference over the first half of the horizon
     assert ys[5] < 0.6 * ys[0]
     assert abs(ys[-1]) < 0.05
     # steering limits are honored along the prediction
-    assert all(abs(x.delta) <= cfg.delta_max + 1e-9 for x in sol.predicted)
+    assert all(abs(x.delta) <= cfg.delta_max + 1e-9 for x in predicted)
 
 
 def test_accelerating_reference_saturates_input(cfg):
