@@ -608,6 +608,47 @@ def test_hessian_obstacle_blocks_are_finite_and_psd_at_any_scale(
     assert np.all(np.abs(b) <= np.sqrt(a) * np.sqrt(e) * (1.0 + 1e-12))
 
 
+@pytest.mark.parametrize("a", [1.0, 1e4])
+@pytest.mark.parametrize("b", [1.6e-154, 1e-155, 1e-160, 1e-170])
+def test_hessian_keeps_the_positive_eigenpair_when_b_squared_underflows(
+        path, pot, tv, a, b):
+    """An obstacle block (a, b; b, b * b / a) with b * b below the normal
+    range keeps its positive eigenpair along s: H is finite and PSD, with a
+    on the s diagonal and the coupling b beside it.  The states sit two
+    scales behind a leader's center in s and a hair beside it in d, and
+    the multipliers are set so that the field's Gauss-Newton block has
+    those entries at every step.  The leader drives at d = 0, where offsets
+    near 1e-52 are representable."""
+    leader = ObstacleState(350.0, 0.0, 5.0, v_bounds=(2.9, 6.1),
+                           a_bounds=(-0.01, 0.25))
+    prog, _ = _hessian_program(path, pot, tv, [leader])
+    N = prog.cfg.N_L
+    field = prog.field
+    assert np.all(field.d_o == 0.0)
+    c = field.c
+    w = math.exp(-2.0 ** c)
+    fs = -c * 2.0 ** (c - 1) / field.gamma_s[0]
+    mult = a / (w * fs * fs)
+    assert np.all(mult >= prog.cfg.K_o)
+    # fd = c xd**(c-1) / gamma_d, so that mult w fs fd = b
+    fd = b / (mult * w * fs)
+    xd = np.sign(fd) * (np.abs(fd) * field.gamma_d[0] / c) ** (1.0 / (c - 1))
+    z = prog.z0.copy()
+    z[0:4 * N:4] = field.center[0] - 2.0 * field.gamma_s[0]
+    z[1:4 * N:4] = xd * field.gamma_d[0]
+    w_ineq = np.zeros(len(prog.ineq_constraints(z)))
+    w_ineq[:N] = mult - prog.cfg.K_o
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        H = prog.hessian(z, None, w_ineq).toarray()
+    assert np.all(np.isfinite(H))
+    eig = np.linalg.eigvalsh(H)
+    assert eig[0] >= -1e-12 * eig[-1]
+    i_s = 4 * np.arange(N)
+    np.testing.assert_allclose(H[i_s, i_s], a, rtol=1e-12)
+    np.testing.assert_allclose(H[i_s, i_s + 1], b, rtol=1e-12)
+
+
 # -- decision labels on hand-built trajectories -------------------------------
 
 
