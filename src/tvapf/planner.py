@@ -211,15 +211,6 @@ def _jac(Y, U):
     return A, np.broadcast_to(_B, Y.shape[:-1] + _B.shape)
 
 
-def discretize_dynamics(xi: EgoModelState, lam: ControlInput,
-                        T_sL: float) -> EgoModelState:
-    """One zero-order-hold step of the point-mass model."""
-    if T_sL <= 0:
-        raise ValueError("T_sL must be positive")
-    return EgoModelState.from_array(
-        rk4(_f, (xi.s, xi.d, xi.psi, xi.nu), (lam.alpha, lam.omega), T_sL)[0])
-
-
 # -- terminal set -----------------------------------------------------------
 
 

@@ -9,10 +9,11 @@ barrier, and each iteration factorizes one sparse symmetric KKT system.  All
 linear algebra goes through scipy.sparse.  On the 70-step multiple-shooting
 planner program (420 variables, 280 equality and 210 inequality rows,
 block-banded Jacobians) an iteration takes about 3 ms on a 2-core x86-64
-host with BLAS on one thread (2.6-3.2 ms over the benchmark's workloads),
-callback evaluations and line search included; a sixth to a fifth of it is
-the SuperLU factorization.  The solver is deterministic: identical
-problems, options and initial guesses produce identical iterate sequences.
+host with BLAS on one thread (3.0-3.2 ms in traced seed-0 runs of the
+benchmark's workloads), callback evaluations and line search included; a
+fifth of it (19-22 %) is the SuperLU factorization.  The solver is
+deterministic: identical problems, options and initial guesses produce
+identical iterate sequences.
 """
 
 from __future__ import annotations
@@ -119,6 +120,11 @@ class SparsePattern:
 # the stalled-violation verdict of ``solve``
 STALL_WINDOW = 20
 STALL_RATIO = 0.1
+# IPOPT's bound push kappa_1 and bound fraction kappa_2 (Waechter and
+# Biegler, Math. Prog. 106, 2006, section 3.6): ``solve`` starts each variable
+# min(kappa_1 max(1, |bound|), kappa_2 (ub - lb)) inside each finite bound
+BOUND_PUSH = 1e-2
+BOUND_FRAC = 1e-2
 
 
 def _finite(x, what):
@@ -160,14 +166,14 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     The constants come from traces of all 259 planner solves of the
     benchmark's overtake runs (seeds 0-4) and cold-start scenes (seeds 0-5).
     Without the rule, none of the 68 it stops (63 pass candidates, and
-    overtake's stay at t0 = 50 s, mid lane change) converges: 49 run to the
-    150-iteration cap and 19 end with no acceptable step, all with a
-    violation of 0.42 or more.  The rule stops them by iteration 48 (median
-    24) and cuts no solve that ends optimal or at a feasible point.  The
-    nearest miss is overtake's t0 = 30 s pass candidate: its violation sits
-    at 0.95 for 7-8 iterations, falls to 0.38 two iterations later and the
-    solve converges at iteration 51-54, so a window of 8 or fewer would
-    kill it.
+    overtake's stay at t0 = 50 s, mid lane change) converges: 48 run to the
+    150-iteration cap and 20 end with no acceptable step, all with a
+    violation of 0.38 or more.  The rule stops them by iteration 45 (median
+    21) and cuts no solve that ends optimal or at a feasible point.  The
+    nearest miss is the pass candidate of cold-start scene 9: its violation
+    falls to 2.0-2.1e-4 at iteration 15, climbs back to 1.5-2.3e-3 and stays
+    above 90 % of that low for 7-10 iterations, and the solve converges at
+    iteration 60-67, so a window of 10 or fewer would kill it.
 
     Each step is a Newton step of the primal-dual system: the KKT matrix
     carries Sigma = W S^-1 exactly, whatever its size, as its right-hand
@@ -186,14 +192,16 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
                                   problem.ineq_jacobian, n)
     viol_floor = max(100 * opts.tol, 1e-5)  # INFEASIBLE needs a violation above it
 
-    z = np.clip(np.asarray(problem.z0, dtype=float).copy(), lb, ub)
     has_lb = np.isfinite(lb)
     has_ub = np.isfinite(ub)
-    # strict interior start for the barrier
-    margin = np.minimum(1e-3 * np.where(np.isfinite(ub - lb), ub - lb, 1.0), 1e-3)
-    margin = np.maximum(margin, 1e-9)
-    z = np.where(has_lb, np.maximum(z, lb + margin), z)
-    z = np.where(has_ub, np.minimum(z, ub - margin), z)
+    # strict interior start for the barrier; the width is inf when one-sided
+    width = BOUND_FRAC * (ub - lb)
+    lo, hi = lb.copy(), ub.copy()
+    lo[has_lb] += np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(lb[has_lb])),
+                             width[has_lb])
+    hi[has_ub] -= np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(ub[has_ub])),
+                             width[has_ub])
+    z = np.clip(np.asarray(problem.z0, dtype=float), lo, hi)
 
     def eval_f(x):
         return float(_finite(problem.objective(x), "objective"))

@@ -16,8 +16,8 @@ from tvapf.geometry import straight_path
 from tvapf.planner import (ControlInput, Decision, EgoModelState,
                            EmptyTerminalSet, PlannerConfig, TerminalBox,
                            _LtpProgram, braking_distance,
-                           decision_label, discretize_dynamics,
-                           safe_stop_trajectory, solve_ltp, terminal_set)
+                           decision_label, safe_stop_trajectory, solve_ltp,
+                           terminal_set)
 from tvapf.potentials import PotentialConfig
 from tvapf.prediction import (ObstacleField, ObstacleState, TvapfParams,
                               UncertainForecast, propagate_obstacle)
@@ -78,22 +78,20 @@ def test_config_validation():
 
 def test_discretize_constant_acceleration():
     # with psi = 0 the model is exactly double-integrator longitudinally
-    x1 = discretize_dynamics(EgoModelState(0.0, 0.0, 0.0, 5.0),
-                             ControlInput(1.0, 0.0), 0.5)
-    assert x1.s == pytest.approx(5.0 * 0.5 + 0.5 * 1.0 * 0.25, abs=1e-12)
-    assert x1.nu == pytest.approx(5.5, abs=1e-12)
-    assert x1.d == 0.0 and x1.psi == 0.0
+    s, d, psi, nu = rk4(planner._f, (0.0, 0.0, 0.0, 5.0), (1.0, 0.0), 0.5)[0]
+    assert s == pytest.approx(5.0 * 0.5 + 0.5 * 1.0 * 0.25, abs=1e-12)
+    assert nu == pytest.approx(5.5, abs=1e-12)
+    assert d == 0.0 and psi == 0.0
 
 
 def test_discretize_matches_fine_integration():
     # one coarse RK4 step vs 1000 fine steps of the same vector field
-    x = EgoModelState(10.0, -1.0, 0.2, 6.0)
-    u = ControlInput(0.4, 0.05)
-    coarse = discretize_dynamics(x, u, 0.5).as_array()
+    x, u = (10.0, -1.0, 0.2, 6.0), (0.4, 0.05)
+    coarse = rk4(planner._f, x, u, 0.5)[0]
     fine = x
     for _ in range(1000):
-        fine = discretize_dynamics(fine, u, 0.5 / 1000)
-    assert np.allclose(coarse, fine.as_array(), atol=1e-8)
+        fine = rk4(planner._f, fine, u, 0.5 / 1000)[0]
+    assert np.allclose(coarse, fine, atol=1e-8)
 
 
 def _rk4_reference(f, dfdx, B, x, u, h):
@@ -215,11 +213,6 @@ def test_float_rollout_equals_batched_rk4(name, data):
                                       [Ys[:, k] for _, Ys in alone])
 
 
-def test_discretize_validation():
-    with pytest.raises(ValueError):
-        discretize_dynamics(EgoModelState(0, 0, 0, 1), ControlInput(0, 0), 0.0)
-
-
 # -- braking distance and terminal set ---------------------------------------
 
 
@@ -338,9 +331,9 @@ def test_empty_road_keeps_lane(path, cfg, pot):
 def test_published_states_satisfy_dynamics(path, cfg, pot):
     traj = solve_ltp(EgoModelState(20.0, -2.0, 0.0, 8.33), [], path, cfg, pot)
     for j, u in enumerate(traj.inputs):
-        x_next = discretize_dynamics(traj.states[j], u, cfg.T_sL)
-        assert np.allclose(x_next.as_array(), traj.states[j + 1].as_array(),
-                           atol=1e-12)
+        x_next = rk4(planner._f, traj.states[j].as_array(),
+                     (u.alpha, u.omega), cfg.T_sL)[0]
+        assert np.allclose(x_next, traj.states[j + 1].as_array(), atol=1e-12)
 
 
 def _follow_scene(cfg):

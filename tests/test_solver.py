@@ -1,6 +1,8 @@
 """Interior-point NLP solver: correctness on small closed-form programs,
 status semantics, and determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,60 @@ def test_box_bound_active():
     assert r.status is SolveStatus.OPTIMAL
     assert r.z[0] == pytest.approx(1.0, abs=1e-5)
     assert r.z[0] <= 1.0
+
+
+def _first_point(lb, ub, z0):
+    """Solve min (z - 3)^2 on [lb, ub] from z0, with every warning an
+    error; return the first point the objective is evaluated at, and the
+    result."""
+    seen = []
+
+    def objective(z):
+        seen.append(z[0])
+        return float((z[0] - 3.0) ** 2)
+
+    p = NlpProblem(n=1, objective=objective,
+                   gradient=lambda z: np.array([2.0 * (z[0] - 3.0)]),
+                   hessian=_constant_hessian(2.0), z0=np.array([z0]),
+                   lb=np.array([lb]), ub=np.array([ub]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = solve(p)
+    return seen[0], r
+
+
+@pytest.mark.parametrize("lb, ub, z0, start", [
+    # |bound| <= 1: 1e-2 inside, or a hundredth of the box if that is less
+    (0.5, 0.7, 0.0, 0.502),
+    (0.5, 0.7, 0.5, 0.502),
+    (0.5, 0.7, 1.0, 0.698),
+    (-0.5, 2.5, -0.5, -0.49),
+    # |bound| > 1: the push scales with the bound
+    (100.0, 300.0, 0.0, 101.0),
+    (100.0, 300.0, 100.0, 101.0),
+    (100.0, 300.0, 400.0, 298.0),
+    (-300.0, -250.0, -300.0, -299.5),
+    # one-sided bounds have no width term
+    (-5.0, np.inf, -10.0, -4.95),
+    (-np.inf, 0.25, 1.0, 0.24),
+    (-np.inf, -200.0, 0.0, -202.0),
+    (2.0, np.inf, 7.0, 7.0),
+    # infinite bounds leave the guess as it is
+    (-np.inf, np.inf, 123.4, 123.4),
+])
+def test_start_is_pushed_inside_the_box(lb, ub, z0, start):
+    first, _ = _first_point(lb, ub, z0)
+    assert first == pytest.approx(start, rel=1e-12)
+
+
+@pytest.mark.parametrize("width", [1e-10, 1e-11, 1e-3])
+def test_narrow_box_starts_inside_and_ends_optimal_at_ub(width):
+    # a start margin wider than half the box would put z0 outside it
+    first, r = _first_point(0.0, width, 0.5)
+    assert 0.0 < first < width
+    assert r.status is SolveStatus.OPTIMAL
+    assert width / 2 < r.z[0] <= width
+    assert r.z[0] == pytest.approx(width, abs=1e-7)
 
 
 def test_inequality_constraint():
