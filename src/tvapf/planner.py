@@ -690,6 +690,10 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
             "violation": result.constraint_violation,
             "wall_time": result.wall_time,
             "overtakes": overtakes,
+            "termination": result.termination,
+            "factorizations": result.factorizations,
+            "backtracks": result.backtracks,
+            "reg_retries": result.reg_retries,
         })
         if feasible:
             solved.append((float(result.objective), name, box, result, U, X))

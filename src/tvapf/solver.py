@@ -8,17 +8,19 @@ constraints get slacks with a log barrier, box bounds are handled by a direct
 barrier, and each iteration factorizes one sparse symmetric KKT system.  All
 linear algebra goes through scipy.sparse.  On the 70-step multiple-shooting
 planner program (420 variables, 280 equality and 210 inequality rows,
-block-banded Jacobians) an iteration takes about 3 ms on a 2-core x86-64
-host with BLAS on one thread (3.0-3.2 ms in traced seed-0 runs of the
-benchmark's workloads), callback evaluations and line search included; a
-fifth of it (19-22 %) is the SuperLU factorization.  The solver is
-deterministic: identical problems, options and initial guesses produce
-identical iterate sequences.
+block-banded Jacobians) an iteration takes about 2 ms on a 2-core x86-64
+host with BLAS on one thread (1.6-2.5 ms over two traced seed-0 runs of
+each of the benchmark's workloads), callback evaluations and line search
+included; a quarter of it (24-28 %) is the SuperLU factorization and
+44-51 % the program's callbacks.  The solver is deterministic: identical problems,
+options and initial guesses produce identical iterate sequences.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -82,6 +84,10 @@ class SolveResult:
     constraint_violation: float
     y_eq: np.ndarray
     w_ineq: np.ndarray
+    termination: str  # "kkt", "stalled", "no_step" or "iteration_limit"
+    factorizations: int  # KKT factorizations
+    backtracks: int  # rejected line-search trial points
+    reg_retries: int  # factorizations repeated with a larger delta_w
 
 
 class SparsePattern:
@@ -91,6 +97,9 @@ class SparsePattern:
     ``(rows[k], cols[k])``.  Duplicate positions are summed in the order
     given, and every position stays stored whatever its value, so callers
     that refresh the values of one pattern never sort or convert indices.
+    Every matrix of a pattern shares its ``indices`` and ``indptr`` arrays,
+    which are read-only: a consumer such as ``solve`` can tell an unchanged
+    pattern by identity, and no call copies them.
     """
 
     def __init__(self, rows, cols, shape, format: str = "csr"):
@@ -98,23 +107,31 @@ class SparsePattern:
         cols = np.asarray(cols, dtype=np.int64).ravel()
         if format == "csr":
             major, minor, n_major, n_minor = rows, cols, shape[0], shape[1]
-            self._cls = sp.csr_matrix
+            cls = sp.csr_matrix
         else:
             major, minor, n_major, n_minor = cols, rows, shape[1], shape[0]
-            self._cls = sp.csc_matrix
+            cls = sp.csc_matrix
         keys, self._slot = np.unique(major * n_minor + minor,
                                      return_inverse=True)
         self._indices = (keys % n_minor).astype(np.int32)
         self._indptr = np.searchsorted(
             keys // n_minor, np.arange(n_major + 1)).astype(np.int32)
+        self._indices.flags.writeable = False
+        self._indptr.flags.writeable = False
         self.shape = tuple(shape)
+        # each matrix is a shallow copy of this one with data of its own,
+        # which skips the checks of scipy's constructor
+        self._template = cls((np.zeros(len(keys)), self._indices,
+                              self._indptr), shape=self.shape)
+        self._template.indices = self._indices  # the constructor keeps a view
+        # np.unique sorted the positions and merged duplicates
+        self._template.has_canonical_format = True
 
     def matrix(self, vals):
-        data = np.bincount(self._slot, weights=vals,
-                           minlength=len(self._indices))
-        # the index arrays are copied: a caller may edit its matrix in place
-        return self._cls((data, self._indices.copy(), self._indptr.copy()),
-                         shape=self.shape)
+        M = copy.copy(self._template)
+        M.data = np.bincount(self._slot, weights=vals,
+                             minlength=len(self._indices))
+        return M
 
 
 # the stalled-violation verdict of ``solve``
@@ -128,9 +145,15 @@ BOUND_FRAC = 1e-2
 
 
 def _finite(x, what):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise CallbackFailure(f"non-finite value from {what}")
     return x
+
+
+def _frozen(a):
+    """Whether the values of ``a`` are fixed: a read-only array that owns
+    its memory, such as a SparsePattern's index arrays."""
+    return not a.flags.writeable and a.flags.owndata
 
 
 def _as_csr(M):
@@ -139,11 +162,56 @@ def _as_csr(M):
     return sp.csr_matrix(np.atleast_2d(np.asarray(M, dtype=float)))
 
 
-def _family(constraints, jacobian, n):
-    """Callbacks of one constraint family; an absent family has zero rows."""
-    if constraints is None:
-        return (lambda z: np.zeros(0)), (lambda z: sp.csr_matrix((0, n)))
-    return constraints, jacobian
+def _scatter(index, values, n):
+    """Length-n vector holding at each i the sum of ``values[k]`` over
+    index[k] == i, added in the order given."""
+    if not len(index):  # bincount of nothing has an integer dtype
+        return np.zeros(n)
+    return np.bincount(index, weights=values, minlength=n)
+
+
+def _rows(M):
+    """Row of each stored entry of the CSR matrix M."""
+    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+
+
+class _Family:
+    """One constraint family: its values, its Jacobian J at the last point
+    given to ``jacobian``, and the products J v and J' v.  An absent family
+    has zero rows (an empty vector with a (0, n) Jacobian)."""
+
+    def __init__(self, constraints, jacobian, n, what):
+        if constraints is None:
+            constraints = lambda z: np.zeros(0)  # noqa: E731
+            jacobian = lambda z: sp.csr_matrix((0, n))  # noqa: E731
+        self._values, self._jacobian = constraints, jacobian
+        self._what = f"{what} constraints"
+        self._indptr = None
+
+    def values(self, z):
+        return _finite(np.atleast_1d(np.asarray(self._values(z), dtype=float)),
+                       self._what)
+
+    def jacobian(self, z):
+        J = _as_csr(self._jacobian(z))
+        # the rows of the stored entries are kept while the row pointer is
+        # the same frozen array
+        if J.indptr is not self._indptr:
+            self.rows = _rows(J)
+            self._indptr = J.indptr if _frozen(J.indptr) else None
+        self.J = J
+
+    def matvec(self, v):
+        """J v; its products, and the order in which they are summed, are
+        those of scipy's ``J @ v``, so it is the same to the bit."""
+        J = self.J
+        return _scatter(self.rows, J.data * v[J.indices], J.shape[0])
+
+    def rmatvec(self, v):
+        """J' v, the same to the bit as scipy's ``J.T @ v`` (a CSC product),
+        without building the transposed matrix."""
+        J = self.J
+        return _scatter(J.indices, J.data * v[self.rows], J.shape[1])
 
 
 def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
@@ -151,7 +219,8 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
     An absent equality or inequality family enters as a family of zero rows
     (an empty vector with a (0, n) Jacobian), so every program takes one
-    path through the iteration.
+    path through the iteration.  A box narrower than 1e-12 max(1, |lb|,
+    |ub|) is refused: the interior start could not be told from its bound.
 
     OPTIMAL means the max-norm KKT residuals (dual residual and
     complementarity, unscaled) and the constraint violation are below
@@ -161,7 +230,8 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     max(100 tol, 1e-5): the violation has stalled, i.e. the best violation
     of the last STALL_WINDOW (20) iterations is not STALL_RATIO (10 %) below
     the best one before them; or no step is acceptable even under the
-    heaviest regularization.
+    heaviest regularization.  ``SolveResult.termination`` names the exit
+    taken: ``kkt``, ``stalled``, ``no_step`` or ``iteration_limit``.
 
     The constants come from traces of all 259 planner solves of the
     benchmark's overtake runs (seeds 0-4) and cold-start scenes (seeds 0-5).
@@ -185,84 +255,93 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     n = problem.n
     lb = np.full(n, -np.inf) if problem.lb is None else np.asarray(problem.lb, dtype=float)
     ub = np.full(n, np.inf) if problem.ub is None else np.asarray(problem.ub, dtype=float)
-    if np.any(ub - lb < 1e-12):
+    if not np.all(ub - lb >= 1e-12 * np.maximum(
+            1.0, np.maximum(np.abs(lb), np.abs(ub)))):
         raise ValueError("degenerate box bounds; use an equality constraint instead")
-    eq, eq_jacobian = _family(problem.eq_constraints, problem.eq_jacobian, n)
-    ineq, ineq_jacobian = _family(problem.ineq_constraints,
-                                  problem.ineq_jacobian, n)
+    eq = _Family(problem.eq_constraints, problem.eq_jacobian, n, "equality")
+    ineq = _Family(problem.ineq_constraints, problem.ineq_jacobian, n,
+                   "inequality")
     viol_floor = max(100 * opts.tol, 1e-5)  # INFEASIBLE needs a violation above it
 
-    has_lb = np.isfinite(lb)
-    has_ub = np.isfinite(ub)
+    # The finite bounds as index sets: bound k sits at z[ib[k]] and its gap
+    # is sign[k] (z[ib[k]] - bound[k]), z - lb for the first nl and ub - z
+    # (to the bit) for the rest.
+    ilb = np.flatnonzero(np.isfinite(lb))
+    iub = np.flatnonzero(np.isfinite(ub))
+    nl = len(ilb)
+    ib = np.concatenate([ilb, iub])
+    bound = np.concatenate([lb[ilb], ub[iub]])
+    sign = np.concatenate([np.ones(nl), -np.ones(len(iub))])
+
     # strict interior start for the barrier; the width is inf when one-sided
     width = BOUND_FRAC * (ub - lb)
     lo, hi = lb.copy(), ub.copy()
-    lo[has_lb] += np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(lb[has_lb])),
-                             width[has_lb])
-    hi[has_ub] -= np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(ub[has_ub])),
-                             width[has_ub])
+    lo[ilb] += np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(lb[ilb])),
+                          width[ilb])
+    hi[iub] -= np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(ub[iub])),
+                          width[iub])
     z = np.clip(np.asarray(problem.z0, dtype=float), lo, hi)
 
     def eval_f(x):
-        return float(_finite(problem.objective(x), "objective"))
+        v = float(problem.objective(x))
+        if not math.isfinite(v):
+            raise CallbackFailure("non-finite value from objective")
+        return v
 
     def eval_g(x):
         return _finite(np.asarray(problem.gradient(x), dtype=float).ravel(), "gradient")
 
-    def eval_ce(x):
-        return _finite(np.atleast_1d(np.asarray(eq(x), dtype=float)),
-                       "equality constraints")
+    ce = eq.values(z)
+    ci = ineq.values(z)
+    me, mi = len(ce), len(ci)
 
-    def eval_ci(x):
-        return _finite(np.atleast_1d(np.asarray(ineq(x), dtype=float)),
-                       "inequality constraints")
-
-    ce = eval_ce(z)
-    ci = eval_ci(z)
-    me = len(ce)
-
+    # The primal gaps (the slacks s, then the bound gaps), their duals (w,
+    # then the bound multipliers) and the sums of the merit function are
+    # formed once per accepted point.
     mu = 0.1  # initial barrier parameter
     s = np.maximum(-ci, 1e-2)
-    w = mu / s
+    gap = np.concatenate([s, sign * (z[ib] - bound)])
+    dual = np.concatenate([mu / s, mu / np.maximum(gap[mi:], 1e-12)])
+    terms = _merit_terms(gap, ce, ci, mi, nl)
     y = np.zeros(me)
-    zeta_lo = np.where(has_lb, mu / np.maximum(z - lb, 1e-12), 0.0)
-    zeta_up = np.where(has_ub, mu / np.maximum(ub - z, 1e-12), 0.0)
 
     f_val = eval_f(z)
     g = eval_g(z)
-    Je = _as_csr(eq_jacobian(z))
-    Ji = _as_csr(ineq_jacobian(z))
+    eq.jacobian(z)
+    ineq.jacobian(z)
 
     def violation(cev, civ):
-        return max(float(np.max(np.abs(cev), initial=0.0)),
-                   float(np.max(np.maximum(civ, 0.0), initial=0.0)))
+        return max(float(np.abs(cev).max(initial=0.0)),
+                   float(np.maximum(civ, 0.0).max(initial=0.0)))
 
     def kkt_errors(gJy, viol, *mu_vals):
         """KKT error of the current iterate at each barrier parameter.
 
         ``gJy`` is g + Je'y and ``viol`` the constraint violation; the dual
         residual and the complementarity products are formed once."""
-        r_d = gJy + Ji.T @ w - zeta_lo + zeta_up
-        base = max(float(np.max(np.abs(r_d), initial=0.0)), viol)
-        comp = np.concatenate([s * w,
-                               (z - lb)[has_lb] * zeta_lo[has_lb],
-                               (ub - z)[has_ub] * zeta_up[has_ub]])
-        return [max(base, float(np.max(np.abs(comp - m), initial=0.0)))
+        r_d = gJy + ineq.rmatvec(dual[:mi])
+        r_d[ilb] -= dual[mi:mi + nl]
+        r_d[iub] += dual[mi + nl:]
+        base = max(float(np.abs(r_d).max(initial=0.0)), viol)
+        comp = gap * dual
+        return [max(base, float(np.abs(comp - m).max(initial=0.0)))
                 for m in mu_vals]
 
     kkt = _KktSystem(n, me)
     delta_w = 0.0
     status = SolveStatus.ITER_LIMIT
-    no_step = False
+    termination = "iteration_limit"
+    factorizations = backtracks = reg_retries = 0
     history = []  # constraint violation at each iteration
     it = 0
 
     for it in range(1, opts.max_iter + 1):
-        gJy = g + Je.T @ y
+        gJy = g + eq.rmatvec(y)
         viol = violation(ce, ci)
         err0, err_mu = kkt_errors(gJy, viol, 0.0, mu)
         if err0 < opts.tol:
             status = SolveStatus.OPTIMAL
+            termination = "kkt"
             break
 
         # barrier parameter schedule
@@ -275,111 +354,111 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
                 and min(history[-STALL_WINDOW:]) > \
                 (1.0 - STALL_RATIO) * min(history[:-STALL_WINDOW]):
             status = SolveStatus.INFEASIBLE
+            termination = "stalled"
             break
 
         # Hessian of the Lagrangian (approximate)
+        w = dual[:mi]
         H = _as_csr(problem.hessian(z, y, w))
 
         # condensed primal-dual system
-        d_lo = np.zeros(n)
-        d_lo[has_lb] = zeta_lo[has_lb] / (z - lb)[has_lb]
-        d_up = np.zeros(n)
-        d_up[has_ub] = zeta_up[has_ub] / (ub - z)[has_ub]
-        d_bound = d_lo + d_up
-
+        s, gap_b, zeta = gap[:mi], gap[mi:], dual[mi:]
+        d_b = zeta / gap_b
+        d_bound = _scatter(ib, d_b, n)
         s_safe = np.maximum(s, 1e-12)
         sigma = w / s_safe
-        rhs_z = -gJy - Ji.T @ (sigma * (ci + s) + mu / s_safe)
-        rhs_z = rhs_z + np.where(has_lb, mu / np.maximum(z - lb, 1e-300), 0.0)
-        rhs_z = rhs_z - np.where(has_ub, mu / np.maximum(ub - z, 1e-300), 0.0)
-
+        cs = ci + s
+        t = sigma * cs + mu / s_safe
+        barrier = mu / np.maximum(gap_b, 1e-300)
+        rhs_z = -gJy - ineq.rmatvec(t)
+        rhs_z[ilb] += barrier[:nl]
+        rhs_z[iub] -= barrier[nl:]
         rhs = np.concatenate([rhs_z, -ce])
 
+        tau = max(0.99, 1.0 - mu)
+        # backtracking on a barrier + L1-penalty merit function
+        nu_pen = 10.0 + 2.0 * max(float(np.abs(y).max(initial=0.0)),
+                                  float(np.abs(w).max(initial=0.0)))
+        phi0 = _merit(f_val, terms, mu, nu_pen)
+
         accepted = False
-        for _ in range(12):
+        for attempt in range(12):
+            factorizations += 1
+            if attempt:  # delta_w was raised for this one
+                reg_retries += 1
             try:
-                sol = kkt.solve(H, Je, Ji, d_bound + delta_w, sigma, rhs)
+                sol = kkt.solve(H, eq.J, ineq.J, d_bound + delta_w, sigma, rhs)
             except RuntimeError:
                 delta_w = max(1e-8, 10.0 * (delta_w or 1e-8))
                 continue
-            if not np.all(np.isfinite(sol)):
+            if not np.isfinite(sol).all():
                 delta_w = max(1e-8, 10.0 * (delta_w or 1e-8))
                 continue
 
             dz = sol[:n]
             dy = sol[n:]
-            Ji_dz = Ji @ dz
-            ds = -(ci + s) - Ji_dz
-            dw = sigma * (ci + s) + mu / s_safe - w + sigma * Ji_dz
-            dzeta_lo = np.where(has_lb,
-                                mu / np.maximum(z - lb, 1e-300) - zeta_lo
-                                - d_lo * dz, 0.0)
-            dzeta_up = np.where(has_ub,
-                                mu / np.maximum(ub - z, 1e-300) - zeta_up
-                                + d_up * dz, 0.0)
+            Ji_dz = ineq.matvec(dz)
+            ds = -cs - Ji_dz
+            dw = t - w + sigma * Ji_dz
+            dgap_b = sign * dz[ib]
+            dzeta = barrier - zeta - d_b * dgap_b
 
-            # fraction-to-boundary
-            tau = max(0.99, 1.0 - mu)
-            alpha_pri = min(_max_step(s, ds, tau),
-                            _max_step((z - lb)[has_lb], dz[has_lb], tau),
-                            _max_step((ub - z)[has_ub], -dz[has_ub], tau))
-            alpha_dual = min(_max_step(w, dw, tau),
-                             _max_step(zeta_lo[has_lb], dzeta_lo[has_lb], tau),
-                             _max_step(zeta_up[has_ub], dzeta_up[has_ub], tau))
+            # fraction-to-boundary; a min over the joined vectors is exact
+            alpha_pri = _max_step(gap, np.concatenate([ds, dgap_b]), tau)
+            ddual = np.concatenate([dw, dzeta])
+            alpha_dual = _max_step(dual, ddual, tau)
 
-            # backtracking on a barrier + L1-penalty merit function
-            nu_pen = 10.0 + 2.0 * max(float(np.max(np.abs(y), initial=0.0)),
-                                      float(np.max(np.abs(w), initial=0.0)))
-            phi0 = _merit(f_val, z, s, ce, ci, lb, ub, has_lb, has_ub, mu, nu_pen)
             alpha = alpha_pri
             ls_ok = False
             for _ls in range(25):
                 z_t = z + alpha * dz
-                s_t = s + alpha * ds
+                gap_t = np.concatenate([s + alpha * ds,
+                                        sign * (z_t[ib] - bound)])
                 try:
                     f_t = eval_f(z_t)
-                    ce_t = eval_ce(z_t)
-                    ci_t = eval_ci(z_t)
+                    ce_t = eq.values(z_t)
+                    ci_t = ineq.values(z_t)
                 except CallbackFailure:
                     alpha *= 0.5
+                    backtracks += 1
                     continue
-                phi_t = _merit(f_t, z_t, s_t, ce_t, ci_t, lb, ub, has_lb, has_ub, mu, nu_pen)
+                terms_t = _merit_terms(gap_t, ce_t, ci_t, mi, nl)
+                phi_t = _merit(f_t, terms_t, mu, nu_pen)
                 if phi_t <= phi0 - 1e-8 * alpha * max(1.0, abs(phi0)) or \
                         phi_t <= phi0 + 1e-12 * max(1.0, abs(phi0)):
                     ls_ok = True
                     break
                 alpha *= 0.5
+                backtracks += 1
             if not ls_ok:
                 delta_w = max(1e-6, 10.0 * (delta_w or 1e-6))
                 continue
 
-            z, s = z_t, s_t
+            z, gap, terms = z_t, gap_t, terms_t
             y = y + alpha_dual * dy
-            w = np.maximum(w + alpha_dual * dw, 1e-16)
-            zeta_lo = np.where(has_lb, np.maximum(zeta_lo + alpha_dual * dzeta_lo, 1e-16), 0.0)
-            zeta_up = np.where(has_ub, np.maximum(zeta_up + alpha_dual * dzeta_up, 1e-16), 0.0)
+            dual = np.maximum(dual + alpha_dual * ddual, 1e-16)
             f_val, ce, ci = f_t, ce_t, ci_t
             g = eval_g(z)
-            Je = _as_csr(eq_jacobian(z))
-            Ji = _as_csr(ineq_jacobian(z))
+            eq.jacobian(z)
+            ineq.jacobian(z)
             delta_w = max(delta_w / 3.0, 0.0) if delta_w > 1e-10 else 0.0
             accepted = True
             break
 
         if not accepted:
             # could not find an acceptable step even with heavy regularization
-            no_step = True
+            termination = "no_step"
             break
 
     wall = time.perf_counter() - t_start
     final_violation = violation(ce, ci)
-    final_err, = kkt_errors(g + Je.T @ y, final_violation, 0.0)
+    final_err, = kkt_errors(g + eq.rmatvec(y), final_violation, 0.0)
     if status is SolveStatus.ITER_LIMIT:
         if final_err < opts.tol:
             status = SolveStatus.OPTIMAL
         elif final_violation < opts.tol:
             status = SolveStatus.FEASIBLE_POINT
-        elif no_step and final_violation > viol_floor:
+        elif termination == "no_step" and final_violation > viol_floor:
             status = SolveStatus.INFEASIBLE
 
     return SolveResult(
@@ -391,7 +470,11 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         kkt_error=final_err,
         constraint_violation=final_violation,
         y_eq=y,
-        w_ineq=w,
+        w_ineq=dual[:mi].copy(),
+        termination=termination,
+        factorizations=factorizations,
+        backtracks=backtracks,
+        reg_retries=reg_retries,
     )
 
 
@@ -414,19 +497,21 @@ class _KktSystem:
     def __init__(self, n, me):
         self.n, self.me = n, me
         self._key = None
+        self._reg = np.full(me, -1e-10)
 
     def solve(self, H, Je, Ji, d, sigma, rhs):
         """Factorize the system and solve it for ``rhs``."""
-        key = [H.indptr, H.indices, Je.indptr, Je.indices,
-               Ji.indptr, Ji.indices]
+        key = (H.indptr, H.indices, Je.indptr, Je.indices,
+               Ji.indptr, Ji.indices)
+        # a frozen index array that is the same object has the same values
         if self._key is None or not all(
-                np.array_equal(p, q) for p, q in zip(key, self._key)):
+                p is q or np.array_equal(p, q) for p, q in zip(key, self._key)):
             self._build(H, Je, Ji)
-            self._key = [a.copy() for a in key]
+            self._key = [a if _frozen(a) else a.copy() for a in key]
         a, b, row = self._pairs
         kkt = self._pattern.matrix(np.concatenate([
             H.data, d, Ji.data[a] * sigma[row] * Ji.data[b],
-            Je.data, Je.data, np.full(self.me, -1e-10)]))
+            Je.data, Je.data, self._reg]))
         if self._perm is None:
             lu = spla.splu(kkt)
             # perm_c[i] is the position of row and column i from now on
@@ -442,8 +527,7 @@ class _KktSystem:
 
     def _build(self, H, Je, Ji):
         n, me = self.n, self.me
-        h_r, e_r, i_r = (np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-                         for M in (H, Je, Ji))
+        h_r, e_r, i_r = (_rows(M) for M in (H, Je, Ji))
         # stored entries (a, b) sharing a row of Ji form Ji' diag(sigma) Ji
         lens = np.diff(Ji.indptr)
         reps = lens[i_r]
@@ -464,20 +548,30 @@ class _KktSystem:
 
 def _max_step(x, dx, tau):
     """Largest alpha in (0, 1] keeping x + alpha*dx >= (1 - tau) * x."""
-    neg = dx < 0
-    if not np.any(neg):
+    neg = np.flatnonzero(dx < 0)
+    if not len(neg):
         return 1.0
     with np.errstate(divide="ignore", over="ignore"):
         ratio = -tau * x[neg] / dx[neg]
-    return float(min(1.0, np.min(ratio)))
+    return float(min(1.0, ratio.min()))
 
 
-def _merit(f, z, s, ce, ci, lb, ub, has_lb, has_ub, mu, nu_pen):
-    phi = f
-    for gap in (s, (z - lb)[has_lb], (ub - z)[has_ub]):
-        if np.any(gap <= 0):
-            return np.inf
-        phi -= mu * float(np.sum(np.log(gap)))
-    phi += nu_pen * float(np.sum(np.abs(ce)))
-    phi += nu_pen * float(np.sum(np.abs(ci + s)))
-    return phi
+def _merit_terms(gap, ce, ci, mi, nl):
+    """The sums of the barrier + L1-penalty merit at one point, free of mu
+    and the penalty: the log sums of the mi slacks, the nl lower-bound gaps
+    and the upper-bound gaps (``gap`` in that order), then sum |ce| and
+    sum |ci + s|; None off the interior."""
+    if (gap <= 0).any():
+        return None
+    logs = np.log(gap)
+    return (float(logs[:mi].sum()), float(logs[mi:mi + nl].sum()),
+            float(logs[mi + nl:].sum()), float(np.abs(ce).sum()),
+            float(np.abs(ci + gap[:mi]).sum()))
+
+
+def _merit(f, terms, mu, nu_pen):
+    if terms is None:
+        return np.inf
+    log_s, log_lo, log_up, l1_eq, l1_ineq = terms
+    return (f - mu * log_s - mu * log_lo - mu * log_up
+            + nu_pen * l1_eq + nu_pen * l1_ineq)

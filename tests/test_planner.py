@@ -1,12 +1,15 @@
 """Trajectory planner: dynamics discretization, terminal safe-stop set,
 the finite-horizon program, the braking fallback, and maneuver labeling."""
 
+import dataclasses
 import math
 import warnings
+from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -446,6 +449,71 @@ def test_candidates_tied_to_rounding_publish_stay(path, cfg, pot, tv,
     assert [(c["candidate"], c["status"]) for c in stats["candidates"]] == \
         [("stay", "optimal"), ("pass", "optimal")]
     assert stats["candidate"] == published
+
+
+def _overtake_scene_near_25s(scn):
+    """solve_ltp on the bundled overtake scene near t0 = 25 s, rounded: the
+    ego behind leader L1, with oncoming O1 and O2 in the passing lane."""
+    path, cfg = scn.build_path(), scn.planner_config()
+    spec = {a.id: a for a in scn.actors}
+    actors = [("L1", 417.0, -2.0, 5.0), ("O1", 279.0, 2.0, 10.0),
+              ("O2", 560.0, 2.0, 12.0)]
+    fcs = _forecasts([ObstacleState(s_o=s, d_o=d, v_o=v,
+                                    v_bounds=spec[i].v_bounds,
+                                    a_bounds=spec[i].a_bounds,
+                                    direction=spec[i].direction)
+                      for i, s, d, v in actors], cfg)
+    return solve_ltp(EgoModelState(264.5, -2.5, 0.0, 9.6), fcs, path, cfg,
+                     scn.potential_config(), tvapf=scn.tvapf_params(),
+                     t0=25.0, alpha_prev=0.0)
+
+
+def test_planner_work_on_a_fixed_overtake_scene(overtake_scenario):
+    """Each candidate's status and iteration count on one fixed scene, so a
+    change to the planner's work shows here and not only in the benchmark.
+    The counts are the same with BLAS on one or two threads: stay converges,
+    and pass, blocked by O1, ends on the stall verdict."""
+    cands = _overtake_scene_near_25s(overtake_scenario).solve_stats[
+        "candidates"]
+    assert [(c["candidate"], c["status"], c["iterations"], c["termination"])
+            for c in cands] == [("stay", "optimal", 28, "kkt"),
+                                ("pass", "infeasible", 36, "stalled")]
+
+
+def test_solver_telemetry_counts_calls(overtake_scenario, monkeypatch):
+    """The counts each candidate reports equal the benchmark's own
+    definitions: factorizations are splu calls, backtracks are objective
+    calls less gradient calls, and regularization retries are splu calls
+    less Hessian calls."""
+    planner_solve, splu = planner.solve, scipy.sparse.linalg.splu
+    counted = []
+
+    def counting(name, fn, calls):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def solve(problem, opts):
+        calls = Counter()
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            counting("splu", splu, calls))
+        hooks = {k: counting(k, getattr(problem, k), calls)
+                 for k in ("objective", "gradient", "hessian")}
+        result = planner_solve(dataclasses.replace(problem, **hooks), opts)
+        counted.append(calls)
+        return result
+
+    monkeypatch.setattr(planner, "solve", solve)
+    cands = _overtake_scene_near_25s(overtake_scenario).solve_stats[
+        "candidates"]
+    assert len(cands) == len(counted) == 2
+    for c, calls in zip(cands, counted):
+        assert c["factorizations"] == calls["splu"]
+        assert c["backtracks"] == calls["objective"] - calls["gradient"]
+        assert c["reg_retries"] == calls["splu"] - calls["hessian"]
+    # the blocked pass candidate backtracks and retries
+    assert cands[1]["backtracks"] > 0 and cands[1]["reg_retries"] > 0
 
 
 def test_solve_ltp_refuses_a_warm_start(path, cfg, pot, tv):

@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tvapf.solver import (CallbackFailure, NlpProblem, SolveOptions,
-                          SolveStatus, solve)
+                          SolveStatus, SparsePattern, _Family, solve)
 
 
 def _constant_hessian(*diag):
@@ -46,6 +47,7 @@ def test_unconstrained_scalar():
 def test_equality_qp():
     r = solve(_equality_qp())
     assert r.status is SolveStatus.OPTIMAL
+    assert r.termination == "kkt"
     assert np.allclose(r.z, [0.5, 0.5], atol=1e-6)
     assert r.constraint_violation < 1e-8
     assert r.y_eq[0] == pytest.approx(-1.0, abs=1e-5)
@@ -174,6 +176,7 @@ def test_infeasible_pair():
                    ineq_jacobian=lambda z: np.array([[1.0], [-1.0]]))
     r = solve(p)
     assert r.status is SolveStatus.INFEASIBLE
+    assert r.termination == "stalled"
     assert r.constraint_violation >= 0.4
     # the violation sits at 0.5 from the first iteration, so the verdict
     # comes as soon as a 20-iteration window follows the first
@@ -209,15 +212,20 @@ def test_no_acceptable_step_is_infeasible():
                    eq_jacobian=lambda z: np.array([[1.0]]))
     r = solve(p)
     assert r.status is SolveStatus.INFEASIBLE
+    assert r.termination == "no_step"
     assert r.iterations == 1
     assert r.constraint_violation == 1.0
     assert r.z[0] == 0.0
+    # twelve factorizations, each after a larger delta_w than the last, and
+    # every trial point of every line search rejected
+    assert (r.factorizations, r.reg_retries, r.backtracks) == (12, 11, 12 * 25)
 
 
 def test_iteration_limit_reports_feasible_point():
     r = solve(_equality_qp(z0=(0.6, 0.4)), SolveOptions(max_iter=1))
     assert r.status in (SolveStatus.FEASIBLE_POINT, SolveStatus.ITER_LIMIT,
                         SolveStatus.OPTIMAL)
+    assert r.termination == "iteration_limit"
     assert r.iterations <= 1
 
 
@@ -244,6 +252,94 @@ def test_degenerate_box_rejected():
                    lb=np.array([1.0]), ub=np.array([1.0]))
     with pytest.raises(ValueError):
         solve(p)
+
+
+@pytest.mark.parametrize("lb, width", [(1e6, 1e-9), (1e3, 1e-12),
+                                       (1e6, 1e-8)])
+def test_box_narrow_for_its_bound_rejected(lb, width):
+    # a push inside these boxes is below one ulp of lb, or so close to it
+    # that the solve divides by zero or runs to the iteration cap
+    p = _scalar_quadratic(lb=np.array([lb]), ub=np.array([lb + width]))
+    with pytest.raises(ValueError):
+        solve(p)
+
+
+def test_free_one_sided_and_two_sided_bounds_without_equalities():
+    """min sum (z - c)^2 with z0 free but for the inequality z0 <= 1, z1 >= 1,
+    z2 <= -2, and z3, z4, z5 in [-1, 1]; no equality family.  The optimum is
+    (1, 1, -2, 0.3, 1, -1): every kind of bound is active somewhere, and the
+    inequality multiplier is 2 (c0 - 1)."""
+    c = np.array([2.0, -1.0, 0.0, 0.3, 3.0, -3.0])
+    p = NlpProblem(n=6,
+                   objective=lambda z: float(np.sum((z - c) ** 2)),
+                   gradient=lambda z: 2.0 * (z - c),
+                   hessian=_constant_hessian(*[2.0] * 6),
+                   z0=np.array([5.0, 4.0, 3.0, 0.9, -7.0, 0.5]),
+                   ineq_constraints=lambda z: np.array([z[0] - 1.0]),
+                   ineq_jacobian=lambda z: np.array([[1.0, 0, 0, 0, 0, 0]]),
+                   lb=np.array([-np.inf, 1.0, -np.inf, -1.0, -1.0, -1.0]),
+                   ub=np.array([np.inf, np.inf, -2.0, 1.0, 1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = solve(p)
+    assert r.status is SolveStatus.OPTIMAL
+    assert r.termination == "kkt"
+    assert np.allclose(r.z, [1.0, 1.0, -2.0, 0.3, 1.0, -1.0], atol=1e-5)
+    assert r.objective == pytest.approx(1.0 + 4.0 + 4.0 + 4.0 + 4.0, abs=1e-4)
+    assert r.y_eq.shape == (0,)
+    assert r.w_ineq[0] == pytest.approx(2.0, abs=1e-4)
+    # 11 iterations; a wrong bound-multiplier step still converges, in 36
+    # or more
+    assert r.iterations <= 15
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _product_cases():
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((6, 5))
+    dense[[1, 4]] = 0.0  # two empty rows
+    dense[dense > 0.8] = 0.0
+    # stored entries out of order, a duplicate, and an empty last row
+    messy = sp.csr_matrix((np.array([0.3, -1.7, 2.5, 1e-300, -4.0]),
+                           np.array([3, 0, 3, 1, 3]),
+                           np.array([0, 3, 3, 5, 5])), shape=(4, 5))
+    return [sp.csr_matrix(dense), messy, sp.csr_matrix((0, 5)),
+            sp.csr_matrix((3, 5))]
+
+
+@pytest.mark.parametrize("M", _product_cases())
+def test_jacobian_products_equal_scipy_to_the_bit(M):
+    rng = np.random.default_rng(4)
+    v_row = rng.standard_normal(M.shape[0]) * 1e3
+    v_col = rng.standard_normal(M.shape[1])
+    family = _Family(lambda z: np.zeros(M.shape[0]), lambda z: M,
+                     M.shape[1], "test")
+    family.jacobian(None)
+    assert _bits(family.rmatvec(v_row)) == _bits(M.T @ v_row)
+    assert _bits(family.matvec(v_col)) == _bits(M @ v_col)
+
+
+def test_pattern_matrices_share_read_only_indices():
+    rows, cols = [0, 2, 2, 1, 0], [1, 0, 0, 2, 1]
+    pattern = SparsePattern(rows, cols, (3, 3))
+    A = pattern.matrix(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    B = pattern.matrix(np.array([-1.0, 0.0, 0.0, 1.0, 0.0]))
+    assert A.indices is B.indices and A.indptr is B.indptr
+    assert not A.indices.flags.writeable and not A.indptr.flags.writeable
+    assert A.data is not B.data
+    assert np.array_equal(A.toarray(), [[0, 6, 0], [0, 0, 4], [5, 0, 0]])
+    # every position stays stored, zero or not
+    assert B.nnz == 3 and np.array_equal(B.data, [-1.0, 1.0, 0.0])
+    # the same pattern of a changed family gives the same products
+    family = _Family(lambda z: np.zeros(3), lambda z: z, 3, "test")
+    v = np.array([0.5, -2.0, 7.0])
+    for M in (A, B, A):
+        family.jacobian(M)
+        assert _bits(family.rmatvec(v)) == _bits(M.T @ v)
+        assert _bits(family.matvec(v)) == _bits(M @ v)
 
 
 def test_deterministic_iterates():
