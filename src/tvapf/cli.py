@@ -168,7 +168,7 @@ def cmd_plan(args) -> int:
     field = []
     for j in j_grid:
         # overlay of the per-obstacle fields (each normalized to [0, 1])
-        w = ObstacleField(forecasts, np.full(S.shape, j), tvapf).terms(S, D)[2]
+        w = ObstacleField(forecasts, np.full(S.shape, j), tvapf).at(S, D).w
         field.append(np.max(w, axis=0, initial=0.0).tolist())
 
     # the box of the published candidate; the fallback has none

@@ -22,15 +22,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .dynamics import rk4, rk4_jacobians, rollout
 from .geometry import ReferencePath
 from .potentials import (PotentialConfig, boundary_potential,
-                         boundary_potential_curv, boundary_potential_grad,
-                         effective_speed, lane_potential, lane_potential_curv,
-                         lane_potential_grad, lateral_offsets)
+                         effective_speed, lane_potential, lateral_offsets)
 from .prediction import ObstacleField, TvapfParams
 from .solver import (NlpProblem, SolveOptions, SolveStatus, SparsePattern,
                      solve)
@@ -348,7 +347,10 @@ class _LtpProgram:
     """Callbacks of the multiple-shooting NLP for one planner instance.
 
     Decision vector z = [x_1 .. x_N  (4 each) | u_0 .. u_{N-1} (2 each)];
-    the initial state is a fixed parameter.
+    the initial state is a fixed parameter.  Each point is evaluated once,
+    by ``_at``, into one record that the seven callbacks only read; the
+    last point's record is kept, since the solver asks for the values, the
+    derivatives and the Hessian at one point in turn.
     """
 
     def __init__(self, xi0, forecasts, path, cfg: PlannerConfig,
@@ -380,7 +382,7 @@ class _LtpProgram:
         # the states x_1 .. x_N meet the field at their own prediction steps
         self.field = ObstacleField(forecasts, np.arange(1, self.N + 1), tvapf)
         self._build_patterns()
-        self._step_z = None
+        self._z = None
 
     def _build_patterns(self):
         """Index arrays of the acceleration-rate limits and the fixed sparsity
@@ -469,46 +471,59 @@ class _LtpProgram:
         ub[4 * N:] = np.tile(u_ub, N)
         return lb, ub
 
+    def _at(self, z):
+        """The record of everything the callbacks read at z: the states X
+        (N, 4) and inputs U (N, 2), the speed state paired with each input,
+        the (value, d/dd, d2/dd2) triples of the boundary and the lane
+        potential, the field's terms, and the RK4 step from each stage's
+        previous state with its stage points, as components over stages.
+        z is copied and compared by value, since a caller may pass a fresh
+        array or change its own."""
+        if self._z is not None and np.array_equal(z, self._z):
+            return self._rec
+        z = np.array(z, dtype=float)
+        X, U = self._states(z), self._inputs(z)
+        h_l, h_r, h_c = lateral_offsets(X[:, 1], self.path)
+        prev = np.concatenate([self.x0[None, :], X[:-1]])
+        x_next, Y = rk4(_f, prev.T, U.T, self.cfg.T_sL)
+        self._z, self._rec = z, SimpleNamespace(
+            X=X, U=U,
+            # comfort: input j paired with the speed state at the same step
+            nu_at_u=np.concatenate([[self.x0[3]], X[:-1, 3]]),
+            boundary=boundary_potential(h_l, h_r, self.pcfg.eta),
+            lane=lane_potential(h_c),
+            field=self.field.at(X[:, 0], X[:, 1]),
+            x_next=x_next, Y=Y)
+        return self._rec
+
     # -- cost --------------------------------------------------------------
 
     def objective(self, z):
-        X = self._states(z)
-        U = self._inputs(z)
-        d = X[:, 1]
-        nu = X[:, 3]
+        r = self._at(z)
         pcfg = self.pcfg
-        h_l, h_r, h_c = lateral_offsets(d, self.path)
-        J = pcfg.K_v * float(np.sum((nu - self.v_bar) ** 2))
-        J += pcfg.K_b * float(np.sum(boundary_potential(h_l, h_r, pcfg.eta)))
-        J += pcfg.K_l * float(np.sum(lane_potential(h_c)))
-        # comfort: input j paired with the speed state at the same step
-        nu_at_u = np.concatenate([[self.x0[3]], nu[:-1]])
-        J += pcfg.K_c * float(np.sum((nu_at_u * U[:, 1]) ** 2))
-        J += self.cfg.K_o * float(np.sum(self.field.value(X[:, 0], d)))
+        J = pcfg.K_v * float(((r.X[:, 3] - self.v_bar) ** 2).sum())
+        J += pcfg.K_b * float(r.boundary[0].sum())
+        J += pcfg.K_l * float(r.lane[0].sum())
+        J += pcfg.K_c * float(((r.nu_at_u * r.U[:, 1]) ** 2).sum())
+        J += self.cfg.K_o * float(r.field.value().sum())
         return J
 
     def gradient(self, z):
-        X = self._states(z)
-        U = self._inputs(z)
-        d = X[:, 1]
-        nu = X[:, 3]
+        r = self._at(z)
         pcfg = self.pcfg
         g = np.zeros(self.n)
         gX = g[:4 * self.N].reshape(self.N, 4)
         gU = g[4 * self.N:].reshape(self.N, 2)
 
-        gX[:, 3] += 2.0 * pcfg.K_v * (nu - self.v_bar)
+        gX[:, 3] += 2.0 * pcfg.K_v * (r.X[:, 3] - self.v_bar)
+        gX[:, 1] += pcfg.K_b * r.boundary[1]
+        gX[:, 1] += pcfg.K_l * r.lane[1]
 
-        h_l, h_r, h_c = lateral_offsets(d, self.path)
-        gl, gr = boundary_potential_grad(h_l, h_r, pcfg.eta)
-        gX[:, 1] += pcfg.K_b * (-gl + gr)
-        gX[:, 1] += pcfg.K_l * (-lane_potential_grad(h_c))
+        nu_at_u, om = r.nu_at_u, r.U[:, 1]
+        gU[:, 1] += 2.0 * pcfg.K_c * nu_at_u ** 2 * om
+        gX[:-1, 3] += 2.0 * pcfg.K_c * nu_at_u[1:] * om[1:] ** 2
 
-        nu_at_u = np.concatenate([[self.x0[3]], nu[:-1]])
-        gU[:, 1] += 2.0 * pcfg.K_c * nu_at_u ** 2 * U[:, 1]
-        gX[:-1, 3] += 2.0 * pcfg.K_c * nu_at_u[1:] * U[1:, 1] ** 2
-
-        gs, gd = self.field.grad(X[:, 0], d)
+        gs, gd = r.field.grad()
         gX[:, 0] += self.cfg.K_o * gs
         gX[:, 1] += self.cfg.K_o * gd
         return g
@@ -519,25 +534,20 @@ class _LtpProgram:
         rows weighted by their multipliers w_ineq[:N].  The rate rows are
         linear; the curvature of the dynamics (y_eq) is left out."""
         N = self.N
-        X = self._states(z)
-        om = self._inputs(z)[:, 1]
-        d = X[:, 1]
-        nu = X[:, 3]
+        r = self._at(z)
         pcfg = self.pcfg
 
         # lateral curvature, clamped to keep the block PSD
-        h_l, h_r, h_c = lateral_offsets(d, self.path)
-        lateral = np.maximum(
-            pcfg.K_b * boundary_potential_curv(h_l, h_r, pcfg.eta)
-            + pcfg.K_l * lane_potential_curv(h_c), 0.0) + 1e-8
+        lateral = np.maximum(pcfg.K_b * r.boundary[2]
+                             + pcfg.K_l * r.lane[2], 0.0) + 1e-8
 
         # obstacle field (cost weight + constraint multiplier), per-step
         # Gauss-Newton block over (s, d)
         mult = self.cfg.K_o + w_ineq[:N]
-        Gss, Gsd, Gdd = (mult * g for g in self.field.gauss_newton(X[:, 0], d))
+        Gss, Gsd, Gdd = (mult * g for g in r.field.gauss_newton())
 
         # comfort term K_c (nu_{j-1} omega_j)^2, Gauss-Newton block
-        nu_at_u = np.concatenate([[self.x0[3]], nu[:-1]])
+        nu_at_u, om = r.nu_at_u, r.U[:, 1]
         cross = 2.0 * pcfg.K_c * nu_at_u[1:] * om[1:]
         return self._hess_pattern.matrix(np.concatenate([
             np.full(N, 2.0 * pcfg.K_v), lateral, Gss, Gsd, Gsd, Gdd,
@@ -546,25 +556,13 @@ class _LtpProgram:
 
     # -- dynamics equalities ------------------------------------------------
 
-    def _step(self, z):
-        """(U, x_next, Y): the inputs, and the RK4 step from each stage's
-        previous state with its stage points, as components over stages.
-        The last iterate's step is kept for the Jacobian at the same z."""
-        if self._step_z is not None and np.array_equal(z, self._step_z):
-            return self._step_out
-        z = np.array(z, dtype=float)
-        prev = np.concatenate([self.x0[None, :], self._states(z)[:-1]])
-        U = self._inputs(z)
-        self._step_z, self._step_out = z, (U,) + rk4(_f, prev.T, U.T,
-                                                      self.cfg.T_sL)
-        return self._step_out
-
     def eq_constraints(self, z):
-        return (self._states(z) - np.transpose(self._step(z)[1])).ravel()
+        r = self._at(z)
+        return (r.X - np.transpose(r.x_next)).ravel()
 
     def eq_jacobian(self, z):
-        U, _, Y = self._step(z)
-        Fx, Fu = rk4_jacobians(_jac, np.transpose(Y, (0, 2, 1)), U,
+        r = self._at(z)
+        Fx, Fu = rk4_jacobians(_jac, np.transpose(r.Y, (0, 2, 1)), r.U,
                                self.cfg.T_sL)
         return self._eq_pattern.matrix(np.concatenate([
             np.ones(4 * self.N), -Fx[1:, _FX_NONZERO].ravel(),
@@ -573,8 +571,7 @@ class _LtpProgram:
     # -- inequalities -------------------------------------------------------
 
     def ineq_constraints(self, z):
-        X = self._states(z)
-        O = self.field.value(X[:, 0], X[:, 1])
+        O = self._at(z).field.value()
         ze = np.append(z, 0.0 if self.alpha_prev is None else self.alpha_prev)
         diff = ze[self._rate_next] - ze[self._rate_prev]
         bound = self.cfg.delta_alpha_max
@@ -583,8 +580,7 @@ class _LtpProgram:
             np.stack([diff - bound, -diff - bound], axis=1).ravel()])
 
     def ineq_jacobian(self, z):
-        X = self._states(z)
-        gs, gd = self.field.grad(X[:, 0], X[:, 1])
+        gs, gd = self._at(z).field.grad()
         return self._ineq_pattern.matrix(
             np.concatenate([gs, gd, self._rate_jac]))
 
@@ -766,7 +762,7 @@ def safe_stop_trajectory(xi0: EgoModelState, cfg: PlannerConfig,
 
 
 def decision_label(traj: PlannedTrajectory, path: ReferencePath,
-                   forecasts, v_des: float = 12.0) -> Decision:
+                   forecasts, v_des: float) -> Decision:
     """Post-hoc classification of the emergent maneuver for logs and tests."""
     if traj.fallback:
         return Decision.SAFE_STOP

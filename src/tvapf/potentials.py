@@ -1,9 +1,10 @@
 """Static objective terms of the local planner cost.
 
 Road-boundary repulsion and lane preference are smooth scalar fields of the
-lateral offset; their first and second derivatives are provided alongside so
-the planner assembles its gradient and Hessian from the same code.  The speed
-reference bounds the desired speed by the road's curvature.
+lateral offset d; each returns its value with its first and second
+derivative in d from one evaluation of its exponentials, so the planner
+reads its cost, gradient and Hessian from one call.  The speed reference
+bounds the desired speed by the road's curvature.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class PotentialConfig:
                 raise ConfigError(f"{name} must be finite and non-negative")
 
 
-def effective_speed(v_des, v_max, kappa_eff, a_l_max=2.0):
+def effective_speed(v_des, v_max, kappa_eff, a_l_max):
     """Most restrictive of desired speed, legal limit and the comfort speed
     sqrt(a_l_max / |kappa|); the comfort term is +inf on straight segments."""
     kappa = np.abs(np.asarray(kappa_eff, dtype=float))
@@ -61,46 +62,33 @@ def lateral_offsets(d, path: ReferencePath):
 
 
 def boundary_potential(h_l, h_r, eta):
-    """Superposed left/right Gaussian-profile edge repulsion."""
-    return np.exp(-((eta * np.asarray(h_l)) ** 4)) + np.exp(-((eta * np.asarray(h_r)) ** 4))
-
-
-def boundary_potential_grad(h_l, h_r, eta):
-    """(dW/dh_l, dW/dh_r)."""
-    h_l = np.asarray(h_l, dtype=float)
-    h_r = np.asarray(h_r, dtype=float)
-    gl = -4.0 * eta * (eta * h_l) ** 3 * np.exp(-((eta * h_l) ** 4))
-    gr = -4.0 * eta * (eta * h_r) ** 3 * np.exp(-((eta * h_r) ** 4))
-    return gl, gr
-
-
-def boundary_potential_curv(h_l, h_r, eta):
-    """d2W/dh_l2 + d2W/dh_r2, the curvature in d of the edge repulsion."""
-    def curv(h):
+    """(value, d/dd, d2/dd2) of the superposed left/right Gaussian-profile
+    edge repulsion exp(-(eta h_l)**4) + exp(-(eta h_r)**4), one exponential
+    per edge; h_l and h_r move with slope -1 and +1 in d."""
+    def edge(h):
+        """(value, slope, curvature) of one edge in its own offset h."""
         x = eta * np.asarray(h, dtype=float)
-        return eta * eta * (16.0 * x ** 6 - 12.0 * x ** 2) * np.exp(-x ** 4)
-    return curv(h_l) + curv(h_r)
+        e = np.exp(-x ** 4)
+        return (e, -4.0 * eta * x ** 3 * e,
+                eta * eta * (16.0 * x ** 6 - 12.0 * x ** 2) * e)
+    (w_l, g_l, c_l), (w_r, g_r, c_r) = edge(h_l), edge(h_r)
+    return w_l + w_r, -g_l + g_r, c_l + c_r
 
 
 def lane_potential(h_c):
-    """Sigmoid pull toward the rightmost free lane; low for h_c >> 0."""
-    return 1.0 / (1.0 + np.exp(np.asarray(h_c, dtype=float)))
-
-
-def lane_potential_grad(h_c):
-    w = lane_potential(h_c)
-    return -w * (1.0 - w)
-
-
-def lane_potential_curv(h_c):
-    w = lane_potential(h_c)
-    return w * (1.0 - w) * (1.0 - 2.0 * w)
+    """(value, d/dd, d2/dd2) of the sigmoid pull 1 / (1 + exp(h_c)) toward
+    the rightmost free lane, low for h_c >> 0; h_c moves with slope -1 in
+    d."""
+    w = 1.0 / (1.0 + np.exp(np.asarray(h_c, dtype=float)))
+    slope = w * (1.0 - w)
+    return w, slope, slope * (1.0 - 2.0 * w)
 
 
 def lateral_cost_profile(d, path: ReferencePath, cfg: PotentialConfig):
     """Combined weighted lateral cost K_b*W_b + K_l*W_l as a function of d."""
     h_l, h_r, h_c = lateral_offsets(np.asarray(d, dtype=float), path)
-    return cfg.K_b * boundary_potential(h_l, h_r, cfg.eta) + cfg.K_l * lane_potential(h_c)
+    return (cfg.K_b * boundary_potential(h_l, h_r, cfg.eta)[0]
+            + cfg.K_l * lane_potential(h_c)[0])
 
 
 def verify_lane_centering(path: ReferencePath, cfg: PotentialConfig,

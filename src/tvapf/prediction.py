@@ -134,6 +134,36 @@ def propagate_obstacle(o: ObstacleState, T_sL: float, N_L: int) -> UncertainFore
     )
 
 
+@dataclass(frozen=True)
+class FieldTerms:
+    """The obstacle field at one set of points, one row per forecast: the
+    gradient factors fs = c xs**(c-1) / gamma_s and fd = c xd**(c-1) /
+    gamma_d of phi = xs**c + xd**c, and the field values w = exp(-phi).
+    The sums over forecasts are zero without forecasts."""
+
+    fs: np.ndarray
+    fd: np.ndarray
+    w: np.ndarray
+
+    def value(self):
+        return self.w.sum(axis=0)
+
+    def grad(self):
+        """(dW/ds, dW/dd)."""
+        w = self.w
+        return (-w * self.fs).sum(axis=0), (-w * self.fd).sum(axis=0)
+
+    def gauss_newton(self):
+        """(ss, sd, dd) entries of the sum of w grad(phi) grad(phi)', the
+        positive-semidefinite part of the curvature w (grad(phi) grad(phi)'
+        - hess(phi)) of each W = exp(-phi): phi is convex for even c, so the
+        part dropped is negative semidefinite (Nocedal & Wright, Numerical
+        Optimization, sec. 10.3)."""
+        fs, fd, w = self.fs, self.fd, self.w
+        return ((w * (fs * fs)).sum(axis=0), (w * (fs * fd)).sum(axis=0),
+                (w * (fd * fd)).sum(axis=0))
+
+
 class ObstacleField:
     """Superposed obstacle fields of ``forecasts`` at prediction step ``j``,
     an index or an index array.
@@ -142,11 +172,8 @@ class ObstacleField:
     offsets xs = (s - s_center[j]) / gamma_s and xd = (d - d_o) / gamma_d.
     It peaks at 1 on the reachable-set center, decays with even symmetry in
     both axes and equals edge_value at the safety-zone edge.  The scales are
-    arrays indexed (forecast, j), so the points (s, d) given to the methods
-    must broadcast against j's shape.  ``terms`` keeps one row per forecast;
-    ``value``, ``grad`` and ``gauss_newton`` sum the rows (zero without
-    forecasts).  The terms of the last point asked for are kept, since a
-    solver asks for the value, gradient and Hessian at one iterate in turn.
+    arrays indexed (forecast, j), so the points (s, d) given to ``at`` must
+    broadcast against j's shape.  The field holds no per-call state.
     """
 
     def __init__(self, forecasts, j, p: TvapfParams):
@@ -166,40 +193,14 @@ class ObstacleField:
         self.d_o = np.array([fc.d_o for fc in forecasts],
                             dtype=float).reshape((-1,) + (1,) * j.ndim)
         self.gamma_d = np.full(shape, (0.5 * p.l_W + p.sigma_d) / root)
-        self._at = None
 
-    def terms(self, s, d):
-        """Gradient factors fs = c xs**(c-1) / gamma_s, fd = c xd**(c-1) /
-        gamma_d of phi = xs**c + xd**c, with the offsets clipped where w has
-        underflowed to 0, and field values w = exp(-phi), one row per
-        forecast."""
-        if self._at is not None and np.array_equal(s, self._at[0]) \
-                and np.array_equal(d, self._at[1]):
-            return self._terms
+    def at(self, s, d) -> FieldTerms:
+        """The per-forecast terms at (s, d), with the offsets clipped where
+        w has underflowed to 0."""
         x_max = self._x_max
         xs = np.clip((s - self.center) / self.gamma_s, -x_max, x_max)
         xd = np.clip((d - self.d_o) / self.gamma_d, -x_max, x_max)
         c = self.c
-        self._at = np.array(s), np.array(d)
-        self._terms = (c * xs ** (c - 1) / self.gamma_s,
-                       c * xd ** (c - 1) / self.gamma_d,
-                       np.exp(-(xs ** c + xd ** c)))
-        return self._terms
-
-    def value(self, s, d):
-        return np.sum(self.terms(s, d)[2], axis=0)
-
-    def grad(self, s, d):
-        """(dW/ds, dW/dd)."""
-        fs, fd, w = self.terms(s, d)
-        return np.sum(-w * fs, axis=0), np.sum(-w * fd, axis=0)
-
-    def gauss_newton(self, s, d):
-        """(ss, sd, dd) entries of the sum of w grad(phi) grad(phi)', the
-        positive-semidefinite part of the curvature w (grad(phi) grad(phi)'
-        - hess(phi)) of each W = exp(-phi): phi is convex for even c, so the
-        part dropped is negative semidefinite (Nocedal & Wright, Numerical
-        Optimization, sec. 10.3)."""
-        fs, fd, w = self.terms(s, d)
-        return (np.sum(w * (fs * fs), axis=0), np.sum(w * (fs * fd), axis=0),
-                np.sum(w * (fd * fd), axis=0))
+        return FieldTerms(c * xs ** (c - 1) / self.gamma_s,
+                          c * xd ** (c - 1) / self.gamma_d,
+                          np.exp(-(xs ** c + xd ** c)))

@@ -39,7 +39,7 @@ def _sample(traj: PlannedTrajectory, t: float):
 
 
 def resample(traj: PlannedTrajectory, path: ReferencePath, t_query: float,
-             N_P: int, T_sMPC: float, wheelbase: float = 2.7) -> np.ndarray:
+             N_P: int, T_sMPC: float, wheelbase: float) -> np.ndarray:
     """Reference for one controller tick: the (N_P + 1, 5) array of
     (x, y, theta, v, delta) at N_P + 1 times from t_query, T_sMPC apart.
 

@@ -309,12 +309,15 @@ def load(file, overrides: dict | None = None) -> Scenario:
     path = Path(file)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
-    text = path.read_text()
-    if path.suffix in (".yaml", ".yml"):
-        data = yaml.safe_load(text)
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError:
+    try:
+        text = path.read_text()
+        if path.suffix in (".yaml", ".yml"):
             data = yaml.safe_load(text)
+        else:
+            try:
+                data = json.loads(text)
+            except json.JSONDecodeError:
+                data = yaml.safe_load(text)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ScenarioError(f"cannot load {path}: {exc}") from exc
     return from_dict(data, overrides)

@@ -9,10 +9,12 @@ barrier, and each iteration factorizes one sparse symmetric KKT system.  All
 linear algebra goes through scipy.sparse.  On the 70-step multiple-shooting
 planner program (420 variables, 280 equality and 210 inequality rows,
 block-banded Jacobians) an iteration takes about 2 ms on a 2-core x86-64
-host with BLAS on one thread (1.6-2.5 ms over two traced seed-0 runs of
+host with BLAS on one thread (1.4-2.2 ms over three traced seed-0 runs of
 each of the benchmark's workloads), callback evaluations and line search
-included; a quarter of it (24-28 %) is the SuperLU factorization and
-44-51 % the program's callbacks.  The solver is deterministic: identical problems,
+included; 26-31 % of it is the SuperLU factorization and 40-48 % the
+program's callbacks, 70-75 % of those in the objective, the first callback
+at each trial point and so the one that carries the planner's evaluation of
+that point, and in the dynamics Jacobian.  The solver is deterministic: identical problems,
 options and initial guesses produce identical iterate sequences.
 """
 

@@ -167,7 +167,7 @@ def _jac(L, Y, U):
 
 
 def bicycle_step(chi: VehicleState, u, T: float,
-                 wheelbase: float = 2.7) -> VehicleState:
+                 wheelbase: float) -> VehicleState:
     """One zero-order-hold step of the kinematic single-track model."""
     if T <= 0:
         raise ValueError("T must be positive")
@@ -192,7 +192,8 @@ class _NmpcProgram:
 
     The forward pass (states, RK4 stage points, tracking errors) is memoized
     per iterate; the sensitivities dX/du are built from its stage points only
-    when the gradient or the constraint Jacobian asks for them.
+    when the gradient or the constraint Jacobian asks for them, kept with it
+    and dropped when the forward pass moves to another iterate.
 
     The inequality rows h(z) <= 0 are, in order: the terminal error against
     sigma; per step k = 1 .. N_P the upper and the lower bound of each of
@@ -226,7 +227,7 @@ class _NmpcProgram:
         rate[rows, 2 * k] = 1.0
         rate[rows[k > 0], 2 * k[k > 0] - 2] = -1.0
         self._rate_jac = np.stack([rate, -rate], axis=1).reshape(-1, self.n)
-        self._fwd_z = self._sens_z = None
+        self._fwd_z = None
 
     def _forward(self, z):
         """(U, X, Y, E) at z: inputs, states, the stage points of each step
@@ -238,20 +239,20 @@ class _NmpcProgram:
         X, Y = rollout(self._f, self.chi0, U.tolist(), self.cfg.T_sMPC)
         E = X - self.ref
         E[:, 2] = wrap_angle(E[:, 2])
-        self._fwd_z, self._fwd = z, (U, X, Y, E)
+        self._fwd_z, self._fwd, self._sens = z, (U, X, Y, E), None
         return self._fwd
 
     def _sensitivities(self, z):
         """S (N_P + 1, 5, 2 N_P) with S[k] = dX[k]/du at z."""
-        if self._sens_z is not None and np.array_equal(z, self._sens_z):
-            return self._sens
         U, _, Y, _ = self._forward(z)
+        if self._sens is not None:
+            return self._sens
         Fx, Fu = rk4_jacobians(self._jac, Y, U, self.cfg.T_sMPC)
         S = np.zeros((self.N + 1, 5, 2 * self.N))
         for k in range(self.N):
             S[k + 1] = Fx[k] @ S[k]
             S[k + 1, :, 2 * k:2 * k + 2] += Fu[k]
-        self._sens_z, self._sens = self._fwd_z, S
+        self._sens = S
         return S
 
     def objective(self, z):

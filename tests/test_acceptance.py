@@ -241,7 +241,7 @@ def test_criterion_6_safe_stop():
             X = np.array([st.as_array() for st in traj.states])
             j = np.minimum(cfg.N_L + np.arange(len(X)), ext.steps)
             O_max = float(np.max(
-                ObstacleField([ext], j, tv).value(X[:, 0], X[:, 1])))
+                ObstacleField([ext], j, tv).at(X[:, 0], X[:, 1]).value()))
             worst_O = max(worst_O, O_max)
             stop_ok = traj.states[-1].s <= box.s_max + D + 1e-9
             if O_max > tv.epsilon_o or not stop_ok:

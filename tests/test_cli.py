@@ -77,6 +77,29 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, content", [
+    ("bad.json", '{"path": '),
+    ("bad.yaml", "path: ["),
+    ("bad.json", b"\xff\xfe\x00"),
+    ("dir.json", None),
+], ids=["json_truncated", "yaml_unclosed", "undecodable", "directory"])
+@pytest.mark.parametrize("command", [["run"], ["run", "--dry-run"],
+                                     ["plan"]], ids=" ".join)
+def test_unloadable_scenario_file_exits_2(tmp_path, capsys, name, content,
+                                          command):
+    file = tmp_path / name
+    if content is None:
+        file.mkdir()
+    elif isinstance(content, bytes):
+        file.write_bytes(content)
+    else:
+        file.write_text(content)
+    out = tmp_path / "out"
+    assert main([command[0], str(file), *command[1:], "--out", str(out)]) == 2
+    assert f"scenario error: cannot load {file}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _set_actor(i, key, value):
     return lambda d: d["actors"][i].__setitem__(key, value)
 

@@ -297,7 +297,7 @@ def test_safe_stop_trajectory(path, cfg):
     ramp = [a for a in alphas if a < -1e-9]
     assert all(np.diff(ramp[:3]) <= 1e-12)
     assert min(alphas) >= cfg.alpha_min - 1e-12
-    assert decision_label(traj, path, []) is Decision.SAFE_STOP
+    assert decision_label(traj, path, [], v_des=12.0) is Decision.SAFE_STOP
 
 
 def test_safe_stop_levels_heading(path, cfg):
@@ -351,7 +351,8 @@ def _follow_scene(cfg):
 def _field_along(traj, fcs, tv):
     """Obstacle field at each published state, at the state's own step."""
     X = np.array([x.as_array() for x in traj.states])
-    return ObstacleField(fcs, np.arange(len(X)), tv).value(X[:, 0], X[:, 1])
+    field = ObstacleField(fcs, np.arange(len(X)), tv)
+    return field.at(X[:, 0], X[:, 1]).value()
 
 
 def test_follow_leader_when_oncoming_blocks(path, cfg, pot, tv):
@@ -480,6 +481,41 @@ def test_planner_work_on_a_fixed_overtake_scene(overtake_scenario):
                                 ("pass", "infeasible", 36, "stalled")]
 
 
+def _counting(name, fn, calls):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_each_planner_point_is_evaluated_once(overtake_scenario,
+                                              monkeypatch):
+    """On the fixed scene the solver asks for the objective once at each
+    point it visits, and the field, the lateral offsets, both lateral
+    potentials and the RK4 step run once per such point, whichever of the
+    seven callbacks it asks for there."""
+    calls = Counter()
+    for name in ("lateral_offsets", "boundary_potential", "lane_potential",
+                 "rk4"):
+        monkeypatch.setattr(planner, name,
+                            _counting(name, getattr(planner, name), calls))
+    monkeypatch.setattr(ObstacleField, "at",
+                        _counting("field", ObstacleField.at, calls))
+    planner_solve = planner.solve
+
+    def solve(problem, opts):
+        return planner_solve(dataclasses.replace(problem, objective=_counting(
+            "objective", problem.objective, calls)), opts)
+
+    monkeypatch.setattr(planner, "solve", solve)
+    _overtake_scene_near_25s(overtake_scenario)
+    n = calls["objective"]
+    assert n > 0
+    assert calls == {name: n for name in (
+        "objective", "lateral_offsets", "boundary_potential",
+        "lane_potential", "rk4", "field")}
+
+
 def test_solver_telemetry_counts_calls(overtake_scenario, monkeypatch):
     """The counts each candidate reports equal the benchmark's own
     definitions: factorizations are splu calls, backtracks are objective
@@ -488,17 +524,11 @@ def test_solver_telemetry_counts_calls(overtake_scenario, monkeypatch):
     planner_solve, splu = planner.solve, scipy.sparse.linalg.splu
     counted = []
 
-    def counting(name, fn, calls):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     def solve(problem, opts):
         calls = Counter()
         monkeypatch.setattr(scipy.sparse.linalg, "splu",
-                            counting("splu", splu, calls))
-        hooks = {k: counting(k, getattr(problem, k), calls)
+                            _counting("splu", splu, calls))
+        hooks = {k: _counting(k, getattr(problem, k), calls)
                  for k in ("objective", "gradient", "hessian")}
         result = planner_solve(dataclasses.replace(problem, **hooks), opts)
         counted.append(calls)
@@ -656,7 +686,7 @@ def test_hessian_obstacle_blocks_are_finite_and_psd_at_any_scale(
     z[0:4 * N:4] = field.center[0] + xs * field.gamma_s[0]
     z[1:4 * N:4] = field.d_o[0] + xd * field.gamma_d[0]
     if where == "tail":
-        W = field.value(z[0:4 * N:4], z[1:4 * N:4])
+        W = field.at(z[0:4 * N:4], z[1:4 * N:4]).value()
         assert np.all((W > 0.0) & (W < np.finfo(float).tiny))
     w_ineq = np.full(len(prog.ineq_constraints(z)), multiplier)
     with warnings.catch_warnings():

@@ -127,9 +127,9 @@ def test_calibrated_edge_condition():
                 s_center=np.full(n, 100.0),
                 delta_s=np.full(n, delta_s), d_o=-2.0)
             field = ObstacleField([fc], 0, p)
-            w_lon = field.value(100.0 + delta_s / 2 + p.sigma_s, -2.0)
+            w_lon = field.at(100.0 + delta_s / 2 + p.sigma_s, -2.0).value()
             assert float(w_lon) == pytest.approx(edge, rel=1e-12)
-            w_lat = field.value(100.0, -2.0 + p.l_W / 2 + p.sigma_d)
+            w_lat = field.at(100.0, -2.0 + p.l_W / 2 + p.sigma_d).value()
             assert float(w_lat) == pytest.approx(edge, rel=1e-12)
 
 
@@ -153,8 +153,8 @@ def test_field_far_away_is_exactly_zero_for_any_c(c):
            (200.0, -2.0 - 10.0 * float(field.gamma_d[0]))]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for s, d in far:
-            out = [field.value(s, d), *field.grad(s, d),
-                   *field.gauss_newton(s, d)]
+            terms = field.at(s, d)
+            out = [terms.value(), *terms.grad(), *terms.gauss_newton()]
             assert all(float(x) == 0.0 for x in out), out
 
 
@@ -171,18 +171,18 @@ def test_field_peak_and_decay():
     p = TvapfParams()
     fc = _flat_forecast()
     field = ObstacleField([fc], 0, p)
-    assert float(field.value(200.0, -2.0)) == pytest.approx(1.0)
+    assert float(field.at(200.0, -2.0).value()) == pytest.approx(1.0)
     gamma_s = float(field.gamma_s[0])
-    assert float(field.value(200.0 + gamma_s, -2.0)) == \
+    assert float(field.at(200.0 + gamma_s, -2.0).value()) == \
         pytest.approx(math.exp(-1.0))
-    assert float(field.value(200.0 + 1e4, -2.0)) == 0.0
+    assert float(field.at(200.0 + 1e4, -2.0).value()) == 0.0
     # even symmetry in both axes
     for ds, dd in ((7.0, 0.0), (0.0, 1.3), (4.0, 2.0)):
-        assert float(field.value(200 + ds, -2 + dd)) == \
-            pytest.approx(float(field.value(200 - ds, -2 - dd)))
+        assert float(field.at(200 + ds, -2 + dd).value()) == \
+            pytest.approx(float(field.at(200 - ds, -2 - dd).value()))
     # values stay in (0, 1]
     s = np.linspace(100, 300, 50)
-    w = ObstacleField([fc], np.zeros(50, dtype=int), p).value(s, -1.0)
+    w = ObstacleField([fc], np.zeros(50, dtype=int), p).at(s, -1.0).value()
     assert w.shape == s.shape
     assert np.all((w >= 0.0) & (w <= 1.0))
 
@@ -202,7 +202,7 @@ def test_superlevel_sets_compact():
             half_d = gamma_d * (-math.log(eps)) ** (1.0 / p.c)
             s = rng.uniform(fc.s_center[j] - 300, fc.s_center[j] + 300, 400)
             d = rng.uniform(-10, 10, 400)
-            w = ObstacleField([fc], np.full(400, j), p).value(s, d)
+            w = ObstacleField([fc], np.full(400, j), p).at(s, d).value()
             inside = w >= eps
             assert np.all(np.abs(s[inside] - fc.s_center[j])
                           <= half_s + 1e-9)
@@ -212,16 +212,15 @@ def test_superlevel_sets_compact():
 def test_total_field_superposition():
     p = TvapfParams()
     fc = _flat_forecast()
-    assert float(ObstacleField([], 0, p).value(123.0, 0.0)) == 0.0
-    assert float(ObstacleField([fc], 0, p).value(200.0, -2.0)) == \
+    assert float(ObstacleField([], 0, p).at(123.0, 0.0).value()) == 0.0
+    assert float(ObstacleField([fc], 0, p).at(200.0, -2.0).value()) == \
         pytest.approx(1.0)
-    assert float(ObstacleField([fc, fc], 0, p).value(200.0, -2.0)) == \
+    assert float(ObstacleField([fc, fc], 0, p).at(200.0, -2.0).value()) == \
         pytest.approx(2.0)
     # no forecasts: every term is zero over a step array
     empty = ObstacleField([], np.arange(1, 4), p)
-    for out in (empty.value(np.ones(3), np.ones(3)),
-                *empty.grad(np.ones(3), np.ones(3)),
-                *empty.gauss_newton(np.ones(3), np.ones(3))):
+    terms = empty.at(np.ones(3), np.ones(3))
+    for out in (terms.value(), *terms.grad(), *terms.gauss_newton()):
         assert np.array_equal(out, np.zeros(3))
     # two forecasts over a step array sum the per-point closed form
     fcs = [propagate_obstacle(ObstacleState(s_o=s_o, d_o=d_o, v_o=v_o,
@@ -235,8 +234,8 @@ def test_total_field_superposition():
     d = rng.uniform(-4.0, 4.0, 20)
     ref = [sum(_reference(s[k], d[k], f, j[k], p) for f in fcs)
            for k in range(20)]
-    np.testing.assert_allclose(ObstacleField(fcs, j, p).value(s, d), ref,
-                               rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(ObstacleField(fcs, j, p).at(s, d).value(),
+                               ref, rtol=1e-12, atol=1e-300)
 
 
 def test_gauss_newton_of_superposed_forecasts_is_psd():
@@ -253,7 +252,7 @@ def test_gauss_newton_of_superposed_forecasts_is_psd():
     j = rng.integers(0, 21, 400)
     s = rng.uniform(120.0, 220.0, 400)
     d = rng.uniform(-4.0, 4.0, 400)
-    ss, sd, dd = ObstacleField(fcs, j, p).gauss_newton(s, d)
+    ss, sd, dd = ObstacleField(fcs, j, p).at(s, d).gauss_newton()
     assert np.all(ss >= 0.0) and np.all(dd >= 0.0)
     assert np.all(np.abs(sd) <= np.sqrt(ss) * np.sqrt(dd) * (1.0 + 1e-12))
     # rank two where two forecasts both bend the field
@@ -277,13 +276,16 @@ def test_field_gradient_matches_finite_differences():
         # sample inside the curved region, away from the flat tails
         s = fc.s_center[j] + rng.uniform(-1.3, 1.3) * gamma_s
         d = fc.d_o + rng.uniform(-1.3, 1.3) * gamma_d
-        gs, gd = field.grad(s, d)
-        fs = (field.value(s + h, d) - field.value(s - h, d)) / (2 * h)
-        fd = (field.value(s, d + h) - field.value(s, d - h)) / (2 * h)
+        terms = field.at(s, d)
+        gs, gd = terms.grad()
+        fs = (field.at(s + h, d).value()
+              - field.at(s - h, d).value()) / (2 * h)
+        fd = (field.at(s, d + h).value()
+              - field.at(s, d - h).value()) / (2 * h)
         assert float(gs) == pytest.approx(float(fs), rel=1e-5, abs=1e-9)
         assert float(gd) == pytest.approx(float(fd), rel=1e-5, abs=1e-9)
 
-        w = field.value(s, d)
-        np.testing.assert_allclose(field.gauss_newton(s, d),
+        w = terms.value()
+        np.testing.assert_allclose(terms.gauss_newton(),
                                    [gs * gs / w, gs * gd / w, gd * gd / w],
                                    rtol=1e-12, atol=0.0)

@@ -28,7 +28,7 @@ def path():
 def test_knot_identity(path):
     # querying exactly on the planning grid reproduces the planned states
     traj = _constant_speed_traj()
-    ref = resample(traj, path, t_query=1.0, N_P=10, T_sMPC=0.5)
+    ref = resample(traj, path, t_query=1.0, N_P=10, T_sMPC=0.5, wheelbase=2.7)
     assert ref.shape == (11, 5)
     for k, r in enumerate(ref):
         x = traj.states[2 + k]
@@ -40,13 +40,13 @@ def test_knot_identity(path):
 def test_constant_speed_advance(path):
     # between knots the position advances by nu * T_sMPC per sample
     ref = resample(_constant_speed_traj(), path, t_query=0.0, N_P=10,
-                   T_sMPC=0.2)
+                   T_sMPC=0.2, wheelbase=2.7)
     assert np.allclose(np.diff(ref[:, X]), 10.0 * 0.2, atol=1e-9)
 
 
 def test_heading_is_path_heading_plus_psi(path):
     # on a straight east-bound path with psi = 0 the absolute heading is 0
-    ref = resample(_constant_speed_traj(), path, 0.0, 10, 0.2)
+    ref = resample(_constant_speed_traj(), path, 0.0, 10, 0.2, 2.7)
     assert np.allclose(ref[:, THETA], 0.0, rtol=0.0, atol=1e-12)
     # a constant relative heading shows up directly in theta
     states = tuple(EgoModelState(s=2.0 * j, d=-2.0, psi=0.05, nu=4.0)
@@ -54,13 +54,13 @@ def test_heading_is_path_heading_plus_psi(path):
     traj = PlannedTrajectory(t0=0.0, T_sL=0.5, states=states,
                              inputs=tuple(ControlInput(0.0, 0.0)
                                           for _ in range(20)))
-    ref = resample(traj, path, 0.0, 10, 0.2)
+    ref = resample(traj, path, 0.0, 10, 0.2, 2.7)
     assert np.allclose(ref[:, THETA], 0.05, rtol=0.0, atol=1e-12)
 
 
 def test_zero_steering_on_straight_line(path):
     # straight motion at zero heading rate needs no steering angle
-    ref = resample(_constant_speed_traj(), path, 0.0, 10, 0.2)
+    ref = resample(_constant_speed_traj(), path, 0.0, 10, 0.2, 2.7)
     assert np.allclose(ref[:, DELTA], 0.0, rtol=0.0, atol=1e-12)
 
 
@@ -79,21 +79,22 @@ def test_steering_from_heading_rate(path):
 
 def test_horizon_exhausted(path):
     traj = _constant_speed_traj(n=20)  # ends at t = 10 s
-    resample(traj, path, t_query=8.0, N_P=10, T_sMPC=0.2)  # ends exactly at 10
+    # ends exactly at 10
+    resample(traj, path, t_query=8.0, N_P=10, T_sMPC=0.2, wheelbase=2.7)
     with pytest.raises(ValueError, match="not inside"):
-        resample(traj, path, t_query=8.1, N_P=10, T_sMPC=0.2)
+        resample(traj, path, t_query=8.1, N_P=10, T_sMPC=0.2, wheelbase=2.7)
 
 
 def test_query_before_start_rejected(path):
     traj = _constant_speed_traj(t0=5.0)
-    resample(traj, path, t_query=5.0, N_P=10, T_sMPC=0.2)
+    resample(traj, path, t_query=5.0, N_P=10, T_sMPC=0.2, wheelbase=2.7)
     with pytest.raises(ValueError, match="not inside"):
-        resample(traj, path, t_query=4.0, N_P=10, T_sMPC=0.2)
+        resample(traj, path, t_query=4.0, N_P=10, T_sMPC=0.2, wheelbase=2.7)
 
 
 def test_nonzero_t0_alignment(path):
     traj = _constant_speed_traj(t0=5.0)
-    ref = resample(traj, path, t_query=5.0, N_P=10, T_sMPC=0.2)
+    ref = resample(traj, path, t_query=5.0, N_P=10, T_sMPC=0.2, wheelbase=2.7)
     assert ref[0, X] == pytest.approx(0.0, abs=1e-12)
     assert ref[5, X] == pytest.approx(10.0, abs=1e-9)
 
@@ -123,7 +124,7 @@ def test_window_matches_per_sample_reference_on_arc():
     inputs = tuple(ControlInput(-0.2, 0.02 * math.cos(k)) for k in range(20))
     traj = PlannedTrajectory(t0=2.0, T_sL=0.5, states=states, inputs=inputs)
     for t_query in (2.0, 2.3, 7.9):
-        ref = resample(traj, path, t_query, N_P=10, T_sMPC=0.2)
+        ref = resample(traj, path, t_query, N_P=10, T_sMPC=0.2, wheelbase=2.7)
         want = [_reference_state(traj, path, t_query + k * 0.2, 2.7)
                 for k in range(11)]
         assert ref.tolist() == want

@@ -15,6 +15,7 @@ import pytest
 import scipy.optimize
 
 import tvapf
+from tvapf import tracker
 from tvapf.dynamics import rollout
 from tvapf.planner import PlannerConfig
 from tvapf.potentials import ConfigError
@@ -61,13 +62,14 @@ def _predicted(chi0, sol, cfg):
 
 
 def test_bicycle_step_straight():
-    out = bicycle_step(VehicleState(0, 0, 0, 10.0, 0.0), (0.0, 0.0), 0.2)
+    out = bicycle_step(VehicleState(0, 0, 0, 10.0, 0.0), (0.0, 0.0), 0.2,
+                       2.7)
     assert out == VehicleState(x=2.0, y=0.0, theta=0.0, v=10.0, delta=0.0)
 
 
 def test_bicycle_step_constant_steering_arc():
     chi = VehicleState(0, 0, 0, 5.0, 0.2)
-    out = bicycle_step(chi, (0.0, 0.0), 0.2)
+    out = bicycle_step(chi, (0.0, 0.0), 0.2, 2.7)
     # constant steering at constant speed turns at v tan(delta) / L
     assert out.theta == pytest.approx(5.0 * math.tan(0.2) / 2.7 * 0.2,
                                       rel=1e-9)
@@ -76,13 +78,13 @@ def test_bicycle_step_constant_steering_arc():
 
 def test_bicycle_step_standstill():
     chi = VehicleState(1.0, 2.0, 0.3, 0.0, 0.1)
-    out = bicycle_step(chi, (0.0, 0.0), 0.2)
+    out = bicycle_step(chi, (0.0, 0.0), 0.2, 2.7)
     assert out == chi  # nothing moves at zero speed and zero input
 
 
 def test_bicycle_step_validation():
     with pytest.raises(ValueError):
-        bicycle_step(VehicleState(0, 0, 0, 1, 0), (0, 0), 0.0)
+        bicycle_step(VehicleState(0, 0, 0, 1, 0), (0, 0), 0.0, 2.7)
 
 
 # -- configuration -----------------------------------------------------------
@@ -225,6 +227,29 @@ def test_preconditioned_solve_matches_plain_slsqp_in_fewer_iterations(cfg):
     assert sol.stats["status"] == "optimal"
     assert np.abs(sol.u0 - plain.x[:2]).max() <= 1e-5
     assert sol.stats["iterations"] < plain.nit
+
+
+def test_one_sensitivity_pass_per_derivative_point(cfg, monkeypatch):
+    """Over one tick the step Jacobians are built once per distinct point
+    at which a derivative is asked for: SLSQP's gradient and constraint
+    Jacobian, and the Gauss-Newton Hessian of the preconditioner."""
+    points, calls = set(), []
+    jacobians = tracker.rk4_jacobians
+
+    def counted(*args):
+        calls.append(1)
+        return jacobians(*args)
+
+    monkeypatch.setattr(tracker, "rk4_jacobians", counted)
+    for name in ("gradient", "ineq_jacobian", "gauss_newton"):
+        def asked(self, z, fn=getattr(_NmpcProgram, name)):
+            points.add(np.asarray(z, dtype=float).tobytes())
+            return fn(self, z)
+        monkeypatch.setattr(_NmpcProgram, name, asked)
+    chi0, ref, u_prev = _lane_change_tick(cfg)
+    sol = solve_nmpc(chi0, ref, cfg, u_prev=u_prev)
+    assert sol.stats["iterations"] > 1
+    assert len(calls) == len(points)
 
 
 def test_gauss_newton_hessian_matches_central_differences(cfg):
