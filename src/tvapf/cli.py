@@ -19,9 +19,10 @@ import numpy as np
 
 from . import scenario as scenario_mod
 from .prediction import ObstacleField
-from .scenario import Scenario, ScenarioError
+from .planner import V_MAX
+from .scenario import Scenario, ScenarioError, initial_ego_state
 from .simulation import (ActorRuntime, EventKind, RunLog, _plan_instance,
-                         initial_ego_state, run, summarize)
+                         run, summarize)
 from .tracker import VehicleState
 
 # Event kinds that mean the run degraded to the safe-stop fallback or came
@@ -160,7 +161,7 @@ def cmd_plan(args) -> int:
 
     # obstacle-field samples on an (s, d, j) grid around the planned motion
     s0 = traj.states[0].s
-    s_hi = min(path.length, s0 + pcfg.v_max * pcfg.N_L * pcfg.T_sL + 50.0)
+    s_hi = min(path.length, s0 + V_MAX * pcfg.N_L * pcfg.T_sL + 50.0)
     s_grid = np.linspace(s0 - 50.0, s_hi, 141)
     d_grid = np.linspace(path.right_edge_offset, path.left_edge_offset, 33)
     j_grid = list(range(0, pcfg.N_L + 1, max(1, args.field_step)))

@@ -68,29 +68,34 @@ class ControlInput:
     omega: float
 
 
+# Admissible state set of the point mass; its speed box is the one speed box
+# of the stack, which the tracker and the scenario's speeds share.
+V_MIN = 0.0
+V_MAX = 12.5
+PSI_MAX = 1.2
+D_MARGIN = 0.2
+# admissible input set; its deceleration bound is PlannerConfig.alpha_min
+ALPHA_MAX = 0.9
+OMEGA_MAX = 0.0775
+# headroom the planner leaves inside its own input box so the tracker, whose
+# authority is strictly inside the planner's, can still reject disturbances
+# while tracking a saturated plan
+ALPHA_MARGIN = 0.1
+OMEGA_MARGIN = 0.005
+# admissible acceleration change per step
+DELTA_ALPHA_MAX = 0.3
+SOLVE_OPTIONS = SolveOptions(tol=1e-6, max_iter=150)
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
-    """Horizon, admissible sets and terminal-set parameters of the planner."""
+    """Horizon, braking and terminal-set parameters of the planner, the
+    entries a scenario sets; the fixed admissible sets are constants."""
 
     T_sL: float = 0.5
     N_L: int = 70
     instance_period: float = 5.0
-    # admissible state set
-    v_min: float = 0.0
-    v_max: float = 12.5
-    psi_max: float = 1.2
-    d_margin: float = 0.2
-    # admissible input set
     alpha_min: float = -0.9
-    alpha_max: float = 0.9
-    omega_max: float = 0.0775
-    # headroom the planner leaves inside its own input box so the tracker,
-    # whose authority is strictly inside the planner's, can still reject
-    # disturbances while tracking a saturated plan
-    alpha_margin: float = 0.1
-    omega_margin: float = 0.005
-    # admissible acceleration change per step
-    delta_alpha_max: float = 0.3
     # terminal-set parameters
     tau: float = 0.5
     j_max: float = 0.9
@@ -99,8 +104,6 @@ class PlannerConfig:
     eps_psi: float = 0.1
     # obstacle-field cost weight
     K_o: float = 20.0
-    solver: SolveOptions = field(default_factory=lambda: SolveOptions(
-        tol=1e-6, max_iter=150))
 
     def __post_init__(self):
         if self.T_sL <= 0 or self.N_L < 1:
@@ -108,15 +111,8 @@ class PlannerConfig:
         ratio = self.instance_period / self.T_sL
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
             raise ValueError("instance_period must be a positive multiple of T_sL")
-        if not (0 <= self.v_min < self.v_max):
-            raise ValueError("velocity box empty")
-        if not (self.alpha_min < 0 < self.alpha_max):
-            raise ValueError("acceleration box must contain 0 with alpha_min < 0")
-        if not (0 <= self.alpha_margin < self.alpha_max
-                and 0 <= self.omega_margin < self.omega_max):
-            raise ValueError("input margins must leave a non-empty usable box")
-        if self.omega_max <= 0 or not 0 < self.psi_max < math.pi / 2:
-            raise ValueError("invalid heading limits")
+        if not self.alpha_min < 0:
+            raise ValueError("alpha_min must be negative")
         if self.j_max <= 0 or self.tau < 0 or self.nu_ter <= 0:
             raise ValueError("invalid terminal parameters")
         if self.eps_d <= 0 or self.eps_psi <= 0:
@@ -283,15 +279,15 @@ def _follow_guess(xi0: EgoModelState, leader, box: TerminalBox,
         env[j] = float(leader.s_min[min(j, leader.steps)]) - 20.0
     env[N] = min(env[N], box.s_max - 1.0)
     s = np.maximum.accumulate(np.minimum(s, env))
-    nu = np.clip(np.diff(s, append=s[-1]) / h, 0.0, cfg.v_max)
+    nu = np.clip(np.diff(s, append=s[-1]) / h, 0.0, V_MAX)
     nu[-1] = min(nu[-1], cfg.nu_ter)
 
     d = np.full(N + 1, box.d_center)
     d[0] = xi0.d
     psi = np.zeros(N + 1)
     psi[0] = xi0.psi
-    omega = np.clip(np.diff(psi) / h, -cfg.omega_max, cfg.omega_max)
-    alpha = np.clip(np.diff(nu) / h, cfg.alpha_min, cfg.alpha_max)
+    omega = np.clip(np.diff(psi) / h, -OMEGA_MAX, OMEGA_MAX)
+    alpha = np.clip(np.diff(nu) / h, cfg.alpha_min, ALPHA_MAX)
     states = np.stack([s, d, psi, nu], axis=1)
     inputs = np.stack([alpha, omega], axis=1)
     return states, inputs
@@ -303,7 +299,7 @@ def _pass_guess(xi0: EgoModelState, leader, cfg: PlannerConfig,
     desired speed, sidestep into the next lane while overlapping the leader's
     reachable set, merge back and ramp down to the terminal speed."""
     N, h = cfg.N_L, cfg.T_sL
-    v_tgt = min(pcfg.v_des, cfg.v_max)
+    v_tgt = min(pcfg.v_des, V_MAX)
     rate = 0.3  # gentle guess acceleration, m/s^2
 
     nu = np.empty(N + 1)
@@ -333,8 +329,8 @@ def _pass_guess(xi0: EgoModelState, leader, cfg: PlannerConfig,
     for j in range(1, N):
         psi[j] = math.asin(float(np.clip(
             (d[j + 1] - d[j]) / (h * max(nu[j], 1.0)), -0.9, 0.9)))
-    omega = np.clip(np.diff(psi) / h, -cfg.omega_max, cfg.omega_max)
-    alpha = np.clip(np.diff(nu) / h, cfg.alpha_min, cfg.alpha_max)
+    omega = np.clip(np.diff(psi) / h, -OMEGA_MAX, OMEGA_MAX)
+    alpha = np.clip(np.diff(nu) / h, cfg.alpha_min, ALPHA_MAX)
     states = np.stack([s, d, psi, nu], axis=1)
     inputs = np.stack([alpha, omega], axis=1)
     return states, inputs
@@ -448,10 +444,10 @@ class _LtpProgram:
         N, cfg, path = self.N, self.cfg, self.path
         lb = np.empty(self.n)
         ub = np.empty(self.n)
-        xs_lb = np.array([0.0, path.right_edge_offset + cfg.d_margin,
-                          -cfg.psi_max, cfg.v_min])
-        xs_ub = np.array([path.length, path.left_edge_offset - cfg.d_margin,
-                          cfg.psi_max, cfg.v_max])
+        xs_lb = np.array([0.0, path.right_edge_offset + D_MARGIN,
+                          -PSI_MAX, V_MIN])
+        xs_ub = np.array([path.length, path.left_edge_offset - D_MARGIN,
+                          PSI_MAX, V_MAX])
         lb[:4 * N] = np.tile(xs_lb, N)
         ub[:4 * N] = np.tile(xs_ub, N)
         # terminal safe-stop box intersected with the state box
@@ -463,10 +459,9 @@ class _LtpProgram:
                                    self.box.eps_psi, self.box.nu_max])
         if np.any(ub[t] - lb[t] <= 0):
             raise Infeasible("terminal set does not intersect the state box")
-        u_lb = np.array([cfg.alpha_min + cfg.alpha_margin,
-                         -(cfg.omega_max - cfg.omega_margin)])
-        u_ub = np.array([cfg.alpha_max - cfg.alpha_margin,
-                         cfg.omega_max - cfg.omega_margin])
+        u_lb = np.array([cfg.alpha_min + ALPHA_MARGIN,
+                         -(OMEGA_MAX - OMEGA_MARGIN)])
+        u_ub = np.array([ALPHA_MAX - ALPHA_MARGIN, OMEGA_MAX - OMEGA_MARGIN])
         lb[4 * N:] = np.tile(u_lb, N)
         ub[4 * N:] = np.tile(u_ub, N)
         return lb, ub
@@ -574,7 +569,7 @@ class _LtpProgram:
         O = self._at(z).field.value()
         ze = np.append(z, 0.0 if self.alpha_prev is None else self.alpha_prev)
         diff = ze[self._rate_next] - ze[self._rate_prev]
-        bound = self.cfg.delta_alpha_max
+        bound = DELTA_ALPHA_MAX
         return np.concatenate([
             O - self.tvapf.epsilon_o,
             np.stack([diff - bound, -diff - bound], axis=1).ravel()])
@@ -646,7 +641,7 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
         pass
     pass_attempted = False
     if leaders:
-        horizon_reach = xi0.s + cfg.v_max * cfg.N_L * cfg.T_sL
+        horizon_reach = xi0.s + V_MAX * cfg.N_L * cfg.T_sL
         if box0 is None or box0.s_max < horizon_reach:
             try:
                 box1 = _terminal_box(leaders[1:], cfg, path, xi0)
@@ -672,7 +667,7 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
         except Infeasible:
             cand_stats.append({"candidate": name, "status": "empty_box"})
             continue
-        result = solve(prog.to_problem(), cfg.solver)
+        result = solve(prog.to_problem(), SOLVE_OPTIONS)
         feasible = result.status in (SolveStatus.OPTIMAL,
                                      SolveStatus.FEASIBLE_POINT)
         U = prog._inputs(result.z)
@@ -746,7 +741,7 @@ def safe_stop_trajectory(xi0: EgoModelState, cfg: PlannerConfig,
         # stop exactly at zero speed instead of integrating through it
         if x[3] + a * h < 0.0:
             a = -x[3] / h
-        omega = float(np.clip(-x[2] / h, -cfg.omega_max, cfg.omega_max))
+        omega = float(np.clip(-x[2] / h, -OMEGA_MAX, OMEGA_MAX))
         u = (a, omega)
         x = rk4(_f, x, u, h)[0]
         x[3] = max(x[3], 0.0)

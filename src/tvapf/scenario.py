@@ -20,19 +20,18 @@ from pathlib import Path
 
 import yaml
 
-from .geometry import ReferencePath, straight_path
-from .planner import PlannerConfig
+from .geometry import ReferencePath, cartesian_to_frenet, straight_path
+from .planner import V_MAX, PlannerConfig
 from .potentials import PotentialConfig, verify_lane_centering
 from .prediction import ObstacleState, TvapfParams
-from .tracker import TrackerConfig, check_hierarchy
+from .tracker import TrackerConfig, VehicleState, check_hierarchy
 
 
 class ScenarioError(Exception):
     """The scenario file is malformed or violates an invariant."""
 
 
-# global kinematic limits every scripted speed must respect
-GLOBAL_V_MAX = 12.5
+# the other actors' acceleration bound; every speed lies in [0, V_MAX]
 GLOBAL_A_MAX = 0.9
 
 
@@ -147,7 +146,7 @@ class Key:
 
 _NUMBER = Key()
 _INT = Key("int")
-_SPEED = Key(lo=0.0, hi=GLOBAL_V_MAX)
+_SPEED = Key(lo=0.0, hi=V_MAX)
 
 # Every key each section accepts; a nested mapping is a nested section.  A
 # key feeds the field of the same name: path -> straight_path/ReferencePath,
@@ -181,9 +180,9 @@ SCHEMA = {
 # Every key an actor accepts ([entry]: a list of entries with entry's keys).
 # It feeds ActorSpec, whose defaults fill direction and script; id is A<i>.
 _GIVEN = Key(required=True)
-_GIVEN_SPEED = Key(lo=0.0, hi=GLOBAL_V_MAX, required=True)
+_GIVEN_SPEED = Key(lo=0.0, hi=V_MAX, required=True)
 ACTOR = {"id": Key("string"), "s0": _GIVEN, "d0": _GIVEN, "v0": _GIVEN_SPEED,
-         "v_bounds": Key("numbers", 0.0, GLOBAL_V_MAX, 2, required=True),
+         "v_bounds": Key("numbers", 0.0, V_MAX, 2, required=True),
          "a_bounds": Key("numbers", -GLOBAL_A_MAX, GLOBAL_A_MAX, 2,
                          required=True),
          "direction": _INT, "script": [{"t": Key(lo=0.0, required=True),
@@ -285,6 +284,7 @@ def from_dict(data: dict, overrides: dict | None = None) -> Scenario:
 
     scn = Scenario(actors=tuple(actors), **sections)
     path = _checked("path", scn.build_path)
+    _checked("ego", initial_ego_state, scn, path)
     pcfg = _checked("planner", scn.planner_config)
     tcfg = _checked("tracker", scn.tracker_config)
     potentials_cfg = _checked("weights/tvapf", scn.potential_config)
@@ -302,6 +302,20 @@ def from_dict(data: dict, overrides: dict | None = None) -> Scenario:
     _checked("path/weights/tvapf", verify_lane_centering, path,
              potentials_cfg)
     return scn
+
+
+def initial_ego_state(scenario: Scenario, path) -> VehicleState:
+    """Ego state at t = 0, the heading the road's unless given; raises
+    unless the start projects onto the path between the road edges."""
+    ego = scenario.ego
+    x0 = float(ego.get("x0", 0.0))
+    y0 = float(ego.get("y0", path.rightmost_lane_center))
+    q0 = cartesian_to_frenet(path, (x0, y0))
+    if not path.right_edge_offset <= q0.d <= path.left_edge_offset:
+        raise ValueError(f"start {q0.d:.2f} m off the path, beyond the road")
+    theta0 = float(ego.get("theta0", path.heading(q0.s)))
+    return VehicleState(x=x0, y=y0, theta=theta0,
+                        v=float(ego.get("v0", 0.0)), delta=0.0)
 
 
 def load(file, overrides: dict | None = None) -> Scenario:

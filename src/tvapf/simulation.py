@@ -17,12 +17,14 @@ import numpy as np
 
 from .geometry import (FrenetPoint, cartesian_to_frenet, frenet_to_cartesian,
                        wrap_angle)
-from .planner import (EgoModelState, Infeasible, decision_label,
-                      safe_stop_trajectory, solve_ltp)
+from .planner import (D_MARGIN, PSI_MAX, V_MAX, V_MIN, EgoModelState,
+                      Infeasible, decision_label, safe_stop_trajectory,
+                      solve_ltp)
 from .prediction import ObstacleState, propagate_obstacle
 from .resampler import resample
-from .scenario import Scenario
-from .tracker import (Infeasible as TrackerInfeasible, VehicleState,
+from .scenario import Scenario, initial_ego_state
+from .tracker import (DELTA_A_MAX, E_POS, E_V,
+                      Infeasible as TrackerInfeasible, VehicleState,
                       bicycle_step, max_braking_input, solve_nmpc)
 
 
@@ -91,17 +93,6 @@ class RunLog:
         self.events.append({"t": t, "kind": kind.value, "message": message})
 
 
-def initial_ego_state(scenario: Scenario, path) -> VehicleState:
-    """Ego state at t = 0; the heading follows the road unless given."""
-    ego = scenario.ego
-    x0 = float(ego.get("x0", 0.0))
-    y0 = float(ego.get("y0", path.rightmost_lane_center))
-    q0 = cartesian_to_frenet(path, (x0, y0))
-    theta0 = float(ego.get("theta0", path.heading(q0.s)))
-    return VehicleState(x=x0, y=y0, theta=theta0,
-                        v=float(ego.get("v0", 0.0)), delta=0.0)
-
-
 def perceive(ego_chi, actors, path, pcfg, sensor_range):
     """What the planner sees: the ego's Frenet state clipped into the
     planner's state box, and the forecasts of the actors within sensor
@@ -110,10 +101,10 @@ def perceive(ego_chi, actors, path, pcfg, sensor_range):
     psi = wrap_angle(ego_chi.theta - float(path.heading(q.s)))
     xi0 = EgoModelState(
         s=q.s,
-        d=float(np.clip(q.d, path.right_edge_offset + pcfg.d_margin,
-                        path.left_edge_offset - pcfg.d_margin)),
-        psi=float(np.clip(psi, -pcfg.psi_max, pcfg.psi_max)),
-        nu=float(np.clip(ego_chi.v, pcfg.v_min, pcfg.v_max)))
+        d=float(np.clip(q.d, path.right_edge_offset + D_MARGIN,
+                        path.left_edge_offset - D_MARGIN)),
+        psi=float(np.clip(psi, -PSI_MAX, PSI_MAX)),
+        nu=float(np.clip(ego_chi.v, V_MIN, V_MAX)))
 
     forecasts = []
     sensed = []
@@ -219,20 +210,19 @@ def run(scenario: Scenario) -> RunLog:
                 u_guess = np.vstack([sol.inputs[1:], sol.inputs[-1:]])
             except TrackerInfeasible as exc:
                 log.event(t, EventKind.TRACKER_INFEASIBLE, str(exc))
-                inside = (abs(err[0]) <= tcfg.e_pos
-                          and abs(err[1]) <= tcfg.e_pos
-                          and abs(err[3]) <= tcfg.e_v)
+                inside = (abs(err[0]) <= E_POS and abs(err[1]) <= E_POS
+                          and abs(err[3]) <= E_V)
                 if inside and u_guess is not None:
                     # error inside the contract box: hold the previous
                     # tick's shifted plan, rate-limited around the applied
                     # input; braking would only widen the error
-                    lo = u_applied[0] - tcfg.delta_a_max
-                    hi = u_applied[0] + tcfg.delta_a_max
+                    lo = u_applied[0] - DELTA_A_MAX
+                    hi = u_applied[0] + DELTA_A_MAX
                     u_applied = u_guess[0].copy()
                     u_applied[0] = min(max(u_applied[0], lo), hi)
                     u_guess = np.vstack([u_guess[1:], u_guess[-1:]])
                 else:
-                    u_applied = max_braking_input(u_applied, tcfg)
+                    u_applied = max_braking_input(u_applied)
                     u_guess = None
                 sigma = math.nan
 

@@ -37,7 +37,8 @@ import scipy.optimize
 
 from .dynamics import rk4, rk4_jacobians, rollout
 from .geometry import wrap_angle
-from .planner import PlannerConfig
+from .planner import (ALPHA_MARGIN, DELTA_ALPHA_MAX, V_MAX, V_MIN,
+                      PlannerConfig)
 from .potentials import ConfigError
 
 
@@ -59,9 +60,27 @@ class VehicleState:
         return np.array([self.x, self.y, self.theta, self.v, self.delta])
 
 
+# input admissible set
+A_MIN = -0.85
+A_MAX = 0.85
+W_DELTA_MAX = 0.4
+# per-tick acceleration change
+DELTA_A_MAX = 0.17
+# state limits; the speed box is the planner's [V_MIN, V_MAX]
+DELTA_MAX = math.radians(24.5)
+YAW_RATE_MAX = 0.075
+# tracking-error contract
+E_POS = 0.5
+E_THETA = 0.1
+E_V = 1.0
+# SLSQP iteration limit per tick
+MAX_ITER = 120
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Horizon, weights and admissible sets of the motion controller."""
+    """Horizon, model and weights of the motion controller, the entries a
+    scenario sets; the fixed limits and error contract are constants."""
 
     T_sMPC: float = 0.2
     N_P: int = 10
@@ -69,23 +88,8 @@ class TrackerConfig:
     Q: tuple = (10.0, 10.0, 5.0, 2.0, 0.1)
     R: tuple = (0.05, 0.05)
     rho: float = 5000.0
-    # input admissible set
-    a_min: float = -0.85
-    a_max: float = 0.85
-    w_delta_max: float = 0.4
-    # per-tick acceleration change
-    delta_a_max: float = 0.17
-    # state limits
-    v_min: float = 0.0
-    v_max: float = 12.5
-    delta_max: float = math.radians(24.5)
-    yaw_rate_max: float = 0.075
-    # tracking-error contract
-    e_pos: float = 0.5
-    e_theta: float = 0.1
-    e_v: float = 1.0
-    # SLSQP iteration limit per tick
-    max_iter: int = 120
+    # not a field: the benchmark's output checks read the contract here
+    e_pos = E_POS
 
     def __post_init__(self):
         if self.T_sMPC <= 0 or self.N_P < 1 or self.wheelbase <= 0:
@@ -97,34 +101,18 @@ class TrackerConfig:
                               "positive")
         if self.rho <= 0:
             raise ConfigError("slack penalty must be positive")
-        if not (self.a_min < 0 < self.a_max) or self.w_delta_max <= 0:
-            raise ConfigError("input box must contain 0 in its interior")
-        if self.delta_max <= 0 or self.yaw_rate_max <= 0:
-            raise ConfigError("state limits must be positive")
-        if min(self.e_pos, self.e_theta, self.e_v) <= 0:
-            raise ConfigError("error contract bounds must be positive")
 
 
 def check_hierarchy(tcfg: TrackerConfig, pcfg: PlannerConfig) -> None:
-    """Verify the controller's admissible sets sit strictly inside the
-    planner's, so every planned trajectory stays trackable, and that every
-    plan covers the reference windows of its instance's ticks, the last of
-    which ends (N_P - 1) T_sMPC after the next instance."""
-    if not (pcfg.alpha_min < tcfg.a_min and tcfg.a_max < pcfg.alpha_max):
+    """Verify that every planned trajectory stays trackable, the tracker's
+    braking strictly inside the planner's and covering its margin-reduced
+    box, and that every plan covers the reference windows of its instance's
+    ticks, the last of which ends (N_P - 1) T_sMPC after the next instance."""
+    if not pcfg.alpha_min < A_MIN <= pcfg.alpha_min + ALPHA_MARGIN:
         raise ConfigError(
-            f"tracker acceleration box [{tcfg.a_min}, {tcfg.a_max}] is not a "
-            f"strict subset of the planner's [{pcfg.alpha_min}, {pcfg.alpha_max}]")
-    if not tcfg.yaw_rate_max < pcfg.omega_max:
-        raise ConfigError(
-            f"tracker yaw-rate limit {tcfg.yaw_rate_max} must be strictly "
-            f"below the planner heading-rate limit {pcfg.omega_max}")
-    if not (tcfg.a_min <= pcfg.alpha_min + pcfg.alpha_margin
-            and pcfg.alpha_max - pcfg.alpha_margin <= tcfg.a_max):
-        raise ConfigError(
-            "tracker authority does not cover the planner's margin-reduced "
-            "input box; saturated plans would be untrackable")
-    if (pcfg.delta_alpha_max / pcfg.T_sL
-            > tcfg.delta_a_max / tcfg.T_sMPC + 1e-12):
+            f"tracker deceleration bound {A_MIN} must lie in (alpha_min, "
+            f"alpha_min + {ALPHA_MARGIN}] with alpha_min = {pcfg.alpha_min}")
+    if DELTA_ALPHA_MAX / pcfg.T_sL > DELTA_A_MAX / tcfg.T_sMPC + 1e-12:
         raise ConfigError(
             "planner jerk bound exceeds the tracker input-rate authority; "
             "reference acceleration ramps would be untrackable")
@@ -213,11 +201,9 @@ class _NmpcProgram:
         self.R = np.asarray(cfg.R, dtype=float)
         self._f = partial(_f, cfg.wheelbase)
         self._jac = partial(_jac, cfg.wheelbase)
-        e = np.array([cfg.e_pos, cfg.e_pos, cfg.e_theta, cfg.e_v])
-        self._hi = np.concatenate([[cfg.delta_max, cfg.v_max,
-                                    cfg.yaw_rate_max], e])
-        self._lo = np.concatenate([[-cfg.delta_max, cfg.v_min,
-                                    -cfg.yaw_rate_max], -e])
+        e = np.array([E_POS, E_POS, E_THETA, E_V])
+        self._hi = np.concatenate([[DELTA_MAX, V_MAX, YAW_RATE_MAX], e])
+        self._lo = np.concatenate([[-DELTA_MAX, V_MIN, -YAW_RATE_MAX], -e])
         # rate rows: +1 on a_k and -1 on a_{k-1}, then the same negated
         self._a_prev = 0.0 if u_prev is None else float(u_prev[0])
         self._rate_first = 0 if u_prev is not None else 1
@@ -290,7 +276,7 @@ class _NmpcProgram:
                              E[1:, :4]])
         diff = np.diff(np.concatenate([[self._a_prev], U[:, 0]]))
         diff = diff[self._rate_first:]
-        bound = self.cfg.delta_a_max
+        bound = DELTA_A_MAX
         return np.concatenate([
             [np.sum(E[self.N] ** 2) - z[-1]],
             np.stack([q - self._hi, self._lo - q], axis=2).ravel(),
@@ -314,18 +300,17 @@ class _NmpcProgram:
         return J
 
     def bounds(self):
-        cfg = self.cfg
-        lb = np.tile([cfg.a_min, -cfg.w_delta_max], self.N)
-        ub = np.tile([cfg.a_max, cfg.w_delta_max], self.N)
+        lb = np.tile([A_MIN, -W_DELTA_MAX], self.N)
+        ub = np.tile([A_MAX, W_DELTA_MAX], self.N)
         return (np.concatenate([lb, [0.0 - 1e-12]]),
                 np.concatenate([ub, [np.inf]]))
 
 
-def max_braking_input(u_prev, cfg: TrackerConfig) -> np.ndarray:
+def max_braking_input(u_prev) -> np.ndarray:
     """Strongest deceleration reachable within one tick's rate limit, with
     the steering rate driven to zero."""
     a_prev = 0.0 if u_prev is None else float(u_prev[0])
-    a = max(cfg.a_min, a_prev - cfg.delta_a_max)
+    a = max(A_MIN, a_prev - DELTA_A_MAX)
     return np.array([a, 0.0])
 
 
@@ -366,7 +351,7 @@ def solve_nmpc(chi0: VehicleState, ref, cfg: TrackerConfig,
         constraints=[{"type": "ineq", "fun": ineq,
                       "jac": lambda y: np.concatenate([
                           -prog.ineq_jacobian(M @ y) @ M, box_jac])}],
-        options={"maxiter": cfg.max_iter, "ftol": 1e-9})
+        options={"maxiter": MAX_ITER, "ftol": 1e-9})
     wall = time.perf_counter() - t0
     z = M @ result.x
     viol = float(np.max(np.maximum(prog.ineq_constraints(z), 0.0),
@@ -381,8 +366,8 @@ def solve_nmpc(chi0: VehicleState, ref, cfg: TrackerConfig,
         raise Infeasible(
             f"tracker tick: {result.message}, violation {viol:.2e}")
     U = z[:2 * cfg.N_P].reshape(cfg.N_P, 2)
-    np.clip(U[:, 0], cfg.a_min, cfg.a_max, out=U[:, 0])
-    np.clip(U[:, 1], -cfg.w_delta_max, cfg.w_delta_max, out=U[:, 1])
+    np.clip(U[:, 0], A_MIN, A_MAX, out=U[:, 0])
+    np.clip(U[:, 1], -W_DELTA_MAX, W_DELTA_MAX, out=U[:, 1])
     return NmpcSolution(
         u0=U[0].copy(),
         inputs=U,

@@ -20,7 +20,7 @@ from tvapf.potentials import PotentialConfig
 from tvapf.prediction import (ObstacleField, ObstacleState, TvapfParams,
                               propagate_obstacle)
 from tvapf.simulation import run
-from tvapf.tracker import TrackerConfig, VehicleState, _NmpcProgram
+from tvapf.tracker import E_POS, TrackerConfig, VehicleState, _NmpcProgram
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -350,9 +350,9 @@ def test_criterion_8_tracking_contract(overtake_run, overtake_scenario):
     sig = np.array([r["sigma"] for r in ticks])
     max_err = float(np.max(np.abs(err)))
     zero_frac = float(np.mean(np.nan_to_num(sig, nan=1.0) <= 1e-3))
-    ok = max_err <= tcfg.e_pos and zero_frac >= 0.95
+    ok = max_err <= E_POS and zero_frac >= 0.95
     _report(8, ok,
-            f"max position error {max_err:.3f} m <= {tcfg.e_pos}, slack zero "
+            f"max position error {max_err:.3f} m <= {E_POS}, slack zero "
             f"on {100 * zero_frac:.1f}% of {len(ticks)} ticks (>= 95%)")
 
 

@@ -15,7 +15,8 @@ import tvapf
 from tvapf import scenario as scenario_mod
 from tvapf.cli import main
 from tvapf.planner import EgoModelState, TerminalBox
-from tvapf.simulation import ActorRuntime, initial_ego_state, perceive
+from tvapf.scenario import initial_ego_state
+from tvapf.simulation import ActorRuntime, perceive
 
 SCENARIO_DIR = Path(tvapf.__file__).parent / "scenarios"
 
@@ -97,6 +98,22 @@ def test_unloadable_scenario_file_exits_2(tmp_path, capsys, name, content,
     out = tmp_path / "out"
     assert main([command[0], str(file), *command[1:], "--out", str(out)]) == 2
     assert f"scenario error: cannot load {file}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ego", [{"x0": -50.0}, {"x0": 1600.0},
+                                 {"y0": -30.0}],
+                         ids=["before_path_start", "past_path_end",
+                              "beyond_right_edge"])
+@pytest.mark.parametrize("command", [["run"], ["run", "--dry-run"],
+                                     ["plan"]], ids=" ".join)
+def test_ego_start_off_the_road_exits_2(tmp_path, capsys, ego, command):
+    data = json.loads((SCENARIO_DIR / "empty_road.json").read_text())
+    data["ego"].update(ego)
+    file = _write(tmp_path, "off_road.json", data)
+    out = tmp_path / "out"
+    assert main([command[0], str(file), *command[1:], "--out", str(out)]) == 2
+    assert "scenario error: ego" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Scenario schema: strict parsing, round-trip serialization, and the
 bundled scenario files."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 import tvapf
 from tvapf import scenario as scenario_mod
 from tvapf.cli import main
-from tvapf.scenario import ACTOR, SCHEMA, ScenarioError, from_dict
-from tvapf.simulation import initial_ego_state
+from tvapf.scenario import (ACTOR, SCHEMA, ScenarioError, from_dict,
+                            initial_ego_state)
 
 SCENARIO_DIR = Path(tvapf.__file__).parent / "scenarios"
 
@@ -278,15 +279,35 @@ def _fed(scn):
             "tvapf": scn.tvapf_params(), "sim": scn.sim}
 
 
-@pytest.mark.parametrize("key", list(_schema_keys(SCHEMA)))
-def test_every_schema_key_feeds_an_object(key):
+def _non_default(key):
+    """minimal_dict with the dotted SCHEMA ``key`` set to NON_DEFAULT's."""
     data = minimal_dict()
     *sections, name = key.split(".")
     section = data
     for part in sections:
         section = section.setdefault(part, {})
     section[name] = NON_DEFAULT[key]
-    assert _fed(from_dict(data)) != _fed(from_dict(minimal_dict()))
+    return data
+
+
+@pytest.mark.parametrize("key", list(_schema_keys(SCHEMA)))
+def test_every_schema_key_feeds_an_object(key):
+    assert _fed(from_dict(_non_default(key))) != \
+        _fed(from_dict(minimal_dict()))
+
+
+@pytest.mark.parametrize("config", ["planner_config", "tracker_config",
+                                    "potential_config", "tvapf_params"])
+def test_every_config_field_is_fed_by_a_schema_key(config):
+    # the reverse of the test above: a field no key moves is a fixed value,
+    # which belongs in a module constant
+    base = getattr(from_dict(minimal_dict()), config)()
+    fed = set()
+    for key in _schema_keys(SCHEMA):
+        built = getattr(from_dict(_non_default(key)), config)()
+        fed |= {f.name for f in dataclasses.fields(built)
+                if getattr(built, f.name) != getattr(base, f.name)}
+    assert {f.name for f in dataclasses.fields(base)} - fed == set()
 
 
 # A valid value other than minimal_dict's for every key ACTOR lists, and for

@@ -12,7 +12,8 @@ from tvapf import simulation
 from tvapf import scenario as scenario_mod
 from tvapf.scenario import ActorSpec, ScenarioError
 from tvapf.simulation import ActorRuntime, run, step_actor, summarize
-from tvapf.tracker import Infeasible as TrackerInfeasible, max_braking_input
+from tvapf.tracker import (DELTA_A_MAX, E_POS, E_V,
+                           Infeasible as TrackerInfeasible, max_braking_input)
 
 
 def _actor(script=(), direction=1, v_bounds=(0.0, 12.5),
@@ -83,6 +84,18 @@ def test_empty_road_run_is_clean(empty_road_run, empty_road_scenario):
     sig = np.array([r["sigma"] for r in log.steps])
     assert np.nanmax(sig) <= 1e-3
     assert not log.actor_ids
+
+
+def test_empty_road_from_rest_runs_clean(empty_road_scenario):
+    # from rest the cold guess is nearly feasible at once: the stall verdict
+    # must not call the converging solves infeasible and hold safe-stop
+    data = empty_road_scenario.to_dict()
+    data["ego"]["v0"] = 0.0
+    data["sim"]["duration"] = 10.0
+    log = run(scenario_mod.from_dict(data))
+    assert log.events == []
+    assert [i["decision"] for i in log.instances] == ["KeepLane"] * 2
+    assert log.steps[-1]["ego_v"] > 5.0
 
 
 def test_shortest_accepted_horizon_runs_clean(empty_road_scenario):
@@ -163,9 +176,8 @@ def _run_with_failing_ticks(scn, monkeypatch, ticks, failing, edit=None):
 def test_tracker_failure_without_guess_brakes(empty_road_scenario,
                                               monkeypatch):
     log, _ = _run_with_failing_ticks(empty_road_scenario, monkeypatch, 1, {0})
-    tcfg = empty_road_scenario.tracker_config()
     row = log.steps[0]
-    assert row["u_a"] == max_braking_input(None, tcfg)[0]
+    assert row["u_a"] == max_braking_input(None)[0]
     assert row["u_w"] == 0.0
     assert math.isnan(row["sigma"])
     assert [(e["t"], e["kind"]) for e in log.events] == \
@@ -174,17 +186,16 @@ def test_tracker_failure_without_guess_brakes(empty_road_scenario,
 
 def test_one_refused_tick_without_guess_fails_until_the_next_instance(
         empty_road_scenario, monkeypatch):
-    # braking at max_braking_input widens err_v beyond e_v while the
+    # braking at max_braking_input widens err_v beyond E_V while the
     # reference accelerates, so every tick of the instance refuses; the next
     # instance plans from the braked state and the loop recovers
     log, _ = _run_with_failing_ticks(empty_road_scenario, monkeypatch, 30,
                                      {0})
-    tcfg = empty_road_scenario.tracker_config()
     period = empty_road_scenario.planner_config().instance_period
     failed = [e["t"] for e in log.events if e["kind"] == "tracker_infeasible"]
     assert len(log.events) == len(failed) == 25  # t = 0, 0.2, .., 4.8 s
     assert max(failed) < period
-    assert min(r["err_v"] for r in log.steps) < -tcfg.e_v
+    assert min(r["err_v"] for r in log.steps) < -E_V
     assert not any(math.isnan(r["sigma"]) for r in log.steps
                    if r["time"] >= period)
 
@@ -208,15 +219,14 @@ def test_tracker_failure_inside_the_box_holds_the_shifted_plan(
     tcfg = empty_road_scenario.tracker_config()
     per_tick = round(tcfg.T_sMPC / empty_road_scenario.sim["plant_step"])
     row, prev = log.steps[k * per_tick], log.steps[(k - 1) * per_tick]
-    assert abs(row["err_x"]) <= tcfg.e_pos and abs(row["err_y"]) <= tcfg.e_pos
-    assert abs(row["err_v"]) <= tcfg.e_v
+    assert abs(row["err_x"]) <= E_POS and abs(row["err_y"]) <= E_POS
+    assert abs(row["err_v"]) <= E_V
     # the previous tick's next input, within one tick's rate of the last one
     a_next, w_next = solutions[k - 1].inputs[1]
-    assert row["u_a"] == min(max(a_next, prev["u_a"] - tcfg.delta_a_max),
-                             prev["u_a"] + tcfg.delta_a_max)
+    assert row["u_a"] == min(max(a_next, prev["u_a"] - DELTA_A_MAX),
+                             prev["u_a"] + DELTA_A_MAX)
     if jump:
-        assert row["u_a"] == prev["u_a"] + math.copysign(tcfg.delta_a_max,
-                                                         jump)
+        assert row["u_a"] == prev["u_a"] + math.copysign(DELTA_A_MAX, jump)
     assert row["u_w"] == w_next
     assert math.isnan(row["sigma"])
     assert [(e["t"], e["kind"]) for e in log.events] == \

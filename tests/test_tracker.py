@@ -17,10 +17,12 @@ import scipy.optimize
 import tvapf
 from tvapf import tracker
 from tvapf.dynamics import rollout
+from tvapf import planner
 from tvapf.planner import PlannerConfig
 from tvapf.potentials import ConfigError
-from tvapf.tracker import (Infeasible, TrackerConfig, VehicleState,
-                           _f, _NmpcProgram, bicycle_step, check_hierarchy,
+from tvapf.tracker import (A_MAX, DELTA_A_MAX, DELTA_MAX, MAX_ITER,
+                           Infeasible, TrackerConfig, VehicleState, _f,
+                           _NmpcProgram, bicycle_step, check_hierarchy,
                            max_braking_input, solve_nmpc)
 
 
@@ -99,34 +101,47 @@ def test_config_validation():
         TrackerConfig(R=(0.0, 0.05))  # the Gauss-Newton Hessian needs R > 0
     with pytest.raises(ConfigError):
         TrackerConfig(rho=0.0)
-    with pytest.raises(ConfigError):
-        TrackerConfig(a_min=0.1)
-    with pytest.raises(ConfigError):
-        TrackerConfig(e_pos=0.0)
 
 
 def test_hierarchy_default_configs_compatible(cfg):
     check_hierarchy(cfg, PlannerConfig())  # must not raise
 
 
+def test_limit_constants_nest():
+    """The relations among the fixed limits that no scenario can break:
+    non-empty boxes, the tracker's authority strictly inside the planner's
+    and covering its margin-reduced box, and a positive error contract."""
+    assert 0.0 <= planner.V_MIN < planner.V_MAX
+    assert 0.0 < planner.PSI_MAX < math.pi / 2
+    assert 0.0 <= planner.ALPHA_MARGIN < planner.ALPHA_MAX
+    assert 0.0 <= planner.OMEGA_MARGIN < planner.OMEGA_MAX
+    assert tracker.A_MIN < 0.0 < tracker.A_MAX and tracker.W_DELTA_MAX > 0.0
+    assert tracker.A_MAX < planner.ALPHA_MAX
+    assert planner.ALPHA_MAX - planner.ALPHA_MARGIN <= tracker.A_MAX
+    assert 0.0 < tracker.YAW_RATE_MAX < planner.OMEGA_MAX
+    assert tracker.DELTA_MAX > 0.0
+    assert min(tracker.E_POS, tracker.E_THETA, tracker.E_V) > 0.0
+
+
 @pytest.mark.parametrize("override", [
-    {"a_min": -0.95},          # tracker decel exceeds planner authority
-    {"a_max": 0.95},           # tracker accel exceeds planner authority
-    {"yaw_rate_max": 0.09},    # yaw-rate limit above planner heading rate
-    {"a_max": 0.7},            # cannot cover the planner's margin-reduced box
-    {"delta_a_max": 0.05},     # cannot follow planner acceleration ramps
-    {"N_P": 200},              # windows run past the plan before the next
+    ("planner", {"alpha_min": -0.8}),  # planner decel inside tracker's
+    ("planner", {"alpha_min": -1.0}),  # cannot cover the margin-reduced box
+    ("planner", {"T_sL": 0.25}),       # cannot follow planner acceleration
+    ("tracker", {"N_P": 200}),         # windows run past the plan
 ])
 def test_hierarchy_violations(cfg, override):
+    which, changes = override
+    tcfg = dataclasses.replace(cfg, **changes) if which == "tracker" else cfg
+    pcfg = PlannerConfig(**changes) if which == "planner" else PlannerConfig()
     with pytest.raises(ConfigError):
-        check_hierarchy(dataclasses.replace(cfg, **override), PlannerConfig())
+        check_hierarchy(tcfg, pcfg)
 
 
-def test_max_braking_input(cfg):
-    assert np.allclose(max_braking_input(None, cfg), [-0.17, 0.0])
-    assert np.allclose(max_braking_input([-0.5, 0.1], cfg), [-0.67, 0.0])
+def test_max_braking_input():
+    assert np.allclose(max_braking_input(None), [-0.17, 0.0])
+    assert np.allclose(max_braking_input([-0.5, 0.1]), [-0.67, 0.0])
     # already near full braking: clipped at the input bound
-    assert np.allclose(max_braking_input([-0.8, 0.0], cfg), [-0.85, 0.0])
+    assert np.allclose(max_braking_input([-0.8, 0.0]), [-0.85, 0.0])
 
 
 # -- NMPC solve --------------------------------------------------------------
@@ -154,14 +169,14 @@ def test_lateral_offset_decays(cfg):
     assert ys[5] < 0.6 * ys[0]
     assert abs(ys[-1]) < 0.05
     # steering limits are honored along the prediction
-    assert all(abs(x.delta) <= cfg.delta_max + 1e-9 for x in predicted)
+    assert all(abs(x.delta) <= DELTA_MAX + 1e-9 for x in predicted)
 
 
 def test_accelerating_reference_saturates_input(cfg):
     # a 1 m/s^2 speed ramp exceeds the 0.85 m/s^2 authority
     chi0 = VehicleState(0.0, 0.0, 0.0, 8.0, 0.0)
     sol = solve_nmpc(chi0, _straight_ref(cfg, a=1.0), cfg)
-    assert sol.u0[0] == pytest.approx(cfg.a_max, abs=1e-9)
+    assert sol.u0[0] == pytest.approx(A_MAX, abs=1e-9)
     assert sol.sigma > 0.0  # terminal error absorbed by the slack
 
 
@@ -179,10 +194,10 @@ def test_rate_limit_respected_on_mild_ramp(cfg):
                      u_prev=np.zeros(2))
     assert sol.stats["status"] == "optimal"
     # first input exactly at the per-tick rate bound from u_prev = 0
-    assert sol.u0[0] == pytest.approx(cfg.delta_a_max, abs=1e-9)
+    assert sol.u0[0] == pytest.approx(DELTA_A_MAX, abs=1e-9)
     seq = np.vstack([[0.0, 0.0], sol.inputs])
     rates = np.abs(np.diff(seq[:, 0]))
-    assert rates.max() <= cfg.delta_a_max + 1e-9
+    assert rates.max() <= DELTA_A_MAX + 1e-9
     assert sol.sigma < 1e-3
 
 
@@ -214,7 +229,7 @@ def _plain_slsqp(prog):
             constraints=[{"type": "ineq",
                           "fun": lambda z: -prog.ineq_constraints(z),
                           "jac": lambda z: -prog.ineq_jacobian(z)}],
-            options={"maxiter": prog.cfg.max_iter, "ftol": 1e-9})
+            options={"maxiter": MAX_ITER, "ftol": 1e-9})
 
 
 def test_preconditioned_solve_matches_plain_slsqp_in_fewer_iterations(cfg):
