@@ -128,6 +128,8 @@ def test_limit_constants_nest():
     ("planner", {"alpha_min": -1.0}),  # cannot cover the margin-reduced box
     ("planner", {"T_sL": 0.25}),       # cannot follow planner acceleration
     ("tracker", {"N_P": 200}),         # windows run past the plan
+    ("tracker", {"T_sMPC": 0.3}),      # input-rate authority per tick too low
+    ("planner", {"N_L": 12}),          # plan ends before the next windows do
 ])
 def test_hierarchy_violations(cfg, override):
     which, changes = override
