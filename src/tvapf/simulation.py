@@ -1,10 +1,12 @@
 """Deterministic closed-loop simulation harness.
 
-Fixed-step event loop over plant steps: scripted actors advance, the planner
-publishes a trajectory every instance period, the tracker runs on its own
-tick against the latest published trajectory, and a kinematic single-track
-plant integrates the applied inputs.  Every step runs in order in one loop,
-so a run is bit-reproducible; there is no concurrent mode.
+Fixed-step event loop over plant steps: the planner publishes a trajectory
+every instance period, the tracker runs on its own tick against the latest
+published trajectory, and a kinematic single-track plant integrates the
+applied inputs.  Scripted actors never react to the ego, so each planner
+instance steps them through its window of plant steps at once.  Every step
+runs in order in one loop, so a run is bit-reproducible; there is no
+concurrent mode.
 """
 
 from __future__ import annotations
@@ -63,6 +65,24 @@ def step_actor(actor: ActorRuntime, t: float, T: float) -> None:
     dv = min(max(target - actor.v, a_lo * T), a_hi * T)
     v_lo, v_hi = actor.spec.v_bounds
     actor.v = float(min(max(actor.v + dv, v_lo), v_hi))
+
+
+def _actor_window(actors, path, n0: int, steps: int, h: float):
+    """The scripted actors over plant steps n0 .. n0 + steps - 1: per step
+    the tuple (s, d, v) of each actor in turn, and the (steps, actors, 2)
+    array of their Cartesian positions, converted in one call.  Advances
+    the actors to step n0 + steps."""
+    states = []
+    for n in range(n0, n0 + steps):
+        states.append(tuple(x for a in actors for x in (a.s, a.d, a.v)))
+        for actor in actors:
+            step_actor(actor, n * h, h)
+    if not actors:
+        return states, np.empty((steps, 0, 2))
+    sdv = np.reshape(states, (steps, len(actors), 3))
+    p = frenet_to_cartesian(path, FrenetPoint(
+        s=np.clip(sdv[..., 0], 0.0, path.length), d=sdv[..., 1]))
+    return states, np.stack([p.x, p.y], axis=-1)
 
 
 @dataclass
@@ -182,6 +202,7 @@ def run(scenario: Scenario) -> RunLog:
     actors = [ActorRuntime(spec=a, s=a.s0, d=a.d0, v=a.v0)
               for a in scenario.actors]
     log = RunLog(actor_ids=[a.spec.id for a in actors])
+    actor_cols = [f"{aid}_{c}" for aid in log.actor_ids for c in "sdv"]
 
     traj = u_applied = u_guess = None
     collided = set()
@@ -195,6 +216,8 @@ def run(scenario: Scenario) -> RunLog:
                 t, chi, actors, path, pcfg, potentials_cfg, tvapf,
                 sensor_range, log,
                 a_applied=None if u_applied is None else float(u_applied[0]))
+            actor_states, actor_xy = _actor_window(
+                actors, path, n, min(steps_per_instance, n_steps - n), h)
 
         # tracker tick on the plan of the latest instance
         if n % steps_per_tick == 0:
@@ -227,17 +250,12 @@ def run(scenario: Scenario) -> RunLog:
                 sigma = math.nan
 
         # log the state at time t with the input applied over [t, t+h)
-        gaps = []
-        if actors:
-            p = frenet_to_cartesian(path, FrenetPoint(
-                s=np.clip([a.s for a in actors], 0.0, path.length),
-                d=np.array([a.d for a in actors])))
-            # math.hypot: np.hypot can differ in the logged min_gap's last bit
-            gaps = [math.hypot(chi.x - x, chi.y - y)
-                    for x, y in zip(p.x.tolist(), p.y.tolist())]
+        j = n % steps_per_instance
+        # math.hypot: np.hypot can differ in the logged min_gap's last bit
+        gaps = [math.hypot(chi.x - x, chi.y - y)
+                for x, y in actor_xy[j].tolist()]
         min_gap = min(gaps) if gaps else math.inf
-        for i, gap in enumerate(gaps):
-            aid = actors[i].spec.id
+        for aid, gap in zip(log.actor_ids, gaps):
             if gap < margin and aid not in collided:
                 collided.add(aid)
                 log.event(t, EventKind.COLLISION_MARGIN,
@@ -251,18 +269,13 @@ def run(scenario: Scenario) -> RunLog:
             "err_theta": float(err[2]), "err_v": float(err[3]),
             "min_gap": min_gap,
         }
-        for actor in actors:
-            row[f"{actor.spec.id}_s"] = actor.s
-            row[f"{actor.spec.id}_d"] = actor.d
-            row[f"{actor.spec.id}_v"] = actor.v
+        row.update(zip(actor_cols, actor_states[j]))
         log.steps.append(row)
 
-        # advance plant and actors to t + h; the plant does not reverse
+        # advance the plant to t + h; it does not reverse
         chi = bicycle_step(chi, u_applied, h, tcfg.wheelbase)
         if chi.v < 0.0:
             chi = VehicleState(chi.x, chi.y, chi.theta, 0.0, chi.delta)
-        for actor in actors:
-            step_actor(actor, t, h)
     return log
 
 

@@ -16,12 +16,14 @@ whole horizon follow from those stage points in one batched chain rule
 SLSQP restarts its quasi-Newton matrix at the identity on every tick, but
 the tracking cost is a weighted least-squares sum whose Gauss-Newton Hessian
 H = 2 sum_k S_k^T Q S_k + 2R (2 rho on the slack), built from the
-sensitivities S_k at the warm start, is far from it.  So SLSQP works on
-preconditioned variables y = L^T z, where H = L L^T (R > 0 keeps H positive
-definite): its identity start is then H itself.  The objective and the
-constraints are evaluated at z = L^-T y, their gradients map through L^-T,
-the variable box becomes linear rows of the one inequality constraint, and
-the solution maps back to z before the violation check.
+sensitivities S_k at the warm start z0, is far from it.  So SLSQP works on
+preconditioned variables y = L^T (z - z0), where H = L L^T (R > 0 keeps H
+positive definite): its identity start is then H itself, and it starts at
+y = 0, the point whose forward pass and sensitivities H was built from.  The
+objective and the constraints are evaluated at z = z0 + L^-T y, their
+gradients map through L^-T, the variable box becomes linear rows of the one
+inequality constraint, and the solution maps back to z before the violation
+check.
 """
 
 from __future__ import annotations
@@ -332,28 +334,29 @@ def solve_nmpc(chi0: VehicleState, ref, cfg: TrackerConfig,
         z0 = np.concatenate([np.asarray(u_guess, dtype=float).ravel(), [0.0]])
     lb, ub = prog.bounds()
     z0 = np.clip(z0, lb, ub)
-    # SLSQP runs on y = L^T z, L L^T the Gauss-Newton Hessian at z0, so its
-    # identity start is that Hessian; z = M y with M = L^-T, and the box
-    # becomes linear rows (sigma has no upper bound)
+    # SLSQP runs on y = L^T (z - z0), L L^T the Gauss-Newton Hessian at z0,
+    # so its identity start is that Hessian and its first point, y = 0, is
+    # z0, whose evaluation the memo still holds; z = z0 + M y with M = L^-T,
+    # and the box becomes linear rows (sigma has no upper bound)
     t0 = time.perf_counter()
     L = np.linalg.cholesky(prog.gauss_newton(z0))
     M = scipy.linalg.solve_triangular(L, np.eye(prog.n), lower=True).T
     box_jac = np.concatenate([-M[:-1], M])
 
     def ineq(y):
-        z = M @ y
+        z = z0 + M @ y
         return np.concatenate([-prog.ineq_constraints(z), ub[:-1] - z[:-1],
                                z - lb])
 
     result = scipy.optimize.minimize(
-        lambda y: prog.objective(M @ y), L.T @ z0,
-        jac=lambda y: M.T @ prog.gradient(M @ y), method="SLSQP",
+        lambda y: prog.objective(z0 + M @ y), np.zeros(prog.n),
+        jac=lambda y: M.T @ prog.gradient(z0 + M @ y), method="SLSQP",
         constraints=[{"type": "ineq", "fun": ineq,
                       "jac": lambda y: np.concatenate([
-                          -prog.ineq_jacobian(M @ y) @ M, box_jac])}],
+                          -prog.ineq_jacobian(z0 + M @ y) @ M, box_jac])}],
         options={"maxiter": MAX_ITER, "ftol": 1e-9})
     wall = time.perf_counter() - t0
-    z = M @ result.x
+    z = z0 + M @ result.x
     viol = float(np.max(np.maximum(prog.ineq_constraints(z), 0.0),
                         initial=0.0))
     if result.success and viol <= 1e-6:

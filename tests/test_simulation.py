@@ -10,6 +10,7 @@ import pytest
 
 from tvapf import simulation
 from tvapf import scenario as scenario_mod
+from tvapf.geometry import FrenetPoint, frenet_to_cartesian
 from tvapf.scenario import ActorSpec, ScenarioError
 from tvapf.simulation import ActorRuntime, run, step_actor, summarize
 from tvapf.tracker import (DELTA_A_MAX, E_POS, E_V,
@@ -59,6 +60,67 @@ def test_step_actor_deceleration_script():
     a = _actor(script=((0.0, 3.0),))
     step_actor(a, t=0.0, T=0.5)
     assert a.v == pytest.approx(5.0 - 0.3 * 0.5)
+
+
+def _per_step_actors(scn, log):
+    """The actor columns, min_gap and collision_margin events of ``log``
+    remade step by step: ``step_actor`` once per plant step and one
+    conversion of the actors' positions per step, against the logged ego."""
+    path = scn.build_path()
+    h, margin = scn.sim["plant_step"], scn.sim["collision_margin"]
+    actors = [ActorRuntime(spec=a, s=a.s0, d=a.d0, v=a.v0)
+              for a in scn.actors]
+    columns, gaps, events, collided = [], [], [], set()
+    for n, row in enumerate(log.steps):
+        p = frenet_to_cartesian(path, FrenetPoint(
+            s=np.clip([a.s for a in actors], 0.0, path.length),
+            d=np.array([a.d for a in actors])))
+        step = [math.hypot(row["ego_x"] - x, row["ego_y"] - y)
+                for x, y in zip(p.x.tolist(), p.y.tolist())]
+        gaps.append(min(step))
+        for actor, gap in zip(actors, step):
+            if gap < margin and actor.spec.id not in collided:
+                collided.add(actor.spec.id)
+                events.append({"t": row["time"], "kind": "collision_margin",
+                               "message": f"gap to {actor.spec.id} is "
+                                          f"{gap:.2f} m"})
+        columns.append([repr(x) for a in actors for x in (a.s, a.d, a.v)])
+        for actor in actors:
+            step_actor(actor, n * h, h)
+    return columns, gaps, events
+
+
+def _actor_columns(log):
+    return [[repr(row[f"{aid}_{c}"]) for aid in log.actor_ids
+             for c in "sdv"] for row in log.steps]
+
+
+def test_actor_windows_match_per_step_stepping(overtake_run,
+                                               overtake_scenario):
+    log, _ = overtake_run
+    columns, gaps, events = _per_step_actors(overtake_scenario, log)
+    assert _actor_columns(log) == columns
+    assert [r["min_gap"] for r in log.steps] == gaps
+    assert log.events == events == []
+
+
+def test_short_last_actor_window_matches_per_step_stepping(
+        overtake_scenario):
+    # 12.3 s is two 5 s instance windows and a 2.3 s one; the 260 m margin
+    # is crossed by L1 in the second window and by O1 in the last, and L1's
+    # script switches inside a window
+    data = overtake_scenario.to_dict()
+    data["sim"].update(duration=12.3, collision_margin=260.0)
+    data["actors"][0]["script"] = [{"t": 7.3, "target_v": 5.0}]
+    scn = scenario_mod.from_dict(data)
+    log = run(scn)
+    assert len(log.steps) == 615
+    columns, gaps, events = _per_step_actors(scn, log)
+    assert _actor_columns(log) == columns
+    assert [r["min_gap"] for r in log.steps] == gaps
+    assert log.events == events
+    assert [e["message"].split()[2] for e in events] == ["L1", "O1"]
+    assert events[1]["t"] > 10.0
 
 
 # -- empty-road closed loop --------------------------------------------------

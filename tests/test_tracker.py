@@ -247,26 +247,38 @@ def test_preconditioned_solve_matches_plain_slsqp_in_fewer_iterations(cfg):
 
 
 def test_one_sensitivity_pass_per_derivative_point(cfg, monkeypatch):
-    """Over one tick the step Jacobians are built once per distinct point
-    at which a derivative is asked for: SLSQP's gradient and constraint
-    Jacobian, and the Gauss-Newton Hessian of the preconditioner."""
-    points, calls = set(), []
-    jacobians = tracker.rk4_jacobians
-
-    def counted(*args):
-        calls.append(1)
-        return jacobians(*args)
-
-    monkeypatch.setattr(tracker, "rk4_jacobians", counted)
-    for name in ("gradient", "ineq_jacobian", "gauss_newton"):
-        def asked(self, z, fn=getattr(_NmpcProgram, name)):
-            points.add(np.asarray(z, dtype=float).tobytes())
+    """Over one tick the forward pass runs once per distinct point at which
+    a value is asked for, and the step Jacobians once per distinct point at
+    which a derivative is asked for: SLSQP's gradient and constraint
+    Jacobian, and the Gauss-Newton Hessian of the preconditioner.  That
+    Hessian is built at SLSQP's first point, so the first point costs no
+    second pass.  Points are keyed by value, since z0 + M 0 turns the warm
+    start's -0.0 into +0.0."""
+    asked, calls = [], {"rollout": 0, "rk4_jacobians": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(tracker, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(tracker, name, counted)
+    derivatives = ("gradient", "ineq_jacobian", "gauss_newton")
+    for name in derivatives + ("objective", "ineq_constraints"):
+        def hooked(self, z, fn=getattr(_NmpcProgram, name), name=name):
+            asked.append((name, tuple(np.asarray(z, dtype=float).tolist())))
             return fn(self, z)
-        monkeypatch.setattr(_NmpcProgram, name, asked)
+        monkeypatch.setattr(_NmpcProgram, name, hooked)
     chi0, ref, u_prev = _lane_change_tick(cfg)
-    sol = solve_nmpc(chi0, ref, cfg, u_prev=u_prev)
-    assert sol.stats["iterations"] > 1
-    assert len(calls) == len(points)
+    # a cold tick, then a warm start like the closed loop's shifted plan
+    # with its steering at -0.0
+    warm = np.stack([np.full(cfg.N_P, 0.3), np.full(cfg.N_P, -0.0)], axis=1)
+    for u_guess in (None, warm):
+        asked.clear()
+        calls.update(rollout=0, rk4_jacobians=0)
+        sol = solve_nmpc(chi0, ref, cfg, u_prev=u_prev, u_guess=u_guess)
+        assert sol.stats["iterations"] > 1
+        assert asked[0][0] == "gauss_newton" and asked[1][1] == asked[0][1]
+        assert calls["rollout"] == len({z for _, z in asked})
+        assert calls["rk4_jacobians"] == len({z for name, z in asked
+                                              if name in derivatives})
 
 
 def test_gauss_newton_hessian_matches_central_differences(cfg):
@@ -298,8 +310,9 @@ seen = []
 
 
 def capture(fun, y0, jac, constraints, **kwargs):
-    # y0 = L^T z0 carries the factor, the box rows of the Jacobian carry M
-    seen.append(y0.tobytes() + constraints[0]["jac"](y0).tobytes())
+    # SLSQP starts at y0 = 0; the constraint Jacobian there carries M, in
+    # its box rows and in the chained rows -dh/dz M
+    seen.append(constraints[0]["jac"](y0).tobytes())
     return minimize(fun, y0, jac=jac, constraints=constraints, **kwargs)
 
 
@@ -321,6 +334,7 @@ def _start_digest(threads):
 
 
 def test_preconditioner_does_not_depend_on_the_blas_thread_count():
-    # the factor L and M = L^-T of one tick, as SLSQP receives them, have
-    # the same bytes on 1 and 2 BLAS threads
+    # M = L^-T of one tick, L the factor of its Gauss-Newton Hessian, as
+    # SLSQP receives it in the constraint Jacobian, has the same bytes on 1
+    # and 2 BLAS threads
     assert _start_digest(1) == _start_digest(2)
