@@ -10,7 +10,10 @@ follow the chain rule through the four stages,
 
     dk_i/dx = A_i (I + c_i dk_{i-1}/dx),   dk_i/du = A_i c_i dk_{i-1}/du + B_i,
 
-from the stage points the forward pass returns.
+from the stage points the forward pass returns.  The tracker's bicycle takes
+them from ``rk4_jacobians``; the planner's point mass, whose stage Jacobians
+multiply to zero, forms them in closed form on their pattern
+(``planner._LtpProgram.eq_jacobian``), to the bit the chain's values.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import rk4, rk4_jacobians, rollout
+from .dynamics import rk4, rollout
 from .geometry import ReferencePath
 from .potentials import (PotentialConfig, boundary_potential,
                          effective_speed, lane_potential, lateral_offsets)
@@ -172,11 +172,6 @@ class Decision(enum.Enum):
 # -- dynamics ---------------------------------------------------------------
 
 
-_B = np.array([[0.0, 0.0],
-               [0.0, 0.0],
-               [0.0, 1.0],
-               [1.0, 0.0]])
-
 # Entries of the RK4 step Jacobians that the model's structure can make
 # nonzero: f depends on x only through (psi, nu) and only in its first two
 # rows, and u enters the last two rows directly.
@@ -186,24 +181,17 @@ _FU_NONZERO = np.array([[True, True],
                         [True, True],
                         [False, True],
                         [True, False]])
+# Where the entries (s, psi), (s, nu), (d, psi), (d, nu) of A = df/dx land
+# among a step's _FX_NONZERO and its _FU_NONZERO entries, in row-major
+# order; B = df/du feeds omega to psi and alpha to nu.
+_FX_SLOTS = np.array([1, 2, 4, 5])
+_FU_SLOTS = np.array([1, 0, 3, 2])
 
 
 def _f(x, u):
     """Point-mass vector field on state and input components, see rk4."""
     _, _, psi, nu = x
     return nu * np.cos(psi), nu * np.sin(psi), u[1], u[0]
-
-
-def _jac(Y, U):
-    """df/dx and df/du of the point mass at every state of Y (..., 4)."""
-    psi, nu = Y[..., 2], Y[..., 3]
-    cos, sin = np.cos(psi), np.sin(psi)
-    A = np.zeros(Y.shape + (4,))
-    A[..., 0, 2] = -nu * sin
-    A[..., 0, 3] = cos
-    A[..., 1, 2] = nu * cos
-    A[..., 1, 3] = sin
-    return A, np.broadcast_to(_B, Y.shape[:-1] + _B.shape)
 
 
 # -- terminal set -----------------------------------------------------------
@@ -422,6 +410,23 @@ class _LtpProgram:
                             (b[:-1, None] + fx_c).ravel(),
                             (iu[:, None] + fu_c).ravel()]),
             (4 * N, n))
+        # its constant values, written once: the identity on x_j, Fx's unit
+        # diagonal and h/6 * 6 on Fu's (psi, nu) rows; eq_jacobian writes
+        # the others at the slots _eq_fx (4, N - 1) and _eq_fu (4, N), one
+        # row per entry of A
+        h = self.cfg.T_sL
+        fu0 = np.zeros(6)
+        fu0[4:] = -(h / 6.0 * 6.0)
+        self._eq_vals = np.concatenate([
+            np.ones(4 * N), np.tile(-np.eye(4)[_FX_NONZERO], N - 1),
+            np.tile(fu0, N)])
+        self._eq_fx = 4 * N + 8 * j[:-1] + _FX_SLOTS[:, None]
+        self._eq_fu = 4 * N + 8 * (N - 1) + 6 * j + _FU_SLOTS[:, None]
+        # stage i's A_i enters Fx as it is and Fu as c_i A_i B, with c_i = 0
+        # (the first stage's term is B, zero on (s, d)), h/2, h/2 and h
+        self._stage_weights = np.array([[1.0, 1.0, 1.0, 1.0],
+                                        [0.0, 0.5 * h, 0.5 * h, h]]).T[
+                                            :, :, None, None]
 
         # Hessian: speed, lateral, obstacle (s, d) blocks, comfort blocks
         inu = b[:-1] + 3  # nu_{j-1}, paired with omega_j for j >= 1
@@ -556,12 +561,33 @@ class _LtpProgram:
         return (r.X - np.transpose(r.x_next)).ravel()
 
     def eq_jacobian(self, z):
+        """-Fx and -Fu of every step in closed form, on their pattern.
+
+        A = df/dx is nonzero only in rows (s, d) and columns (psi, nu), and
+        B = df/du feeds only (psi, nu), so A_i A_j = 0 for any two RK4
+        stages and the chain rule of ``dynamics.rk4_jacobians`` collapses to
+        Fx = I + h/6 (((A_1 + 2 A_2) + 2 A_3) + A_4) and
+        Fu = h/6 (((B + 2 (h/2 A_2 B + B)) + 2 (h/2 A_3 B + B))
+        + (h A_4 B + B)).  Summed in that order, with the chain's other
+        terms exact zeros, every entry is the chain's to the bit."""
         r = self._at(z)
-        Fx, Fu = rk4_jacobians(_jac, np.transpose(r.Y, (0, 2, 1)), r.U,
-                               self.cfg.T_sL)
-        return self._eq_pattern.matrix(np.concatenate([
-            np.ones(4 * self.N), -Fx[1:, _FX_NONZERO].ravel(),
-            -Fu[:, _FU_NONZERO].ravel()]))
+        psi = np.array([y[2] for y in r.Y])
+        nu = np.array([y[3] for y in r.Y])
+        # A's (s, psi), (s, nu), (d, psi), (d, nu) entries (stage, 4, step)
+        a = np.empty((4, 4, self.N))
+        np.cos(psi, out=a[:, 1])
+        np.sin(psi, out=a[:, 3])
+        np.multiply(-nu, a[:, 3], out=a[:, 0])
+        np.multiply(nu, a[:, 1], out=a[:, 2])
+        # per stage the terms of Fx and of Fu on rows (s, d), summed in the
+        # chain's order
+        t = a[:, None] * self._stage_weights
+        S = ((t[0] + 2.0 * t[1]) + 2.0 * t[2]) + t[3]
+        S *= -(self.cfg.T_sL / 6.0)
+        vals = self._eq_vals.copy()
+        vals[self._eq_fx] = S[0, :, 1:]
+        vals[self._eq_fu] = S[1]
+        return self._eq_pattern.matrix(vals)
 
     # -- inequalities -------------------------------------------------------
 
@@ -685,6 +711,7 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
             "factorizations": result.factorizations,
             "backtracks": result.backtracks,
             "reg_retries": result.reg_retries,
+            "evaluations": result.evaluations,
         })
         if feasible:
             solved.append((float(result.objective), name, box, result, U, X))

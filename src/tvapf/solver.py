@@ -8,19 +8,21 @@ constraints get slacks with a log barrier, box bounds are handled by a direct
 barrier, and each iteration factorizes one sparse symmetric KKT system.  All
 linear algebra goes through scipy.sparse.  On the 70-step multiple-shooting
 planner program (420 variables, 280 equality and 210 inequality rows,
-block-banded Jacobians) an iteration takes about 2 ms on a 2-core x86-64
-host with BLAS on one thread (1.4-2.2 ms over three traced seed-0 runs of
-each of the benchmark's workloads), callback evaluations and line search
-included; 26-31 % of it is the SuperLU factorization and 40-48 % the
-program's callbacks, 70-75 % of those in the objective, the first callback
-at each trial point and so the one that carries the planner's evaluation of
-that point, and in the dynamics Jacobian.  The solver is deterministic: identical problems,
-options and initial guesses produce identical iterate sequences.
+block-banded Jacobians) an iteration takes 1.2-2.0 ms on a 2-core x86-64
+host with BLAS on one thread (three traced seed-0 runs of each of the
+benchmark's workloads), callback evaluations and line search included;
+27-33 % of it is the SuperLU factorization and 35-44 % the program's
+callbacks.  Of those, 43-59 % is the objective, the first callback at each
+trial point and so the one that carries the planner's evaluation of that
+point, and 13-21 % the dynamics Jacobian, which the planner forms in closed
+form.  The solver is deterministic: identical problems, options and initial
+guesses produce identical iterate sequences.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import enum
 import math
 import time
@@ -69,6 +71,11 @@ class NlpProblem:
     ub: Optional[np.ndarray] = None
 
 
+# the callbacks of an NlpProblem, by field name
+CALLBACKS = ("objective", "gradient", "hessian", "eq_constraints",
+             "eq_jacobian", "ineq_constraints", "ineq_jacobian")
+
+
 @dataclass
 class SolveOptions:
     tol: float = 1e-6
@@ -90,6 +97,7 @@ class SolveResult:
     factorizations: int  # KKT factorizations
     backtracks: int  # rejected line-search trial points
     reg_retries: int  # factorizations repeated with a larger delta_w
+    evaluations: dict  # calls of each of CALLBACKS, 0 for an absent one
 
 
 class SparsePattern:
@@ -262,6 +270,18 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     """
     opts = opts or SolveOptions()
     t_start = time.perf_counter()
+
+    evaluations = dict.fromkeys(CALLBACKS, 0)
+
+    def counted(name, fn):
+        def call(*args):
+            evaluations[name] += 1
+            return fn(*args)
+        return call
+
+    problem = dataclasses.replace(problem, **{
+        k: counted(k, getattr(problem, k)) for k in CALLBACKS
+        if getattr(problem, k) is not None})
 
     n = problem.n
     lb = np.full(n, -np.inf) if problem.lb is None else np.asarray(problem.lb, dtype=float)
@@ -489,6 +509,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         factorizations=factorizations,
         backtracks=backtracks,
         reg_retries=reg_retries,
+        evaluations=evaluations,
     )
 
 

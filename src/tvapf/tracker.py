@@ -342,11 +342,20 @@ def solve_nmpc(chi0: VehicleState, ref, cfg: TrackerConfig,
     L = np.linalg.cholesky(prog.gauss_newton(z0))
     M = scipy.linalg.solve_triangular(L, np.eye(prog.n), lower=True).T
     box_jac = np.concatenate([-M[:-1], M])
+    # SLSQP asks for the constraints at y = 0 twice, the first time only to
+    # count them, and the violation check below asks at its last point: a
+    # one-entry memo, keyed by the bytes of y, serves the repeats, and a
+    # copy goes out, since SLSQP may write into what it is given
+    memo = {}
 
     def ineq(y):
-        z = z0 + M @ y
-        return np.concatenate([-prog.ineq_constraints(z), ub[:-1] - z[:-1],
-                               z - lb])
+        key = y.tobytes()
+        if key not in memo:
+            z = z0 + M @ y
+            memo.clear()
+            memo[key] = np.concatenate([-prog.ineq_constraints(z),
+                                        ub[:-1] - z[:-1], z - lb])
+        return memo[key].copy()
 
     result = scipy.optimize.minimize(
         lambda y: prog.objective(z0 + M @ y), np.zeros(prog.n),
@@ -357,7 +366,7 @@ def solve_nmpc(chi0: VehicleState, ref, cfg: TrackerConfig,
         options={"maxiter": MAX_ITER, "ftol": 1e-9})
     wall = time.perf_counter() - t0
     z = z0 + M @ result.x
-    viol = float(np.max(np.maximum(prog.ineq_constraints(z), 0.0),
+    viol = float(np.max(np.maximum(-ineq(result.x)[:-len(box_jac)], 0.0),
                         initial=0.0))
     if result.success and viol <= 1e-6:
         status = "optimal"

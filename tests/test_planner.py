@@ -24,6 +24,7 @@ from tvapf.planner import (ControlInput, Decision, EgoModelState,
 from tvapf.potentials import PotentialConfig
 from tvapf.prediction import (ObstacleField, ObstacleState, TvapfParams,
                               UncertainForecast, propagate_obstacle)
+from tvapf.solver import CALLBACKS
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,20 @@ def _point_mass_reference():
     return f, dfdx, B
 
 
+def _point_mass_jac(Y, U):
+    """df/dx and df/du of the point mass at every state of Y (..., 4), the
+    dense pair that ``rk4_jacobians`` chains through the stages."""
+    psi, nu = Y[..., 2], Y[..., 3]
+    cos, sin = np.cos(psi), np.sin(psi)
+    A = np.zeros(Y.shape + (4,))
+    A[..., 0, 2] = -nu * sin
+    A[..., 0, 3] = cos
+    A[..., 1, 2] = nu * cos
+    A[..., 1, 3] = sin
+    B = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    return A, np.broadcast_to(B, Y.shape[:-1] + B.shape)
+
+
 def _bicycle_reference(L=2.7):
     def f(y, u):
         return np.array([y[3] * math.cos(y[2]), y[3] * math.sin(y[2]),
@@ -153,7 +168,7 @@ def _pointwise(f):
 # f on one state's floats, f on batched components, jac, reference, state
 # box, input box and step of each vehicle model
 _MODELS = {
-    "point_mass": (planner._f, planner._f, planner._jac,
+    "point_mass": (planner._f, planner._f, _point_mass_jac,
                    _point_mass_reference(),
                    [(0.0, 500.0), (-4.0, 4.0), (-1.2, 1.2), (0.0, 12.5)],
                    [(-0.9, 0.9), (-0.08, 0.08)], 0.5),
@@ -208,6 +223,51 @@ def test_float_rollout_equals_batched_rk4(name, data):
                                       [X[k + 1] for X, _ in alone])
         np.testing.assert_array_equal(np.transpose(Y, (2, 0, 1)),
                                       [Ys[:, k] for _, Ys in alone])
+
+
+def _box_value(data, lo, hi):
+    """A float in [lo, hi], its ends and 0 among the likely draws."""
+    special = [v for v in (lo, hi, 0.0) if lo <= v <= hi]
+    return data.draw(st.one_of(st.sampled_from(special), st.floats(lo, hi)))
+
+
+@seed(22)
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_eq_jacobian_is_the_dense_rk4_chain_to_the_bit(path, pot, tv, data):
+    """The program's closed-form step Jacobians are, byte for byte, the
+    dense chain rule of ``rk4_jacobians`` on the pattern, and the chain is
+    zero off it, at stage points from states and inputs drawn across their
+    boxes, nu = 0 and psi = +-PSI_MAX among them."""
+    cfg = PlannerConfig(N_L=4, instance_period=2.0)
+    N, h = cfg.N_L, cfg.T_sL
+    # a terminal box as wide as the state box
+    box = TerminalBox(s_max=path.length, d_center=0.0, eps_d=path.length,
+                      eps_psi=planner.PSI_MAX, nu_max=planner.V_MAX)
+    x_box = [(0.0, path.length),
+             (path.right_edge_offset + planner.D_MARGIN,
+              path.left_edge_offset - planner.D_MARGIN),
+             (-planner.PSI_MAX, planner.PSI_MAX),
+             (planner.V_MIN, planner.V_MAX)]
+    xi0 = EgoModelState(*(_box_value(data, lo, hi) for lo, hi in x_box))
+    g_i = np.zeros((N, 2))
+    prog = _LtpProgram(xi0, [], path, cfg, pot, tv,
+                       rollout(planner._f, xi0.as_array(), g_i, h)[0], g_i,
+                       box, 0.0)
+    z = np.array([_box_value(data, lo, hi)
+                  for lo, hi in zip(prog.lb, prog.ub)])
+
+    got = prog.eq_jacobian(z)
+    r = prog._at(z)
+    Fx, Fu = rk4_jacobians(_point_mass_jac, np.transpose(r.Y, (0, 2, 1)),
+                           r.U, h)
+    assert not Fx[:, ~planner._FX_NONZERO].any()
+    assert not Fu[:, ~planner._FU_NONZERO].any()
+    want = prog._eq_pattern.matrix(np.concatenate([
+        np.ones(4 * N), -Fx[1:, planner._FX_NONZERO].ravel(),
+        -Fu[:, planner._FU_NONZERO].ravel()]))
+    assert got.indptr is want.indptr and got.indices is want.indices
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 # -- braking distance and terminal set ---------------------------------------
@@ -532,8 +592,8 @@ def test_each_planner_point_is_evaluated_once(overtake_scenario,
 def test_solver_telemetry_counts_calls(overtake_scenario, monkeypatch):
     """The counts each candidate reports equal the benchmark's own
     definitions: factorizations are splu calls, backtracks are objective
-    calls less gradient calls, and regularization retries are splu calls
-    less Hessian calls."""
+    calls less gradient calls, regularization retries are splu calls less
+    Hessian calls, and the evaluations are the calls of each callback."""
     planner_solve, splu = planner.solve, scipy.sparse.linalg.splu
     counted = []
 
@@ -542,7 +602,7 @@ def test_solver_telemetry_counts_calls(overtake_scenario, monkeypatch):
         monkeypatch.setattr(scipy.sparse.linalg, "splu",
                             _counting("splu", splu, calls))
         hooks = {k: _counting(k, getattr(problem, k), calls)
-                 for k in ("objective", "gradient", "hessian")}
+                 for k in CALLBACKS}
         result = planner_solve(dataclasses.replace(problem, **hooks), opts)
         counted.append(calls)
         return result
@@ -555,6 +615,7 @@ def test_solver_telemetry_counts_calls(overtake_scenario, monkeypatch):
         assert c["factorizations"] == calls["splu"]
         assert c["backtracks"] == calls["objective"] - calls["gradient"]
         assert c["reg_retries"] == calls["splu"] - calls["hessian"]
+        assert c["evaluations"] == {k: calls[k] for k in CALLBACKS}
     # the blocked pass candidate backtracks and retries
     assert cands[1]["backtracks"] > 0 and cands[1]["reg_retries"] > 0
 

@@ -219,6 +219,12 @@ def test_no_acceptable_step_is_infeasible():
     # twelve factorizations, each after a larger delta_w than the last, and
     # every trial point of every line search rejected
     assert (r.factorizations, r.reg_retries, r.backtracks) == (12, 11, 12 * 25)
+    # the objective runs at z0 and at each rejected trial point, the rest
+    # once at z0, and the absent inequality family not at all
+    assert r.evaluations == {
+        "objective": 1 + 12 * 25, "gradient": 1, "hessian": 1,
+        "eq_constraints": 1, "eq_jacobian": 1, "ineq_constraints": 0,
+        "ineq_jacobian": 0}
 
 
 def test_iteration_limit_reports_feasible_point():

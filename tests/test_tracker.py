@@ -248,9 +248,10 @@ def test_preconditioned_solve_matches_plain_slsqp_in_fewer_iterations(cfg):
 
 def test_one_sensitivity_pass_per_derivative_point(cfg, monkeypatch):
     """Over one tick the forward pass runs once per distinct point at which
-    a value is asked for, and the step Jacobians once per distinct point at
-    which a derivative is asked for: SLSQP's gradient and constraint
-    Jacobian, and the Gauss-Newton Hessian of the preconditioner.  That
+    a value is asked for, the constraint values once per distinct point,
+    and the step Jacobians once per distinct point at which a derivative is
+    asked for: SLSQP's gradient and constraint Jacobian, and the
+    Gauss-Newton Hessian of the preconditioner.  That
     Hessian is built at SLSQP's first point, so the first point costs no
     second pass.  Points are keyed by value, since z0 + M 0 turns the warm
     start's -0.0 into +0.0."""
@@ -279,6 +280,9 @@ def test_one_sensitivity_pass_per_derivative_point(cfg, monkeypatch):
         assert calls["rollout"] == len({z for _, z in asked})
         assert calls["rk4_jacobians"] == len({z for name, z in asked
                                               if name in derivatives})
+        # the constraint values run once per distinct point as well
+        values = [z for name, z in asked if name == "ineq_constraints"]
+        assert len(values) == len(set(values))
 
 
 def test_gauss_newton_hessian_matches_central_differences(cfg):
