@@ -11,9 +11,13 @@ follow the chain rule through the four stages,
     dk_i/dx = A_i (I + c_i dk_{i-1}/dx),   dk_i/du = A_i c_i dk_{i-1}/du + B_i,
 
 from the stage points the forward pass returns.  The tracker's bicycle takes
-them from ``rk4_jacobians``; the planner's point mass, whose stage Jacobians
-multiply to zero, forms them in closed form on their pattern
-(``planner._LtpProgram.eq_jacobian``), to the bit the chain's values.
+them from ``rk4_jacobians``.  The planner's NLP forms the point mass's step
+in closed form (``planner._step``: psi and nu move with the held inputs, so
+stages 2 and 3 share their point and the step needs three angles), and its
+Jacobians, whose stage terms multiply to zero, on their pattern
+(``planner._LtpProgram.eq_jacobian``), both to the bit the values of ``rk4``
+and the chain; ``rk4`` and ``rollout`` step the planner's guesses, its
+published states and its safe-stop plan.
 """
 
 from __future__ import annotations

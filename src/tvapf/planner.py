@@ -20,6 +20,7 @@ profile emerge from one continuous optimization.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
@@ -194,6 +195,28 @@ def _f(x, u):
     return nu * np.cos(psi), nu * np.sin(psi), u[1], u[0]
 
 
+def _step(x, u, h):
+    """``rk4(_f, x, u, h)`` in closed form on a (4, M) state and a (2, M)
+    input, the same to the bit.
+
+    psi and nu move with the constant inputs, so stages 2 and 3 share
+    psi + h/2 omega and nu + h/2 alpha, k3 = k2, and the step needs cos and
+    sin at three angles.  Returns the next state (4, M) and the (psi, nu,
+    cos psi, sin psi) of the three distinct stage points, (3, 4, M)."""
+    half, sixth = 0.5 * h, h / 6.0
+    rate = u[::-1]
+    stages = np.empty((3, 4, x.shape[1]))
+    stages[0, :2] = x[2:]
+    np.add(x[2:], np.multiply.outer((half, h), rate), out=stages[1:, :2])
+    np.cos(stages[:, 0], out=stages[:, 2])
+    np.sin(stages[:, 0], out=stages[:, 3])
+    # k_i on rows (s, d), then the rates of (psi, nu), summed in rk4's order
+    k = stages[:, 1:2] * stages[:, 2:]
+    return x + sixth * np.concatenate([
+        k[0] + 2.0 * k[1] + 2.0 * k[1] + k[2],
+        rate + 2.0 * rate + 2.0 * rate + rate]), stages
+
+
 # -- terminal set -----------------------------------------------------------
 
 
@@ -327,6 +350,80 @@ def _pass_guess(xi0: EgoModelState, leader, cfg: PlannerConfig,
 # -- FHOCP assembly ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _layout(N, h, has_alpha_prev):
+    """Index arrays of the acceleration-rate limits, the fixed sparsity
+    patterns of the Hessian and both Jacobians, and the constant values of
+    the dynamics Jacobian of an N-step program with step h; callbacks fill
+    the other values.  They depend on nothing else, so the programs of one
+    horizon share them, and the arrays are read-only."""
+    n = 6 * N
+    j = np.arange(N)
+    b = 4 * j        # index of s_j; d_j, psi_j, nu_j follow
+    iu = 4 * N + 2 * j  # index of alpha_j; omega_j follows
+    lay = SimpleNamespace()
+
+    # acceleration-rate limits |alpha_next - alpha_prev| <= bound, two
+    # rows each; the extra index n stands for the pre-horizon alpha_prev
+    first = 0 if has_alpha_prev else 1
+    lay.rate_next = iu[first:]
+    lay.rate_prev = np.concatenate([[n], iu[:-1]])[first:]
+
+    # inequality Jacobian: field rows on (s_j, d_j), then the rate rows
+    # with +-1 on the next input and -+1 on the previous one
+    k = len(lay.rate_next)
+    r = N + 2 * np.arange(k)
+    inside = lay.rate_prev < n
+    lay.ineq_pattern = SparsePattern(
+        np.concatenate([j, j, r, r + 1, r[inside], r[inside] + 1]),
+        np.concatenate([b, b + 1, lay.rate_next, lay.rate_next,
+                        lay.rate_prev[inside], lay.rate_prev[inside]]),
+        (N + 2 * k, n))
+    ones = np.ones(k)
+    lay.rate_jac = np.concatenate([ones, -ones, -ones[inside], ones[inside]])
+
+    # dynamics defects x_j - F(x_{j-1}, u_j): identity on x_j, -Fx on
+    # x_{j-1} (j >= 1) and -Fu on u_j, restricted to the entries the
+    # model's structure can make nonzero
+    fx_r, fx_c = np.nonzero(_FX_NONZERO)
+    fu_r, fu_c = np.nonzero(_FU_NONZERO)
+    lay.eq_pattern = SparsePattern(
+        np.concatenate([np.arange(4 * N), (b[1:, None] + fx_r).ravel(),
+                        (b[:, None] + fu_r).ravel()]),
+        np.concatenate([np.arange(4 * N), (b[:-1, None] + fx_c).ravel(),
+                        (iu[:, None] + fu_c).ravel()]),
+        (4 * N, n))
+    # its constant values: the identity on x_j, Fx's unit diagonal and
+    # h/6 * 6 on Fu's (psi, nu) rows; eq_jacobian writes the others at the
+    # slots eq_fx (4, N - 1) and eq_fu (4, N), one row per entry of A
+    fu0 = np.zeros(6)
+    fu0[4:] = -(h / 6.0 * 6.0)
+    lay.eq_vals = np.concatenate([
+        np.ones(4 * N), np.tile(-np.eye(4)[_FX_NONZERO], N - 1),
+        np.tile(fu0, N)])
+    lay.eq_fx = 4 * N + 8 * j[:-1] + _FX_SLOTS[:, None]
+    lay.eq_fu = 4 * N + 8 * (N - 1) + 6 * j + _FU_SLOTS[:, None]
+    # stage i's A_i enters Fx as it is and Fu as c_i A_i B, with c_i = 0
+    # (the first stage's term is B, zero on (s, d)), h/2 (stages 2 and 3,
+    # which share their point) and h
+    lay.stage_weights = np.array([[1.0, 1.0, 1.0],
+                                  [0.0, 0.5 * h, h]]).T[:, :, None, None]
+
+    # Hessian: speed, lateral, obstacle (s, d) blocks, comfort blocks
+    inu = b[:-1] + 3  # nu_{j-1}, paired with omega_j for j >= 1
+    iw = iu + 1
+    lay.hess_pattern = SparsePattern(
+        np.concatenate([b + 3, b + 1, b, b, b + 1, b + 1,
+                        iw, inu, inu, iw[1:]]),
+        np.concatenate([b + 3, b + 1, b, b + 1, b, b + 1,
+                        iw, inu, iw[1:], inu]),
+        (n, n))
+    for a in vars(lay).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return lay
+
+
 class _LtpProgram:
     """Callbacks of the multiple-shooting NLP for one planner instance.
 
@@ -365,78 +462,8 @@ class _LtpProgram:
 
         # the states x_1 .. x_N meet the field at their own prediction steps
         self.field = ObstacleField(forecasts, np.arange(1, self.N + 1), tvapf)
-        self._build_patterns()
+        self.layout = _layout(self.N, cfg.T_sL, alpha_prev is not None)
         self._z = None
-
-    def _build_patterns(self):
-        """Index arrays of the acceleration-rate limits and the fixed sparsity
-        patterns of the Hessian and both Jacobians; callbacks fill values."""
-        N, n = self.N, self.n
-        j = np.arange(N)
-        b = 4 * j        # index of s_j; d_j, psi_j, nu_j follow
-        iu = 4 * N + 2 * j  # index of alpha_j; omega_j follows
-
-        # acceleration-rate limits |alpha_next - alpha_prev| <= bound, two
-        # rows each; the extra index n stands for the pre-horizon alpha_prev
-        first = 0 if self.alpha_prev is not None else 1
-        self._rate_next = iu[first:]
-        self._rate_prev = np.concatenate([[n], iu[:-1]])[first:]
-
-        # inequality Jacobian: field rows on (s_j, d_j), then the rate rows
-        # with +-1 on the next input and -+1 on the previous one
-        k = len(self._rate_next)
-        r = N + 2 * np.arange(k)
-        inside = self._rate_prev < n
-        self._ineq_pattern = SparsePattern(
-            np.concatenate([j, j, r, r + 1, r[inside], r[inside] + 1]),
-            np.concatenate([b, b + 1, self._rate_next, self._rate_next,
-                            self._rate_prev[inside],
-                            self._rate_prev[inside]]),
-            (N + 2 * k, n))
-        ones = np.ones(k)
-        self._rate_jac = np.concatenate([ones, -ones, -ones[inside],
-                                         ones[inside]])
-
-        # dynamics defects x_j - F(x_{j-1}, u_j): identity on x_j, -Fx on
-        # x_{j-1} (j >= 1) and -Fu on u_j, restricted to the entries the
-        # model's structure can make nonzero
-        fx_r, fx_c = np.nonzero(_FX_NONZERO)
-        fu_r, fu_c = np.nonzero(_FU_NONZERO)
-        self._eq_pattern = SparsePattern(
-            np.concatenate([np.arange(4 * N),
-                            (b[1:, None] + fx_r).ravel(),
-                            (b[:, None] + fu_r).ravel()]),
-            np.concatenate([np.arange(4 * N),
-                            (b[:-1, None] + fx_c).ravel(),
-                            (iu[:, None] + fu_c).ravel()]),
-            (4 * N, n))
-        # its constant values, written once: the identity on x_j, Fx's unit
-        # diagonal and h/6 * 6 on Fu's (psi, nu) rows; eq_jacobian writes
-        # the others at the slots _eq_fx (4, N - 1) and _eq_fu (4, N), one
-        # row per entry of A
-        h = self.cfg.T_sL
-        fu0 = np.zeros(6)
-        fu0[4:] = -(h / 6.0 * 6.0)
-        self._eq_vals = np.concatenate([
-            np.ones(4 * N), np.tile(-np.eye(4)[_FX_NONZERO], N - 1),
-            np.tile(fu0, N)])
-        self._eq_fx = 4 * N + 8 * j[:-1] + _FX_SLOTS[:, None]
-        self._eq_fu = 4 * N + 8 * (N - 1) + 6 * j + _FU_SLOTS[:, None]
-        # stage i's A_i enters Fx as it is and Fu as c_i A_i B, with c_i = 0
-        # (the first stage's term is B, zero on (s, d)), h/2, h/2 and h
-        self._stage_weights = np.array([[1.0, 1.0, 1.0, 1.0],
-                                        [0.0, 0.5 * h, 0.5 * h, h]]).T[
-                                            :, :, None, None]
-
-        # Hessian: speed, lateral, obstacle (s, d) blocks, comfort blocks
-        inu = b[:-1] + 3  # nu_{j-1}, paired with omega_j for j >= 1
-        iw = iu + 1
-        self._hess_pattern = SparsePattern(
-            np.concatenate([b + 3, b + 1, b, b, b + 1, b + 1,
-                            iw, inu, inu, iw[1:]]),
-            np.concatenate([b + 3, b + 1, b, b + 1, b, b + 1,
-                            iw, inu, iw[1:], inu]),
-            (n, n))
 
     # layout helpers
     def _states(self, z):
@@ -476,7 +503,7 @@ class _LtpProgram:
         (N, 4) and inputs U (N, 2), the speed state paired with each input,
         the (value, d/dd, d2/dd2) triples of the boundary and the lane
         potential, the field's terms, and the RK4 step from each stage's
-        previous state with its stage points, as components over stages.
+        previous state with its three distinct stage points (see _step).
         z is copied and compared by value, since a caller may pass a fresh
         array or change its own."""
         if self._z is not None and np.array_equal(z, self._z):
@@ -484,8 +511,9 @@ class _LtpProgram:
         z = np.array(z, dtype=float)
         X, U = self._states(z), self._inputs(z)
         h_l, h_r, h_c = lateral_offsets(X[:, 1], self.path)
-        prev = np.concatenate([self.x0[None, :], X[:-1]])
-        x_next, Y = rk4(_f, prev.T, U.T, self.cfg.T_sL)
+        prev = np.concatenate([self.x0[:, None], X[:-1].T], axis=1)
+        x_next, stages = _step(prev, np.ascontiguousarray(U.T),
+                               self.cfg.T_sL)
         self._z, self._rec = z, SimpleNamespace(
             X=X, U=U,
             # comfort: input j paired with the speed state at the same step
@@ -493,7 +521,7 @@ class _LtpProgram:
             boundary=boundary_potential(h_l, h_r, self.pcfg.eta),
             lane=lane_potential(h_c),
             field=self.field.at(X[:, 0], X[:, 1]),
-            x_next=x_next, Y=Y)
+            x_next=x_next, stages=stages)
         return self._rec
 
     # -- cost --------------------------------------------------------------
@@ -549,7 +577,7 @@ class _LtpProgram:
         # comfort term K_c (nu_{j-1} omega_j)^2, Gauss-Newton block
         nu_at_u, om = r.nu_at_u, r.U[:, 1]
         cross = 2.0 * pcfg.K_c * nu_at_u[1:] * om[1:]
-        return self._hess_pattern.matrix(np.concatenate([
+        return self.layout.hess_pattern.matrix(np.concatenate([
             np.full(N, 2.0 * pcfg.K_v), lateral, Gss, Gsd, Gsd, Gdd,
             2.0 * pcfg.K_c * nu_at_u * nu_at_u + 1e-8,
             2.0 * pcfg.K_c * om[1:] * om[1:], cross, cross]))
@@ -558,7 +586,7 @@ class _LtpProgram:
 
     def eq_constraints(self, z):
         r = self._at(z)
-        return (r.X - np.transpose(r.x_next)).ravel()
+        return (r.X - r.x_next.T).ravel()
 
     def eq_jacobian(self, z):
         """-Fx and -Fu of every step in closed form, on their pattern.
@@ -568,33 +596,32 @@ class _LtpProgram:
         stages and the chain rule of ``dynamics.rk4_jacobians`` collapses to
         Fx = I + h/6 (((A_1 + 2 A_2) + 2 A_3) + A_4) and
         Fu = h/6 (((B + 2 (h/2 A_2 B + B)) + 2 (h/2 A_3 B + B))
-        + (h A_4 B + B)).  Summed in that order, with the chain's other
-        terms exact zeros, every entry is the chain's to the bit."""
-        r = self._at(z)
-        psi = np.array([y[2] for y in r.Y])
-        nu = np.array([y[3] for y in r.Y])
+        + (h A_4 B + B)), with A_3 = A_2 at the stage point the two share.
+        Summed in that order, with the chain's other terms exact zeros,
+        every entry is the chain's to the bit.  The trigonometry is the
+        step's own, read from the record."""
+        st = self._at(z).stages
         # A's (s, psi), (s, nu), (d, psi), (d, nu) entries (stage, 4, step)
-        a = np.empty((4, 4, self.N))
-        np.cos(psi, out=a[:, 1])
-        np.sin(psi, out=a[:, 3])
-        np.multiply(-nu, a[:, 3], out=a[:, 0])
-        np.multiply(nu, a[:, 1], out=a[:, 2])
+        a = np.empty((3, 4, self.N))
+        a[:, 1], a[:, 3] = st[:, 2], st[:, 3]
+        np.multiply(-st[:, 1], st[:, 3], out=a[:, 0])
+        np.multiply(st[:, 1], st[:, 2], out=a[:, 2])
         # per stage the terms of Fx and of Fu on rows (s, d), summed in the
         # chain's order
-        t = a[:, None] * self._stage_weights
-        S = ((t[0] + 2.0 * t[1]) + 2.0 * t[2]) + t[3]
+        t = a[:, None] * self.layout.stage_weights
+        S = ((t[0] + 2.0 * t[1]) + 2.0 * t[1]) + t[2]
         S *= -(self.cfg.T_sL / 6.0)
-        vals = self._eq_vals.copy()
-        vals[self._eq_fx] = S[0, :, 1:]
-        vals[self._eq_fu] = S[1]
-        return self._eq_pattern.matrix(vals)
+        vals = self.layout.eq_vals.copy()
+        vals[self.layout.eq_fx] = S[0, :, 1:]
+        vals[self.layout.eq_fu] = S[1]
+        return self.layout.eq_pattern.matrix(vals)
 
     # -- inequalities -------------------------------------------------------
 
     def ineq_constraints(self, z):
         O = self._at(z).field.value()
         ze = np.append(z, 0.0 if self.alpha_prev is None else self.alpha_prev)
-        diff = ze[self._rate_next] - ze[self._rate_prev]
+        diff = ze[self.layout.rate_next] - ze[self.layout.rate_prev]
         bound = DELTA_ALPHA_MAX
         return np.concatenate([
             O - self.tvapf.epsilon_o,
@@ -602,8 +629,8 @@ class _LtpProgram:
 
     def ineq_jacobian(self, z):
         gs, gd = self._at(z).field.grad()
-        return self._ineq_pattern.matrix(
-            np.concatenate([gs, gd, self._rate_jac]))
+        return self.layout.ineq_pattern.matrix(
+            np.concatenate([gs, gd, self.layout.rate_jac]))
 
     def to_problem(self) -> NlpProblem:
         return NlpProblem(
@@ -712,6 +739,7 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
             "backtracks": result.backtracks,
             "reg_retries": result.reg_retries,
             "evaluations": result.evaluations,
+            "phase_s": result.phase_s,
         })
         if feasible:
             solved.append((float(result.objective), name, box, result, U, X))

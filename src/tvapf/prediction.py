@@ -4,7 +4,9 @@ time-varying obstacle potential field.
 Each obstacle's longitudinal position is propagated with two bounding
 constant-acceleration rollouts (speed saturated at its bounds every step); the
 interval between them is the reachable set, and the field at prediction step j
-is an even-exponent exponential bump centered on that interval.
+is an even-exponent exponential bump centered on that interval.  Its powers of
+the scaled offsets are products of the offset and its square, so the field is
+exactly sign-symmetric and does not go through numpy's ``pow``.
 """
 
 from __future__ import annotations
@@ -198,9 +200,24 @@ class ObstacleField:
         """The per-forecast terms at (s, d), with the offsets clipped where
         w has underflowed to 0."""
         x_max = self._x_max
-        xs = np.clip((s - self.center) / self.gamma_s, -x_max, x_max)
-        xd = np.clip((d - self.d_o) / self.gamma_d, -x_max, x_max)
+        # np.clip's wrapper costs more than the two ufuncs it stands for
+        xs = np.minimum(np.maximum((s - self.center) / self.gamma_s, -x_max),
+                        x_max)
+        xd = np.minimum(np.maximum((d - self.d_o) / self.gamma_d, -x_max),
+                        x_max)
         c = self.c
-        return FieldTerms(c * xs ** (c - 1) / self.gamma_s,
-                          c * xd ** (c - 1) / self.gamma_d,
-                          np.exp(-(xs ** c + xd ** c)))
+        odd_s, even_s = _powers(xs, c)
+        odd_d, even_d = _powers(xd, c)
+        return FieldTerms(c * odd_s / self.gamma_s, c * odd_d / self.gamma_d,
+                          np.exp(-(even_s + even_d)))
+
+
+def _powers(x, c):
+    """x**(c - 1) and x**c for an even c, as products of x and x*x: odd and
+    even in x to the bit, and free of numpy's ``pow``, whose vector path is
+    slow on negative bases and whose last digits depend on the CPU."""
+    x2 = x * x
+    odd, even = x, x2
+    for _ in range(c // 2 - 1):
+        odd, even = odd * x2, even * x2
+    return odd, even

@@ -8,15 +8,16 @@ constraints get slacks with a log barrier, box bounds are handled by a direct
 barrier, and each iteration factorizes one sparse symmetric KKT system.  All
 linear algebra goes through scipy.sparse.  On the 70-step multiple-shooting
 planner program (420 variables, 280 equality and 210 inequality rows,
-block-banded Jacobians) an iteration takes 1.2-2.0 ms on a 2-core x86-64
-host with BLAS on one thread (three traced seed-0 runs of each of the
-benchmark's workloads), callback evaluations and line search included;
-27-33 % of it is the SuperLU factorization and 35-44 % the program's
-callbacks.  Of those, 43-59 % is the objective, the first callback at each
-trial point and so the one that carries the planner's evaluation of that
-point, and 13-21 % the dynamics Jacobian, which the planner forms in closed
-form.  The solver is deterministic: identical problems, options and initial
-guesses produce identical iterate sequences.
+block-banded Jacobians) an iteration takes 1.1-1.3 ms on a 2-core x86-64
+host with BLAS on one thread (medians of three traced seed-0 runs of each
+of the benchmark's workloads), callback evaluations and line search
+included; 31-34 % of it is the SuperLU factorization and 32-37 % the
+program's callbacks.  Of those, 43-49 % is the objective, the first
+callback at each trial point and so the one that carries the planner's
+evaluation of that point, and 14-18 % the dynamics Jacobian.  The planner
+forms its RK4 step and that Jacobian in closed form and the obstacle
+field's powers as products.  The solver is deterministic: identical
+problems, options and initial guesses produce identical iterate sequences.
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ class SolveResult:
     backtracks: int  # rejected line-search trial points
     reg_retries: int  # factorizations repeated with a larger delta_w
     evaluations: dict  # calls of each of CALLBACKS, 0 for an absent one
+    # seconds spent in the program's callbacks ("callbacks") and in the
+    # KKT systems' assembly, factorizations and solves ("kkt")
+    phase_s: dict
 
 
 class SparsePattern:
@@ -272,11 +276,15 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     t_start = time.perf_counter()
 
     evaluations = dict.fromkeys(CALLBACKS, 0)
+    phase_s = {"callbacks": 0.0, "kkt": 0.0}
 
     def counted(name, fn):
         def call(*args):
             evaluations[name] += 1
-            return fn(*args)
+            t = time.perf_counter()
+            out = fn(*args)
+            phase_s["callbacks"] += time.perf_counter() - t
+            return out
         return call
 
     problem = dataclasses.replace(problem, **{
@@ -420,12 +428,13 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
             factorizations += 1
             if attempt:  # delta_w was raised for this one
                 reg_retries += 1
+            t_kkt = time.perf_counter()
             try:
                 sol = kkt.solve(H, eq.J, ineq.J, d_bound + delta_w, sigma, rhs)
-            except RuntimeError:
-                delta_w = max(1e-8, 10.0 * (delta_w or 1e-8))
-                continue
-            if not np.isfinite(sol).all():
+            except RuntimeError:  # a singular factor
+                sol = None
+            phase_s["kkt"] += time.perf_counter() - t_kkt
+            if sol is None or not np.isfinite(sol).all():
                 delta_w = max(1e-8, 10.0 * (delta_w or 1e-8))
                 continue
 
@@ -510,6 +519,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         backtracks=backtracks,
         reg_retries=reg_retries,
         evaluations=evaluations,
+        phase_s=phase_s,
     )
 
 

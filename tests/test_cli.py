@@ -356,9 +356,11 @@ def test_run_help_lists_no_removed_flags(capsys):
 
 
 def _without_wall_times(node):
+    """``node`` without its wall times: each candidate's ``wall_time`` and
+    its ``phase_s``, the seconds of its solve's phases."""
     if isinstance(node, dict):
         return {k: _without_wall_times(v) for k, v in node.items()
-                if k != "wall_time"}
+                if k not in ("wall_time", "phase_s")}
     if isinstance(node, list):
         return [_without_wall_times(v) for v in node]
     return node

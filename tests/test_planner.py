@@ -258,16 +258,71 @@ def test_eq_jacobian_is_the_dense_rk4_chain_to_the_bit(path, pot, tv, data):
                   for lo, hi in zip(prog.lb, prog.ub)])
 
     got = prog.eq_jacobian(z)
-    r = prog._at(z)
-    Fx, Fu = rk4_jacobians(_point_mass_jac, np.transpose(r.Y, (0, 2, 1)),
-                           r.U, h)
+    X, U = prog._states(z), prog._inputs(z)
+    prev = np.vstack([xi0.as_array(), X[:-1]])
+    x_next, Y = rk4(planner._f, prev.T, U.T, h)
+    assert prog.eq_constraints(z).tobytes() == \
+        (X - np.transpose(x_next)).ravel().tobytes()
+    Fx, Fu = rk4_jacobians(_point_mass_jac, np.transpose(Y, (0, 2, 1)), U, h)
     assert not Fx[:, ~planner._FX_NONZERO].any()
     assert not Fu[:, ~planner._FU_NONZERO].any()
-    want = prog._eq_pattern.matrix(np.concatenate([
+    want = prog.layout.eq_pattern.matrix(np.concatenate([
         np.ones(4 * N), -Fx[1:, planner._FX_NONZERO].ravel(),
         -Fu[:, planner._FU_NONZERO].ravel()]))
     assert got.indptr is want.indptr and got.indices is want.indices
     assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_programs_of_one_horizon_share_a_frozen_layout(path, cfg, pot, tv):
+    """Two programs of one horizon, with other forecasts and another
+    alpha_prev, share one read-only layout, so their matrices share the
+    frozen index arrays; a program without alpha_prev has one rate row pair
+    fewer and its own layout."""
+    xi0, fcs = _follow_scene(cfg)
+    g_i = np.zeros((cfg.N_L, 2))
+    g_s = rollout(planner._f, xi0.as_array(), g_i, cfg.T_sL)[0]
+    box = terminal_set(fcs, cfg, path, xi0)
+    a, b, c = (_LtpProgram(xi0, f, path, cfg, pot, tv, g_s, g_i, box, prev)
+               for f, prev in ((fcs, 0.0), ([], 0.3), (fcs, None)))
+    assert a.layout is b.layout and c.layout is not a.layout
+    arrays = [v for v in vars(a.layout).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 7 and not any(v.flags.writeable for v in arrays)
+    with pytest.raises(ValueError):
+        a.layout.eq_vals[0] = 0.0
+    for name in ("eq_jacobian", "ineq_jacobian"):
+        ma, mb = getattr(a, name)(a.z0), getattr(b, name)(b.z0)
+        assert ma.indptr is mb.indptr and ma.indices is mb.indices
+    ha, hb = (p.hessian(p.z0, np.zeros(4 * cfg.N_L), np.zeros(3 * cfg.N_L))
+              for p in (a, b))
+    assert ha.indptr is hb.indptr and ha.indices is hb.indices
+    assert len(c.ineq_constraints(c.z0)) == len(a.ineq_constraints(a.z0)) - 2
+
+
+@seed(24)
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_closed_form_step_is_rk4_to_the_bit(data):
+    """``planner._step`` is ``rk4(planner._f, ...)`` byte for byte: the next
+    state, and the psi and nu of the three distinct stage points with their
+    cos and sin, at states and inputs drawn across their boxes, nu = 0 and
+    psi = +-PSI_MAX among them."""
+    h = PlannerConfig().T_sL
+    x_box = [(0.0, 500.0), (-4.0, 4.0), (-planner.PSI_MAX, planner.PSI_MAX),
+             (planner.V_MIN, planner.V_MAX)]
+    u_box = [(PlannerConfig().alpha_min, planner.ALPHA_MAX),
+             (-planner.OMEGA_MAX, planner.OMEGA_MAX)]
+    m = data.draw(st.integers(1, 5), label="states")
+    x, u = (np.array([[_box_value(data, lo, hi) for _ in range(m)]
+                      for lo, hi in box]) for box in (x_box, u_box))
+    x_next, stages = planner._step(x, u, h)
+    want, Y = rk4(planner._f, x, u, h)
+    assert x_next.tobytes() == np.array(want).tobytes()
+    # stage 3 evaluates f at stage 2's (psi, nu)
+    assert np.array(Y[2][2:]).tobytes() == np.array(Y[1][2:]).tobytes()
+    for got, y in zip(stages, (Y[0], Y[1], Y[3])):
+        psi, nu = y[2], y[3]
+        assert got.tobytes() == np.array(
+            [psi, nu, np.cos(psi), np.sin(psi)]).tobytes()
 
 
 # -- braking distance and terminal set ---------------------------------------
@@ -565,11 +620,12 @@ def test_each_planner_point_is_evaluated_once(overtake_scenario,
                                               monkeypatch):
     """On the fixed scene the solver asks for the objective once at each
     point it visits, and the field, the lateral offsets, both lateral
-    potentials and the RK4 step run once per such point, whichever of the
-    seven callbacks it asks for there."""
+    potentials and the closed-form RK4 step run once per such point,
+    whichever of the seven callbacks it asks for there; the generic
+    ``rk4`` runs at none."""
     calls = Counter()
     for name in ("lateral_offsets", "boundary_potential", "lane_potential",
-                 "rk4"):
+                 "_step", "rk4"):
         monkeypatch.setattr(planner, name,
                             _counting(name, getattr(planner, name), calls))
     monkeypatch.setattr(ObstacleField, "at",
@@ -586,7 +642,18 @@ def test_each_planner_point_is_evaluated_once(overtake_scenario,
     assert n > 0
     assert calls == {name: n for name in (
         "objective", "lateral_offsets", "boundary_potential",
-        "lane_potential", "rk4", "field")}
+        "lane_potential", "_step", "field")}
+
+
+def test_phase_times_fit_in_the_wall_time(overtake_scenario):
+    # each candidate's seconds in the callbacks and in the KKT systems are
+    # disjoint parts of its solve's wall time
+    cands = _overtake_scene_near_25s(overtake_scenario).solve_stats[
+        "candidates"]
+    for c in cands:
+        assert set(c["phase_s"]) == {"callbacks", "kkt"}
+        assert all(t > 0.0 for t in c["phase_s"].values())
+        assert sum(c["phase_s"].values()) <= c["wall_time"]
 
 
 def test_solver_telemetry_counts_calls(overtake_scenario, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tvapf.prediction import (InvalidBounds, ObstacleField, ObstacleState,
-                              TvapfParams, UncertainForecast,
+                              TvapfParams, UncertainForecast, _powers,
                               propagate_obstacle)
 
 TABLE_BOUNDS = {"v_bounds": (0.0, 12.5), "a_bounds": (-0.9, 0.9)}
@@ -156,6 +156,39 @@ def test_field_far_away_is_exactly_zero_for_any_c(c):
             terms = field.at(s, d)
             out = [terms.value(), *terms.grad(), *terms.gauss_newton()]
             assert all(float(x) == 0.0 for x in out), out
+
+
+def test_field_is_exactly_sign_symmetric():
+    # for a forecast centred at (0, 0), at(-s, -d) is at(s, d) mirrored to
+    # the bit: the same w, and fs and fd negated
+    p = TvapfParams()
+    n = 70
+    fc = UncertainForecast(s_min=-np.linspace(0.0, 30.0, n + 1),
+                           s_max=np.linspace(0.0, 30.0, n + 1),
+                           s_center=np.zeros(n + 1),
+                           delta_s=np.linspace(0.0, 60.0, n + 1), d_o=0.0)
+    field = ObstacleField([fc], np.arange(1, n + 1), p)
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        s = rng.uniform(-2.0, 2.0, n) * field.gamma_s[0]
+        d = rng.uniform(-2.0, 2.0, n) * field.gamma_d[0]
+        t, m = field.at(s, d), field.at(-s, -d)
+        assert m.w.tobytes() == t.w.tobytes()
+        assert m.fs.tobytes() == (-t.fs).tobytes()
+        assert m.fd.tobytes() == (-t.fd).tobytes()
+
+
+@pytest.mark.parametrize("c", [2, 4, 6])
+def test_field_powers_match_math_pow(c):
+    # the field's products x**(c - 1) and x**c against libm's pow, over the
+    # whole clipped range of the offsets
+    x_max = 750.0 ** (1.0 / c)
+    x = np.random.default_rng(c).uniform(-x_max, x_max, 2000)
+    odd, even = _powers(x, c)
+    np.testing.assert_allclose(odd, [math.pow(v, c - 1) for v in x],
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(even, [math.pow(v, c) for v in x],
+                               rtol=1e-15, atol=0.0)
 
 
 def test_auto_calibration_default_edge():
