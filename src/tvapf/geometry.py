@@ -95,7 +95,7 @@ class ReferencePath:
             s = self._arc_lengths(spline, s)
             spline = CubicSpline(s, pts)
 
-        self._s = s
+        self.arc_length = s
         self._spline = spline
         self.length = float(s[-1])
         self.lane_count = int(lane_count)
@@ -118,7 +118,6 @@ class ReferencePath:
                 f"exceeds {MAX_CURVATURE_JUMP:.3g}")
 
         self.samples = pts
-        self.arc_length = s
 
     @staticmethod
     def _arc_lengths(spline: CubicSpline, s: np.ndarray) -> np.ndarray:
@@ -155,9 +154,8 @@ class ReferencePath:
         return (dx * ddy - dy * ddx) / np.power(dx * dx + dy * dy, 1.5)
 
     def speed_limit_at(self, s):
-        idx = np.clip(np.searchsorted(self._s, np.asarray(s), side="right") - 1,
-                      0, len(self._s) - 1)
-        return self._speed_limit[idx]
+        idx = np.searchsorted(self.arc_length, np.asarray(s), side="right")
+        return self._speed_limit[np.clip(idx - 1, 0, len(self.arc_length) - 1)]
 
     # -- lane geometry ------------------------------------------------------
 

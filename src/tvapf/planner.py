@@ -6,15 +6,14 @@ point-mass model in road-aligned coordinates (direct multiple shooting, RK4
 discretization).  Static potentials shape speed and lane preference, the
 time-varying obstacle fields enter both as a weighted cost and as hard
 inequality constraints, and a safe-stop terminal set guarantees a feasible
-braking continuation behind the nearest same-lane leader.  ``solve_ltp``
-poses the program for up to two terminal sets, each solved cold from its own
-guess: ``stay`` stops behind the nearest leader in the ego lane from a guess
-that follows it, or at the path end from a coasting guess, and ``pass``,
-posed only when that bound falls short of the horizon's reach, stops behind
-the next leader from a guess that overtakes it.  The cheaper feasible
-solution is published, ``stay`` when the two tie to ``TIE_RTOL``; within
-each program the lane change, the following distance and the braking
-profile emerge from one continuous optimization.
+braking continuation behind the nearest same-lane leader.  ``_candidates``
+is the maneuver set, up to two terminal sets each solved cold from its own
+guess: ``stay`` stops behind every leader in the ego lane (or at the path
+end), and ``pass``, posed only when that bound falls short of the horizon's
+reach and its own bound reaches more than 1 m further, stops behind all but
+the nearest.  The cheaper feasible solution is published, ``stay`` when the
+two tie to ``TIE_RTOL``; within each program the lane change, the following
+distance and the braking profile emerge from one continuous optimization.
 """
 
 from __future__ import annotations
@@ -241,15 +240,15 @@ def _lane_leaders(forecasts, path: ReferencePath, xi0: EgoModelState):
 
 
 def _terminal_box(leaders, cfg: PlannerConfig, path: ReferencePath,
-                  xi0: EgoModelState) -> TerminalBox:
+                  xi0: EgoModelState) -> TerminalBox | None:
+    """The safe-stop box behind ``leaders``; None if it is behind the ego."""
     D = braking_distance(cfg.nu_ter, cfg.tau, cfg.alpha_min, cfg.j_max)
     s_t = path.length
     for fc in leaders:
         N = fc.steps
         s_t = min(s_t, float(fc.s_center[N] - 0.5 * fc.delta_s[N] - D))
     if s_t < xi0.s:
-        raise EmptyTerminalSet(
-            f"safe-stop bound s_t={s_t:.2f} behind ego s={xi0.s:.2f}")
+        return None
     return TerminalBox(s_max=s_t, d_center=float(path.rightmost_lane_center),
                        eps_d=cfg.eps_d, eps_psi=cfg.eps_psi, nu_max=cfg.nu_ter)
 
@@ -261,9 +260,13 @@ def terminal_set(forecasts, cfg: PlannerConfig, path: ReferencePath,
     The longitudinal bound s_t sits the ego stopping distance behind the
     lower edge of the end-of-horizon reachable set of the nearest leading
     obstacle in the ego lane; lateral/heading/speed bounds are fixed
-    tolerances around a stand-still in the rightmost lane.
+    tolerances around a stand-still in the rightmost lane.  Raises
+    EmptyTerminalSet when that bound lies behind the ego.
     """
-    return _terminal_box(_lane_leaders(forecasts, path, xi0), cfg, path, xi0)
+    box = _terminal_box(_lane_leaders(forecasts, path, xi0), cfg, path, xi0)
+    if box is None:
+        raise EmptyTerminalSet(f"safe-stop bound behind ego s={xi0.s:.2f}")
+    return box
 
 
 # -- initial guesses --------------------------------------------------------
@@ -345,6 +348,36 @@ def _pass_guess(xi0: EgoModelState, leader, cfg: PlannerConfig,
     states = np.stack([s, d, psi, nu], axis=1)
     inputs = np.stack([alpha, omega], axis=1)
     return states, inputs
+
+
+def _candidates(xi0: EgoModelState, forecasts, path: ReferencePath,
+                cfg: PlannerConfig, pcfg: PotentialConfig):
+    """The posed maneuvers in solve order, as (name, terminal box, (guess
+    states, guess inputs)).
+
+    The safe-stop bound must sit behind the obstacle the ego ultimately
+    stops behind, which depends on whether the plan passes the nearest
+    leader.  ``stay`` stops behind every lane leader from a guess that
+    follows the nearest, or the zero-input coast with no leader; ``pass``
+    stops behind all but the nearest from a guess that overtakes it.
+    """
+    leaders = _lane_leaders(forecasts, path, xi0)
+    stay = _terminal_box(leaders, cfg, path, xi0)
+    posed = []
+    if stay is not None:
+        if leaders:
+            guess = _follow_guess(xi0, leaders[0], stay, cfg)
+        else:
+            inputs = np.zeros((cfg.N_L, 2))
+            guess = rollout(_f, xi0.as_array(), inputs, cfg.T_sL)[0], inputs
+        posed.append(("stay", stay, guess))
+    s_stay = -math.inf if stay is None else stay.s_max
+    if leaders and s_stay < xi0.s + V_MAX * cfg.N_L * cfg.T_sL:
+        box = _terminal_box(leaders[1:], cfg, path, xi0)
+        if box is not None and box.s_max > s_stay + 1.0:
+            posed.append(("pass", box, _pass_guess(xi0, leaders[0], cfg,
+                                                   path, pcfg)))
+    return posed
 
 
 # -- FHOCP assembly ---------------------------------------------------------
@@ -674,46 +707,13 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
     if warm_start is not None:
         raise ValueError("solve_ltp solves cold: warm_start must be None")
     tvapf = tvapf or TvapfParams()
-    leaders = _lane_leaders(forecasts, path, xi0)
+    posed = _candidates(xi0, forecasts, path, cfg, potentials_cfg)
+    if not posed:
+        raise EmptyTerminalSet(f"planner instance at t0={t0:.1f}s: no "
+                               f"terminal anchor ahead of ego s={xi0.s:.2f}")
 
-    # Candidate terminal anchors.  The safe-stop bound must sit behind the
-    # obstacle the ego ultimately stops behind, which depends on whether the
-    # plan passes the nearest leader; both completions are posed as ordinary
-    # continuous programs and the cheaper feasible one is published.
-    candidates = []
-    box0 = None
-    try:
-        box0 = _terminal_box(leaders, cfg, path, xi0)
-        if leaders:
-            g_s, g_i = _follow_guess(xi0, leaders[0], box0, cfg)
-        else:
-            g_i = np.zeros((cfg.N_L, 2))
-            g_s = rollout(_f, xi0.as_array(), g_i, cfg.T_sL)[0]
-        candidates.append(("stay", box0, g_s, g_i))
-    except EmptyTerminalSet:
-        pass
-    pass_attempted = False
-    if leaders:
-        horizon_reach = xi0.s + V_MAX * cfg.N_L * cfg.T_sL
-        if box0 is None or box0.s_max < horizon_reach:
-            try:
-                box1 = _terminal_box(leaders[1:], cfg, path, xi0)
-            except EmptyTerminalSet:
-                box1 = None
-            if box1 is not None and (box0 is None
-                                     or box1.s_max > box0.s_max + 1.0):
-                pg_states, pg_inputs = _pass_guess(xi0, leaders[0], cfg, path,
-                                                   potentials_cfg)
-                candidates.append(("pass", box1, pg_states, pg_inputs))
-                pass_attempted = True
-    if not candidates:
-        raise EmptyTerminalSet(
-            f"planner instance at t0={t0:.1f}s: no terminal anchor ahead of "
-            f"ego s={xi0.s:.2f}")
-
-    solved = []
-    cand_stats = []
-    for name, box, g_states, g_inputs in candidates:
+    solved, cand_stats = [], []
+    for name, box, (g_states, g_inputs) in posed:
         try:
             prog = _LtpProgram(xi0, forecasts, path, cfg, potentials_cfg,
                                tvapf, g_states, g_inputs, box, alpha_prev)
@@ -721,8 +721,8 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
             cand_stats.append({"candidate": name, "status": "empty_box"})
             continue
         result = solve(prog.to_problem(), SOLVE_OPTIONS)
-        feasible = result.status in (SolveStatus.OPTIMAL,
-                                     SolveStatus.FEASIBLE_POINT)
+        # Published states re-integrate the optimal inputs so they satisfy
+        # the dynamics exactly, not merely to solver tolerance.
         U = prog._inputs(result.z)
         X = rollout(_f, xi0.as_array(), U, cfg.T_sL)[0]
         overtakes = bool(any(path.lane_index_of(float(x[1])) > 0 for x in X))
@@ -741,23 +741,16 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
             "evaluations": result.evaluations,
             "phase_s": result.phase_s,
         })
-        if feasible:
+        if result.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE_POINT):
             solved.append((float(result.objective), name, box, result, U, X))
     if not solved:
-        raise Infeasible(
-            f"planner instance at t0={t0:.1f}s: no feasible candidate "
-            f"({[c['status'] for c in cand_stats]})")
+        raise Infeasible(f"planner instance at t0={t0:.1f}s: no feasible "
+                         f"candidate ({[c['status'] for c in cand_stats]})")
 
     best = min(item[0] for item in solved)
     obj, name, box, result, U, X = min(solved, key=lambda item: (
         item[0] - best > TIE_RTOL * abs(best), item[1] != "stay", item[0]))
-
-    # Published states re-integrate the optimal inputs so they satisfy the
-    # dynamics exactly, not merely to solver tolerance.
-    states = tuple(EgoModelState.from_array(x) for x in X)
-    inputs = tuple(ControlInput(alpha=float(u[0]), omega=float(u[1]))
-                   for u in U)
-    stats = {
+    return _published(t0, cfg.T_sL, X, U, {
         "status": result.status.value,
         "candidate": name,
         "iterations": result.iterations,
@@ -769,11 +762,19 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
         "overtake_feasible": (any(c.get("overtakes") and c["status"] in
                                   ("optimal", "feasible_point")
                                   for c in cand_stats)
-                              if pass_attempted else None),
+                              if "pass" in [c[0] for c in posed] else None),
         "candidates": cand_stats,
-    }
-    return PlannedTrajectory(t0=t0, T_sL=cfg.T_sL, states=states,
-                             inputs=inputs, solve_stats=stats)
+    })
+
+
+def _published(t0, h, X, U, stats, fallback=False) -> PlannedTrajectory:
+    """The plan of state rows X and input rows U from t0 on, with step h."""
+    return PlannedTrajectory(
+        t0=t0, T_sL=h,
+        states=tuple(EgoModelState.from_array(x) for x in X),
+        inputs=tuple(ControlInput(alpha=float(u[0]), omega=float(u[1]))
+                     for u in U),
+        solve_stats=stats, fallback=fallback)
 
 
 def safe_stop_trajectory(xi0: EgoModelState, cfg: PlannerConfig,
@@ -802,13 +803,8 @@ def safe_stop_trajectory(xi0: EgoModelState, cfg: PlannerConfig,
         x[3] = max(x[3], 0.0)
         states.append(x)
         inputs.append(u)
-    return PlannedTrajectory(
-        t0=t0, T_sL=h,
-        states=tuple(EgoModelState.from_array(xx) for xx in states),
-        inputs=tuple(ControlInput(alpha=float(u[0]), omega=float(u[1]))
-                     for u in inputs),
-        solve_stats={"status": "fallback"},
-        fallback=True)
+    return _published(t0, h, states, inputs, {"status": "fallback"},
+                      fallback=True)
 
 
 def decision_label(traj: PlannedTrajectory, path: ReferencePath,
@@ -819,12 +815,8 @@ def decision_label(traj: PlannedTrajectory, path: ReferencePath,
     lanes = {path.lane_index_of(x.d) for x in traj.states}
     if any(lane > 0 for lane in lanes):
         return Decision.OVERTAKE
-    s0 = traj.states[0].s
-    nu_end = traj.states[-1].nu
-    has_leader = any(
-        abs(fc.d_o - path.rightmost_lane_center) < 0.5 * path.lane_width
-        and fc.s_center[0] > s0 and fc.direction > 0
-        for fc in forecasts)
-    if has_leader and nu_end < 0.9 * v_des:
+    has_leader = any(fc.direction > 0 for fc in
+                     _lane_leaders(forecasts, path, traj.states[0]))
+    if has_leader and traj.states[-1].nu < 0.9 * v_des:
         return Decision.FOLLOW_LEADER
     return Decision.KEEP_LANE

@@ -521,6 +521,23 @@ def test_overtake_when_left_lane_clear(path, cfg, pot, tv):
     assert stats["terminal_set"]["s_max"] > float(fcs[0].s_max[cfg.N_L])
 
 
+def test_stay_alone_when_its_bound_is_beyond_the_horizon_reach(path, cfg,
+                                                                pot, tv):
+    # a leader this fast leaves a stay bound past the farthest point the
+    # ego can reach, so no pass is posed and none is reported
+    lead = ObstacleState(s_o=420.0, d_o=-2.0, v_o=10.0, v_bounds=(8.0, 12.0),
+                         a_bounds=(-0.01, 0.25))
+    xi0 = EgoModelState(300.0, -2.0, 0.0, 8.33)
+    stats = solve_ltp(xi0, _forecasts([lead], cfg), path, cfg, pot,
+                      tvapf=tv).solve_stats
+    assert [(c["candidate"], c["status"]) for c in stats["candidates"]] == \
+        [("stay", "optimal")]
+    assert stats["overtake_feasible"] is None
+    reach = xi0.s + planner.V_MAX * cfg.N_L * cfg.T_sL
+    assert stats["terminal_set"]["s_max"] == pytest.approx(742.57, abs=5e-3)
+    assert stats["terminal_set"]["s_max"] > reach
+
+
 def test_solver_is_deterministic(path, cfg, pot, tv):
     xi0, fcs = _follow_scene(cfg)
     a = solve_ltp(xi0, fcs, path, cfg, pot, tvapf=tv)
@@ -902,5 +919,12 @@ def test_decision_label_rules(path, cfg):
     slow = _hand_traj([-2.0] * 5, nu_end=5.0)
     assert decision_label(slow, path, [leader], v_des=12.0) is \
         Decision.FOLLOW_LEADER
-    # slowing with no same-lane leader ahead is still lane keeping
-    assert decision_label(slow, path, [], v_des=12.0) is Decision.KEEP_LANE
+    # slowing with no same-lane leader ahead is still lane keeping: not
+    # with oncoming traffic in the ego lane, a car in the other lane or one
+    # behind the ego
+    oncoming = dataclasses.replace(leader, direction=-1)
+    other_lane = _flat_forecast(200.0, 220.0, d_o=2.0, steps=4)
+    behind = _flat_forecast(0.0, 10.0, d_o=-2.0, steps=4)
+    for fcs in ([], [oncoming], [other_lane], [behind]):
+        assert decision_label(slow, path, fcs, v_des=12.0) is \
+            Decision.KEEP_LANE
