@@ -230,10 +230,13 @@ def braking_distance(nu_ter: float, tau: float, alpha_min: float,
 
 
 def _lane_leaders(forecasts, path: ReferencePath, xi0: EgoModelState):
-    """Forecasts ahead of the ego in its current lane, nearest first."""
-    ego_lane_center = path.lane_center(path.lane_index_of(xi0.d))
+    """Same-direction forecasts ahead of the ego in the rightmost lane, the
+    lane the safe-stop box lies in, nearest first: oncoming traffic never
+    anchors the stop, whichever lane the ego plans from."""
+    lane = path.rightmost_lane_center
     leaders = [fc for fc in forecasts
-               if abs(fc.d_o - ego_lane_center) < 0.5 * path.lane_width
+               if fc.direction > 0
+               and abs(fc.d_o - lane) < 0.5 * path.lane_width
                and fc.s_center[0] > xi0.s]
     leaders.sort(key=lambda fc: float(fc.s_center[0]))
     return leaders
@@ -259,8 +262,9 @@ def terminal_set(forecasts, cfg: PlannerConfig, path: ReferencePath,
 
     The longitudinal bound s_t sits the ego stopping distance behind the
     lower edge of the end-of-horizon reachable set of the nearest leading
-    obstacle in the ego lane; lateral/heading/speed bounds are fixed
-    tolerances around a stand-still in the rightmost lane.  Raises
+    obstacle that travels with the ego in the rightmost lane;
+    lateral/heading/speed bounds are fixed tolerances around a stand-still
+    in that lane.  Raises
     EmptyTerminalSet when that bound lies behind the ego.
     """
     box = _terminal_box(_lane_leaders(forecasts, path, xi0), cfg, path, xi0)
@@ -815,8 +819,7 @@ def decision_label(traj: PlannedTrajectory, path: ReferencePath,
     lanes = {path.lane_index_of(x.d) for x in traj.states}
     if any(lane > 0 for lane in lanes):
         return Decision.OVERTAKE
-    has_leader = any(fc.direction > 0 for fc in
-                     _lane_leaders(forecasts, path, traj.states[0]))
-    if has_leader and traj.states[-1].nu < 0.9 * v_des:
+    if (_lane_leaders(forecasts, path, traj.states[0])
+            and traj.states[-1].nu < 0.9 * v_des):
         return Decision.FOLLOW_LEADER
     return Decision.KEEP_LANE

@@ -368,6 +368,19 @@ def test_terminal_set_ignores_other_lane_and_rear(path, cfg):
     assert box.s_max == path.length
 
 
+def test_oncoming_forecast_in_the_ego_lane_bounds_no_candidate(path, cfg,
+                                                              pot):
+    # an ego planning from the left lane, oncoming traffic ahead in it: the
+    # stop lies in the rightmost lane, so no candidate stops behind it
+    xi0 = EgoModelState(300.0, 2.0, 0.0, 8.33)
+    oncoming = dataclasses.replace(
+        _flat_forecast(340.0, 360.0, d_o=2.0, steps=cfg.N_L), direction=-1)
+    assert terminal_set([oncoming], cfg, path, xi0).s_max == path.length
+    posed = planner._candidates(xi0, [oncoming], path, cfg, pot)
+    assert [(name, box.s_max) for name, box, _ in posed] == \
+        [("stay", path.length)]
+
+
 def test_terminal_set_empty(path, cfg):
     fc = _flat_forecast(301.0, 301.0, d_o=-2.0, steps=cfg.N_L)
     with pytest.raises(EmptyTerminalSet):

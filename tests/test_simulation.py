@@ -160,6 +160,19 @@ def test_empty_road_from_rest_runs_clean(empty_road_scenario):
     assert log.steps[-1]["ego_v"] > 5.0
 
 
+def test_overtake_from_the_oncoming_lane_runs_clean(overtake_scenario):
+    # the ego starts in the left lane, with the oncoming actors ahead in it:
+    # the safe-stop box is anchored on the right lane's leader, so every
+    # instance solves and the ego merges back at once
+    data = overtake_scenario.to_dict()
+    data["ego"]["y0"] = 2.0
+    log = run(scenario_mod.from_dict(data))
+    assert log.events == []
+    assert min(r["min_gap"] for r in log.steps) > 3.0
+    assert log.instances[0]["decision"] == "Overtake"
+    assert log.steps[-1]["ego_y"] < 0.0
+
+
 def test_shortest_accepted_horizon_runs_clean(empty_road_scenario):
     # N_L * T_sL = 7 s: the last tick of an instance reads its plan up to
     # instance_period + (N_P - 1) * T_sMPC = 6.8 s
