@@ -1,23 +1,21 @@
-"""Explicit RK4 step of a controlled ODE x' = f(x, u), and its sensitivities.
+"""Explicit RK4 step of a controlled ODE x' = f(x, u).
 
 Both vehicle models integrate with this one scheme, written component-wise:
 x and u are sequences of components, floats for one state (on a 5-vector
 numpy's per-call cost exceeds the arithmetic) or arrays over a batch.  A
 model supplies its vector field ``f(x, u)``, returning components the same
-way, and a batched Jacobian ``jac(Y, U) -> (A, B)``, A = df/dx (..., n, n)
-and B = df/du (..., n, m) at every state of Y.  The step's sensitivities
-follow the chain rule through the four stages,
+way.
 
-    dk_i/dx = A_i (I + c_i dk_{i-1}/dx),   dk_i/du = A_i c_i dk_{i-1}/du + B_i,
-
-from the stage points the forward pass returns.  The tracker's bicycle takes
-them from ``rk4_jacobians``.  The planner's NLP forms the point mass's step
-in closed form (``planner._step``: psi and nu move with the held inputs, so
-stages 2 and 3 share their point and the step needs three angles), and its
-Jacobians, whose stage terms multiply to zero, on their pattern
-(``planner._LtpProgram.eq_jacobian``), both to the bit the values of ``rk4``
-and the chain; ``rk4`` and ``rollout`` step the planner's guesses, its
-published states and its safe-stop plan.
+The NLPs form their models' steps in closed form, to the bit the values of
+``rk4``: in both models the speed and the heading rate or steering angle
+move with the held inputs, so stages 2 and 3 share those components.  The
+planner's point mass (``planner._step``, three angles) has its Jacobians,
+whose stage terms multiply to zero, on their pattern
+(``planner._LtpProgram.eq_jacobian``); the tracker's single track
+(``tracker._step``, three steering angles and four headings) returns the
+derivative coefficients from which ``tracker._dxdu`` forms the
+sensitivities of a whole horizon.  ``rk4`` and ``rollout`` step the
+planner's guesses, its published states and its safe-stop plan.
 """
 
 from __future__ import annotations
@@ -57,20 +55,3 @@ def rollout(f, x0, U, h):
         stages.extend(chain.from_iterable(y))
     Y = np.array(stages).reshape(len(xs) - 1, 4, len(x))
     return np.array(xs), Y.transpose(1, 0, 2)
-
-
-def rk4_jacobians(jac, Y, U, h):
-    """Jacobians Fx (M, n, n) and Fu (M, n, m) of M RK4 steps at once.
-
-    Y (4, M, n) holds each step's four stage points, as ``rollout`` returns
-    them, and U (M, m) the inputs held over the steps.
-    """
-    A, B = jac(np.asarray(Y), U)
-    I = np.eye(A.shape[-1])
-    dkx, dku = [A[0]], [B[0]]
-    for i, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
-        dkx.append(A[i] @ (I + c * dkx[-1]))
-        dku.append(A[i] @ (c * dku[-1]) + B[i])
-    Fx = I + (h / 6.0) * (dkx[0] + 2.0 * dkx[1] + 2.0 * dkx[2] + dkx[3])
-    Fu = (h / 6.0) * (dku[0] + 2.0 * dku[1] + 2.0 * dku[2] + dku[3])
-    return Fx, Fu

@@ -630,7 +630,7 @@ class _LtpProgram:
 
         A = df/dx is nonzero only in rows (s, d) and columns (psi, nu), and
         B = df/du feeds only (psi, nu), so A_i A_j = 0 for any two RK4
-        stages and the chain rule of ``dynamics.rk4_jacobians`` collapses to
+        stages and the chain rule through the stages collapses to
         Fx = I + h/6 (((A_1 + 2 A_2) + 2 A_3) + A_4) and
         Fu = h/6 (((B + 2 (h/2 A_2 B + B)) + 2 (h/2 A_3 B + B))
         + (h A_4 B + B)), with A_3 = A_2 at the stage point the two share.

@@ -5,13 +5,18 @@ single-track model at a fast sampling rate.  The program is transcribed by
 single shooting over the input sequence plus one slack variable that softens
 the terminal error equality, and solved by SciPy's SLSQP.
 
-The states come from the RK4 scheme shared with the planner
-(``dynamics.rk4``), one step at a time on the five state components as
-floats, and are kept per iterate with the stage points of every step, so the
-objective and the constraint values never touch derivatives.  When SLSQP
-asks for the gradient or the constraint Jacobian, the step Jacobians of the
-whole horizon follow from those stage points in one batched chain rule
-(``dynamics.rk4_jacobians``) and are chained into the sensitivities dX/du.
+The states come from ``_step``, the RK4 scheme of ``dynamics.rk4`` in closed
+form on the five state components as floats, the same to the bit, which the
+plant (``bicycle_step``) steps with too.  The forward pass keeps them per
+iterate with every step's derivative coefficients, so the objective and the
+constraint values never touch derivatives.  When SLSQP asks for the gradient
+or the constraint Jacobian, the sensitivities dX/du of the whole horizon
+follow from those coefficients in closed form (``_dxdu``): v and delta
+integrate the inputs, theta's increments depend on (v, delta), and x's and
+y's on theta and (v, delta), so each row is a cumulative sum over the steps
+of lower-triangular blocks.  The parts of a tick that depend only on the
+configuration (bounds, limit vectors, rate rows, the sensitivities' fixed
+blocks) are built once per configuration (``_layout``).
 
 SLSQP restarts its quasi-Newton matrix at the identity on every tick, but
 the tracking cost is a weighted least-squares sum whose Gauss-Newton Hessian
@@ -28,16 +33,16 @@ check.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .dynamics import rk4, rk4_jacobians, rollout
 from .geometry import wrap_angle
 from .planner import (ALPHA_MARGIN, DELTA_ALPHA_MAX, V_MAX, V_MIN,
                       PlannerConfig)
@@ -130,30 +135,88 @@ def check_hierarchy(tcfg: TrackerConfig, pcfg: PlannerConfig) -> None:
 
 
 def _f(L, chi, u):
-    """Single-track vector field on the float components of one state:
-    numpy on a 5-vector costs more than the five products."""
+    """Single-track vector field on the float components of one state, the
+    model ``_step`` integrates."""
     _, _, th, v, de = chi
     return (v * math.cos(th), v * math.sin(th), v * math.tan(de) / L,
             u[0], u[1])
 
 
-_B = np.zeros((5, 2))
-_B[3, 0] = 1.0
-_B[4, 1] = 1.0
+def _step(L, chi, u, h):
+    """``rk4(partial(_f, L), chi, u, h)[0]`` in closed form on floats, the
+    same to the bit, and the step's derivative coefficients.
+
+    v and delta move with the held inputs, so stages 2 and 3 share
+    (v + h/2 a, delta + h/2 w) and k3's yaw rate equals k2's: the step needs
+    tan at three steering angles and cos and sin at four headings.  The
+    coefficients, 15 floats, are the rows (x, y, theta) of the increments'
+    derivatives by (theta, v, delta, a, w); theta's increment does not
+    depend on theta, and v and delta each gain h times their input."""
+    _, _, th, v, de = chi
+    a, w = u
+    half, sixth = 0.5 * h, h / 6.0
+    v2, v4 = v + half * a, v + h * a
+    t1, t2, t4 = math.tan(de), math.tan(de + half * w), math.tan(de + h * w)
+    r1, r2, r4 = v * t1 / L, v2 * t2 / L, v4 * t4 / L
+    th2, th3, th4 = th + half * r1, th + half * r2, th + h * r2
+    c1, c2, c3, c4 = math.cos(th), math.cos(th2), math.cos(th3), math.cos(th4)
+    s1, s2, s3, s4 = math.sin(th), math.sin(th2), math.sin(th3), math.sin(th4)
+    n2, n34 = v2 * c2, v2 * c3 + v4 * c4
+    m2, m34 = v2 * s2, v2 * s3 + v4 * s4
+    dx = sixth * (v * c1 + 2.0 * n2 + 2.0 * (v2 * c3) + v4 * c4)
+    dy = sixth * (v * s1 + 2.0 * m2 + 2.0 * (v2 * s3) + v4 * s4)
+    nxt = [chi[0] + dx, chi[1] + dy,
+           th + sixth * (r1 + 2.0 * r2 + 2.0 * r2 + r4),
+           v + sixth * (a + 2.0 * a + 2.0 * a + a),
+           de + sixth * (w + 2.0 * w + 2.0 * w + w)]
+    # L times the stages' yaw-rate derivatives by delta; the headings of
+    # stages 2 to 4 carry k1's and k2's yaw rates into x and y
+    e1, e2 = v * (1.0 + t1 * t1), v2 * (1.0 + t2 * t2)
+    e4 = v4 * (1.0 + t4 * t4)
+    g, gh = sixth / L, sixth * h / L
+    return nxt, (
+        -dy, sixth * (c1 + 2.0 * (c2 + c3) + c4) - gh * (m2 * t1 + m34 * t2),
+        -gh * (m2 * e1 + m34 * e2),
+        sixth * h * (c2 + c3 + c4) - half * gh * m34 * t2,
+        -half * gh * m34 * e2,
+        dx, sixth * (s1 + 2.0 * (s2 + s3) + s4) + gh * (n2 * t1 + n34 * t2),
+        gh * (n2 * e1 + n34 * e2),
+        sixth * h * (s2 + s3 + s4) + half * gh * n34 * t2,
+        half * gh * n34 * e2,
+        0.0, g * (t1 + 4.0 * t2 + t4), g * (e1 + 4.0 * e2 + e4),
+        gh * (2.0 * t2 + t4), gh * (2.0 * e2 + e4))
 
 
-def _jac(L, Y, U):
-    """df/dx and df/du of the single track at every state of Y (..., 5)."""
-    th, v, de = Y[..., 2], Y[..., 3], Y[..., 4]
-    sin, cos = np.sin(th), np.cos(th)
-    A = np.zeros(Y.shape + (5,))
-    A[..., 0, 2] = -v * sin
-    A[..., 0, 3] = cos
-    A[..., 1, 2] = v * cos
-    A[..., 1, 3] = sin
-    A[..., 2, 3] = np.tan(de) / L
-    A[..., 2, 4] = v / (L * np.cos(de) ** 2)
-    return A, np.broadcast_to(_B, Y.shape[:-1] + _B.shape)
+def _rollout(L, chi0, U, h):
+    """States (M + 1, 5) from one state chi0 under the M inputs of U, one
+    ``_step`` per input, and the steps' derivative coefficients (M, 3, 5)."""
+    chi = [float(c) for c in chi0]
+    xs, cs = [chi], []
+    for u in U:
+        chi, c = _step(L, chi, u, h)
+        xs.append(chi)
+        cs.append(c)
+    return np.array(xs), np.array(cs).reshape(-1, 3, 5)
+
+
+def _dxdu(C, lay):
+    """S (M + 1, 5, 2 M) with S[j] = dX[j]/du, from the coefficients C of
+    ``_rollout``'s M steps.
+
+    v and delta integrate their inputs, theta's increments depend on
+    (v, delta) and the inputs, and x's and y's on theta, (v, delta) and the
+    inputs, so each row of S is a cumulative sum over the steps k of a
+    coefficient of step k times a lower-triangular block (dv_k/du,
+    ddelta_k/du, and for x and y dtheta_k/du) plus the step's own input
+    coefficients on the diagonal."""
+    M = len(C)
+    S = lay.S0.copy()
+    D = C[:, :, None, 1:3] * lay.strict[:, None]
+    D[lay.diag, :, lay.diag] = C[:, :, 3:]
+    np.cumsum(D[:, 2], axis=0, out=S[1:, 2])
+    D[1:, :2] += C[1:, :2, None, None, 0] * S[1:M, 2, None]
+    np.cumsum(D[:, :2], axis=0, out=S[1:, :2])
+    return S.reshape(M + 1, 5, 2 * M)
 
 
 def bicycle_step(chi: VehicleState, u, T: float,
@@ -161,8 +224,8 @@ def bicycle_step(chi: VehicleState, u, T: float,
     """One zero-order-hold step of the kinematic single-track model."""
     if T <= 0:
         raise ValueError("T must be positive")
-    return VehicleState(*rk4(
-        partial(_f, wheelbase), (chi.x, chi.y, chi.theta, chi.v, chi.delta),
+    return VehicleState(*_step(
+        wheelbase, (chi.x, chi.y, chi.theta, chi.v, chi.delta),
         (float(u[0]), float(u[1])), T)[0])
 
 
@@ -177,13 +240,55 @@ class NmpcSolution:
     stats: dict
 
 
+@functools.lru_cache(maxsize=8)
+def _layout(cfg: TrackerConfig, has_u_prev: bool):
+    """The parts of a tick that depend only on the configuration and on
+    whether u_prev is given: the variable bounds, the state-limit vectors,
+    the constant rows of the constraint Jacobian, the weights of the
+    Gauss-Newton Hessian, and the fixed blocks of the sensitivities.  The
+    programs of one configuration share them, and the arrays are
+    read-only."""
+    N, h = cfg.N_P, cfg.T_sMPC
+    n = 2 * N + 1
+    lay = SimpleNamespace()
+    lay.lb = np.append(np.tile([A_MIN, -W_DELTA_MAX], N), 0.0 - 1e-12)
+    lay.ub = np.append(np.tile([A_MAX, W_DELTA_MAX], N), np.inf)
+    e = np.array([E_POS, E_POS, E_THETA, E_V])
+    lay.hi = np.concatenate([[DELTA_MAX, V_MAX, YAW_RATE_MAX], e])
+    lay.lo = np.concatenate([[-DELTA_MAX, V_MIN, -YAW_RATE_MAX], -e])
+    # rate rows: +1 on a_k and -1 on a_{k-1}, then the same negated
+    lay.rate_first = 0 if has_u_prev else 1
+    k = np.arange(lay.rate_first, N)
+    rows = np.arange(len(k))
+    rate = np.zeros((len(k), n))
+    rate[rows, 2 * k] = 1.0
+    rate[rows[k > 0], 2 * k[k > 0] - 2] = -1.0
+    lay.jac = np.zeros((1 + 14 * N + 2 * len(k), n))
+    lay.jac[0, -1] = -1.0
+    lay.jac[1 + 14 * N:] = np.stack([rate, -rate], axis=1).reshape(-1, n)
+    R, Q = np.asarray(cfg.R, dtype=float), np.asarray(cfg.Q, dtype=float)
+    lay.H0 = np.diag(2.0 * np.append(np.tile(R, N), cfg.rho))
+    lay.Q_rows = np.tile(Q, N)[:, None]
+    # v_j and delta_j gain h / 6 * 6 from each earlier input, a_i and w_i
+    past = (h / 6.0 * 6.0) * np.tri(N + 1, N, -1)
+    lay.strict = np.repeat(past[:N, :, None], 2, axis=2)
+    lay.S0 = np.zeros((N + 1, 5, N, 2))
+    lay.S0[:, 3, :, 0] = lay.S0[:, 4, :, 1] = past
+    lay.diag = np.arange(N)
+    for a in vars(lay).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return lay
+
+
 class _NmpcProgram:
     """Single-shooting transcription: z = [u_0 .. u_{N_P-1}, sigma].
 
-    The forward pass (states, RK4 stage points, tracking errors) is memoized
-    per iterate; the sensitivities dX/du are built from its stage points only
-    when the gradient or the constraint Jacobian asks for them, kept with it
-    and dropped when the forward pass moves to another iterate.
+    The forward pass (states, step coefficients, tracking errors) is
+    memoized per iterate; the sensitivities dX/du are built from its
+    coefficients only when the gradient or the constraint Jacobian asks for
+    them, kept with it and dropped when the forward pass moves to another
+    iterate.
 
     The inequality rows h(z) <= 0 are, in order: the terminal error against
     sigma; per step k = 1 .. N_P the upper and the lower bound of each of
@@ -201,47 +306,30 @@ class _NmpcProgram:
         self.n = 2 * self.N + 1
         self.Q = np.asarray(cfg.Q, dtype=float)
         self.R = np.asarray(cfg.R, dtype=float)
-        self._f = partial(_f, cfg.wheelbase)
-        self._jac = partial(_jac, cfg.wheelbase)
-        e = np.array([E_POS, E_POS, E_THETA, E_V])
-        self._hi = np.concatenate([[DELTA_MAX, V_MAX, YAW_RATE_MAX], e])
-        self._lo = np.concatenate([[-DELTA_MAX, V_MIN, -YAW_RATE_MAX], -e])
-        # rate rows: +1 on a_k and -1 on a_{k-1}, then the same negated
+        self.layout = _layout(cfg, u_prev is not None)
         self._a_prev = 0.0 if u_prev is None else float(u_prev[0])
-        self._rate_first = 0 if u_prev is not None else 1
-        k = np.arange(self._rate_first, self.N)
-        rows = np.arange(len(k))
-        rate = np.zeros((len(k), self.n))
-        rate[rows, 2 * k] = 1.0
-        rate[rows[k > 0], 2 * k[k > 0] - 2] = -1.0
-        self._rate_jac = np.stack([rate, -rate], axis=1).reshape(-1, self.n)
         self._fwd_z = None
 
     def _forward(self, z):
-        """(U, X, Y, E) at z: inputs, states, the stage points of each step
-        (4, N_P, 5) and tracking errors."""
+        """(U, X, C, E) at z: inputs, states, the steps' derivative
+        coefficients and tracking errors."""
         if self._fwd_z is not None and np.array_equal(z, self._fwd_z):
             return self._fwd
         z = np.array(z, dtype=float)
         U = z[:2 * self.N].reshape(self.N, 2)
-        X, Y = rollout(self._f, self.chi0, U.tolist(), self.cfg.T_sMPC)
+        X, C = _rollout(self.cfg.wheelbase, self.chi0, U.tolist(),
+                        self.cfg.T_sMPC)
         E = X - self.ref
         E[:, 2] = wrap_angle(E[:, 2])
-        self._fwd_z, self._fwd, self._sens = z, (U, X, Y, E), None
+        self._fwd_z, self._fwd, self._sens = z, (U, X, C, E), None
         return self._fwd
 
     def _sensitivities(self, z):
         """S (N_P + 1, 5, 2 N_P) with S[k] = dX[k]/du at z."""
-        U, _, Y, _ = self._forward(z)
-        if self._sens is not None:
-            return self._sens
-        Fx, Fu = rk4_jacobians(self._jac, Y, U, self.cfg.T_sMPC)
-        S = np.zeros((self.N + 1, 5, 2 * self.N))
-        for k in range(self.N):
-            S[k + 1] = Fx[k] @ S[k]
-            S[k + 1, :, 2 * k:2 * k + 2] += Fu[k]
-        self._sens = S
-        return S
+        C = self._forward(z)[2]
+        if self._sens is None:
+            self._sens = _dxdu(C, self.layout)
+        return self._sens
 
     def objective(self, z):
         U, _, _, E = self._forward(z)
@@ -266,46 +354,47 @@ class _NmpcProgram:
         """Gauss-Newton Hessian of the objective at z: 2 sum_k S_k^T Q S_k
         + 2R on the inputs and 2 rho on sigma."""
         S = self._sensitivities(z)[1:].reshape(-1, 2 * self.N)
-        H = np.diag(2.0 * np.append(np.tile(self.R, self.N), self.cfg.rho))
-        H[:-1, :-1] += 2.0 * (S.T @ (np.tile(self.Q, self.N)[:, None] * S))
+        H = self.layout.H0.copy()
+        H[:-1, :-1] += 2.0 * (S.T @ (self.layout.Q_rows * S))
         return H
 
     # inequality constraints h(z) <= 0
     def ineq_constraints(self, z):
         U, X, _, E = self._forward(z)
+        lay, N = self.layout, self.N
         v, de = X[1:, 3], X[1:, 4]
         q = np.column_stack([de, v, v * np.tan(de) / self.cfg.wheelbase,
                              E[1:, :4]])
+        out = np.empty(len(lay.jac))
+        out[0] = np.sum(E[N] ** 2) - z[-1]
+        box = out[1:1 + 14 * N].reshape(N, 7, 2)
+        np.subtract(q, lay.hi, out=box[..., 0])
+        np.subtract(lay.lo, q, out=box[..., 1])
         diff = np.diff(np.concatenate([[self._a_prev], U[:, 0]]))
-        diff = diff[self._rate_first:]
-        bound = DELTA_A_MAX
-        return np.concatenate([
-            [np.sum(E[self.N] ** 2) - z[-1]],
-            np.stack([q - self._hi, self._lo - q], axis=2).ravel(),
-            np.stack([diff - bound, -diff - bound], axis=1).ravel()])
+        rate = out[1 + 14 * N:].reshape(-1, 2)
+        np.subtract(diff[lay.rate_first:], DELTA_A_MAX, out=rate[:, 0])
+        np.subtract(-diff[lay.rate_first:], DELTA_A_MAX, out=rate[:, 1])
+        return out
 
     def ineq_jacobian(self, z):
         _, X, _, E = self._forward(z)
         S = self._sensitivities(z)
+        N, nu = self.N, 2 * self.N
         v, de = X[1:, 3, None], X[1:, 4, None]
         Sk = S[1:]
-        Syaw = (np.tan(de) * Sk[:, 3]
-                + v * (1.0 / np.cos(de) ** 2) * Sk[:, 4]) / self.cfg.wheelbase
-        G = np.stack([Sk[:, 4], Sk[:, 3], Syaw, Sk[:, 0], Sk[:, 1], Sk[:, 2],
-                      Sk[:, 3]], axis=1)
-        nu, rows = 2 * self.N, 14 * self.N
-        J = np.zeros((1 + rows + len(self._rate_jac), self.n))
-        J[0, :nu] = 2.0 * E[self.N] @ S[self.N]
-        J[0, -1] = -1.0
-        J[1:1 + rows, :nu] = np.stack([G, -G], axis=2).reshape(rows, nu)
-        J[1 + rows:] = self._rate_jac
+        J = self.layout.jac.copy()
+        J[0, :nu] = 2.0 * E[N] @ S[N]
+        # rows of (delta, v, yaw rate, x, y, theta, v), upper then lower
+        G = J[1:1 + 14 * N, :nu].reshape(N, 7, 2, nu)[:, :, 0]
+        G[:, 0], G[:, 1] = Sk[:, 4], Sk[:, 3]
+        G[:, 2] = (np.tan(de) * Sk[:, 3] + v * (1.0 / np.cos(de) ** 2)
+                   * Sk[:, 4]) / self.cfg.wheelbase
+        G[:, 3:6], G[:, 6] = Sk[:, :3], Sk[:, 3]
+        J[1:1 + 14 * N, :nu].reshape(N, 7, 2, nu)[:, :, 1] = -G
         return J
 
     def bounds(self):
-        lb = np.tile([A_MIN, -W_DELTA_MAX], self.N)
-        ub = np.tile([A_MAX, W_DELTA_MAX], self.N)
-        return (np.concatenate([lb, [0.0 - 1e-12]]),
-                np.concatenate([ub, [np.inf]]))
+        return self.layout.lb, self.layout.ub
 
 
 def max_braking_input(u_prev) -> np.ndarray:

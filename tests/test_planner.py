@@ -14,7 +14,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from tvapf import planner, tracker
-from tvapf.dynamics import rk4, rk4_jacobians, rollout
+from tvapf.dynamics import rk4, rollout
 from tvapf.geometry import straight_path
 from tvapf.planner import (ControlInput, Decision, EgoModelState,
                            EmptyTerminalSet, PlannerConfig, TerminalBox,
@@ -25,6 +25,8 @@ from tvapf.potentials import PotentialConfig
 from tvapf.prediction import (ObstacleField, ObstacleState, TvapfParams,
                               UncertainForecast, propagate_obstacle)
 from tvapf.solver import CALLBACKS
+
+from rk4_chain import bicycle_jac, rk4_jacobians
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +176,7 @@ _MODELS = {
                    [(-0.9, 0.9), (-0.08, 0.08)], 0.5),
     "bicycle": (partial(tracker._f, 2.7),
                 _pointwise(partial(tracker._f, 2.7)),
-                partial(tracker._jac, 2.7), _bicycle_reference(2.7),
+                partial(bicycle_jac, 2.7), _bicycle_reference(2.7),
                 [(0.0, 500.0), (-4.0, 4.0), (-math.pi, math.pi),
                  (0.0, 12.5), (-0.43, 0.43)],
                 [(-0.85, 0.85), (-0.4, 0.4)], 0.2),

@@ -16,7 +16,7 @@ import scipy.optimize
 
 import tvapf
 from tvapf import tracker
-from tvapf.dynamics import rollout
+from tvapf.dynamics import rk4, rollout
 from tvapf import planner
 from tvapf.planner import PlannerConfig
 from tvapf.potentials import ConfigError
@@ -24,6 +24,8 @@ from tvapf.tracker import (A_MAX, DELTA_A_MAX, DELTA_MAX, MAX_ITER,
                            Infeasible, TrackerConfig, VehicleState, _f,
                            _NmpcProgram, bicycle_step, check_hierarchy,
                            max_braking_input, solve_nmpc)
+
+from rk4_chain import bicycle_jac, rk4_jacobians
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,84 @@ def test_bicycle_step_standstill():
 def test_bicycle_step_validation():
     with pytest.raises(ValueError):
         bicycle_step(VehicleState(0, 0, 0, 1, 0), (0, 0), 0.0, 2.7)
+
+
+def _step_grid(seed, count):
+    """Seeded states and inputs across their boxes: headings near +-pi,
+    steering up to +-DELTA_MAX, speeds from 0 to V_MAX, and inputs at the
+    edges of their box among the draws."""
+    rng = np.random.default_rng(seed)
+    theta = np.concatenate([rng.uniform(-math.pi, math.pi, count - 4),
+                            [math.pi, -math.pi, math.pi - 1e-9,
+                             -math.pi + 1e-9]])
+    delta = rng.choice([-DELTA_MAX, DELTA_MAX, 0.0, *rng.uniform(
+        -DELTA_MAX, DELTA_MAX, 5)], count)
+    v = rng.choice([0.0, planner.V_MAX, *rng.uniform(0.0, planner.V_MAX, 5)],
+                   count)
+    X = np.column_stack([rng.uniform(-500.0, 500.0, count),
+                         rng.uniform(-6.0, 6.0, count), theta, v, delta])
+    U = np.column_stack([
+        rng.choice([tracker.A_MIN, A_MAX, *rng.uniform(-0.85, 0.85, 3)],
+                   count),
+        rng.choice([-tracker.W_DELTA_MAX, tracker.W_DELTA_MAX,
+                    *rng.uniform(-0.4, 0.4, 3)], count)])
+    return X, U
+
+
+def test_closed_form_step_is_rk4_to_the_bit():
+    """The tracker's step and the plant's equal the generic RK4 step of the
+    vector field ``_f`` bit for bit, for the tracker's step and the plant's
+    step sizes."""
+    X, U = _step_grid(7, 400)
+    for L, h in ((2.7, 0.2), (2.7, 0.02), (3.1, 0.05)):
+        for x, u in zip(X.tolist(), U.tolist()):
+            want = rk4(partial(_f, L), x, u, h)[0]
+            assert tracker._step(L, x, u, h)[0] == want
+            assert bicycle_step(VehicleState(*x), u, h, L) == \
+                VehicleState(*want)
+
+
+def _chained_sensitivities(L, chi0, U, h):
+    """S (M + 1, 5, 2 M) by the dense chain rule through the RK4 stages,
+    step by step: S[k + 1] = Fx[k] S[k] + Fu[k] on step k's inputs."""
+    _, Y = rollout(partial(_f, L), chi0, U.tolist(), h)
+    Fx, Fu = rk4_jacobians(partial(bicycle_jac, L), Y, U, h)
+    M = len(U)
+    S = np.zeros((M + 1, 5, 2 * M))
+    for k in range(M):
+        S[k + 1] = Fx[k] @ S[k]
+        S[k + 1, :, 2 * k:2 * k + 2] += Fu[k]
+    return S
+
+
+def test_sensitivities_match_the_rk4_chain(cfg):
+    """The closed-form dX/du is the chain rule's up to rounding: every
+    entry within 1e-13 of the chain's, relative to the largest entry of its
+    state row, and the chain's structural zeros are exact."""
+    X, U = _step_grid(8, 40 * cfg.N_P)
+    for k in range(40):
+        steps = U[k * cfg.N_P:(k + 1) * cfg.N_P]
+        prog = _NmpcProgram(X[k], np.zeros((cfg.N_P + 1, 5)), cfg, None)
+        got = prog._sensitivities(np.append(steps.ravel(), 0.0))
+        want = _chained_sensitivities(cfg.wheelbase, X[k], steps, cfg.T_sMPC)
+        scale = np.abs(want).max(axis=2, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert not got[want == 0.0].any()
+
+
+def test_sensitivities_match_central_differences(cfg):
+    chi0, ref, u_prev = _lane_change_tick(cfg)
+    prog = _NmpcProgram(chi0.as_array(), ref, cfg, u_prev)
+    z = np.append(np.tile([0.2, 0.01], cfg.N_P), 0.3)
+    S = prog._sensitivities(z)
+
+    def states(w):
+        return prog._forward(w)[1]
+
+    h = 1e-6
+    for i, e in enumerate(np.eye(prog.n)[:-1]):
+        fd = (states(z + h * e) - states(z - h * e)) / (2.0 * h)
+        assert np.allclose(S[:, :, i], fd, rtol=1e-6, atol=1e-7)
 
 
 # -- configuration -----------------------------------------------------------
@@ -249,13 +329,13 @@ def test_preconditioned_solve_matches_plain_slsqp_in_fewer_iterations(cfg):
 def test_one_sensitivity_pass_per_derivative_point(cfg, monkeypatch):
     """Over one tick the forward pass runs once per distinct point at which
     a value is asked for, the constraint values once per distinct point,
-    and the step Jacobians once per distinct point at which a derivative is
-    asked for: SLSQP's gradient and constraint Jacobian, and the
+    and the sensitivity pass once per distinct point at which a derivative
+    is asked for: SLSQP's gradient and constraint Jacobian, and the
     Gauss-Newton Hessian of the preconditioner.  That
     Hessian is built at SLSQP's first point, so the first point costs no
     second pass.  Points are keyed by value, since z0 + M 0 turns the warm
     start's -0.0 into +0.0."""
-    asked, calls = [], {"rollout": 0, "rk4_jacobians": 0}
+    asked, calls = [], {"_rollout": 0, "_dxdu": 0}
     for name in calls:
         def counted(*args, fn=getattr(tracker, name), name=name):
             calls[name] += 1
@@ -273,13 +353,13 @@ def test_one_sensitivity_pass_per_derivative_point(cfg, monkeypatch):
     warm = np.stack([np.full(cfg.N_P, 0.3), np.full(cfg.N_P, -0.0)], axis=1)
     for u_guess in (None, warm):
         asked.clear()
-        calls.update(rollout=0, rk4_jacobians=0)
+        calls.update(_rollout=0, _dxdu=0)
         sol = solve_nmpc(chi0, ref, cfg, u_prev=u_prev, u_guess=u_guess)
         assert sol.stats["iterations"] > 1
         assert asked[0][0] == "gauss_newton" and asked[1][1] == asked[0][1]
-        assert calls["rollout"] == len({z for _, z in asked})
-        assert calls["rk4_jacobians"] == len({z for name, z in asked
-                                              if name in derivatives})
+        assert calls["_rollout"] == len({z for _, z in asked})
+        assert calls["_dxdu"] == len({z for name, z in asked
+                                      if name in derivatives})
         # the constraint values run once per distinct point as well
         values = [z for name, z in asked if name == "ineq_constraints"]
         assert len(values) == len(set(values))
