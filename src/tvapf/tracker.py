@@ -210,10 +210,14 @@ def _dxdu(C, lay):
     ddelta_k/du, and for x and y dtheta_k/du) plus the step's own input
     coefficients on the diagonal."""
     M = len(C)
+    k = np.arange(M)
     S = lay.S0.copy()
+    # D[k, row, i]: step k's increment of x, y and theta by u_i, through
+    # (v_k, delta_k) for i < k and directly for i = k
     D = C[:, :, None, 1:3] * lay.strict[:, None]
-    D[lay.diag, :, lay.diag] = C[:, :, 3:]
+    D[k, :, k] = C[:, :, 3:]
     np.cumsum(D[:, 2], axis=0, out=S[1:, 2])
+    # x and y also move with theta_k
     D[1:, :2] += C[1:, :2, None, None, 0] * S[1:M, 2, None]
     np.cumsum(D[:, :2], axis=0, out=S[1:, :2])
     return S.reshape(M + 1, 5, 2 * M)
@@ -274,7 +278,6 @@ def _layout(cfg: TrackerConfig, has_u_prev: bool):
     lay.strict = np.repeat(past[:N, :, None], 2, axis=2)
     lay.S0 = np.zeros((N + 1, 5, N, 2))
     lay.S0[:, 3, :, 0] = lay.S0[:, 4, :, 1] = past
-    lay.diag = np.arange(N)
     for a in vars(lay).values():
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
