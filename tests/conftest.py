@@ -1,8 +1,8 @@
 """Shared fixtures.
 
-The bundled overtake scenario takes about 5 s of wall clock to simulate
-(4.7-5.8 s over three runs with the default BLAS threads, 4.4-4.7 s over
-three with BLAS pinned to one thread, on a shared 2-core x86-64 host), so
+The bundled overtake scenario takes about 2 s of wall clock to simulate
+(1.6-2.0 s over three runs with BLAS pinned to one thread, 2.0-2.9 s over
+three with the default BLAS threads, on a shared 2-core x86-64 host), so
 the closed-loop run is executed once per session and shared by every test
 that inspects it.
 """

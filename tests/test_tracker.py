@@ -115,8 +115,8 @@ def _step_grid(seed, count):
 
 def test_closed_form_step_is_rk4_to_the_bit():
     """The tracker's step and the plant's equal the generic RK4 step of the
-    vector field ``_f`` bit for bit, for the tracker's step and the plant's
-    step sizes."""
+    vector field ``_f`` bit for bit, at the tracker's and the plant's step
+    sizes and another wheelbase."""
     X, U = _step_grid(7, 400)
     for L, h in ((2.7, 0.2), (2.7, 0.02), (3.1, 0.05)):
         for x, u in zip(X.tolist(), U.tolist()):
