@@ -20,8 +20,6 @@ planner's guesses, its published states and its safe-stop plan.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 
@@ -46,12 +44,8 @@ def rk4(f, x, u, h):
 
 def rollout(f, x0, U, h):
     """States (M + 1, n) from one state x0 under the M inputs of U, one RK4
-    step on floats per input, and the stage points (4, M, n) of the steps."""
-    x = [float(c) for c in x0]
-    xs, stages = [x], []
+    step on floats per input."""
+    xs = [[float(c) for c in x0]]
     for u in U:
-        x, y = rk4(f, x, u, h)
-        xs.append(x)
-        stages.extend(chain.from_iterable(y))
-    Y = np.array(stages).reshape(len(xs) - 1, 4, len(x))
-    return np.array(xs), Y.transpose(1, 0, 2)
+        xs.append(rk4(f, xs[-1], u, h)[0])
+    return np.array(xs)

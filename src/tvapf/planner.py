@@ -373,7 +373,7 @@ def _candidates(xi0: EgoModelState, forecasts, path: ReferencePath,
             guess = _follow_guess(xi0, leaders[0], stay, cfg)
         else:
             inputs = np.zeros((cfg.N_L, 2))
-            guess = rollout(_f, xi0.as_array(), inputs, cfg.T_sL)[0], inputs
+            guess = rollout(_f, xi0.as_array(), inputs, cfg.T_sL), inputs
         posed.append(("stay", stay, guess))
     s_stay = -math.inf if stay is None else stay.s_max
     if leaders and s_stay < xi0.s + V_MAX * cfg.N_L * cfg.T_sL:
@@ -728,7 +728,7 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
         # Published states re-integrate the optimal inputs so they satisfy
         # the dynamics exactly, not merely to solver tolerance.
         U = prog._inputs(result.z)
-        X = rollout(_f, xi0.as_array(), U, cfg.T_sL)[0]
+        X = rollout(_f, xi0.as_array(), U, cfg.T_sL)
         overtakes = bool(any(path.lane_index_of(float(x[1])) > 0 for x in X))
         cand_stats.append({
             "candidate": name,

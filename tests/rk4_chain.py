@@ -4,13 +4,26 @@ tracker are tested against."""
 
 import numpy as np
 
+from tvapf.dynamics import rk4
+
+
+def rollout_stages(f, x0, U, h):
+    """States (M + 1, n) from x0 under the M inputs of U, one RK4 step on
+    floats per input, and the stage points (4, M, n) of the steps."""
+    xs, stages = [[float(c) for c in x0]], []
+    for u in U:
+        x, y = rk4(f, xs[-1], u, h)
+        xs.append(x)
+        stages.append(y)
+    return np.array(xs), np.transpose(stages, (1, 0, 2))
+
 
 def rk4_jacobians(jac, Y, U, h):
     """Jacobians Fx (M, n, n) and Fu (M, n, m) of M RK4 steps at once.
 
     ``jac(Y, U) -> (A, B)`` gives A = df/dx (..., n, n) and B = df/du
     (..., n, m) at every state of Y.  Y (4, M, n) holds each step's four
-    stage points, as ``dynamics.rollout`` returns them, and U (M, m) the
+    stage points, as ``rollout_stages`` returns them, and U (M, m) the
     inputs held over the steps.  The chain rule runs through the stages,
 
         dk_i/dx = A_i (I + c_i dk_{i-1}/dx),

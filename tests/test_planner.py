@@ -26,7 +26,7 @@ from tvapf.prediction import (ObstacleField, ObstacleState, TvapfParams,
                               UncertainForecast, propagate_obstacle)
 from tvapf.solver import CALLBACKS
 
-from rk4_chain import bicycle_jac, rk4_jacobians
+from rk4_chain import bicycle_jac, rk4_jacobians, rollout_stages
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +217,9 @@ def test_float_rollout_equals_batched_rk4(name, data):
 
     X0 = box(x_box, n_states)
     U = box(u_box, n_states * n_steps).reshape(n_states, n_steps, -1)
-    alone = [rollout(f, x0, u.tolist(), h) for x0, u in zip(X0, U)]
+    alone = [rollout_stages(f, x0, u.tolist(), h) for x0, u in zip(X0, U)]
+    for x0, u, (X, _) in zip(X0, U, alone):
+        np.testing.assert_array_equal(rollout(f, x0, u.tolist(), h), X)
     x = tuple(X0.T)
     for k in range(n_steps):
         x, Y = rk4(f_batch, x, tuple(U[:, k].T), h)
@@ -254,7 +256,7 @@ def test_eq_jacobian_is_the_dense_rk4_chain_to_the_bit(path, pot, tv, data):
     xi0 = EgoModelState(*(_box_value(data, lo, hi) for lo, hi in x_box))
     g_i = np.zeros((N, 2))
     prog = _LtpProgram(xi0, [], path, cfg, pot, tv,
-                       rollout(planner._f, xi0.as_array(), g_i, h)[0], g_i,
+                       rollout(planner._f, xi0.as_array(), g_i, h), g_i,
                        box, 0.0)
     z = np.array([_box_value(data, lo, hi)
                   for lo, hi in zip(prog.lb, prog.ub)])
@@ -282,7 +284,7 @@ def test_programs_of_one_horizon_share_a_frozen_layout(path, cfg, pot, tv):
     fewer and its own layout."""
     xi0, fcs = _follow_scene(cfg)
     g_i = np.zeros((cfg.N_L, 2))
-    g_s = rollout(planner._f, xi0.as_array(), g_i, cfg.T_sL)[0]
+    g_s = rollout(planner._f, xi0.as_array(), g_i, cfg.T_sL)
     box = terminal_set(fcs, cfg, path, xi0)
     a, b, c = (_LtpProgram(xi0, f, path, cfg, pot, tv, g_s, g_i, box, prev)
                for f, prev in ((fcs, 0.0), ([], 0.3), (fcs, None)))

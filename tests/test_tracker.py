@@ -25,7 +25,7 @@ from tvapf.tracker import (A_MAX, DELTA_A_MAX, DELTA_MAX, MAX_ITER,
                            _NmpcProgram, bicycle_step, check_hierarchy,
                            max_braking_input, solve_nmpc)
 
-from rk4_chain import bicycle_jac, rk4_jacobians
+from rk4_chain import bicycle_jac, rk4_jacobians, rollout_stages
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def _lane_change_tick(cfg):
     U = np.stack([np.full(cfg.N_P, 0.3),
                   0.02 * np.sin(2 * np.pi * k / cfg.N_P)], axis=1)
     ref = rollout(partial(_f, cfg.wheelbase), [0.0, 0.0, 0.0, 8.0, 0.0],
-                  U.tolist(), cfg.T_sMPC)[0]
+                  U.tolist(), cfg.T_sMPC)
     return VehicleState(0.0, 0.15, 0.0, 7.9, 0.0), ref, np.array([0.3, 0.0])
 
 
@@ -129,7 +129,7 @@ def test_closed_form_step_is_rk4_to_the_bit():
 def _chained_sensitivities(L, chi0, U, h):
     """S (M + 1, 5, 2 M) by the dense chain rule through the RK4 stages,
     step by step: S[k + 1] = Fx[k] S[k] + Fu[k] on step k's inputs."""
-    _, Y = rollout(partial(_f, L), chi0, U.tolist(), h)
+    _, Y = rollout_stages(partial(_f, L), chi0, U.tolist(), h)
     Fx, Fu = rk4_jacobians(partial(bicycle_jac, L), Y, U, h)
     M = len(U)
     S = np.zeros((M + 1, 5, 2 * M))
