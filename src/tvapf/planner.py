@@ -14,6 +14,10 @@ reach and its own bound reaches more than 1 m further, stops behind all but
 the nearest.  The cheaper feasible solution is published, ``stay`` when the
 two tie to ``TIE_RTOL``; within each program the lane change, the following
 distance and the braking profile emerge from one continuous optimization.
+
+One function, ``_step``, integrates the model: the program's whole horizon
+at once, and one state at a time the coast seed and the published states
+(``_rollout``) and the safe-stop plan.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import rk4, rollout
 from .geometry import ReferencePath
 from .potentials import (PotentialConfig, boundary_potential,
                          effective_speed, lane_potential, lateral_offsets)
@@ -188,32 +191,40 @@ _FX_SLOTS = np.array([1, 2, 4, 5])
 _FU_SLOTS = np.array([1, 0, 3, 2])
 
 
-def _f(x, u):
-    """Point-mass vector field on state and input components, see rk4."""
-    _, _, psi, nu = x
-    return nu * np.cos(psi), nu * np.sin(psi), u[1], u[0]
-
-
 def _step(x, u, h):
-    """``rk4(_f, x, u, h)`` in closed form on a (4, M) state and a (2, M)
-    input, the same to the bit.
+    """One RK4 step of the point mass with the input held over [0, h],
+
+        s' = nu cos psi,  d' = nu sin psi,  psi' = omega,  nu' = alpha,
+
+    on a state x (4, ...) and an input u = (alpha, omega) (2, ...): one
+    state of shape (4,), or M of shape (4, M).
 
     psi and nu move with the constant inputs, so stages 2 and 3 share
     psi + h/2 omega and nu + h/2 alpha, k3 = k2, and the step needs cos and
-    sin at three angles.  Returns the next state (4, M) and the (psi, nu,
-    cos psi, sin psi) of the three distinct stage points, (3, 4, M)."""
+    sin at three angles.  Returns the next state (4, ...) and the (psi, nu,
+    cos psi, sin psi) of the three distinct stage points, (3, 4, ...)."""
     half, sixth = 0.5 * h, h / 6.0
     rate = u[::-1]
-    stages = np.empty((3, 4, x.shape[1]))
+    stages = np.empty((3, 4) + x.shape[1:])
     stages[0, :2] = x[2:]
-    np.add(x[2:], np.multiply.outer((half, h), rate), out=stages[1:, :2])
+    stages[1:, :2] = x[2:] + np.multiply.outer((half, h), rate)
     np.cos(stages[:, 0], out=stages[:, 2])
     np.sin(stages[:, 0], out=stages[:, 3])
-    # k_i on rows (s, d), then the rates of (psi, nu), summed in rk4's order
+    # k on rows (s, d) at the three distinct stages, then the rates of
+    # (psi, nu), summed in RK4's order k1 + 2 k2 + 2 k3 + k4 with k3 = k2
     k = stages[:, 1:2] * stages[:, 2:]
-    return x + sixth * np.concatenate([
-        k[0] + 2.0 * k[1] + 2.0 * k[1] + k[2],
-        rate + 2.0 * rate + 2.0 * rate + rate]), stages
+    k23, rate23 = 2.0 * k[1], 2.0 * rate
+    return x + sixth * np.concatenate([k[0] + k23 + k23 + k[2],
+                                       rate + rate23 + rate23 + rate]), stages
+
+
+def _rollout(x0, U, h):
+    """States (M + 1, 4) from one state x0 under the M inputs of U, one
+    ``_step`` per input."""
+    xs = [np.asarray(x0, dtype=float)]
+    for u in np.asarray(U, dtype=float):
+        xs.append(_step(xs[-1], u, h)[0])
+    return np.array(xs)
 
 
 # -- terminal set -----------------------------------------------------------
@@ -373,7 +384,7 @@ def _candidates(xi0: EgoModelState, forecasts, path: ReferencePath,
             guess = _follow_guess(xi0, leaders[0], stay, cfg)
         else:
             inputs = np.zeros((cfg.N_L, 2))
-            guess = rollout(_f, xi0.as_array(), inputs, cfg.T_sL), inputs
+            guess = _rollout(xi0.as_array(), inputs, cfg.T_sL), inputs
         posed.append(("stay", stay, guess))
     s_stay = -math.inf if stay is None else stay.s_max
     if leaders and s_stay < xi0.s + V_MAX * cfg.N_L * cfg.T_sL:
@@ -728,7 +739,7 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
         # Published states re-integrate the optimal inputs so they satisfy
         # the dynamics exactly, not merely to solver tolerance.
         U = prog._inputs(result.z)
-        X = rollout(_f, xi0.as_array(), U, cfg.T_sL)
+        X = _rollout(xi0.as_array(), U, cfg.T_sL)
         overtakes = bool(any(path.lane_index_of(float(x[1])) > 0 for x in X))
         cand_stats.append({
             "candidate": name,
@@ -791,7 +802,7 @@ def safe_stop_trajectory(xi0: EgoModelState, cfg: PlannerConfig,
     hold until stand-still, steer the heading to zero.
     """
     h = cfg.T_sL
-    x = xi0.as_array().tolist()
+    x = xi0.as_array()
     states = [x]
     inputs = []
     alpha = float(alpha_prev)
@@ -803,7 +814,7 @@ def safe_stop_trajectory(xi0: EgoModelState, cfg: PlannerConfig,
             a = -x[3] / h
         omega = float(np.clip(-x[2] / h, -OMEGA_MAX, OMEGA_MAX))
         u = (a, omega)
-        x = rk4(_f, x, u, h)[0]
+        x = _step(x, np.array(u), h)[0]
         x[3] = max(x[3], 0.0)
         states.append(x)
         inputs.append(u)

@@ -147,6 +147,8 @@ class Key:
 _NUMBER = Key()
 _INT = Key("int")
 _SPEED = Key(lo=0.0, hi=V_MAX)
+# > 0: the smallest positive float
+_POSITIVE = Key(lo=math.ulp(0.0))
 
 # Every key each section accepts; a nested mapping is a nested section.  A
 # key feeds the field of the same name: path -> straight_path/ReferencePath,
@@ -154,7 +156,8 @@ _SPEED = Key(lo=0.0, hi=V_MAX)
 # TrackerConfig, the other weights, tvapf.eta/a_l_max and ego.v_des ->
 # PotentialConfig, tvapf -> TvapfParams (l_W is path.lane_width), sim -> run.
 SCHEMA = {
-    "path": {"points": Key("points"), "length": _NUMBER, "spacing": _NUMBER,
+    "path": {"points": Key("points"), "length": _POSITIVE,
+             "spacing": _POSITIVE,
              "lane_count": _INT, "lane_width": _NUMBER,
              "speed_limit": Key("number or list")},
     "ego": {"x0": _NUMBER, "y0": _NUMBER, "theta0": _NUMBER, "v0": _SPEED,
@@ -169,8 +172,7 @@ SCHEMA = {
                                           _NUMBER)},
     "tracker": {"T_sMPC": _NUMBER, "N_P": _INT, "rho": _NUMBER,
                 "wheelbase": _NUMBER, "Q": Key("numbers", lo=0.0, size=5),
-                # R > 0: the smallest positive float
-                "R": Key("numbers", lo=math.ulp(0.0), size=2)},
+                "R": Key("numbers", lo=_POSITIVE.lo, size=2)},
     "sim": {"duration": Key(lo=0.1, default=60.0),
             "plant_step": Key(lo=1e-4, hi=1.0, default=0.02),
             "sensor_range": Key(lo=1.0, default=300.0),
@@ -262,6 +264,11 @@ def from_dict(data: dict, overrides: dict | None = None) -> Scenario:
     sections = {name: _section(data.get(name, {}), name, schema,
                                overrides or {})
                 for name, schema in SCHEMA.items()}
+    if "points" in sections["path"]:
+        for key in ("length", "spacing"):
+            if key in sections["path"]:
+                raise ScenarioError(f"path.{key}: a straight road's key, "
+                                    f"given beside path.points")
 
     actors = []
     for i, a in enumerate(_section(data.get("actors", []), "actors", [ACTOR],

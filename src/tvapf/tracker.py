@@ -5,9 +5,9 @@ single-track model at a fast sampling rate.  The program is transcribed by
 single shooting over the input sequence plus one slack variable that softens
 the terminal error equality, and solved by SciPy's SLSQP.
 
-The states come from ``_step``, the RK4 scheme of ``dynamics.rk4`` in closed
-form on the five state components as floats, the same to the bit, which the
-plant (``bicycle_step``) steps with too.  The forward pass keeps them per
+The states come from ``_step``, the model's one RK4 step in closed form on
+the five state components as floats, which the plant (``bicycle_step``)
+steps with too.  The forward pass keeps them per
 iterate with every step's derivative coefficients, so the objective and the
 constraint values never touch derivatives.  When SLSQP asks for the gradient
 or the constraint Jacobian, the sensitivities dX/du of the whole horizon
@@ -134,17 +134,15 @@ def check_hierarchy(tcfg: TrackerConfig, pcfg: PlannerConfig) -> None:
 # -- dynamics ---------------------------------------------------------------
 
 
-def _f(L, chi, u):
-    """Single-track vector field on the float components of one state, the
-    model ``_step`` integrates."""
-    _, _, th, v, de = chi
-    return (v * math.cos(th), v * math.sin(th), v * math.tan(de) / L,
-            u[0], u[1])
-
-
 def _step(L, chi, u, h):
-    """``rk4(partial(_f, L), chi, u, h)[0]`` in closed form on floats, the
-    same to the bit, and the step's derivative coefficients.
+    """One RK4 step of the kinematic single track with wheelbase L and the
+    input held over [0, h],
+
+        x' = v cos theta,  y' = v sin theta,  theta' = v tan(delta) / L,
+        v' = a,  delta' = w,
+
+    on the float components of one state chi = (x, y, theta, v, delta) and
+    an input u = (a, w), and the step's derivative coefficients.
 
     v and delta move with the held inputs, so stages 2 and 3 share
     (v + h/2 a, delta + h/2 w) and k3's yaw rate equals k2's: the step needs

@@ -1,10 +1,56 @@
-"""The dense chain rule of the RK4 step's sensitivities, the reference that
-the closed-form step Jacobians of the planner and the sensitivities of the
-tracker are tested against."""
+"""The test-side reference of both vehicle models: their vector fields, the
+generic explicit RK4 step and rollout, and the dense chain rule of the RK4
+step's sensitivities.  Every closed form in ``src/`` is checked against
+these bit for bit: the planner's ``_step`` and ``_rollout`` (next state and
+stage points) and its step Jacobians, and the tracker's ``_step``, which
+the plant shares, with its sensitivities."""
+
+import math
 
 import numpy as np
 
-from tvapf.dynamics import rk4
+
+def point_mass_f(x, u):
+    """Point-mass vector field of ``planner._step`` on state and input
+    components, floats or arrays over a batch."""
+    _, _, psi, nu = x
+    return nu * np.cos(psi), nu * np.sin(psi), u[1], u[0]
+
+
+def bicycle_f(L, chi, u):
+    """Single-track vector field of ``tracker._step`` with wheelbase L on
+    the float components of one state."""
+    _, _, th, v, de = chi
+    return (v * math.cos(th), v * math.sin(th), v * math.tan(de) / L,
+            u[0], u[1])
+
+
+def rk4(f, x, u, h):
+    """One RK4 step of x' = f(x, u) with u held over [0, h].
+
+    x and u are sequences of components, floats or arrays over a batch.
+    Returns the next state and the four stage points (x, x + h/2 k1,
+    x + h/2 k2, x + h k3) at which k1 .. k4 were evaluated, as components.
+    """
+    half, sixth = 0.5 * h, h / 6.0
+    k1 = f(x, u)
+    y2 = [xi + half * ki for xi, ki in zip(x, k1)]
+    k2 = f(y2, u)
+    y3 = [xi + half * ki for xi, ki in zip(x, k2)]
+    k3 = f(y3, u)
+    y4 = [xi + h * ki for xi, ki in zip(x, k3)]
+    k4 = f(y4, u)
+    return ([xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)], (x, y2, y3, y4))
+
+
+def rollout(f, x0, U, h):
+    """States (M + 1, n) from one state x0 under the M inputs of U, one RK4
+    step on floats per input."""
+    xs = [[float(c) for c in x0]]
+    for u in U:
+        xs.append(rk4(f, xs[-1], u, h)[0])
+    return np.array(xs)
 
 
 def rollout_stages(f, x0, U, h):
@@ -45,7 +91,7 @@ _BICYCLE_B[3, 0] = _BICYCLE_B[4, 1] = 1.0
 
 
 def bicycle_jac(L, Y, U):
-    """df/dx and df/du of the single track ``tracker._f`` with wheelbase L
+    """df/dx and df/du of the single track ``bicycle_f`` with wheelbase L
     at every state of Y (..., 5)."""
     th, v, de = Y[..., 2], Y[..., 3], Y[..., 4]
     sin, cos = np.sin(th), np.cos(th)

@@ -14,7 +14,6 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from tvapf import planner, tracker
-from tvapf.dynamics import rk4, rollout
 from tvapf.geometry import straight_path
 from tvapf.planner import (ControlInput, Decision, EgoModelState,
                            EmptyTerminalSet, PlannerConfig, TerminalBox,
@@ -26,7 +25,8 @@ from tvapf.prediction import (ObstacleField, ObstacleState, TvapfParams,
                               UncertainForecast, propagate_obstacle)
 from tvapf.solver import CALLBACKS
 
-from rk4_chain import bicycle_jac, rk4_jacobians, rollout_stages
+from rk4_chain import (bicycle_f, bicycle_jac, point_mass_f, rk4,
+                       rk4_jacobians, rollout, rollout_stages)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,8 @@ def test_config_validation():
 
 def test_discretize_constant_acceleration():
     # with psi = 0 the model is exactly double-integrator longitudinally
-    s, d, psi, nu = rk4(planner._f, (0.0, 0.0, 0.0, 5.0), (1.0, 0.0), 0.5)[0]
+    s, d, psi, nu = planner._step(np.array([0.0, 0.0, 0.0, 5.0]),
+                                  np.array([1.0, 0.0]), 0.5)[0]
     assert s == pytest.approx(5.0 * 0.5 + 0.5 * 1.0 * 0.25, abs=1e-12)
     assert nu == pytest.approx(5.5, abs=1e-12)
     assert d == 0.0 and psi == 0.0
@@ -86,11 +87,11 @@ def test_discretize_constant_acceleration():
 
 def test_discretize_matches_fine_integration():
     # one coarse RK4 step vs 1000 fine steps of the same vector field
-    x, u = (10.0, -1.0, 0.2, 6.0), (0.4, 0.05)
-    coarse = rk4(planner._f, x, u, 0.5)[0]
+    x, u = np.array([10.0, -1.0, 0.2, 6.0]), np.array([0.4, 0.05])
+    coarse = planner._step(x, u, 0.5)[0]
     fine = x
     for _ in range(1000):
-        fine = rk4(planner._f, fine, u, 0.5 / 1000)[0]
+        fine = planner._step(fine, u, 0.5 / 1000)[0]
     assert np.allclose(coarse, fine, atol=1e-8)
 
 
@@ -168,24 +169,26 @@ def _pointwise(f):
 
 
 # f on one state's floats, f on batched components, jac, reference, state
-# box, input box and step of each vehicle model
+# box, input box and step of each vehicle model, and the model's own
+# rollout of one state in src/
 _MODELS = {
-    "point_mass": (planner._f, planner._f, _point_mass_jac,
+    "point_mass": (point_mass_f, point_mass_f, _point_mass_jac,
                    _point_mass_reference(),
                    [(0.0, 500.0), (-4.0, 4.0), (-1.2, 1.2), (0.0, 12.5)],
-                   [(-0.9, 0.9), (-0.08, 0.08)], 0.5),
-    "bicycle": (partial(tracker._f, 2.7),
-                _pointwise(partial(tracker._f, 2.7)),
+                   [(-0.9, 0.9), (-0.08, 0.08)], 0.5, planner._rollout),
+    "bicycle": (partial(bicycle_f, 2.7),
+                _pointwise(partial(bicycle_f, 2.7)),
                 partial(bicycle_jac, 2.7), _bicycle_reference(2.7),
                 [(0.0, 500.0), (-4.0, 4.0), (-math.pi, math.pi),
                  (0.0, 12.5), (-0.43, 0.43)],
-                [(-0.85, 0.85), (-0.4, 0.4)], 0.2),
+                [(-0.85, 0.85), (-0.4, 0.4)], 0.2,
+                lambda x0, U, h: tracker._rollout(2.7, x0, U, h)[0]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MODELS))
 def test_batched_rk4_matches_per_stage_reference(name):
-    f, _, jac, ref, x_box, u_box, h = _MODELS[name]
+    f, _, jac, ref, x_box, u_box, h, _ = _MODELS[name]
     rng = np.random.default_rng(5)
     X = np.column_stack([rng.uniform(lo, hi, 40) for lo, hi in x_box])
     U = np.column_stack([rng.uniform(lo, hi, 40) for lo, hi in u_box])
@@ -206,8 +209,9 @@ def test_batched_rk4_matches_per_stage_reference(name):
 @given(data=st.data())
 def test_float_rollout_equals_batched_rk4(name, data):
     # one scheme: stepping each state alone in floats and stepping the
-    # stack of states as arrays give the same bits, stage points included
-    f, f_batch, _, _, x_box, u_box, h = _MODELS[name]
+    # stack of states as arrays give the same bits, stage points included,
+    # and the model's own rollout of one state gives the reference's bits
+    f, f_batch, _, _, x_box, u_box, h, own_rollout = _MODELS[name]
     n_states = data.draw(st.integers(1, 6), label="states")
     n_steps = data.draw(st.integers(1, 4), label="steps")
 
@@ -219,7 +223,7 @@ def test_float_rollout_equals_batched_rk4(name, data):
     U = box(u_box, n_states * n_steps).reshape(n_states, n_steps, -1)
     alone = [rollout_stages(f, x0, u.tolist(), h) for x0, u in zip(X0, U)]
     for x0, u, (X, _) in zip(X0, U, alone):
-        np.testing.assert_array_equal(rollout(f, x0, u.tolist(), h), X)
+        assert own_rollout(x0, u.tolist(), h).tobytes() == X.tobytes()
     x = tuple(X0.T)
     for k in range(n_steps):
         x, Y = rk4(f_batch, x, tuple(U[:, k].T), h)
@@ -256,7 +260,7 @@ def test_eq_jacobian_is_the_dense_rk4_chain_to_the_bit(path, pot, tv, data):
     xi0 = EgoModelState(*(_box_value(data, lo, hi) for lo, hi in x_box))
     g_i = np.zeros((N, 2))
     prog = _LtpProgram(xi0, [], path, cfg, pot, tv,
-                       rollout(planner._f, xi0.as_array(), g_i, h), g_i,
+                       rollout(point_mass_f, xi0.as_array(), g_i, h), g_i,
                        box, 0.0)
     z = np.array([_box_value(data, lo, hi)
                   for lo, hi in zip(prog.lb, prog.ub)])
@@ -264,7 +268,7 @@ def test_eq_jacobian_is_the_dense_rk4_chain_to_the_bit(path, pot, tv, data):
     got = prog.eq_jacobian(z)
     X, U = prog._states(z), prog._inputs(z)
     prev = np.vstack([xi0.as_array(), X[:-1]])
-    x_next, Y = rk4(planner._f, prev.T, U.T, h)
+    x_next, Y = rk4(point_mass_f, prev.T, U.T, h)
     assert prog.eq_constraints(z).tobytes() == \
         (X - np.transpose(x_next)).ravel().tobytes()
     Fx, Fu = rk4_jacobians(_point_mass_jac, np.transpose(Y, (0, 2, 1)), U, h)
@@ -284,7 +288,7 @@ def test_programs_of_one_horizon_share_a_frozen_layout(path, cfg, pot, tv):
     fewer and its own layout."""
     xi0, fcs = _follow_scene(cfg)
     g_i = np.zeros((cfg.N_L, 2))
-    g_s = rollout(planner._f, xi0.as_array(), g_i, cfg.T_sL)
+    g_s = rollout(point_mass_f, xi0.as_array(), g_i, cfg.T_sL)
     box = terminal_set(fcs, cfg, path, xi0)
     a, b, c = (_LtpProgram(xi0, f, path, cfg, pot, tv, g_s, g_i, box, prev)
                for f, prev in ((fcs, 0.0), ([], 0.3), (fcs, None)))
@@ -306,10 +310,10 @@ def test_programs_of_one_horizon_share_a_frozen_layout(path, cfg, pot, tv):
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_closed_form_step_is_rk4_to_the_bit(data):
-    """``planner._step`` is ``rk4(planner._f, ...)`` byte for byte: the next
-    state, and the psi and nu of the three distinct stage points with their
-    cos and sin, at states and inputs drawn across their boxes, nu = 0 and
-    psi = +-PSI_MAX among them."""
+    """``planner._step`` is ``rk4(point_mass_f, ...)`` byte for byte: the
+    next state, and the psi and nu of the three distinct stage points with
+    their cos and sin, at states and inputs drawn across their boxes, nu = 0
+    and psi = +-PSI_MAX among them, on M states and on each one alone."""
     h = PlannerConfig().T_sL
     x_box = [(0.0, 500.0), (-4.0, 4.0), (-planner.PSI_MAX, planner.PSI_MAX),
              (planner.V_MIN, planner.V_MAX)]
@@ -319,8 +323,12 @@ def test_closed_form_step_is_rk4_to_the_bit(data):
     x, u = (np.array([[_box_value(data, lo, hi) for _ in range(m)]
                       for lo, hi in box]) for box in (x_box, u_box))
     x_next, stages = planner._step(x, u, h)
-    want, Y = rk4(planner._f, x, u, h)
+    want, Y = rk4(point_mass_f, x, u, h)
     assert x_next.tobytes() == np.array(want).tobytes()
+    for i in range(m):  # one state of shape (4,) steps the same
+        one, one_stages = planner._step(x[:, i], u[:, i], h)
+        assert one.tobytes() == x_next[:, i].tobytes()
+        assert one_stages.tobytes() == stages[..., i].tobytes()
     # stage 3 evaluates f at stage 2's (psi, nu)
     assert np.array(Y[2][2:]).tobytes() == np.array(Y[1][2:]).tobytes()
     for got, y in zip(stages, (Y[0], Y[1], Y[3])):
@@ -426,6 +434,31 @@ def test_safe_stop_trajectory(path, cfg):
     assert decision_label(traj, path, [], v_des=12.0) is Decision.SAFE_STOP
 
 
+def _plan_arrays(traj):
+    """A plan's states (N + 1, 4) and its inputs as (alpha, omega) pairs."""
+    return (np.array([x.as_array() for x in traj.states]),
+            [(u.alpha, u.omega) for u in traj.inputs])
+
+
+def test_safe_stop_is_the_reference_rk4_with_its_clamp(cfg):
+    """The safe-stop states are the reference RK4 steps of its inputs with
+    the speed clamped at zero after each, to the bit; from 7.1 m/s the
+    last braking step rounds below zero, so the clamp acts."""
+    clamped = 0
+    for v0 in (5.0, 7.1):
+        traj = safe_stop_trajectory(EgoModelState(100.0, -2.0, 0.05, v0),
+                                    cfg)
+        X, U = _plan_arrays(traj)
+        x, want = X[0].tolist(), [X[0].tolist()]
+        for u in U:
+            x = rk4(point_mass_f, x, u, cfg.T_sL)[0]
+            clamped += x[3] < 0.0
+            x[3] = max(x[3], 0.0)
+            want.append(x)
+        assert X.tobytes() == np.array(want).tobytes()
+    assert clamped > 0
+
+
 def test_safe_stop_levels_heading(path, cfg):
     traj = safe_stop_trajectory(EgoModelState(100.0, -2.0, 0.05, 5.0), cfg)
     assert abs(traj.states[-1].psi) < 1e-6
@@ -477,11 +510,22 @@ def test_empty_road_stay_is_optimal_from_any_start(empty_road_scenario, s0,
 
 
 def test_published_states_satisfy_dynamics(path, cfg, pot):
+    # the published states are the reference RK4 rollout of the published
+    # inputs, to the bit
     traj = solve_ltp(EgoModelState(20.0, -2.0, 0.0, 8.33), [], path, cfg, pot)
-    for j, u in enumerate(traj.inputs):
-        x_next = rk4(planner._f, traj.states[j].as_array(),
-                     (u.alpha, u.omega), cfg.T_sL)[0]
-        assert np.allclose(x_next, traj.states[j + 1].as_array(), atol=1e-12)
+    X, U = _plan_arrays(traj)
+    assert X.tobytes() == rollout(point_mass_f, X[0], U, cfg.T_sL).tobytes()
+
+
+def test_coast_seed_is_the_reference_rollout(path, cfg, pot):
+    # with no leader, stay's guess coasts: the reference RK4 rollout of
+    # zero inputs, to the bit, from a nonzero heading so that d moves too
+    xi0 = EgoModelState(20.0, -2.0, 0.03, 8.33)
+    [(name, _, (states, inputs))] = planner._candidates(xi0, [], path, cfg,
+                                                        pot)
+    assert name == "stay" and not inputs.any()
+    assert states.tobytes() == rollout(point_mass_f, xi0.as_array(), inputs,
+                                       cfg.T_sL).tobytes()
 
 
 def _follow_scene(cfg):
@@ -654,14 +698,21 @@ def test_each_planner_point_is_evaluated_once(overtake_scenario,
                                               monkeypatch):
     """On the fixed scene the solver asks for the objective once at each
     point it visits, and the field, the lateral offsets, both lateral
-    potentials and the closed-form RK4 step run once per such point,
-    whichever of the seven callbacks it asks for there; the generic
-    ``rk4`` runs at none."""
+    potentials and the closed-form RK4 step of the whole horizon run once
+    per such point, whichever of the seven callbacks it asks for there.
+    The seeds, the published states and the safe stop step one state at a
+    time, so only the NLP's batch steps (a 2-D state) count."""
     calls = Counter()
-    for name in ("lateral_offsets", "boundary_potential", "lane_potential",
-                 "_step", "rk4"):
+    for name in ("lateral_offsets", "boundary_potential", "lane_potential"):
         monkeypatch.setattr(planner, name,
                             _counting(name, getattr(planner, name), calls))
+    step = planner._step
+
+    def batch_step(x, u, h):
+        calls["_step"] += x.ndim == 2
+        return step(x, u, h)
+
+    monkeypatch.setattr(planner, "_step", batch_step)
     monkeypatch.setattr(ObstacleField, "at",
                         _counting("field", ObstacleField.at, calls))
     planner_solve = planner.solve

@@ -236,6 +236,32 @@ def test_bad_sim_value(key, value):
         from_dict(minimal_dict(sim={"duration": 10.0, key: value}))
 
 
+_ROAD_POINTS = [[float(x), 0.0] for x in range(0, 1010, 10)]
+
+
+@pytest.mark.parametrize("path, ego_x0, where", [
+    ({"length": -300.0}, -20.0, "path.length: -300.0 outside"),
+    ({"spacing": -5.0}, 20.0, "path.spacing: -5.0 outside"),
+    ({"spacing": 0}, 20.0, "path.spacing: 0 outside"),
+    ({"points": _ROAD_POINTS, "length": 5000.0}, 20.0,
+     "path.length: a straight road's key, given beside path.points"),
+], ids=["length_negative", "spacing_negative", "spacing_zero",
+        "length_beside_points"])
+def test_bad_path_keys_refused(tmp_path, capsys, path, ego_x0, where):
+    """A road mirrored along -X, a silent 4-sample road, a bare division
+    by zero and an ignored length each stop at the load, path-qualified,
+    and ``tvapf run`` exits 2."""
+    data = minimal_dict(path=path)
+    # x0 = -20 starts on the road a length of -300 m would mirror along -X
+    data["ego"]["x0"] = ego_x0
+    with pytest.raises(ScenarioError, match=re.escape(where)):
+        from_dict(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["run", str(bad), "--dry-run"]) == 2
+    assert f"scenario error: {where}" in capsys.readouterr().err
+
+
 # A valid value other than the default for every key SCHEMA lists.
 NON_DEFAULT = {
     "path.points": [[float(x), 0.05 * x] for x in range(0, 610, 10)],
@@ -287,6 +313,8 @@ def _non_default(key):
     for part in sections:
         section = section.setdefault(part, {})
     section[name] = NON_DEFAULT[key]
+    if key == "path.points":  # points replace a straight road's length
+        del data["path"]["length"]
     return data
 
 

@@ -16,16 +16,16 @@ import scipy.optimize
 
 import tvapf
 from tvapf import tracker
-from tvapf.dynamics import rk4, rollout
 from tvapf import planner
 from tvapf.planner import PlannerConfig
 from tvapf.potentials import ConfigError
 from tvapf.tracker import (A_MAX, DELTA_A_MAX, DELTA_MAX, MAX_ITER,
-                           Infeasible, TrackerConfig, VehicleState, _f,
+                           Infeasible, TrackerConfig, VehicleState,
                            _NmpcProgram, bicycle_step, check_hierarchy,
                            max_braking_input, solve_nmpc)
 
-from rk4_chain import bicycle_jac, rk4_jacobians, rollout_stages
+from rk4_chain import (bicycle_f, bicycle_jac, rk4, rk4_jacobians, rollout,
+                       rollout_stages)
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +40,8 @@ def _lane_change_tick(cfg):
     k = np.arange(cfg.N_P)
     U = np.stack([np.full(cfg.N_P, 0.3),
                   0.02 * np.sin(2 * np.pi * k / cfg.N_P)], axis=1)
-    ref = rollout(partial(_f, cfg.wheelbase), [0.0, 0.0, 0.0, 8.0, 0.0],
-                  U.tolist(), cfg.T_sMPC)
+    ref = rollout(partial(bicycle_f, cfg.wheelbase),
+                  [0.0, 0.0, 0.0, 8.0, 0.0], U.tolist(), cfg.T_sMPC)
     return VehicleState(0.0, 0.15, 0.0, 7.9, 0.0), ref, np.array([0.3, 0.0])
 
 
@@ -115,12 +115,12 @@ def _step_grid(seed, count):
 
 def test_closed_form_step_is_rk4_to_the_bit():
     """The tracker's step and the plant's equal the generic RK4 step of the
-    vector field ``_f`` bit for bit, at the tracker's and the plant's step
-    sizes and another wheelbase."""
+    vector field ``bicycle_f`` bit for bit, at the tracker's and the plant's
+    step sizes and another wheelbase."""
     X, U = _step_grid(7, 400)
     for L, h in ((2.7, 0.2), (2.7, 0.02), (3.1, 0.05)):
         for x, u in zip(X.tolist(), U.tolist()):
-            want = rk4(partial(_f, L), x, u, h)[0]
+            want = rk4(partial(bicycle_f, L), x, u, h)[0]
             assert tracker._step(L, x, u, h)[0] == want
             assert bicycle_step(VehicleState(*x), u, h, L) == \
                 VehicleState(*want)
@@ -129,7 +129,7 @@ def test_closed_form_step_is_rk4_to_the_bit():
 def _chained_sensitivities(L, chi0, U, h):
     """S (M + 1, 5, 2 M) by the dense chain rule through the RK4 stages,
     step by step: S[k + 1] = Fx[k] S[k] + Fu[k] on step k's inputs."""
-    _, Y = rollout_stages(partial(_f, L), chi0, U.tolist(), h)
+    _, Y = rollout_stages(partial(bicycle_f, L), chi0, U.tolist(), h)
     Fx, Fu = rk4_jacobians(partial(bicycle_jac, L), Y, U, h)
     M = len(U)
     S = np.zeros((M + 1, 5, 2 * M))
