@@ -9,15 +9,17 @@ inequality constraints, and a safe-stop terminal set guarantees a feasible
 braking continuation behind the nearest same-lane leader.  ``_candidates``
 is the maneuver set, up to two terminal sets each solved cold from its own
 guess: ``stay`` stops behind every leader in the ego lane (or at the path
-end), and ``pass``, posed only when that bound falls short of the horizon's
-reach and its own bound reaches more than 1 m further, stops behind all but
-the nearest.  The cheaper feasible solution is published, ``stay`` when the
-two tie to ``TIE_RTOL``; within each program the lane change, the following
-distance and the braking profile emerge from one continuous optimization.
+end), and ``pass``, posed only on a road with a second lane, when that bound
+falls short of the horizon's reach and its own bound reaches more than 1 m
+further, stops behind all but the nearest.  One rule, ``_guess``, seeds both
+from the candidate's box and the leader it follows or passes.  The cheaper
+feasible solution is published, ``stay`` when the two tie to ``TIE_RTOL``;
+within each program the lane change, the following distance and the braking
+profile emerge from one continuous optimization.
 
 One function, ``_step``, integrates the model: the program's whole horizon
-at once, and one state at a time the coast seed and the published states
-(``_rollout``) and the safe-stop plan.
+at once, and one state at a time the published states (``_rollout``) and
+the safe-stop plan.
 """
 
 from __future__ import annotations
@@ -287,82 +289,59 @@ def terminal_set(forecasts, cfg: PlannerConfig, path: ReferencePath,
 # -- initial guesses --------------------------------------------------------
 
 
-def _follow_guess(xi0: EgoModelState, leader, box: TerminalBox,
-                  cfg: PlannerConfig):
-    """Leader-following initial guess: relax toward the leader's pace while
-    staying behind its predicted rear edge and inside the safe-stop bound."""
+def _guess(xi0: EgoModelState, box: TerminalBox, behind, beside,
+           cfg: PlannerConfig, path: ReferencePath, pcfg: PotentialConfig):
+    """The seed (states, inputs) of a candidate with terminal box ``box``
+    that follows the forecast ``behind`` and passes ``beside`` in lane 1;
+    either may be None.
+
+    The speed moves at 0.3 m/s^2 toward the least of v_des, V_MAX, the pace
+    of ``behind`` and a ramp down to nu_ter at step N; positions follow by
+    the trapezoid rule.  They are held 20 m behind the rear edge of
+    ``behind`` and 1 m inside the box, and where that moves them the speed
+    becomes their forward difference.  The lateral profile takes lane 1
+    from 30 m behind ``beside`` to 15 m ahead of it, except over the last 5
+    steps; a 9-step mean smooths it, and the heading follows it."""
     N, h = cfg.N_L, cfg.T_sL
-    v_lead = max((float(leader.s_center[leader.steps])
-                  - float(leader.s_center[0])) / (leader.steps * h), 0.0)
-    rate = 0.25
+    dv = 0.3 * h
+    v_cap = min(pcfg.v_des, V_MAX)
+    env = np.full(N + 1, np.inf)
+    if behind is not None:
+        pace = (behind.s_center[-1] - behind.s_center[0]) / (behind.steps * h)
+        v_cap = min(v_cap, max(pace, 0.0))
+        env[1:] = behind.s_min[np.minimum(np.arange(1, N + 1),
+                                          behind.steps)] - 20.0
+    env[N] = min(env[N], box.s_max - 1.0)
     nu = np.empty(N + 1)
     nu[0] = xi0.nu
     for j in range(N):
-        nu[j + 1] = nu[j] + float(np.clip(v_lead - nu[j], -rate * h, rate * h))
+        tgt = min(v_cap, cfg.nu_ter + dv * (N - j - 1))
+        nu[j + 1] = nu[j] + min(max(tgt - nu[j], -dv), dv)
     s = np.empty(N + 1)
     s[0] = xi0.s
     s[1:] = xi0.s + np.cumsum(0.5 * h * (nu[:-1] + nu[1:]))
-
-    env = np.full(N + 1, np.inf)
-    for j in range(1, N + 1):
-        env[j] = float(leader.s_min[min(j, leader.steps)]) - 20.0
-    env[N] = min(env[N], box.s_max - 1.0)
-    s = np.maximum.accumulate(np.minimum(s, env))
-    nu = np.clip(np.diff(s, append=s[-1]) / h, 0.0, V_MAX)
-    nu[-1] = min(nu[-1], cfg.nu_ter)
+    held = np.maximum.accumulate(np.minimum(s, env))
+    moved = held != s
+    nu[moved] = np.clip(np.diff(held, append=held[-1]) / h, 0.0,
+                        V_MAX)[moved]
+    s = held
 
     d = np.full(N + 1, box.d_center)
+    if beside is not None:
+        j = np.arange(1, N - 4)
+        k = np.minimum(j, beside.steps)
+        d[j[(beside.s_min[k] - 30.0 < s[j])
+            & (s[j] < beside.s_max[k] + 15.0)]] = path.lane_center(1)
+    d = np.convolve(np.pad(d, 4, mode="edge"), np.ones(9) / 9.0, "valid")
     d[0] = xi0.d
     psi = np.zeros(N + 1)
     psi[0] = xi0.psi
+    slope = np.diff(d)[1:] / (h * np.maximum(nu[1:N], 1.0))
+    psi[1:N] = np.arcsin(np.clip(slope, -0.9, 0.9))
     omega = np.clip(np.diff(psi) / h, -OMEGA_MAX, OMEGA_MAX)
     alpha = np.clip(np.diff(nu) / h, cfg.alpha_min, ALPHA_MAX)
-    states = np.stack([s, d, psi, nu], axis=1)
-    inputs = np.stack([alpha, omega], axis=1)
-    return states, inputs
-
-
-def _pass_guess(xi0: EgoModelState, leader, cfg: PlannerConfig,
-                path: ReferencePath, pcfg: PotentialConfig):
-    """Kinematically plausible overtaking initial guess: speed up toward the
-    desired speed, sidestep into the next lane while overlapping the leader's
-    reachable set, merge back and ramp down to the terminal speed."""
-    N, h = cfg.N_L, cfg.T_sL
-    v_tgt = min(pcfg.v_des, V_MAX)
-    rate = 0.3  # gentle guess acceleration, m/s^2
-
-    nu = np.empty(N + 1)
-    nu[0] = xi0.nu
-    for j in range(N):
-        v_stop_ok = cfg.nu_ter + rate * h * (N - j - 1)
-        tgt = min(v_tgt, v_stop_ok)
-        nu[j + 1] = nu[j] + float(np.clip(tgt - nu[j], -rate * h, rate * h))
-    s = np.empty(N + 1)
-    s[0] = xi0.s
-    s[1:] = xi0.s + np.cumsum(0.5 * h * (nu[:-1] + nu[1:]))
-
-    right_c = path.rightmost_lane_center
-    left_c = path.lane_center(1) if path.lane_count > 1 else right_c
-    raw = np.full(N + 1, right_c)
-    for j in range(1, N + 1):
-        if leader.s_min[min(j, leader.steps)] - 30.0 < s[j] < \
-                leader.s_max[min(j, leader.steps)] + 15.0:
-            raw[j] = left_c
-    raw[-5:] = right_c
-    kernel = np.ones(9) / 9.0
-    d = np.convolve(np.pad(raw, 4, mode="edge"), kernel, mode="valid")
-    d[0] = xi0.d
-
-    psi = np.zeros(N + 1)
-    psi[0] = xi0.psi
-    for j in range(1, N):
-        psi[j] = math.asin(float(np.clip(
-            (d[j + 1] - d[j]) / (h * max(nu[j], 1.0)), -0.9, 0.9)))
-    omega = np.clip(np.diff(psi) / h, -OMEGA_MAX, OMEGA_MAX)
-    alpha = np.clip(np.diff(nu) / h, cfg.alpha_min, ALPHA_MAX)
-    states = np.stack([s, d, psi, nu], axis=1)
-    inputs = np.stack([alpha, omega], axis=1)
-    return states, inputs
+    return (np.stack([s, d, psi, nu], axis=1),
+            np.stack([alpha, omega], axis=1))
 
 
 def _candidates(xi0: EgoModelState, forecasts, path: ReferencePath,
@@ -373,25 +352,24 @@ def _candidates(xi0: EgoModelState, forecasts, path: ReferencePath,
     The safe-stop bound must sit behind the obstacle the ego ultimately
     stops behind, which depends on whether the plan passes the nearest
     leader.  ``stay`` stops behind every lane leader from a guess that
-    follows the nearest, or the zero-input coast with no leader; ``pass``
-    stops behind all but the nearest from a guess that overtakes it.
+    follows the nearest; ``pass``, posed only on a road with a second lane,
+    stops behind all but the nearest from a guess that passes it there.
+    Both guesses come from ``_guess``.
     """
     leaders = _lane_leaders(forecasts, path, xi0)
+    nearest = leaders[0] if leaders else None
     stay = _terminal_box(leaders, cfg, path, xi0)
     posed = []
     if stay is not None:
-        if leaders:
-            guess = _follow_guess(xi0, leaders[0], stay, cfg)
-        else:
-            inputs = np.zeros((cfg.N_L, 2))
-            guess = _rollout(xi0.as_array(), inputs, cfg.T_sL), inputs
-        posed.append(("stay", stay, guess))
+        posed.append(("stay", stay, _guess(xi0, stay, nearest, None, cfg,
+                                           path, pcfg)))
     s_stay = -math.inf if stay is None else stay.s_max
-    if leaders and s_stay < xi0.s + V_MAX * cfg.N_L * cfg.T_sL:
+    if (leaders and path.lane_count > 1
+            and s_stay < xi0.s + V_MAX * cfg.N_L * cfg.T_sL):
         box = _terminal_box(leaders[1:], cfg, path, xi0)
         if box is not None and box.s_max > s_stay + 1.0:
-            posed.append(("pass", box, _pass_guess(xi0, leaders[0], cfg,
-                                                   path, pcfg)))
+            posed.append(("pass", box, _guess(xi0, box, None, nearest, cfg,
+                                              path, pcfg)))
     return posed
 
 

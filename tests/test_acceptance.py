@@ -19,6 +19,7 @@ from tvapf.planner import (EgoModelState, PlannerConfig, TerminalBox,
 from tvapf.potentials import PotentialConfig
 from tvapf.prediction import (ObstacleField, ObstacleState, TvapfParams,
                               propagate_obstacle)
+from tvapf.scenario import from_dict
 from tvapf.simulation import run
 from tvapf.tracker import E_POS, TrackerConfig, VehicleState, _NmpcProgram
 
@@ -251,6 +252,18 @@ def test_criterion_6_safe_stop():
     _report(6, ok,
             f"{samples} terminal-set samples, {failures} failures, worst "
             f"field value {worst_O:.4f} (bound {TvapfParams().epsilon_o})")
+
+
+def test_short_road_runs_clean(empty_road_scenario):
+    """A 300 m road driven for 40 s: the path end anchors every instance's
+    box and each seed stays inside it, so the ego keeps its lane and slows
+    toward the end with no fallback and no refused tracker tick."""
+    data = empty_road_scenario.to_dict()
+    data["path"]["length"] = 300.0
+    data["sim"]["duration"] = 40.0
+    log = run(from_dict(data))
+    assert log.events == []
+    assert {inst["decision"] for inst in log.instances} == {"KeepLane"}
 
 
 # -- 7: derivative checks -----------------------------------------------------

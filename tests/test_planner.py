@@ -517,15 +517,86 @@ def test_published_states_satisfy_dynamics(path, cfg, pot):
     assert X.tobytes() == rollout(point_mass_f, X[0], U, cfg.T_sL).tobytes()
 
 
-def test_coast_seed_is_the_reference_rollout(path, cfg, pot):
-    # with no leader, stay's guess coasts: the reference RK4 rollout of
-    # zero inputs, to the bit, from a nonzero heading so that d moves too
-    xi0 = EgoModelState(20.0, -2.0, 0.03, 8.33)
-    [(name, _, (states, inputs))] = planner._candidates(xi0, [], path, cfg,
-                                                        pot)
-    assert name == "stay" and not inputs.any()
-    assert states.tobytes() == rollout(point_mass_f, xi0.as_array(), inputs,
-                                       cfg.T_sL).tobytes()
+# -- initial guesses ---------------------------------------------------------
+
+
+def _seeds(xi0, fcs, path, cfg, pot):
+    """{name: (box, states, inputs)} of the posed candidates."""
+    return {name: (box, *guess)
+            for name, box, guess in planner._candidates(xi0, fcs, path, cfg,
+                                                        pot)}
+
+
+@seed(28)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(s0=st.floats(0.0, 1200.0), v0=st.floats(0.0, planner.V_MAX),
+       lead=st.none() | st.tuples(st.floats(0.5, 250.0),
+                                  st.floats(0.0, 10.0)))
+def test_guess_speeds_and_positions_stay_admissible(path, cfg, pot, s0, v0,
+                                                    lead):
+    # every seed's speeds lie in the speed box and its positions never
+    # decrease; stay's seed is held 20 m behind the leader's rear edge,
+    # unless the ego already starts closer
+    fcs = [] if lead is None else _forecasts([ObstacleState(
+        s_o=s0 + lead[0], d_o=-2.0, v_o=lead[1],
+        v_bounds=(0.8 * lead[1], lead[1] + 1.0),
+        a_bounds=(-0.05, 0.25))], cfg)
+    seeds = _seeds(EgoModelState(s0, -2.0, 0.0, v0), fcs, path, cfg, pot)
+    for box, states, inputs in seeds.values():
+        assert states.shape == (cfg.N_L + 1, 4)
+        assert inputs.shape == (cfg.N_L, 2)
+        assert np.all((states[:, 3] >= 0.0) & (states[:, 3] <= planner.V_MAX))
+        assert np.all(np.diff(states[:, 0]) >= 0.0)
+    if fcs and "stay" in seeds:
+        s_min = fcs[0].s_min[np.minimum(np.arange(cfg.N_L + 1),
+                                        fcs[0].steps)]
+        assert np.all(seeds["stay"][1][:, 0]
+                      <= np.maximum(s0, s_min - 20.0))
+
+
+def test_pass_guess_takes_lane_1_alongside_and_ends_in_its_box_lane(
+        path, cfg, pot):
+    lead = ObstacleState(s_o=400.0, d_o=-2.0, v_o=5.0, v_bounds=(2.9, 6.1),
+                         a_bounds=(-0.01, 0.25))
+    [fc] = _forecasts([lead], cfg)
+    seeds = _seeds(EgoModelState(300.0, -2.0, 0.0, 8.33), [fc], path, cfg,
+                   pot)
+    box, states, _ = seeds["pass"]
+    j = np.arange(cfg.N_L + 1)
+    alongside = ((fc.s_min[j] - 30.0 < states[:, 0])
+                 & (states[:, 0] < fc.s_max[j] + 15.0))
+    lanes = [path.lane_index_of(d) for d in states[:, 1]]
+    assert any(lane == 1 for lane, on in zip(lanes, alongside) if on)
+    assert all(lane == 0 for lane, on in zip(lanes, alongside) if not on)
+    assert states[-1, 1] == pytest.approx(box.d_center, abs=1e-12)
+    assert states[-1, 2] == 0.0
+    # stay's seed follows in its lane
+    assert seeds["stay"][1][:, 1] == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_one_lane_road_poses_no_pass(cfg, pot):
+    # with no lane to pass in, only stay is posed behind the leader
+    one_lane = straight_path(lane_count=1)
+    lead = ObstacleState(s_o=400.0, d_o=0.0, v_o=5.0, v_bounds=(2.9, 6.1),
+                         a_bounds=(-0.01, 0.25))
+    posed = planner._candidates(EgoModelState(300.0, 0.0, 0.0, 8.33),
+                                _forecasts([lead], cfg), one_lane, cfg, pot)
+    assert [name for name, _, _ in posed] == ["stay"]
+
+
+def test_every_start_solves_on_a_short_road(cfg, pot):
+    # the seed stays 1 m inside the box at the road's end, so starts from
+    # 150 to 240 m before the end of a 300 m road all solve
+    short = straight_path(length=300.0)
+    refused = []
+    for s0 in (60.0, 80.0, 100.0, 120.0, 150.0):
+        for v0 in (5.0, 6.0, 7.0, 8.0, 10.0):
+            try:
+                solve_ltp(EgoModelState(s0, -2.0, 0.0, v0), [], short, cfg,
+                          pot)
+            except planner.Infeasible:
+                refused.append((s0, v0))
+    assert refused == []
 
 
 def _follow_scene(cfg):
