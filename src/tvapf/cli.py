@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scenario as scenario_mod
+from .geometry import OutOfRange
 from .prediction import ObstacleField
 from .planner import V_MAX
 from .scenario import Scenario, ScenarioError, initial_ego_state
@@ -25,9 +26,11 @@ from .simulation import (ActorRuntime, EventKind, RunLog, _plan_instance,
                          run, summarize)
 from .tracker import VehicleState
 
-# Event kinds that mean the run degraded to the safe-stop fallback or came
-# closer to an actor than the scenario's collision margin.
-_SAFESTOP_EVENTS = {EventKind.PLANNER_FALLBACK, EventKind.COLLISION_MARGIN}
+# Event kinds that mean the run degraded to the safe-stop fallback, came
+# closer to an actor than the scenario's collision margin, or ended early
+# because the ego left the path.
+_STRICT_EVENTS = {EventKind.PLANNER_FALLBACK, EventKind.COLLISION_MARGIN,
+                  EventKind.OFF_PATH}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,8 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="out",
                        help="output directory (default: ./out)")
     p_run.add_argument("--strict", action="store_true",
-                       help="exit 3 when the run degrades to safe-stop or "
-                            "breaches the collision margin")
+                       help="exit 3 when the run degrades to safe-stop, "
+                            "breaches the collision margin or leaves the "
+                            "path")
     p_run.add_argument("--dry-run", action="store_true",
                        help="validate and print the resolved config only")
     p_run.add_argument("--instance-period", type=float, default=None,
@@ -111,10 +115,10 @@ def cmd_run(args) -> int:
           f"solve mean/max {summary['solve_time_mean']:.3f}/"
           f"{summary['solve_time_max']:.3f} s, events: "
           f"{summary['events'] or 'none'}")
-    if args.strict and any(EventKind(e) in _SAFESTOP_EVENTS
+    if args.strict and any(EventKind(e) in _STRICT_EVENTS
                            for e in summary["events"]):
-        print("strict mode: run degraded to safe-stop or breached the "
-              "collision margin", file=sys.stderr)
+        print("strict mode: run degraded to safe-stop, breached the "
+              "collision margin or left the path", file=sys.stderr)
         return 3
     return 0
 
@@ -123,7 +127,8 @@ def _scene_at(scn: Scenario, t: float):
     """Road, ego state, actors, scene time and the longitudinal input
     applied just before, at the plant step nearest t; for t > 0 the closed
     loop is replayed up to and including that step.  The input is None at
-    t = 0, where no tracker tick has run."""
+    t = 0, where no tracker tick has run.  Raises OutOfRange when the replay
+    ended before that step because the ego left the path."""
     path = scn.build_path()
     h = float(scn.sim["plant_step"])
     n = int(round(t / h))
@@ -132,6 +137,9 @@ def _scene_at(scn: Scenario, t: float):
                   for a in scn.actors]
         return path, initial_ego_state(scn, path), actors, 0.0, None
     log = run(replace(scn, sim={**scn.sim, "duration": (n + 1) * h}))
+    if n >= len(log.steps):
+        end = log.events[-1]
+        raise OutOfRange(f"the run ended at {end['t']:g} s, {end['message']}")
     row = log.steps[n]
     chi = VehicleState(x=row["ego_x"], y=row["ego_y"], theta=row["ego_theta"],
                        v=row["ego_v"], delta=row["ego_delta"])
@@ -150,12 +158,16 @@ def cmd_plan(args) -> int:
         return 2
     pcfg = scn.planner_config()
     tvapf = scn.tvapf_params()
-    path, chi, actors, t0, a_applied = _scene_at(scn, args.at)
     # the closed loop's instance, anchored to the input the loop applied
     log = RunLog()
-    traj, forecasts = _plan_instance(
-        t0, chi, actors, path, pcfg, scn.potential_config(), tvapf,
-        float(scn.sim["sensor_range"]), log, a_applied=a_applied)
+    try:
+        path, chi, actors, t0, a_applied = _scene_at(scn, args.at)
+        traj, forecasts = _plan_instance(
+            t0, chi, actors, path, pcfg, scn.potential_config(), tvapf,
+            float(scn.sim["sensor_range"]), log, a_applied=a_applied)
+    except OutOfRange as exc:
+        print(f"no planner instance at {args.at:g} s: {exc}", file=sys.stderr)
+        return 2
     for event in log.events:
         print(f"planner fallback: {event['message']}", file=sys.stderr)
 

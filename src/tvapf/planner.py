@@ -92,6 +92,13 @@ DELTA_ALPHA_MAX = 0.3
 SOLVE_OPTIONS = SolveOptions(tol=1e-6, max_iter=150)
 
 
+def state_box(path: ReferencePath):
+    """The admissible (lb, ub) of the point-mass state (s, d, psi, nu)."""
+    right, left = path.right_edge_offset, path.left_edge_offset
+    return (np.array([0.0, right + D_MARGIN, -PSI_MAX, V_MIN]),
+            np.array([path.length, left - D_MARGIN, PSI_MAX, V_MAX]))
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     """Horizon, braking and terminal-set parameters of the planner, the
@@ -257,33 +264,31 @@ def _lane_leaders(forecasts, path: ReferencePath, xi0: EgoModelState):
 
 def _terminal_box(leaders, cfg: PlannerConfig, path: ReferencePath,
                   xi0: EgoModelState) -> TerminalBox | None:
-    """The safe-stop box behind ``leaders``; None if it is behind the ego."""
+    """The safe-stop box behind ``leaders`` at the end of the horizon: s up
+    to s_t, the ego stopping distance behind the lower edge of the nearest
+    leader's end-of-horizon reachable set (or the path end), and fixed
+    tolerances around a stand-still in the rightmost lane.  None if s_t
+    lies behind the ego, or at the tie s_t = xi0.s = 0, where the s band
+    [0, s_t] has no width; ``check_road`` keeps the d band nonempty."""
     D = braking_distance(cfg.nu_ter, cfg.tau, cfg.alpha_min, cfg.j_max)
     s_t = path.length
     for fc in leaders:
         N = fc.steps
         s_t = min(s_t, float(fc.s_center[N] - 0.5 * fc.delta_s[N] - D))
-    if s_t < xi0.s:
+    if s_t < xi0.s or s_t <= 0.0:
         return None
     return TerminalBox(s_max=s_t, d_center=float(path.rightmost_lane_center),
                        eps_d=cfg.eps_d, eps_psi=cfg.eps_psi, nu_max=cfg.nu_ter)
 
 
-def terminal_set(forecasts, cfg: PlannerConfig, path: ReferencePath,
-                 xi0: EgoModelState) -> TerminalBox:
-    """Safe-stop box at the end of the horizon.
-
-    The longitudinal bound s_t sits the ego stopping distance behind the
-    lower edge of the end-of-horizon reachable set of the nearest leading
-    obstacle that travels with the ego in the rightmost lane;
-    lateral/heading/speed bounds are fixed tolerances around a stand-still
-    in that lane.  Raises
-    EmptyTerminalSet when that bound lies behind the ego.
-    """
-    box = _terminal_box(_lane_leaders(forecasts, path, xi0), cfg, path, xi0)
-    if box is None:
-        raise EmptyTerminalSet(f"safe-stop bound behind ego s={xi0.s:.2f}")
-    return box
+def check_road(path: ReferencePath, cfg: PlannerConfig) -> None:
+    """Refuse a road whose state box misses the terminal d band, eps_d
+    around the rightmost lane centre: no maneuver can be posed on it."""
+    lb, ub = state_box(path)
+    c = path.rightmost_lane_center
+    if min(ub[1], c + cfg.eps_d) <= max(lb[1], c - cfg.eps_d):
+        raise ValueError(f"the terminal band {c:g} +- {cfg.eps_d:g} m misses "
+                         f"the state box's d in [{lb[1]:g}, {ub[1]:g}] m")
 
 
 # -- initial guesses --------------------------------------------------------
@@ -499,24 +504,18 @@ class _LtpProgram:
         return z[4 * self.N:].reshape(self.N, 2)
 
     def _bounds(self):
-        N, cfg, path = self.N, self.cfg, self.path
+        N, cfg, box = self.N, self.cfg, self.box
+        xs_lb, xs_ub = state_box(self.path)
         lb = np.empty(self.n)
         ub = np.empty(self.n)
-        xs_lb = np.array([0.0, path.right_edge_offset + D_MARGIN,
-                          -PSI_MAX, V_MIN])
-        xs_ub = np.array([path.length, path.left_edge_offset - D_MARGIN,
-                          PSI_MAX, V_MAX])
         lb[:4 * N] = np.tile(xs_lb, N)
         ub[:4 * N] = np.tile(xs_ub, N)
         # terminal safe-stop box intersected with the state box
         t = slice(4 * (N - 1), 4 * N)
-        lb[t] = np.maximum(lb[t], [0.0, self.box.d_center - self.box.eps_d,
-                                   -self.box.eps_psi, 0.0])
-        ub[t] = np.minimum(ub[t], [self.box.s_max,
-                                   self.box.d_center + self.box.eps_d,
-                                   self.box.eps_psi, self.box.nu_max])
-        if np.any(ub[t] - lb[t] <= 0):
-            raise Infeasible("terminal set does not intersect the state box")
+        lb[t] = np.maximum(lb[t], [0.0, box.d_center - box.eps_d,
+                                   -box.eps_psi, 0.0])
+        ub[t] = np.minimum(ub[t], [box.s_max, box.d_center + box.eps_d,
+                                   box.eps_psi, box.nu_max])
         u_lb = np.array([cfg.alpha_min + ALPHA_MARGIN,
                          -(OMEGA_MAX - OMEGA_MARGIN)])
         u_ub = np.array([ALPHA_MAX - ALPHA_MARGIN, OMEGA_MAX - OMEGA_MARGIN])
@@ -692,7 +691,8 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
     """Solve one planner instance and return the published trajectory.
 
     Each candidate solves cold from its own guess; ``warm_start`` is kept
-    only for callers that still pass it, and must be None.
+    only for callers that still pass it, and must be None; ``path`` must
+    pass ``check_road``, so every posed candidate has a nonempty box.
     Raises Infeasible when no feasible trajectory exists (callers fall back
     to safe_stop_trajectory), as its subclass EmptyTerminalSet when the
     safe-stop bound already lies behind the ego.
@@ -707,12 +707,8 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
 
     solved, cand_stats = [], []
     for name, box, (g_states, g_inputs) in posed:
-        try:
-            prog = _LtpProgram(xi0, forecasts, path, cfg, potentials_cfg,
-                               tvapf, g_states, g_inputs, box, alpha_prev)
-        except Infeasible:
-            cand_stats.append({"candidate": name, "status": "empty_box"})
-            continue
+        prog = _LtpProgram(xi0, forecasts, path, cfg, potentials_cfg, tvapf,
+                           g_states, g_inputs, box, alpha_prev)
         result = solve(prog.to_problem(), SOLVE_OPTIONS)
         # Published states re-integrate the optimal inputs so they satisfy
         # the dynamics exactly, not merely to solver tolerance.
@@ -748,11 +744,11 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
         "candidate": name,
         "iterations": result.iterations,
         "objective": obj,
-        "wall_time": sum(c.get("wall_time", 0.0) for c in cand_stats),
+        "wall_time": sum(c["wall_time"] for c in cand_stats),
         "kkt_error": result.kkt_error,
         "constraint_violation": result.constraint_violation,
         "terminal_set": asdict(box),
-        "overtake_feasible": (any(c.get("overtakes") and c["status"] in
+        "overtake_feasible": (any(c["overtakes"] and c["status"] in
                                   ("optimal", "feasible_point")
                                   for c in cand_stats)
                               if "pass" in [c[0] for c in posed] else None),

@@ -21,7 +21,7 @@ from pathlib import Path
 import yaml
 
 from .geometry import ReferencePath, cartesian_to_frenet, straight_path
-from .planner import V_MAX, PlannerConfig
+from .planner import V_MAX, PlannerConfig, check_road
 from .potentials import PotentialConfig, verify_lane_centering
 from .prediction import ObstacleState, TvapfParams
 from .tracker import TrackerConfig, VehicleState, check_hierarchy
@@ -306,6 +306,7 @@ def from_dict(data: dict, overrides: dict | None = None) -> Scenario:
     if scn.sim["duration"] < scn.sim["plant_step"]:
         raise ScenarioError("sim.duration: shorter than sim.plant_step")
     _checked("planner/tracker", check_hierarchy, tcfg, pcfg)
+    _checked("path/planner", check_road, path, pcfg)
     _checked("path/weights/tvapf", verify_lane_centering, path,
              potentials_cfg)
     return scn

@@ -17,17 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (FrenetPoint, cartesian_to_frenet, frenet_to_cartesian,
-                       wrap_angle)
-from .planner import (D_MARGIN, PSI_MAX, V_MAX, V_MIN, EgoModelState,
-                      Infeasible, decision_label, safe_stop_trajectory,
-                      solve_ltp)
+from .geometry import (FrenetPoint, OutOfRange, cartesian_to_frenet,
+                       frenet_to_cartesian, wrap_angle)
+from .planner import (EgoModelState, Infeasible, decision_label,
+                      safe_stop_trajectory, solve_ltp, state_box)
 from .prediction import ObstacleState, propagate_obstacle
 from .resampler import resample
 from .scenario import Scenario, initial_ego_state
-from .tracker import (DELTA_A_MAX, E_POS, E_V,
-                      Infeasible as TrackerInfeasible, VehicleState,
-                      bicycle_step, max_braking_input, solve_nmpc)
+from .tracker import (Infeasible as TrackerInfeasible, VehicleState,
+                      bicycle_step, refused_tick_input, solve_nmpc)
 
 
 class EventKind(str, enum.Enum):
@@ -37,6 +35,7 @@ class EventKind(str, enum.Enum):
     PLANNER_FALLBACK = "planner_fallback"
     TRACKER_INFEASIBLE = "tracker_infeasible"
     COLLISION_MARGIN = "collision_margin"
+    OFF_PATH = "off_path"
 
 
 @dataclass
@@ -115,16 +114,13 @@ class RunLog:
 
 def perceive(ego_chi, actors, path, pcfg, sensor_range):
     """What the planner sees: the ego's Frenet state clipped into the
-    planner's state box, and the forecasts of the actors within sensor
-    range.  Returns (xi0, forecasts, sensed actor ids)."""
+    planner's ``state_box``, and the forecasts of the actors within sensor
+    range.  Returns (xi0, forecasts, sensed actor ids); raises OutOfRange
+    when the ego projects off the path ends."""
     q = cartesian_to_frenet(path, (ego_chi.x, ego_chi.y))
     psi = wrap_angle(ego_chi.theta - float(path.heading(q.s)))
-    xi0 = EgoModelState(
-        s=q.s,
-        d=float(np.clip(q.d, path.right_edge_offset + D_MARGIN,
-                        path.left_edge_offset - D_MARGIN)),
-        psi=float(np.clip(psi, -PSI_MAX, PSI_MAX)),
-        nu=float(np.clip(ego_chi.v, V_MIN, V_MAX)))
+    xi0 = EgoModelState.from_array(
+        np.clip([q.s, q.d, psi, ego_chi.v], *state_box(path)))
 
     forecasts = []
     sensed = []
@@ -181,9 +177,11 @@ def _plan_instance(t, ego_chi, actors, path, pcfg, potentials_cfg, tvapf,
 
 def run(scenario: Scenario) -> RunLog:
     """Execute the closed loop and return the full run log.  The start-up
-    checks (grid ratios, controller hierarchy and horizon, lane centering)
-    ran when ``scenario.from_dict`` built the scenario, so every plan covers
-    its ticks and a tick fails only when the tracker refuses its solve."""
+    checks (grid ratios, controller hierarchy and horizon, road width, lane
+    centering) ran when ``scenario.from_dict`` built the scenario, so every
+    plan covers its ticks and a tick fails only when the tracker refuses its
+    solve.  A run whose ego leaves the path ends at the planner instance
+    that finds it off the path, with an ``OFF_PATH`` event."""
     path = scenario.build_path()
     pcfg = scenario.planner_config()
     tcfg = scenario.tracker_config()
@@ -212,10 +210,14 @@ def run(scenario: Scenario) -> RunLog:
 
         # planner instance
         if n % steps_per_instance == 0:
-            traj, _ = _plan_instance(
-                t, chi, actors, path, pcfg, potentials_cfg, tvapf,
-                sensor_range, log,
-                a_applied=None if u_applied is None else float(u_applied[0]))
+            try:
+                traj, _ = _plan_instance(
+                    t, chi, actors, path, pcfg, potentials_cfg, tvapf,
+                    sensor_range, log, a_applied=None if u_applied is None
+                    else float(u_applied[0]))
+            except OutOfRange as exc:
+                log.event(t, EventKind.OFF_PATH, f"ego off the path: {exc}")
+                break
             actor_states, actor_xy = _actor_window(
                 actors, path, n, min(steps_per_instance, n_steps - n), h)
 
@@ -233,20 +235,8 @@ def run(scenario: Scenario) -> RunLog:
                 u_guess = np.vstack([sol.inputs[1:], sol.inputs[-1:]])
             except TrackerInfeasible as exc:
                 log.event(t, EventKind.TRACKER_INFEASIBLE, str(exc))
-                inside = (abs(err[0]) <= E_POS and abs(err[1]) <= E_POS
-                          and abs(err[3]) <= E_V)
-                if inside and u_guess is not None:
-                    # error inside the contract box: hold the previous
-                    # tick's shifted plan, rate-limited around the applied
-                    # input; braking would only widen the error
-                    lo = u_applied[0] - DELTA_A_MAX
-                    hi = u_applied[0] + DELTA_A_MAX
-                    u_applied = u_guess[0].copy()
-                    u_applied[0] = min(max(u_applied[0], lo), hi)
-                    u_guess = np.vstack([u_guess[1:], u_guess[-1:]])
-                else:
-                    u_applied = max_braking_input(u_applied)
-                    u_guess = None
+                u_applied, u_guess = refused_tick_input(err, u_applied,
+                                                        u_guess)
                 sigma = math.nan
 
         # log the state at time t with the input applied over [t, t+h)
@@ -298,10 +288,9 @@ def summarize(log: RunLog, scenario: Scenario) -> dict:
     timeline = [{"t0": inst["t0"], "decision": inst["decision"],
                  "overtake_feasible": inst["stats"].get("overtake_feasible")}
                 for inst in log.instances]
-    # one sample per solved candidate: fallbacks and empty boxes solve nothing
+    # one sample per solved candidate: a fallback solves nothing
     solve_times = [c["wall_time"] for inst in log.instances
-                   for c in inst["stats"].get("candidates", ())
-                   if "wall_time" in c]
+                   for c in inst["stats"].get("candidates", ())]
     sigmas = np.array([r["sigma"] for r in log.steps[::steps_per_tick]])
     err_pos = np.array([[r["err_x"], r["err_y"]]
                         for r in log.steps[::steps_per_tick]])

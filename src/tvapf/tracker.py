@@ -406,12 +406,27 @@ def max_braking_input(u_prev) -> np.ndarray:
     return np.array([a, 0.0])
 
 
+def refused_tick_input(err, u_prev, u_guess):
+    """The input a refused tick applies and the next tick's guess.  With
+    the error ``err`` (x, y, theta, v) inside the contract box in position
+    and speed, it holds the shifted plan ``u_guess`` (if any) rate-limited
+    around ``u_prev``, since braking would only widen the error; otherwise
+    it brakes (``max_braking_input``) and drops the guess."""
+    inside = (abs(err[0]) <= E_POS and abs(err[1]) <= E_POS
+              and abs(err[3]) <= E_V)
+    if not inside or u_guess is None:
+        return max_braking_input(u_prev), None
+    u = u_guess[0].copy()
+    u[0] = min(max(u[0], u_prev[0] - DELTA_A_MAX), u_prev[0] + DELTA_A_MAX)
+    return u, np.vstack([u_guess[1:], u_guess[-1:]])
+
+
 def solve_nmpc(chi0: VehicleState, ref, cfg: TrackerConfig,
                u_prev=None, u_guess=None) -> NmpcSolution:
     """One controller tick: track the N_P+1 reference states from chi0.
 
     Raises Infeasible when no input sequence keeps the tracking error inside
-    the contracted bounds; the caller should apply max_braking_input.
+    the contracted bounds; the caller applies ``refused_tick_input``.
     """
     ref = np.asarray(ref, dtype=float)
     if ref.shape != (cfg.N_P + 1, 5):

@@ -14,8 +14,8 @@ import tvapf
 from tvapf.geometry import (FrenetPoint, ReferencePath, cartesian_to_frenet,
                             frenet_to_cartesian, straight_path)
 from tvapf.planner import (EgoModelState, PlannerConfig, TerminalBox,
-                           _LtpProgram, braking_distance, safe_stop_trajectory,
-                           terminal_set)
+                           _candidates, _LtpProgram, braking_distance,
+                           safe_stop_trajectory)
 from tvapf.potentials import PotentialConfig
 from tvapf.prediction import (ObstacleField, ObstacleState, TvapfParams,
                               propagate_obstacle)
@@ -230,7 +230,9 @@ def test_criterion_6_safe_stop():
         fc = propagate_obstacle(obs, cfg.T_sL, cfg.N_L)
         ext = propagate_obstacle(obs, cfg.T_sL, cfg.N_L + extra)
         ego = EgoModelState(obs.s_o - 200.0, -2.0, 0.0, 8.33)
-        box = terminal_set([fc], cfg, path, ego)
+        # the stay candidate's box, posed first
+        name, box, _ = _candidates(ego, [fc], path, cfg, PotentialConfig())[0]
+        assert name == "stay"
         D = braking_distance(cfg.nu_ter, cfg.tau, cfg.alpha_min, cfg.j_max)
         for _ in range(20):
             x = EgoModelState(

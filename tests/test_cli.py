@@ -502,6 +502,36 @@ def test_plan_fallback_dumps_no_terminal_set(tmp_path, capsys):
     assert dump["terminal_set"] is None
 
 
+@pytest.mark.parametrize("ego, at", [({"theta0": 3.14159}, 10.0),
+                                     ({"x0": 1499.0}, 1.0)],
+                         ids=["reversed", "at_the_path_end"])
+def test_an_ego_that_leaves_the_path_ends_the_run(tmp_path, capsys, ego, at):
+    """The run ends at the instance that finds the ego off the path, t0 =
+    5 s, with one off_path event; the artifacts are written and --strict
+    exits 3.  A plan past the run's end, or at a time the ego is off the
+    path, exits 2 with one line."""
+    data = json.loads((SCENARIO_DIR / "empty_road.json").read_text())
+    data["ego"].update(ego)
+    data["sim"]["duration"] = 15.0
+    scn = _write(tmp_path, "off.json", data)
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out), "--strict"]) == 3
+    events = json.loads((out / "instances.json").read_text())["events"]
+    assert [e["kind"] for e in events].count("off_path") == 1
+    assert (events[-1]["t"], events[-1]["kind"]) == (5.0, "off_path")
+    with open(out / "runlog.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 250  # t = 0 .. 4.98 s
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["events"][-1] == "off_path"
+    capsys.readouterr()
+    plan = tmp_path / "plan.json"
+    assert main(["plan", str(scn), "--at", str(at), "--out", str(plan)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"no planner instance at {at:g} s: ")
+    assert err.count("\n") == 1 and "off the path" in err
+    assert not plan.exists()
+
+
 def test_plan_missing_scenario_exits_2(capsys):
     assert main(["plan", "/nonexistent.json"]) == 2
 

@@ -17,9 +17,9 @@ from tvapf import planner, tracker
 from tvapf.geometry import straight_path
 from tvapf.planner import (ControlInput, Decision, EgoModelState,
                            EmptyTerminalSet, PlannerConfig, TerminalBox,
-                           _LtpProgram, braking_distance,
+                           _LtpProgram, braking_distance, check_road,
                            decision_label, safe_stop_trajectory, solve_ltp,
-                           terminal_set)
+                           state_box)
 from tvapf.potentials import PotentialConfig
 from tvapf.prediction import (ObstacleField, ObstacleState, TvapfParams,
                               UncertainForecast, propagate_obstacle)
@@ -289,7 +289,7 @@ def test_programs_of_one_horizon_share_a_frozen_layout(path, cfg, pot, tv):
     xi0, fcs = _follow_scene(cfg)
     g_i = np.zeros((cfg.N_L, 2))
     g_s = rollout(point_mass_f, xi0.as_array(), g_i, cfg.T_sL)
-    box = terminal_set(fcs, cfg, path, xi0)
+    box = _seeds(xi0, fcs, path, cfg, pot)["stay"][0]
     a, b, c = (_LtpProgram(xi0, f, path, cfg, pot, tv, g_s, g_i, box, prev)
                for f, prev in ((fcs, 0.0), ([], 0.3), (fcs, None)))
     assert a.layout is b.layout and c.layout is not a.layout
@@ -356,8 +356,14 @@ def test_braking_distance():
         braking_distance(5.0, 0.5, -0.9, 0.0)
 
 
+def _stay_box(fcs, cfg, path, xi0):
+    """The ``stay`` candidate's terminal box, None when it is not posed."""
+    stay = _seeds(xi0, fcs, path, cfg, PotentialConfig()).get("stay")
+    return None if stay is None else stay[0]
+
+
 def test_terminal_set_no_obstacle(path, cfg):
-    box = terminal_set([], cfg, path, EgoModelState(20.0, -2.0, 0.0, 8.33))
+    box = _stay_box([], cfg, path, EgoModelState(20.0, -2.0, 0.0, 8.33))
     assert box.s_max == path.length
     assert box.d_center == path.rightmost_lane_center
     assert box.nu_max == cfg.nu_ter
@@ -368,7 +374,7 @@ def test_terminal_set_behind_leader_reachable_set(path, cfg):
     # anchor = lower edge of the end-of-horizon reachable set minus the
     # stopping distance: 480 - 21.389 = 458.611
     fc = _flat_forecast(480.0, 520.0, d_o=-2.0, steps=cfg.N_L)
-    box = terminal_set([fc], cfg, path, EgoModelState(300.0, -2.0, 0.0, 8.33))
+    box = _stay_box([fc], cfg, path, EgoModelState(300.0, -2.0, 0.0, 8.33))
     assert box.s_max == pytest.approx(480.0 - 21.38888888888889, abs=1e-9)
 
 
@@ -376,7 +382,7 @@ def test_terminal_set_ignores_other_lane_and_rear(path, cfg):
     xi0 = EgoModelState(300.0, -2.0, 0.0, 8.33)
     oncoming = _flat_forecast(340.0, 360.0, d_o=2.0, steps=cfg.N_L)
     behind = _flat_forecast(100.0, 120.0, d_o=-2.0, steps=cfg.N_L)
-    box = terminal_set([oncoming, behind], cfg, path, xi0)
+    box = _stay_box([oncoming, behind], cfg, path, xi0)
     assert box.s_max == path.length
 
 
@@ -387,16 +393,56 @@ def test_oncoming_forecast_in_the_ego_lane_bounds_no_candidate(path, cfg,
     xi0 = EgoModelState(300.0, 2.0, 0.0, 8.33)
     oncoming = dataclasses.replace(
         _flat_forecast(340.0, 360.0, d_o=2.0, steps=cfg.N_L), direction=-1)
-    assert terminal_set([oncoming], cfg, path, xi0).s_max == path.length
     posed = planner._candidates(xi0, [oncoming], path, cfg, pot)
     assert [(name, box.s_max) for name, box, _ in posed] == \
         [("stay", path.length)]
 
 
 def test_terminal_set_empty(path, cfg):
+    # a leader on the ego's bumper: stay's bound lies behind the ego, so
+    # only pass, behind no leader, is posed
     fc = _flat_forecast(301.0, 301.0, d_o=-2.0, steps=cfg.N_L)
-    with pytest.raises(EmptyTerminalSet):
-        terminal_set([fc], cfg, path, EgoModelState(300.0, -2.0, 0.0, 8.33))
+    xi0 = EgoModelState(300.0, -2.0, 0.0, 8.33)
+    assert _stay_box([fc], cfg, path, xi0) is None
+    assert list(_seeds(xi0, [fc], path, cfg, PotentialConfig())) == ["pass"]
+
+
+def test_terminal_box_at_the_path_start_tie_is_empty(path, cfg):
+    # the bound lands exactly on an ego at s = 0: the box's s band [0, 0]
+    # has no width, so no box is posed
+    D = braking_distance(cfg.nu_ter, cfg.tau, cfg.alpha_min, cfg.j_max)
+    fc = _flat_forecast(D, D, d_o=-2.0, steps=cfg.N_L)
+    xi0 = EgoModelState(0.0, -2.0, 0.0, 0.0)
+    assert fc.s_center[cfg.N_L] - 0.5 * fc.delta_s[cfg.N_L] - D == 0.0
+    assert planner._terminal_box([fc], cfg, path, xi0) is None
+    # a hair further on, the box is posed with its s band [0, s_t]
+    fc = _flat_forecast(D + 1e-9, D + 1e-9, d_o=-2.0, steps=cfg.N_L)
+    assert planner._terminal_box([fc], cfg, path, xi0).s_max > 0.0
+
+
+def test_state_box_is_the_programs_state_bounds(path, cfg, pot, tv):
+    lb, ub = state_box(path)
+    assert lb.tolist() == [0.0, path.right_edge_offset + planner.D_MARGIN,
+                           -planner.PSI_MAX, planner.V_MIN]
+    assert ub.tolist() == [path.length, path.left_edge_offset
+                           - planner.D_MARGIN, planner.PSI_MAX,
+                           planner.V_MAX]
+    xi0 = EgoModelState(20.0, -2.0, 0.0, 8.33)
+    box, g_s, g_i = _seeds(xi0, [], path, cfg, pot)["stay"]
+    prog = _LtpProgram(xi0, [], path, cfg, pot, tv, g_s, g_i, box, None)
+    N = cfg.N_L
+    # every state but the last, which the terminal box narrows
+    assert (prog.lb[:4 * (N - 1)] == np.tile(lb, N - 1)).all()
+    assert (prog.ub[:4 * (N - 1)] == np.tile(ub, N - 1)).all()
+
+
+def test_check_road_refuses_a_terminal_band_off_the_state_box(cfg):
+    # two 0.3 m lanes: the state box is [-0.1, 0.1] and the rightmost lane
+    # centre -0.15, so a band of 0.04 m ends short of it and 0.06 m enters it
+    road = straight_path(lane_count=2, lane_width=0.3)
+    with pytest.raises(ValueError, match="terminal band"):
+        check_road(road, dataclasses.replace(cfg, eps_d=0.04))
+    check_road(road, dataclasses.replace(cfg, eps_d=0.06))
 
 
 def test_terminal_box_contains():

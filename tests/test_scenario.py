@@ -262,6 +262,27 @@ def test_bad_path_keys_refused(tmp_path, capsys, path, ego_x0, where):
     assert f"scenario error: {where}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lanes, width", [(1, 0.4), (1, 0.3), (2, 0.3)])
+def test_road_whose_state_box_misses_the_terminal_band_refused(
+        tmp_path, capsys, lanes, width):
+    """On one lane of 0.4 m or 0.3 m no terminal box meets the state box,
+    so the road stops at the load under path/planner and ``tvapf run``
+    exits 2; two lanes of 0.3 m load."""
+    data = minimal_dict(path={"length": 600.0, "lane_count": lanes,
+                              "lane_width": width}, actors=[])
+    data["ego"]["y0"] = (0.5 - 0.5 * lanes) * width  # rightmost lane centre
+    if lanes == 2:
+        from_dict(data)
+        return
+    with pytest.raises(ScenarioError,
+                       match=r"^path/planner: the terminal band"):
+        from_dict(data)
+    bad = tmp_path / "narrow.json"
+    bad.write_text(json.dumps(data))
+    assert main(["run", str(bad), "--dry-run"]) == 2
+    assert "scenario error: path/planner" in capsys.readouterr().err
+
+
 # A valid value other than the default for every key SCHEMA lists.
 NON_DEFAULT = {
     "path.points": [[float(x), 0.05 * x] for x in range(0, 610, 10)],

@@ -11,10 +11,13 @@ import pytest
 from tvapf import simulation
 from tvapf import scenario as scenario_mod
 from tvapf.geometry import FrenetPoint, frenet_to_cartesian
+from tvapf.planner import state_box
 from tvapf.scenario import ActorSpec, ScenarioError
-from tvapf.simulation import ActorRuntime, run, step_actor, summarize
+from tvapf.simulation import (ActorRuntime, perceive, run, step_actor,
+                              summarize)
 from tvapf.tracker import (DELTA_A_MAX, E_POS, E_V,
-                           Infeasible as TrackerInfeasible, max_braking_input)
+                           Infeasible as TrackerInfeasible, VehicleState,
+                           max_braking_input)
 
 
 def _actor(script=(), direction=1, v_bounds=(0.0, 12.5),
@@ -185,6 +188,29 @@ def test_shortest_accepted_horizon_runs_clean(empty_road_scenario):
     data["planner"]["N_L"] = 13
     with pytest.raises(ScenarioError, match="planner/tracker"):
         scenario_mod.from_dict(data)
+
+
+def test_perceive_clips_the_ego_into_the_state_box(empty_road_scenario):
+    # on the straight road s = x, d = y and psi = theta; an ego beyond the
+    # margins, the heading limit and the speed box sees the box's bounds
+    path = empty_road_scenario.build_path()
+    pcfg = empty_road_scenario.planner_config()
+    lb, ub = state_box(path)
+    for (y, theta, v), want in (((-3.95, 1.5, 13.0), (lb[1], ub[2], ub[3])),
+                                ((3.95, -1.5, -0.5), (ub[1], lb[2], lb[3])),
+                                ((-2.0, 0.1, 8.0), (-2.0, 0.1, 8.0))):
+        chi = VehicleState(x=100.0, y=y, theta=theta, v=v, delta=0.0)
+        xi0, forecasts, sensed = perceive(chi, [], path, pcfg, 300.0)
+        assert xi0.s == pytest.approx(100.0, abs=1e-9)
+        assert (xi0.d, xi0.psi, xi0.nu) == pytest.approx(want, abs=1e-12)
+        assert forecasts == sensed == []
+
+
+def test_every_candidate_record_has_the_same_keys(overtake_run):
+    records = [c for inst in overtake_run[0].instances
+               for c in inst["stats"].get("candidates", ())]
+    assert {c["status"] for c in records} > {"optimal"}
+    assert len({tuple(c) for c in records}) == 1
 
 
 def test_empty_road_instances(empty_road_run):

@@ -22,7 +22,7 @@ from tvapf.potentials import ConfigError
 from tvapf.tracker import (A_MAX, DELTA_A_MAX, DELTA_MAX, MAX_ITER,
                            Infeasible, TrackerConfig, VehicleState,
                            _NmpcProgram, bicycle_step, check_hierarchy,
-                           max_braking_input, solve_nmpc)
+                           max_braking_input, refused_tick_input, solve_nmpc)
 
 from rk4_chain import (bicycle_f, bicycle_jac, rk4, rk4_jacobians, rollout,
                        rollout_stages)
@@ -224,6 +224,41 @@ def test_max_braking_input():
     assert np.allclose(max_braking_input([-0.5, 0.1]), [-0.67, 0.0])
     # already near full braking: clipped at the input bound
     assert np.allclose(max_braking_input([-0.8, 0.0]), [-0.85, 0.0])
+
+
+_GUESS = np.array([[0.3, 0.01], [0.5, 0.02], [0.7, 0.03]])
+
+
+@pytest.mark.parametrize("a_next", [0.3, 0.0, 1.0, -1.0])
+def test_refused_tick_inside_the_box_holds_the_rate_limited_guess(a_next):
+    # errors on the contract box's edges count as inside it
+    err = np.array([tracker.E_POS, -tracker.E_POS, 5.0, tracker.E_V])
+    u_prev = np.array([0.2, 0.0])
+    guess = _GUESS.copy()
+    guess[0, 0] = a_next
+    u, nxt = refused_tick_input(err, u_prev, guess)
+    assert u[0] == min(max(a_next, 0.2 - DELTA_A_MAX), 0.2 + DELTA_A_MAX)
+    assert u[1] == guess[0, 1]
+    # the guess shifts by one tick, its last input repeated
+    assert nxt.tolist() == [guess[1].tolist(), guess[2].tolist(),
+                            guess[2].tolist()]
+    assert guess[0, 0] == a_next  # the caller's guess is left alone
+
+
+@pytest.mark.parametrize("err", [[0.51, 0.0, 0.0, 0.0], [0.0, -0.51, 0.0, 0.0],
+                                 [0.0, 0.0, 0.0, -1.01]])
+def test_refused_tick_outside_the_box_brakes_and_drops_the_guess(err):
+    u_prev = np.array([-0.5, 0.1])
+    u, nxt = refused_tick_input(np.array(err), u_prev, _GUESS)
+    assert u.tolist() == max_braking_input(u_prev).tolist()
+    assert nxt is None
+
+
+@pytest.mark.parametrize("u_prev", [None, np.array([0.4, 0.0])])
+def test_refused_tick_without_a_guess_brakes(u_prev):
+    u, nxt = refused_tick_input(np.zeros(4), u_prev, None)
+    assert u.tolist() == max_braking_input(u_prev).tolist()
+    assert nxt is None
 
 
 # -- NMPC solve --------------------------------------------------------------
