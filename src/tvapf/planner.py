@@ -462,7 +462,9 @@ class _LtpProgram:
     the initial state is a fixed parameter.  Each point is evaluated once,
     by ``_at``, into one record that the seven callbacks only read; the
     last point's record is kept, since the solver asks for the values, the
-    derivatives and the Hessian at one point in turn.
+    derivatives and the Hessian at one point in turn.  The Hessian and the
+    Jacobians return their values on the layout's patterns, which
+    ``to_problem`` declares.
     """
 
     def __init__(self, xi0, forecasts, path, cfg: PlannerConfig,
@@ -602,10 +604,10 @@ class _LtpProgram:
         # comfort term K_c (nu_{j-1} omega_j)^2, Gauss-Newton block
         nu_at_u, om = r.nu_at_u, r.U[:, 1]
         cross = 2.0 * pcfg.K_c * nu_at_u[1:] * om[1:]
-        return self.layout.hess_pattern.matrix(np.concatenate([
+        return np.concatenate([
             np.full(N, 2.0 * pcfg.K_v), lateral, Gss, Gsd, Gsd, Gdd,
             2.0 * pcfg.K_c * nu_at_u * nu_at_u + 1e-8,
-            2.0 * pcfg.K_c * om[1:] * om[1:], cross, cross]))
+            2.0 * pcfg.K_c * om[1:] * om[1:], cross, cross])
 
     # -- dynamics equalities ------------------------------------------------
 
@@ -614,7 +616,7 @@ class _LtpProgram:
         return (r.X - r.x_next.T).ravel()
 
     def eq_jacobian(self, z):
-        """-Fx and -Fu of every step in closed form, on their pattern.
+        """-Fx and -Fu of every step in closed form, on ``eq_pattern``.
 
         A = df/dx is nonzero only in rows (s, d) and columns (psi, nu), and
         B = df/du feeds only (psi, nu), so A_i A_j = 0 for any two RK4
@@ -639,7 +641,7 @@ class _LtpProgram:
         vals = self.layout.eq_vals.copy()
         vals[self.layout.eq_fx] = S[0, :, 1:]
         vals[self.layout.eq_fu] = S[1]
-        return self.layout.eq_pattern.matrix(vals)
+        return vals
 
     # -- inequalities -------------------------------------------------------
 
@@ -654,8 +656,7 @@ class _LtpProgram:
 
     def ineq_jacobian(self, z):
         gs, gd = self._at(z).field.grad()
-        return self.layout.ineq_pattern.matrix(
-            np.concatenate([gs, gd, self.layout.rate_jac]))
+        return np.concatenate([gs, gd, self.layout.rate_jac])
 
     def to_problem(self) -> NlpProblem:
         return NlpProblem(
@@ -670,6 +671,9 @@ class _LtpProgram:
             lb=self.lb,
             ub=self.ub,
             hessian=self.hessian,
+            hess_pattern=self.layout.hess_pattern,
+            eq_pattern=self.layout.eq_pattern,
+            ineq_pattern=self.layout.ineq_pattern,
         )
 
 

@@ -6,18 +6,13 @@ SciPy's SLSQP.  Every program supplies its own Lagrangian Hessian.
 The implementation is a primal-dual interior-point method: inequality
 constraints get slacks with a log barrier, box bounds are handled by a direct
 barrier, and each iteration factorizes one sparse symmetric KKT system.  All
-linear algebra goes through scipy.sparse.  On the 70-step multiple-shooting
-planner program (420 variables, 280 equality and 210 inequality rows,
-block-banded Jacobians) an iteration takes 1.1-1.3 ms on a 2-core x86-64
-host with BLAS on one thread (medians of three traced seed-0 runs of each
-of the benchmark's workloads), callback evaluations and line search
-included; 31-34 % of it is the SuperLU factorization and 32-37 % the
-program's callbacks.  Of those, 43-49 % is the objective, the first
-callback at each trial point and so the one that carries the planner's
-evaluation of that point, and 14-18 % the dynamics Jacobian.  The planner
-forms its RK4 step and that Jacobian in closed form and the obstacle
-field's powers as products.  The solver is deterministic: identical
-problems, options and initial guesses produce identical iterate sequences.
+linear algebra goes through scipy.sparse.  The planner's program, 70 steps of
+multiple shooting (420 variables, 280 equality and 210 inequality rows), has
+block-banded Jacobians; it declares their sparsity patterns and its
+Hessian's once, and its callbacks return values only.  ``perfbench/run.py
+--trace 1`` splits a solve's time into the callbacks, the factorizations and
+the rest.  The solver is deterministic: identical problems, options and
+initial guesses produce identical iterate sequences.
 """
 
 from __future__ import annotations
@@ -53,10 +48,14 @@ class NlpProblem:
 
     All callbacks must be deterministic.  ``hessian(z, y_eq, w_ineq)`` is
     required and may return any symmetric positive-semidefinite
-    approximation of the Lagrangian Hessian (sparse or dense).  Sparse
-    Hessians and Jacobians that keep one sparsity pattern from call to call
-    let the solver reuse its KKT layout and fill-reducing order across
-    iterations.
+    approximation of the Lagrangian Hessian.  The program declares the
+    sparsity pattern of each derivative once (``hess_pattern``,
+    ``eq_pattern``, ``ineq_pattern``), and ``hessian``, ``eq_jacobian`` and
+    ``ineq_jacobian`` return only the values on it, one per (row, col) pair
+    of the pattern in its order.  A derivative without a pattern is dense:
+    its callback returns the full 2-D array, read row by row.  The solver
+    lays out its KKT system and its fill-reducing order from the patterns
+    once per solve.
     """
 
     n: int
@@ -70,6 +69,9 @@ class NlpProblem:
     ineq_jacobian: Optional[Callable] = None
     lb: Optional[np.ndarray] = None
     ub: Optional[np.ndarray] = None
+    hess_pattern: Optional[SparsePattern] = None
+    eq_pattern: Optional[SparsePattern] = None
+    ineq_pattern: Optional[SparsePattern] = None
 
 
 # the callbacks of an NlpProblem, by field name
@@ -107,18 +109,22 @@ class SolveResult:
 class SparsePattern:
     """Fixed sparsity pattern of a matrix, given by COO index arrays.
 
-    ``matrix(vals)`` returns the CSR (or CSC) matrix holding ``vals[k]`` at
-    ``(rows[k], cols[k])``.  Duplicate positions are summed in the order
-    given, and every position stays stored whatever its value, so callers
-    that refresh the values of one pattern never sort or convert indices.
-    Every matrix of a pattern shares its ``indices`` and ``indptr`` arrays,
-    which are read-only: a consumer such as ``solve`` can tell an unchanged
-    pattern by identity, and no call copies them.
+    ``merge(vals)`` returns the stored entries of the matrix holding
+    ``vals[k]`` at ``(rows[k], cols[k])``, in CSR (or CSC) order: duplicate
+    positions are summed in the order given, and every position stays
+    stored whatever its value.  A stored entry lies in row (column) ``major``
+    and column (row) ``indices``; ``indptr`` is the CSR (CSC) pointer.  The
+    three arrays are read-only, so programs may share a pattern.
+    ``matrix(vals)`` returns the scipy matrix of those entries.
     """
 
     def __init__(self, rows, cols, shape, format: str = "csr"):
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
+        # an entry outside the shape would alias another position
+        if ((rows < 0) | (rows >= shape[0]) | (cols < 0)
+                | (cols >= shape[1])).any():
+            raise ValueError(f"a sparsity pattern entry outside {shape}")
         if format == "csr":
             major, minor, n_major, n_minor = rows, cols, shape[0], shape[1]
             cls = sp.csr_matrix
@@ -127,25 +133,38 @@ class SparsePattern:
             cls = sp.csc_matrix
         keys, self._slot = np.unique(major * n_minor + minor,
                                      return_inverse=True)
-        self._indices = (keys % n_minor).astype(np.int32)
-        self._indptr = np.searchsorted(
-            keys // n_minor, np.arange(n_major + 1)).astype(np.int32)
-        self._indices.flags.writeable = False
-        self._indptr.flags.writeable = False
+        self.indices = (keys % n_minor).astype(np.int32)
+        self.major = keys // n_minor
+        self.indptr = np.searchsorted(
+            self.major, np.arange(n_major + 1)).astype(np.int32)
+        for a in (self.indices, self.major, self.indptr):
+            a.flags.writeable = False
         self.shape = tuple(shape)
         # each matrix is a shallow copy of this one with data of its own,
         # which skips the checks of scipy's constructor
-        self._template = cls((np.zeros(len(keys)), self._indices,
-                              self._indptr), shape=self.shape)
-        self._template.indices = self._indices  # the constructor keeps a view
+        self._template = cls((np.zeros(len(keys)), self.indices,
+                              self.indptr), shape=self.shape)
+        self._template.indices = self.indices  # the constructor keeps a view
         # np.unique sorted the positions and merged duplicates
         self._template.has_canonical_format = True
 
+    def merge(self, vals):
+        vals = np.asarray(vals, dtype=float).ravel()
+        if len(vals) != len(self._slot):
+            raise ValueError(f"{len(vals)} values for a sparsity pattern of "
+                             f"{len(self._slot)}")
+        return _scatter(self._slot, vals, len(self.indices))
+
     def matrix(self, vals):
         M = copy.copy(self._template)
-        M.data = np.bincount(self._slot, weights=vals,
-                             minlength=len(self._indices))
+        M.data = self.merge(vals)
         return M
+
+
+def _dense(m, n):
+    """The pattern of every entry of an (m, n) matrix, row by row."""
+    return SparsePattern(np.repeat(np.arange(m), n), np.tile(np.arange(n), m),
+                         (m, n))
 
 
 # the stalled-violation verdict of ``solve``
@@ -165,18 +184,6 @@ def _finite(x, what):
     return x
 
 
-def _frozen(a):
-    """Whether the values of ``a`` are fixed: a read-only array that owns
-    its memory, such as a SparsePattern's index arrays."""
-    return not a.flags.writeable and a.flags.owndata
-
-
-def _as_csr(M):
-    if sp.issparse(M):
-        return M.tocsr()
-    return sp.csr_matrix(np.atleast_2d(np.asarray(M, dtype=float)))
-
-
 def _scatter(index, values, n):
     """Length-n vector holding at each i the sum of ``values[k]`` over
     index[k] == i, added in the order given."""
@@ -185,48 +192,37 @@ def _scatter(index, values, n):
     return np.bincount(index, weights=values, minlength=n)
 
 
-def _rows(M):
-    """Row of each stored entry of the CSR matrix M."""
-    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-
-
 class _Family:
-    """One constraint family: its values, its Jacobian J at the last point
-    given to ``jacobian``, and the products J v and J' v.  An absent family
-    has zero rows (an empty vector with a (0, n) Jacobian)."""
+    """One constraint family: its values, the stored entries ``vals`` of its
+    Jacobian J on ``pattern`` at the last point given to ``jacobian``, and
+    the products J v and J' v.  An absent family has zero rows (an empty
+    vector, and a (0, n) Jacobian with no entries)."""
 
-    def __init__(self, constraints, jacobian, n, what):
+    def __init__(self, constraints, jacobian, pattern, what):
         if constraints is None:
-            constraints = lambda z: np.zeros(0)  # noqa: E731
-            jacobian = lambda z: sp.csr_matrix((0, n))  # noqa: E731
+            constraints = jacobian = lambda z: np.zeros(0)  # noqa: E731
         self._values, self._jacobian = constraints, jacobian
+        self.pattern = pattern
         self._what = f"{what} constraints"
-        self._indptr = None
 
     def values(self, z):
         return _finite(np.atleast_1d(np.asarray(self._values(z), dtype=float)),
                        self._what)
 
     def jacobian(self, z):
-        J = _as_csr(self._jacobian(z))
-        # the rows of the stored entries are kept while the row pointer is
-        # the same frozen array
-        if J.indptr is not self._indptr:
-            self.rows = _rows(J)
-            self._indptr = J.indptr if _frozen(J.indptr) else None
-        self.J = J
+        self.vals = self.pattern.merge(self._jacobian(z))
 
     def matvec(self, v):
         """J v; its products, and the order in which they are summed, are
         those of scipy's ``J @ v``, so it is the same to the bit."""
-        J = self.J
-        return _scatter(self.rows, J.data * v[J.indices], J.shape[0])
+        P = self.pattern
+        return _scatter(P.major, self.vals * v[P.indices], P.shape[0])
 
     def rmatvec(self, v):
         """J' v, the same to the bit as scipy's ``J.T @ v`` (a CSC product),
         without building the transposed matrix."""
-        J = self.J
-        return _scatter(J.indices, J.data * v[self.rows], J.shape[1])
+        P = self.pattern
+        return _scatter(P.indices, self.vals * v[P.major], P.shape[1])
 
 
 def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
@@ -297,9 +293,10 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     if not np.all(ub - lb >= 1e-12 * np.maximum(
             1.0, np.maximum(np.abs(lb), np.abs(ub)))):
         raise ValueError("degenerate box bounds; use an equality constraint instead")
-    eq = _Family(problem.eq_constraints, problem.eq_jacobian, n, "equality")
-    ineq = _Family(problem.ineq_constraints, problem.ineq_jacobian, n,
-                   "inequality")
+    eq = _Family(problem.eq_constraints, problem.eq_jacobian,
+                 problem.eq_pattern, "equality")
+    ineq = _Family(problem.ineq_constraints, problem.ineq_jacobian,
+                   problem.ineq_pattern, "inequality")
     viol_floor = max(100 * opts.tol, 1e-5)  # INFEASIBLE needs a violation above it
 
     # The finite bounds as index sets: bound k sits at z[ib[k]] and its gap
@@ -333,6 +330,14 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     ce = eq.values(z)
     ci = ineq.values(z)
     me, mi = len(ce), len(ci)
+    # the patterns the program declares, dense where it declares none
+    hess = problem.hess_pattern or _dense(n, n)
+    eq.pattern = eq.pattern or _dense(me, n)
+    ineq.pattern = ineq.pattern or _dense(mi, n)
+    for P, m in ((hess, n), (eq.pattern, me), (ineq.pattern, mi)):
+        if P.shape != (m, n):
+            raise ValueError(f"a sparsity pattern of shape {P.shape} for "
+                             f"a {(m, n)} matrix")
 
     # The primal gaps (the slacks s, then the bound gaps), their duals (w,
     # then the bound multipliers) and the sums of the merit function are
@@ -366,7 +371,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         return [max(base, float(np.abs(comp - m).max(initial=0.0)))
                 for m in mu_vals]
 
-    kkt = _KktSystem(n, me)
+    kkt = _KktSystem(hess, eq.pattern, ineq.pattern)
     delta_w = 0.0
     status = SolveStatus.ITER_LIMIT
     termination = "iteration_limit"
@@ -401,7 +406,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
         # Hessian of the Lagrangian (approximate)
         w = dual[:mi]
-        H = _as_csr(problem.hessian(z, y, w))
+        h = hess.merge(problem.hessian(z, y, w))
 
         # condensed primal-dual system
         s, gap_b, zeta = gap[:mi], gap[mi:], dual[mi:]
@@ -430,7 +435,8 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
                 reg_retries += 1
             t_kkt = time.perf_counter()
             try:
-                sol = kkt.solve(H, eq.J, ineq.J, d_bound + delta_w, sigma, rhs)
+                sol = kkt.solve(h, eq.vals, ineq.vals, d_bound + delta_w,
+                                sigma, rhs)
             except RuntimeError:  # a singular factor
                 sol = None
             phase_s["kkt"] += time.perf_counter() - t_kkt
@@ -531,32 +537,39 @@ class _KktSystem:
 
     assembled in CSC form and factorized by SuperLU.
 
-    The map from the stored entries of H, Je and Ji to the matrix is built
-    from their sparsity patterns and rebuilt only when a pattern changes;
-    otherwise an iteration refreshes the values alone.  SuperLU's
-    fill-reducing column order depends on the pattern alone too: the first
-    factorization of a pattern computes it, and later ones apply it to rows
-    and columns up front and factorize in natural order.
+    It is built once per solve from the sparsity patterns of H, Je and Ji,
+    with the map from their stored entries to the matrix; an iteration
+    brings their values alone.  SuperLU's fill-reducing column order
+    depends on the pattern alone too: the first factorization computes it,
+    and later ones apply it to rows and columns up front and factorize in
+    natural order.
     """
 
-    def __init__(self, n, me):
-        self.n, self.me = n, me
-        self._key = None
+    def __init__(self, H, Je, Ji):
+        n, me = H.shape[0], Je.shape[0]
+        # stored entries (a, b) sharing a row of Ji form Ji' diag(sigma) Ji
+        reps = np.diff(Ji.indptr)[Ji.major]
+        a = np.repeat(np.arange(len(reps)), reps)
+        b = (np.repeat(Ji.indptr[Ji.major], reps) + np.arange(len(a))
+             - np.repeat(np.cumsum(reps) - reps, reps))
+        self._pairs = (a, b, Ji.major[a])
+        diag = np.arange(n)
+        eq = np.arange(n, n + me)
+        self._rows = np.concatenate([H.major, diag, Ji.indices[a],
+                                     Je.major + n, Je.indices, eq])
+        self._cols = np.concatenate([H.indices, diag, Ji.indices[b],
+                                     Je.indices, Je.major + n, eq])
+        self._pattern = SparsePattern(self._rows, self._cols,
+                                      (n + me, n + me), format="csc")
+        self._perm = None
         self._reg = np.full(me, -1e-10)
 
-    def solve(self, H, Je, Ji, d, sigma, rhs):
-        """Factorize the system and solve it for ``rhs``."""
-        key = (H.indptr, H.indices, Je.indptr, Je.indices,
-               Ji.indptr, Ji.indices)
-        # a frozen index array that is the same object has the same values
-        if self._key is None or not all(
-                p is q or np.array_equal(p, q) for p, q in zip(key, self._key)):
-            self._build(H, Je, Ji)
-            self._key = [a if _frozen(a) else a.copy() for a in key]
+    def solve(self, h, je, ji, d, sigma, rhs):
+        """Factorize the system with the stored entries h, je and ji of H,
+        Je and Ji, and solve it for ``rhs``."""
         a, b, row = self._pairs
         kkt = self._pattern.matrix(np.concatenate([
-            H.data, d, Ji.data[a] * sigma[row] * Ji.data[b],
-            Je.data, Je.data, self._reg]))
+            h, d, ji[a] * sigma[row] * ji[b], je, je, self._reg]))
         if self._perm is None:
             lu = spla.splu(kkt)
             # perm_c[i] is the position of row and column i from now on
@@ -569,26 +582,6 @@ class _KktSystem:
         sol = np.empty_like(rhs)
         sol[self._perm] = lu.solve(rhs[self._perm])
         return sol
-
-    def _build(self, H, Je, Ji):
-        n, me = self.n, self.me
-        h_r, e_r, i_r = (_rows(M) for M in (H, Je, Ji))
-        # stored entries (a, b) sharing a row of Ji form Ji' diag(sigma) Ji
-        lens = np.diff(Ji.indptr)
-        reps = lens[i_r]
-        a = np.repeat(np.arange(len(i_r)), reps)
-        b = (np.repeat(Ji.indptr[i_r], reps) + np.arange(len(a))
-             - np.repeat(np.cumsum(reps) - reps, reps))
-        self._pairs = (a, b, i_r[a])
-        diag = np.arange(n)
-        eq = np.arange(n, n + me)
-        self._rows = np.concatenate([h_r, diag, Ji.indices[a], e_r + n,
-                                     Je.indices, eq])
-        self._cols = np.concatenate([H.indices, diag, Ji.indices[b],
-                                     Je.indices, e_r + n, eq])
-        self._pattern = SparsePattern(self._rows, self._cols,
-                                      (n + me, n + me), format="csc")
-        self._perm = None
 
 
 def _max_step(x, dx, tau):

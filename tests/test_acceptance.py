@@ -317,8 +317,9 @@ def test_criterion_7_gradients():
                     prog.lb + 1e-4, prog.ub - 1e-4)
         worst = max(worst, _rel(prog.gradient(z),
                                 _vector_fd(prog.objective, z)))
-        Je = np.asarray(prog.eq_jacobian(z).todense())
-        Ji = np.asarray(prog.ineq_jacobian(z).todense())
+        Je = prog.layout.eq_pattern.matrix(prog.eq_jacobian(z)).toarray()
+        Ji = prog.layout.ineq_pattern.matrix(
+            prog.ineq_jacobian(z)).toarray()
         for _d in range(3):
             v = rng.normal(size=prog.n)
             v /= np.linalg.norm(v)

@@ -265,7 +265,8 @@ def test_eq_jacobian_is_the_dense_rk4_chain_to_the_bit(path, pot, tv, data):
     z = np.array([_box_value(data, lo, hi)
                   for lo, hi in zip(prog.lb, prog.ub)])
 
-    got = prog.eq_jacobian(z)
+    pattern = prog.layout.eq_pattern
+    got = pattern.matrix(prog.eq_jacobian(z))
     X, U = prog._states(z), prog._inputs(z)
     prev = np.vstack([xi0.as_array(), X[:-1]])
     x_next, Y = rk4(point_mass_f, prev.T, U.T, h)
@@ -274,18 +275,19 @@ def test_eq_jacobian_is_the_dense_rk4_chain_to_the_bit(path, pot, tv, data):
     Fx, Fu = rk4_jacobians(_point_mass_jac, np.transpose(Y, (0, 2, 1)), U, h)
     assert not Fx[:, ~planner._FX_NONZERO].any()
     assert not Fu[:, ~planner._FU_NONZERO].any()
-    want = prog.layout.eq_pattern.matrix(np.concatenate([
+    want = pattern.matrix(np.concatenate([
         np.ones(4 * N), -Fx[1:, planner._FX_NONZERO].ravel(),
         -Fu[:, planner._FU_NONZERO].ravel()]))
-    assert got.indptr is want.indptr and got.indices is want.indices
+    assert prog.to_problem().eq_pattern is pattern
     assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_programs_of_one_horizon_share_a_frozen_layout(path, cfg, pot, tv):
     """Two programs of one horizon, with other forecasts and another
-    alpha_prev, share one read-only layout, so their matrices share the
-    frozen index arrays; a program without alpha_prev has one rate row pair
-    fewer and its own layout."""
+    alpha_prev, share one read-only layout, so they hand the solver the
+    same pattern objects, and their derivative callbacks return 1-D values
+    on them; a program without alpha_prev has one rate row pair fewer and
+    its own layout."""
     xi0, fcs = _follow_scene(cfg)
     g_i = np.zeros((cfg.N_L, 2))
     g_s = rollout(point_mass_f, xi0.as_array(), g_i, cfg.T_sL)
@@ -297,12 +299,17 @@ def test_programs_of_one_horizon_share_a_frozen_layout(path, cfg, pot, tv):
     assert len(arrays) == 7 and not any(v.flags.writeable for v in arrays)
     with pytest.raises(ValueError):
         a.layout.eq_vals[0] = 0.0
-    for name in ("eq_jacobian", "ineq_jacobian"):
-        ma, mb = getattr(a, name)(a.z0), getattr(b, name)(b.z0)
-        assert ma.indptr is mb.indptr and ma.indices is mb.indices
-    ha, hb = (p.hessian(p.z0, np.zeros(4 * cfg.N_L), np.zeros(3 * cfg.N_L))
-              for p in (a, b))
-    assert ha.indptr is hb.indptr and ha.indices is hb.indices
+    pa, pb = a.to_problem(), b.to_problem()
+    y, w = np.zeros(4 * cfg.N_L), np.zeros(3 * cfg.N_L)
+    for name, callback, args in (("hess_pattern", "hessian", (y, w)),
+                                 ("eq_pattern", "eq_jacobian", ()),
+                                 ("ineq_pattern", "ineq_jacobian", ())):
+        pattern = getattr(a.layout, name)
+        assert getattr(pa, name) is pattern and getattr(pb, name) is pattern
+        for p in (a, b):
+            vals = getattr(p, callback)(p.z0, *args)
+            assert vals.ndim == 1
+            pattern.merge(vals)  # raises unless one value per entry
     assert len(c.ineq_constraints(c.z0)) == len(a.ineq_constraints(a.z0)) - 2
 
 
@@ -960,7 +967,8 @@ def test_hessian_symmetric_psd_and_exact_on_quadratic_terms(path, pot, tv):
         z = np.clip(z, prog.lb + 1e-4, prog.ub - 1e-4)
         w_ineq = (np.zeros(m_ineq) if k % 2 == 0
                   else rng.uniform(0.0, 50.0, m_ineq))
-        H = prog.hessian(z, None, w_ineq).toarray()
+        H = prog.layout.hess_pattern.matrix(
+            prog.hessian(z, None, w_ineq)).toarray()
 
         assert np.array_equal(H, H.T)
         eig = np.linalg.eigvalsh(H)
@@ -980,7 +988,7 @@ def test_hessian_symmetric_psd_and_exact_on_quadratic_terms(path, pot, tv):
         # obstacle (s, d) blocks: the multiplier times grad(W) grad(W)' / W,
         # from the field rows of the constraints and their Jacobian
         mult = cfg.K_o + w_ineq[:N]
-        J = prog.ineq_jacobian(z).toarray()
+        J = prog.layout.ineq_pattern.matrix(prog.ineq_jacobian(z)).toarray()
         gW = np.stack([J[np.arange(N), b], J[np.arange(N), b + 1]], axis=1)
         W = prog.ineq_constraints(z)[:N] + tv.epsilon_o
         G = mult[:, None, None] * np.divide(
@@ -997,7 +1005,9 @@ def test_hessian_symmetric_psd_and_exact_on_quadratic_terms(path, pot, tv):
         e[1:4 * N:4] = h
         g_dd = ((prog.gradient(z + e) - prog.gradient(z - e))
                 / (2.0 * h))[b + 1]
-        w_dd = ((prog.ineq_jacobian(z + e) - prog.ineq_jacobian(z - e))
+        matrix = prog.layout.ineq_pattern.matrix
+        w_dd = ((matrix(prog.ineq_jacobian(z + e))
+                 - matrix(prog.ineq_jacobian(z - e)))
                 .toarray()[np.arange(N), b + 1] / (2.0 * h))
         lateral = np.maximum(g_dd - cfg.K_o * w_dd, 0.0) + 1e-8
         np.testing.assert_allclose(H[b + 1, b + 1], G[:, 1, 1] + lateral,
@@ -1034,7 +1044,8 @@ def test_hessian_obstacle_blocks_are_finite_and_psd_at_any_scale(
     w_ineq = np.full(len(prog.ineq_constraints(z)), multiplier)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        H = prog.hessian(z, None, w_ineq).toarray()
+        H = prog.layout.hess_pattern.matrix(
+            prog.hessian(z, None, w_ineq)).toarray()
     assert np.all(np.isfinite(H))
     i_s = 4 * np.arange(N)
     a, b, e = H[i_s, i_s], H[i_s, i_s + 1], H[i_s + 1, i_s + 1]
@@ -1074,7 +1085,8 @@ def test_hessian_keeps_the_positive_eigenpair_when_b_squared_underflows(
     w_ineq[:N] = mult - prog.cfg.K_o
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        H = prog.hessian(z, None, w_ineq).toarray()
+        H = prog.layout.hess_pattern.matrix(
+            prog.hessian(z, None, w_ineq)).toarray()
     assert np.all(np.isfinite(H))
     eig = np.linalg.eigvalsh(H)
     assert eig[0] >= -1e-12 * eig[-1]

@@ -1,11 +1,11 @@
 """Interior-point NLP solver: correctness on small closed-form programs,
 status semantics, and determinism."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from tvapf.solver import (CallbackFailure, NlpProblem, SolveOptions,
                           SolveStatus, SparsePattern, _Family, solve)
@@ -304,48 +304,132 @@ def _bits(a):
 
 
 def _product_cases():
+    """(rows, cols, vals, shape) of four patterns with their values."""
     rng = np.random.default_rng(3)
     dense = rng.standard_normal((6, 5))
     dense[[1, 4]] = 0.0  # two empty rows
     dense[dense > 0.8] = 0.0
-    # stored entries out of order, a duplicate, and an empty last row
-    messy = sp.csr_matrix((np.array([0.3, -1.7, 2.5, 1e-300, -4.0]),
-                           np.array([3, 0, 3, 1, 3]),
-                           np.array([0, 3, 3, 5, 5])), shape=(4, 5))
-    return [sp.csr_matrix(dense), messy, sp.csr_matrix((0, 5)),
-            sp.csr_matrix((3, 5))]
+    rows, cols = np.nonzero(dense)
+    # entries out of order, a duplicate, and an empty last row
+    messy = ([0, 0, 0, 2, 2], [3, 0, 3, 1, 3],
+             [0.3, -1.7, 2.5, 1e-300, -4.0], (4, 5))
+    return [(rows, cols, dense[rows, cols], dense.shape), messy,
+            ([], [], [], (0, 5)), ([], [], [], (3, 5))]
+
+
+def _family(pattern, vals):
+    family = _Family(lambda z: np.zeros(pattern.shape[0]), lambda z: vals,
+                     pattern, "test")
+    family.jacobian(None)
+    return family
 
 
 @pytest.mark.parametrize("M", _product_cases())
 def test_jacobian_products_equal_scipy_to_the_bit(M):
+    rows, cols, vals, shape = M
+    pattern = SparsePattern(rows, cols, shape)
+    J = pattern.matrix(vals)
     rng = np.random.default_rng(4)
-    v_row = rng.standard_normal(M.shape[0]) * 1e3
-    v_col = rng.standard_normal(M.shape[1])
-    family = _Family(lambda z: np.zeros(M.shape[0]), lambda z: M,
-                     M.shape[1], "test")
-    family.jacobian(None)
-    assert _bits(family.rmatvec(v_row)) == _bits(M.T @ v_row)
-    assert _bits(family.matvec(v_col)) == _bits(M @ v_col)
+    v_row = rng.standard_normal(shape[0]) * 1e3
+    v_col = rng.standard_normal(shape[1])
+    family = _family(pattern, vals)
+    assert _bits(family.rmatvec(v_row)) == _bits(J.T @ v_row)
+    assert _bits(family.matvec(v_col)) == _bits(J @ v_col)
 
 
 def test_pattern_matrices_share_read_only_indices():
     rows, cols = [0, 2, 2, 1, 0], [1, 0, 0, 2, 1]
     pattern = SparsePattern(rows, cols, (3, 3))
+    assert not any(a.flags.writeable for a in
+                   (pattern.indices, pattern.major, pattern.indptr))
+    assert np.array_equal(pattern.major, [0, 1, 2])
     A = pattern.matrix(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
     B = pattern.matrix(np.array([-1.0, 0.0, 0.0, 1.0, 0.0]))
-    assert A.indices is B.indices and A.indptr is B.indptr
-    assert not A.indices.flags.writeable and not A.indptr.flags.writeable
     assert A.data is not B.data
     assert np.array_equal(A.toarray(), [[0, 6, 0], [0, 0, 4], [5, 0, 0]])
     # every position stays stored, zero or not
     assert B.nnz == 3 and np.array_equal(B.data, [-1.0, 1.0, 0.0])
-    # the same pattern of a changed family gives the same products
-    family = _Family(lambda z: np.zeros(3), lambda z: z, 3, "test")
+    # a family on the pattern gives scipy's products whatever the values
     v = np.array([0.5, -2.0, 7.0])
-    for M in (A, B, A):
-        family.jacobian(M)
-        assert _bits(family.rmatvec(v)) == _bits(M.T @ v)
-        assert _bits(family.matvec(v)) == _bits(M @ v)
+    for vals in ([1.0, 2.0, 3.0, 4.0, 5.0], [-1.0, 0.0, 0.0, 1.0, 0.0],
+                 [0.1, -0.1, 1e300, -1e300, 0.0]):
+        J = pattern.matrix(np.array(vals))
+        family = _family(pattern, np.array(vals))
+        assert _bits(family.vals) == _bits(J.data)
+        assert _bits(family.rmatvec(v)) == _bits(J.T @ v)
+        assert _bits(family.matvec(v)) == _bits(J @ v)
+
+
+def _coupled_program(declared):
+    """min (z0 - 1)^2 + (z1 - 2)^2 + (z2 + 1)^2 + z3^2 + z0 z1 s.t.
+    z0 + z2 = 1, z1 - z3 = 0.5, z0^2 + z2^2 <= 1 and z3 >= 0.8; with its
+    patterns declared (a duplicate in the Hessian's), or dense."""
+    t = np.array([1.0, 2.0, -1.0, 0.0])
+    H0 = np.diag([2.0, 2.0, 2.0, 2.0])
+    H0[0, 1] = H0[1, 0] = 1.0
+    Je = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+
+    def hessian(z, y, w):
+        if declared:
+            return np.array([2.0, 1.0, 1.0, 2.0, 2.0, 2.0,
+                             2.0 * w[0], 2.0 * w[0]])
+        return H0 + np.diag([2.0 * w[0], 0.0, 2.0 * w[0], 0.0])
+
+    def ineq_jacobian(z):
+        if declared:
+            return np.array([2.0 * z[0], 2.0 * z[2]])
+        return np.array([[2.0 * z[0], 0.0, 2.0 * z[2], 0.0]])
+
+    patterns = dict(
+        hess_pattern=SparsePattern([0, 1, 0, 1, 2, 3, 0, 2],
+                                   [0, 0, 1, 1, 2, 3, 0, 2], (4, 4)),
+        eq_pattern=SparsePattern([0, 0, 1, 1], [0, 2, 1, 3], (2, 4)),
+        ineq_pattern=SparsePattern([0, 0], [0, 2], (1, 4)))
+    return NlpProblem(
+        n=4,
+        objective=lambda z: float(np.sum((z - t) ** 2) + z[0] * z[1]),
+        gradient=lambda z: 2.0 * (z - t) + np.array([z[1], z[0], 0.0, 0.0]),
+        hessian=hessian,
+        z0=np.array([3.0, -2.0, 1.0, 2.0]),
+        eq_constraints=lambda z: Je @ z - np.array([1.0, 0.5]),
+        eq_jacobian=lambda z: Je[Je != 0.0] if declared else Je,
+        ineq_constraints=lambda z: np.array([z[0] ** 2 + z[2] ** 2 - 1.0]),
+        ineq_jacobian=ineq_jacobian,
+        lb=np.array([-np.inf, -np.inf, -np.inf, 0.8]),
+        **(patterns if declared else {}))
+
+
+def test_declared_patterns_solve_as_the_dense_default():
+    sparse, dense = (solve(_coupled_program(declared))
+                     for declared in (True, False))
+    assert sparse.status is dense.status is SolveStatus.OPTIMAL
+    np.testing.assert_allclose(sparse.z, dense.z, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("declared", [True, False])
+@pytest.mark.parametrize("name", ["hessian", "eq_jacobian", "ineq_jacobian"])
+def test_derivative_with_the_wrong_number_of_values_raises(declared, name):
+    p = _coupled_program(declared)
+    good = getattr(p, name)
+    p = dataclasses.replace(
+        p, **{name: lambda z, *a: np.ravel(good(z, *a))[:-1]})
+    with pytest.raises(ValueError, match="values for a sparsity pattern"):
+        solve(p)
+
+
+@pytest.mark.parametrize("rows, cols", [([0, 3], [0, 1]), ([0, 1], [0, 2]),
+                                        ([-1, 0], [0, 1]), ([0, 1], [-1, 0])])
+def test_pattern_entry_outside_its_shape_raises(rows, cols):
+    # (0, 2) of a 3 x 2 matrix would otherwise alias (1, 0)
+    with pytest.raises(ValueError, match="outside"):
+        SparsePattern(rows, cols, (3, 2))
+
+
+def test_pattern_of_the_wrong_shape_raises():
+    p = dataclasses.replace(_coupled_program(True), eq_pattern=SparsePattern(
+        [0, 0, 1, 1], [0, 2, 1, 3], (3, 4)))
+    with pytest.raises(ValueError, match="shape"):
+        solve(p)
 
 
 def test_deterministic_iterates():
