@@ -262,8 +262,10 @@ def run(scenario: Scenario) -> RunLog:
         row.update(zip(actor_cols, actor_states[j]))
         log.steps.append(row)
 
-        # advance the plant to t + h; it does not reverse
-        chi = bicycle_step(chi, u_applied, h, tcfg.wheelbase)
+        # advance the plant to t + h; it does not reverse: braking stops it
+        # within the step at most, so a standing ego stays where it is
+        a = max(float(u_applied[0]), -chi.v / h)
+        chi = bicycle_step(chi, (a, u_applied[1]), h, tcfg.wheelbase)
         if chi.v < 0.0:
             chi = VehicleState(chi.x, chi.y, chi.theta, 0.0, chi.delta)
     return log

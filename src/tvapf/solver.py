@@ -9,7 +9,8 @@ barrier, and each iteration factorizes one sparse symmetric KKT system.  All
 linear algebra goes through scipy.sparse.  The planner's program, 70 steps of
 multiple shooting (420 variables, 280 equality and 210 inequality rows), has
 block-banded Jacobians; it declares their sparsity patterns and its
-Hessian's once, and its callbacks return values only.  ``perfbench/run.py
+Hessian's once, and its callbacks return values only.  In stage order its KKT
+matrix is a band, which SuperLU factorizes as it stands.  ``perfbench/run.py
 --trace 1`` splits a solve's time into the callbacks, the factorizations and
 the rest.  The solver is deterministic: identical problems, options and
 initial guesses produce identical iterate sequences.
@@ -54,8 +55,8 @@ class NlpProblem:
     ``ineq_jacobian`` return only the values on it, one per (row, col) pair
     of the pattern in its order.  A derivative without a pattern is dense:
     its callback returns the full 2-D array, read row by row.  The solver
-    lays out its KKT system and its fill-reducing order from the patterns
-    once per solve.
+    lays out its KKT system in stage order from the patterns once per
+    solve.
     """
 
     n: int
@@ -535,14 +536,16 @@ class _KktSystem:
         [[H + diag(d) + Ji' diag(sigma) Ji,  Je'       ],
          [Je,                                -1e-10 * I]],
 
-    assembled in CSC form and factorized by SuperLU.
+    assembled in CSC form in stage order and factorized by SuperLU in that
+    order, with partial pivoting.
 
     It is built once per solve from the sparsity patterns of H, Je and Ji,
     with the map from their stored entries to the matrix; an iteration
-    brings their values alone.  SuperLU's fill-reducing column order
-    depends on the pattern alone too: the first factorization computes it,
-    and later ones apply it to rows and columns up front and factorize in
-    natural order.
+    brings their values alone.  The stage order puts each multiplier just
+    before the primal variables whose first equality row it is (those in
+    none go last), so the planner's matrix is a band of half-width 10.
+    SuperLU's default 10-column panels suit wide fronts; on this narrow
+    band one-column panels are faster.
     """
 
     def __init__(self, H, Je, Ji):
@@ -555,13 +558,18 @@ class _KktSystem:
         self._pairs = (a, b, Ji.major[a])
         diag = np.arange(n)
         eq = np.arange(n, n + me)
-        self._rows = np.concatenate([H.major, diag, Ji.indices[a],
-                                     Je.major + n, Je.indices, eq])
-        self._cols = np.concatenate([H.indices, diag, Ji.indices[b],
-                                     Je.indices, Je.major + n, eq])
-        self._pattern = SparsePattern(self._rows, self._cols,
-                                      (n + me, n + me), format="csc")
-        self._perm = None
+        rows = np.concatenate([H.major, diag, Ji.indices[a],
+                               Je.major + n, Je.indices, eq])
+        cols = np.concatenate([H.indices, diag, Ji.indices[b],
+                               Je.indices, Je.major + n, eq])
+        # primal variable j sorts after its first equality row's multiplier
+        first = np.full(n, me)
+        np.minimum.at(first, Je.indices, Je.major)
+        self._order = np.argsort(
+            np.concatenate([2 * first + 1, 2 * np.arange(me)]), kind="stable")
+        pos = np.argsort(self._order)  # of row and column i in that order
+        self._pattern = SparsePattern(pos[rows], pos[cols], (n + me, n + me),
+                                      format="csc")
         self._reg = np.full(me, -1e-10)
 
     def solve(self, h, je, ji, d, sigma, rhs):
@@ -570,17 +578,9 @@ class _KktSystem:
         a, b, row = self._pairs
         kkt = self._pattern.matrix(np.concatenate([
             h, d, ji[a] * sigma[row] * ji[b], je, je, self._reg]))
-        if self._perm is None:
-            lu = spla.splu(kkt)
-            # perm_c[i] is the position of row and column i from now on
-            self._perm = np.argsort(lu.perm_c)
-            self._pattern = SparsePattern(lu.perm_c[self._rows],
-                                          lu.perm_c[self._cols],
-                                          self._pattern.shape, format="csc")
-            return lu.solve(rhs)
-        lu = spla.splu(kkt, permc_spec="NATURAL")
+        lu = spla.splu(kkt, permc_spec="NATURAL", relax=1, panel_size=1)
         sol = np.empty_like(rhs)
-        sol[self._perm] = lu.solve(rhs[self._perm])
+        sol[self._order] = lu.solve(rhs[self._order])
         return sol
 
 

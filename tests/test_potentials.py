@@ -59,6 +59,22 @@ def test_boundary_potential():
     assert _boundary(0.7, 2.1, 1.2) == pytest.approx(_boundary(2.1, 0.7, 1.2))
 
 
+def test_boundary_triple_is_mirror_symmetric_to_the_bit():
+    # mirroring d about the road's centre swaps h_l and h_r: element i and
+    # element n - 1 - i below are mirror images, inside the road and beyond
+    # either edge, so the value and the curvature are even and the slope odd
+    h = np.linspace(-1.0, 9.0, 1001)
+    w, slope, curv = boundary_potential(h, h[::-1], 1.2)
+    assert np.array_equal(w, w[::-1])
+    assert np.array_equal(slope, -slope[::-1])
+    assert np.array_equal(curv, curv[::-1])
+    # an edge alone: the same triple from either side, the slope negated
+    for x in (-0.8, 0.3, 0.9, 2.5):
+        left, right = (boundary_potential(x, 100.0, 1.2),
+                       boundary_potential(100.0, x, 1.2))
+        assert (left[0], -left[1], left[2]) == right
+
+
 def test_boundary_potential_bounds_and_decay():
     rng = np.random.default_rng(5)
     h = rng.uniform(-1.0, 8.0, size=(200, 2))

@@ -285,6 +285,21 @@ def test_tracker_failure_without_guess_brakes(empty_road_scenario,
         [(0.0, "tracker_infeasible")]
 
 
+def test_a_braked_ego_at_rest_stays_where_it_is(empty_road_scenario,
+                                                monkeypatch):
+    # every tick refused: the ego at rest brakes at max_braking_input, and
+    # the plant neither reverses nor creeps backwards within a step
+    data = empty_road_scenario.to_dict()
+    data["ego"]["v0"] = 0.0
+    log, _ = _run_with_failing_ticks(scenario_mod.from_dict(data),
+                                     monkeypatch, 5, set(range(5)))
+    start = log.steps[0]
+    assert start["u_a"] == max_braking_input(None)[0] < 0.0
+    for r in log.steps:
+        assert (r["ego_x"], r["ego_y"], r["ego_v"]) == \
+            (start["ego_x"], start["ego_y"], 0.0)
+
+
 def test_one_refused_tick_without_guess_fails_until_the_next_instance(
         empty_road_scenario, monkeypatch):
     # braking at max_braking_input widens err_v beyond E_V while the

@@ -6,9 +6,17 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
+from tvapf import planner
+from tvapf.geometry import straight_path
+from tvapf.planner import EgoModelState, PlannerConfig
+from tvapf.potentials import PotentialConfig
+from tvapf.prediction import ObstacleState, TvapfParams, propagate_obstacle
 from tvapf.solver import (CallbackFailure, NlpProblem, SolveOptions,
-                          SolveStatus, SparsePattern, _Family, solve)
+                          SolveStatus, SparsePattern, _Family, _KktSystem,
+                          solve)
 
 
 def _constant_hessian(*diag):
@@ -430,6 +438,74 @@ def test_pattern_of_the_wrong_shape_raises():
         [0, 0, 1, 1], [0, 2, 1, 3], (3, 4)))
     with pytest.raises(ValueError, match="shape"):
         solve(p)
+
+
+# -- the KKT system of the planner's program ---------------------------------
+
+
+def _planner_problem(alpha_prev=0.0):
+    """The NLP of the ``stay`` candidate behind a leader 60 m ahead, with an
+    oncoming actor in the other lane, from the candidate's seed."""
+    cfg, pot, path = PlannerConfig(), PotentialConfig(), straight_path()
+    lead = ObstacleState(s_o=160.0, d_o=-2.0, v_o=5.0, v_bounds=(4.5, 5.5),
+                         a_bounds=(-0.05, 0.05))
+    oncoming = ObstacleState(s_o=400.0, d_o=2.0, v_o=6.0, direction=-1,
+                             v_bounds=(0.0, 12.5), a_bounds=(-0.9, 0.9))
+    fcs = [propagate_obstacle(o, cfg.T_sL, cfg.N_L) for o in (lead, oncoming)]
+    xi0 = EgoModelState(100.0, -2.0, 0.0, 9.0)
+    _, box, (g_states, g_inputs) = planner._candidates(xi0, fcs, path, cfg,
+                                                       pot)[0]
+    return planner._LtpProgram(xi0, fcs, path, cfg, pot, TvapfParams(),
+                               g_states, g_inputs, box,
+                               alpha_prev).to_problem()
+
+
+@pytest.mark.parametrize("alpha_prev", [0.0, None])
+def test_planner_kkt_matrix_is_banded_in_stage_order(alpha_prev):
+    p = _planner_problem(alpha_prev)
+    P = _KktSystem(p.hess_pattern, p.eq_pattern, p.ineq_pattern)._pattern
+    assert P.shape == (700, 700)
+    assert np.abs(P.major - P.indices).max() <= 10
+
+
+def _matrix(P, vals):
+    return sp.csr_matrix((vals, P.indices, P.indptr), shape=P.shape)
+
+
+def test_planner_kkt_solutions_solve_the_assembled_matrix(monkeypatch):
+    # every system of the first iterations from the seed, against the matrix
+    # assembled from the patterns in the variables' own order
+    p = _planner_problem()
+    kkt_solve = _KktSystem.solve
+    residuals = []
+
+    def checked(self, h, je, ji, d, sigma, rhs):
+        x = kkt_solve(self, h, je, ji, d, sigma, rhs)
+        H, Je, Ji = (_matrix(P, v) for P, v in ((p.hess_pattern, h),
+                                               (p.eq_pattern, je),
+                                               (p.ineq_pattern, ji)))
+        K = sp.bmat([[H + sp.diags(d) + Ji.T @ sp.diags(sigma) @ Ji, Je.T],
+                     [Je, sp.diags(np.full(Je.shape[0], -1e-10))]])
+        residuals.append(np.abs(K @ x - rhs).max() / np.abs(rhs).max())
+        return x
+
+    monkeypatch.setattr(_KktSystem, "solve", checked)
+    solve(p, SolveOptions(max_iter=5))
+    assert len(residuals) >= 5
+    assert max(residuals) <= 1e-10
+
+
+def test_each_factorization_is_one_natural_order_splu_call(monkeypatch):
+    splu, calls = scipy.sparse.linalg.splu, []
+
+    def spy(A, **kwargs):
+        calls.append(kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    r = solve(_planner_problem(), SolveOptions(max_iter=10))
+    assert r.factorizations == len(calls) >= 10
+    assert all(c["permc_spec"] == "NATURAL" for c in calls)
 
 
 def test_deterministic_iterates():
