@@ -529,27 +529,49 @@ class _LtpProgram:
         """The record of everything the callbacks read at z: the states X
         (N, 4) and inputs U (N, 2), the speed state paired with each input,
         the (value, d/dd, d2/dd2) triples of the boundary and the lane
-        potential, the field's terms, and the RK4 step from each stage's
-        previous state with its three distinct stage points (see _step).
-        z is copied and compared by value, since a caller may pass a fresh
-        array or change its own."""
-        if self._z is not None and np.array_equal(z, self._z):
+        potential, the field's terms and their sum O over the forecasts,
+        the acceleration-rate differences, and the RK4 step from each
+        stage's previous state with its three distinct stage points (see
+        _step).  The field's gradient is formed by ``_field_grad``, at the
+        first callback that reads it.  z is copied and compared by value,
+        since a caller may pass a fresh array or change its own."""
+        z = np.asarray(z, dtype=float)
+        last = self._z
+        if last is not None and z.shape == last.shape and (z == last).all():
             return self._rec
-        z = np.array(z, dtype=float)
-        X, U = self._states(z), self._inputs(z)
+        # x0, a copy of z and alpha_prev in one buffer: the states x_0 ..
+        # x_N are one (N + 1, 4) block, and z extended by alpha_prev is the
+        # vector the rate rows index (alpha_prev at index n)
+        N = self.N
+        buf = np.empty(self.n + 5)
+        buf[:4] = self.x0
+        buf[4:-1] = z
+        buf[-1] = 0.0 if self.alpha_prev is None else self.alpha_prev
+        ze = buf[4:]
+        z = ze[:-1]
+        XX = buf[:4 * (N + 1)].reshape(N + 1, 4)
+        X, U = XX[1:], self._inputs(z)
+        prev = XX[:-1].T
         h_l, h_r, h_c = lateral_offsets(X[:, 1], self.path)
-        prev = np.concatenate([self.x0[:, None], X[:-1].T], axis=1)
-        x_next, stages = _step(prev, np.ascontiguousarray(U.T),
-                               self.cfg.T_sL)
+        x_next, stages = _step(prev, U.T, self.cfg.T_sL)
+        field = self.field.at(X[:, 0], X[:, 1])
         self._z, self._rec = z, SimpleNamespace(
             X=X, U=U,
             # comfort: input j paired with the speed state at the same step
-            nu_at_u=np.concatenate([[self.x0[3]], X[:-1, 3]]),
+            nu_at_u=prev[3],
             boundary=boundary_potential(h_l, h_r, self.pcfg.eta),
             lane=lane_potential(h_c),
-            field=self.field.at(X[:, 0], X[:, 1]),
+            field=field, O=field.value(), field_grad=None,
+            rate=ze[self.layout.rate_next] - ze[self.layout.rate_prev],
             x_next=x_next, stages=stages)
         return self._rec
+
+    @staticmethod
+    def _field_grad(r):
+        """(dO/ds, dO/dd) at the point of record r, formed once per point."""
+        if r.field_grad is None:
+            r.field_grad = r.field.grad()
+        return r.field_grad
 
     # -- cost --------------------------------------------------------------
 
@@ -560,7 +582,7 @@ class _LtpProgram:
         J += pcfg.K_b * float(r.boundary[0].sum())
         J += pcfg.K_l * float(r.lane[0].sum())
         J += pcfg.K_c * float(((r.nu_at_u * r.U[:, 1]) ** 2).sum())
-        J += self.cfg.K_o * float(r.field.value().sum())
+        J += self.cfg.K_o * float(r.O.sum())
         return J
 
     def gradient(self, z):
@@ -578,7 +600,7 @@ class _LtpProgram:
         gU[:, 1] += 2.0 * pcfg.K_c * nu_at_u ** 2 * om
         gX[:-1, 3] += 2.0 * pcfg.K_c * nu_at_u[1:] * om[1:] ** 2
 
-        gs, gd = r.field.grad()
+        gs, gd = self._field_grad(r)
         gX[:, 0] += self.cfg.K_o * gs
         gX[:, 1] += self.cfg.K_o * gd
         return g
@@ -646,16 +668,16 @@ class _LtpProgram:
     # -- inequalities -------------------------------------------------------
 
     def ineq_constraints(self, z):
-        O = self._at(z).field.value()
-        ze = np.append(z, 0.0 if self.alpha_prev is None else self.alpha_prev)
-        diff = ze[self.layout.rate_next] - ze[self.layout.rate_prev]
-        bound = DELTA_ALPHA_MAX
-        return np.concatenate([
-            O - self.tvapf.epsilon_o,
-            np.stack([diff - bound, -diff - bound], axis=1).ravel()])
+        r = self._at(z)
+        N, bound = self.N, DELTA_ALPHA_MAX
+        c = np.empty(N + 2 * len(r.rate))
+        np.subtract(r.O, self.tvapf.epsilon_o, out=c[:N])
+        np.subtract(r.rate, bound, out=c[N::2])
+        np.subtract(-r.rate, bound, out=c[N + 1::2])
+        return c
 
     def ineq_jacobian(self, z):
-        gs, gd = self._at(z).field.grad()
+        gs, gd = self._field_grad(self._at(z))
         return np.concatenate([gs, gd, self.layout.rate_jac])
 
     def to_problem(self) -> NlpProblem:

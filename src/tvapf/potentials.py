@@ -64,18 +64,16 @@ def lateral_offsets(d, path: ReferencePath):
 def boundary_potential(h_l, h_r, eta):
     """(value, d/dd, d2/dd2) of the superposed left/right Gaussian-profile
     edge repulsion exp(-(eta h_l)**4) + exp(-(eta h_r)**4), one exponential
-    per edge; h_l and h_r move with slope -1 and +1 in d.  The powers are
-    products of x*x, as in ``prediction._powers``: numpy's ``pow`` is slower
-    and its last digits depend on the CPU."""
-    def edge(h):
-        """(value, slope, curvature) of one edge in its own offset h."""
-        x = eta * np.asarray(h, dtype=float)
-        x2 = x * x
-        e = np.exp(-(x2 * x2))
-        return (e, -4.0 * eta * (x * x2) * e,
-                eta * eta * (16.0 * (x2 * x2 * x2) - 12.0 * x2) * e)
-    (w_l, g_l, c_l), (w_r, g_r, c_r) = edge(h_l), edge(h_r)
-    return w_l + w_r, -g_l + g_r, c_l + c_r
+    per edge, both edges in one pass; h_l and h_r move with slope -1 and +1
+    in d.  The powers are products of x*x, as in ``prediction._powers``:
+    numpy's ``pow`` is slower and its last digits depend on the CPU."""
+    # row 0 is the left edge, row 1 the right one, each in its own offset
+    x = eta * np.array([h_l, h_r], dtype=float)
+    x2 = x * x
+    e = np.exp(-(x2 * x2))
+    slope = -4.0 * eta * (x * x2) * e
+    curv = eta * eta * (16.0 * (x2 * x2 * x2) - 12.0 * x2) * e
+    return e[0] + e[1], -slope[0] + slope[1], curv[0] + curv[1]
 
 
 def lane_potential(h_c):

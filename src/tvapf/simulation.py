@@ -272,7 +272,8 @@ def run(scenario: Scenario) -> RunLog:
 
 
 def summarize(log: RunLog, scenario: Scenario) -> dict:
-    """Scalar regression summary recomputable from the run log."""
+    """Scalar regression summary recomputable from the run log, and the
+    wall seconds of the planner's solves under ``timing``."""
     tcfg = scenario.tracker_config()
     L = tcfg.wheelbase
     times = [r["time"] for r in log.steps]
@@ -291,8 +292,9 @@ def summarize(log: RunLog, scenario: Scenario) -> dict:
                  "overtake_feasible": inst["stats"].get("overtake_feasible")}
                 for inst in log.instances]
     # one sample per solved candidate: a fallback solves nothing
-    solve_times = [c["wall_time"] for inst in log.instances
-                   for c in inst["stats"].get("candidates", ())]
+    cands = [c for inst in log.instances
+             for c in inst["stats"].get("candidates", ())]
+    solve_times = [c["wall_time"] for c in cands]
     sigmas = np.array([r["sigma"] for r in log.steps[::steps_per_tick]])
     err_pos = np.array([[r["err_x"], r["err_y"]]
                         for r in log.steps[::steps_per_tick]])
@@ -314,4 +316,13 @@ def summarize(log: RunLog, scenario: Scenario) -> dict:
         "max_tracking_error": float(np.max(np.abs(err_pos)))
         if len(err_pos) else 0.0,
         "events": [e["kind"] for e in log.events],
+        # wall seconds of the planner's candidate solves over the run, and
+        # of their KKT systems and callbacks; never in the run log, which
+        # stays byte-deterministic
+        "timing": {
+            "planner_solve_s": float(sum(solve_times)),
+            "planner_kkt_s": float(sum(c["phase_s"]["kkt"] for c in cands)),
+            "planner_callbacks_s": float(sum(c["phase_s"]["callbacks"]
+                                             for c in cands)),
+        },
     }

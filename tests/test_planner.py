@@ -854,6 +854,27 @@ def test_each_planner_point_is_evaluated_once(overtake_scenario,
         "lane_potential", "_step", "field")}
 
 
+def test_point_record_is_kept_for_equal_values_of_one_shape(path, cfg, pot,
+                                                            tv):
+    """The record of the last point serves a fresh array or a list with
+    its values, and no array changed in place, one entry off, or of
+    another shape, even one whose values broadcast against it."""
+    xi0, fcs = _follow_scene(cfg)
+    box, g_s, g_i = _seeds(xi0, fcs, path, cfg, pot)["stay"]
+    prog = _LtpProgram(xi0, fcs, path, cfg, pot, tv, g_s, g_i, box, 0.0)
+    z = prog.z0.copy()
+    rec = prog._at(z)
+    assert prog._at(z.copy()) is rec and prog._at(list(z)) is rec
+    assert prog._at(z[None]) is not rec
+    rec = prog._at(z)
+    z[7] += 1e-9
+    assert prog._at(z) is not rec
+    # the record is the one of the changed point: its objective is the one
+    # a fresh program computes there
+    fresh = _LtpProgram(xi0, fcs, path, cfg, pot, tv, g_s, g_i, box, 0.0)
+    assert prog.objective(z) == fresh.objective(z.copy())
+
+
 def test_phase_times_fit_in_the_wall_time(overtake_scenario):
     # each candidate's seconds in the callbacks and in the KKT systems are
     # disjoint parts of its solve's wall time

@@ -369,6 +369,22 @@ def test_summary_consistent_with_raw_log(empty_road_run, empty_road_scenario):
     assert s["solve_time_max"] >= s["solve_time_mean"] > 0.0
 
 
+def test_summary_timing_sums_the_candidate_solves(overtake_run,
+                                                  overtake_scenario):
+    log, _ = overtake_run
+    timing = summarize(log, overtake_scenario)["timing"]
+    assert set(timing) == {"planner_solve_s", "planner_kkt_s",
+                           "planner_callbacks_s"}
+    assert all(v >= 0.0 for v in timing.values())
+    assert timing["planner_kkt_s"] + timing["planner_callbacks_s"] \
+        <= timing["planner_solve_s"]
+    cands = [c for inst in log.instances
+             for c in inst["stats"].get("candidates", ())]
+    assert timing["planner_solve_s"] == pytest.approx(
+        sum(c["wall_time"] for c in cands))
+    assert timing["planner_kkt_s"] > 0.0
+
+
 def test_summary_yaw_rate_definition(empty_road_run, empty_road_scenario):
     log = empty_road_run
     s = summarize(log, empty_road_scenario)

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from tvapf import planner
+from tvapf import planner, solver
 from tvapf.geometry import straight_path
 from tvapf.planner import EgoModelState, PlannerConfig
 from tvapf.potentials import PotentialConfig
@@ -443,18 +443,24 @@ def test_pattern_of_the_wrong_shape_raises():
 # -- the KKT system of the planner's program ---------------------------------
 
 
-def _planner_problem(alpha_prev=0.0):
-    """The NLP of the ``stay`` candidate behind a leader 60 m ahead, with an
-    oncoming actor in the other lane, from the candidate's seed."""
+def _planner_scene(s0=100.0):
+    """A leader 60 m ahead of an ego at s0 and an oncoming actor in the
+    other lane, as the arguments of ``planner.solve_ltp``."""
     cfg, pot, path = PlannerConfig(), PotentialConfig(), straight_path()
-    lead = ObstacleState(s_o=160.0, d_o=-2.0, v_o=5.0, v_bounds=(4.5, 5.5),
-                         a_bounds=(-0.05, 0.05))
-    oncoming = ObstacleState(s_o=400.0, d_o=2.0, v_o=6.0, direction=-1,
+    lead = ObstacleState(s_o=s0 + 60.0, d_o=-2.0, v_o=5.0,
+                         v_bounds=(4.5, 5.5), a_bounds=(-0.05, 0.05))
+    oncoming = ObstacleState(s_o=s0 + 300.0, d_o=2.0, v_o=6.0, direction=-1,
                              v_bounds=(0.0, 12.5), a_bounds=(-0.9, 0.9))
     fcs = [propagate_obstacle(o, cfg.T_sL, cfg.N_L) for o in (lead, oncoming)]
-    xi0 = EgoModelState(100.0, -2.0, 0.0, 9.0)
+    return EgoModelState(s0, -2.0, 0.0, 9.0), fcs, path, cfg, pot
+
+
+def _planner_problem(alpha_prev=0.0, candidate=0):
+    """The NLP of the scene's ``stay`` candidate (``pass`` with candidate
+    1) from the candidate's seed."""
+    xi0, fcs, path, cfg, pot = _planner_scene()
     _, box, (g_states, g_inputs) = planner._candidates(xi0, fcs, path, cfg,
-                                                       pot)[0]
+                                                       pot)[candidate]
     return planner._LtpProgram(xi0, fcs, path, cfg, pot, TvapfParams(),
                                g_states, g_inputs, box,
                                alpha_prev).to_problem()
@@ -506,6 +512,80 @@ def test_each_factorization_is_one_natural_order_splu_call(monkeypatch):
     r = solve(_planner_problem(), SolveOptions(max_iter=10))
     assert r.factorizations == len(calls) >= 10
     assert all(c["permc_spec"] == "NATURAL" for c in calls)
+
+
+def test_kkt_layout_is_built_once_per_pattern_triple(monkeypatch):
+    # the candidates of two planner instances of one horizon share one
+    # layout; each solve fills a value buffer and a matrix of its own
+    init, built, solves = _KktSystem.__init__, [], []
+
+    def spy_init(self, *patterns):
+        built.append(patterns)
+        init(self, *patterns)
+
+    def spy_solve(problem, opts):
+        solves.append(problem)
+        return solve(problem, opts)
+
+    monkeypatch.setattr(_KktSystem, "__init__", spy_init)
+    monkeypatch.setattr(planner, "solve", spy_solve)
+    solver._kkt_system.cache_clear()
+    for s0 in (100.0, 130.0):
+        xi0, fcs, path, cfg, pot = _planner_scene(s0)
+        planner.solve_ltp(xi0, fcs, path, cfg, pot, alpha_prev=0.0)
+    assert len(solves) >= 3 and len(built) == 1
+    layout = solver._kkt_system(*built[0])
+    a, b = layout.for_solve(), layout.for_solve()
+    assert a._pattern is b._pattern is layout._pattern
+    assert not np.shares_memory(a._vals, b._vals)
+    assert not np.shares_memory(a._matrix.data, b._matrix.data)
+
+
+def _outcome(r):
+    return (_bits(r.z), _bits(r.y_eq), _bits(r.w_ineq), repr(r.objective),
+            r.status, r.iterations, r.factorizations, r.backtracks,
+            r.reg_retries, r.evaluations)
+
+
+def test_solves_on_a_shared_layout_carry_no_state():
+    # a planner program, a dense program, then the planner program again:
+    # the shared layout hands nothing from one solve to the next
+    first = solve(_planner_problem())
+    dense = solve(_coupled_program(False))
+    again = solve(_planner_problem())
+    assert dense.status is SolveStatus.OPTIMAL
+    assert first.iterations > 10
+    assert _outcome(again) == _outcome(first)
+
+
+@pytest.mark.parametrize("candidate", [0, 1])
+def test_kkt_fill_is_the_concatenated_assembly_to_the_bit(monkeypatch,
+                                                          candidate):
+    # each system of the first iterations of the stay and the pass program
+    # against the assembly the in-place fill replaced: the concatenated
+    # values of H, d, the pairs of Ji' diag(sigma) Ji, Je, Je' and the
+    # regularization, merged on the layout's pattern
+    p = _planner_problem(candidate=candidate)
+    me = p.eq_pattern.shape[0]
+    kkt_solve, splu, seen = _KktSystem.solve, scipy.sparse.linalg.splu, []
+
+    def checked(self, h, je, ji, d, sigma, rhs):
+        a, b, row = self._pairs
+        want = self._pattern.matrix(np.concatenate([
+            h, d, ji[a] * sigma[row] * ji[b], je, je, np.full(me, -1e-10)]))
+
+        def spy(A, **kwargs):
+            seen.append(_bits(A.data) == _bits(want.data)
+                        and np.array_equal(A.indices, want.indices)
+                        and np.array_equal(A.indptr, want.indptr))
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        return kkt_solve(self, h, je, ji, d, sigma, rhs)
+
+    monkeypatch.setattr(_KktSystem, "solve", checked)
+    solve(p, SolveOptions(max_iter=8))
+    assert len(seen) >= 8 and all(seen)
 
 
 def test_deterministic_iterates():
