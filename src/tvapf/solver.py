@@ -14,10 +14,10 @@ matrix is a band, which SuperLU factorizes as it stands.  ``perfbench/run.py
 --trace 1`` splits a solve's time into the callbacks, the factorizations and
 the rest.  Section timers on the benchmark's 12 ``plan_cold`` scenes of seed 1
 (740 iterations; one BLAS thread, 2-core x86-64 host, numpy 2.4, scipy 1.17;
-median of 5 processes, each the best of 5 runs) split an iteration's 0.96 ms
-into: the KKT solve 0.49 ms, SuperLU's factorization 0.40 ms of it; the
-trial points of the line search 0.20 ms; the derivatives at the accepted
-point 0.10 ms; step recovery and fraction-to-boundary 0.05 ms; the KKT error
+median of 5 processes, each the best of 5 runs) split an iteration's 0.91 ms
+into: the KKT solve 0.47 ms, SuperLU's factorization 0.38 ms of it; the
+trial points of the line search 0.19 ms; the derivatives at the accepted
+point 0.09 ms; step recovery and fraction-to-boundary 0.04 ms; the KKT error
 0.04 ms; the Hessian 0.04 ms; the right-hand side 0.03 ms.  The solver is
 deterministic: identical problems, options and initial guesses produce
 identical iterate sequences.
@@ -567,9 +567,9 @@ class _KktSystem:
     multiplier just before the primal variables whose first equality row
     it is (those in none go last), so the planner's matrix is a band of
     half-width 10.  SuperLU's default 10-column panels suit wide fronts; on
-    this narrow band one-column panels are faster.  Of the 0.49 ms a
+    this narrow band one-column panels are faster.  Of the 0.47 ms a
     planner system takes (see the module docstring), ``spla.splu`` is
-    0.40 ms, the fill 0.02 ms, and the triangular solves with the
+    0.38 ms, the fill 0.02 ms, and the triangular solves with the
     permutations 0.07 ms.
     """
 
