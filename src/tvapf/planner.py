@@ -219,12 +219,12 @@ def _step(x, u, h):
     stages[1:, :2] = x[2:] + np.multiply.outer((half, h), rate)
     np.cos(stages[:, 0], out=stages[:, 2])
     np.sin(stages[:, 0], out=stages[:, 3])
-    # k on rows (s, d) at the three distinct stages, then the rates of
-    # (psi, nu), summed in RK4's order k1 + 2 k2 + 2 k3 + k4 with k3 = k2
-    k = stages[:, 1:2] * stages[:, 2:]
-    k23, rate23 = 2.0 * k[1], 2.0 * rate
-    return x + sixth * np.concatenate([k[0] + k23 + k23 + k[2],
-                                       rate + rate23 + rate23 + rate]), stages
+    # k at the three distinct stages, summed as k1 + 2 k2 + 2 k3 + k4
+    k = np.empty_like(stages)
+    np.multiply(stages[:, 1:2], stages[:, 2:], out=k[:, :2])
+    k[:, 2:] = rate
+    k23 = 2.0 * k[1]
+    return x + sixth * (k[0] + k23 + k23 + k[2]), stages
 
 
 def _rollout(x0, U, h):

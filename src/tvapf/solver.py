@@ -40,7 +40,9 @@ import scipy.sparse.linalg as spla
 
 
 class CallbackFailure(Exception):
-    """A user callback returned a non-finite value at an accepted point."""
+    """A callback, named in the message, returned a non-finite value: an
+    objective, gradient or constraint value off the line search's trial
+    points, or a Hessian or Jacobian value."""
 
 
 class SolveStatus(enum.Enum):
@@ -65,6 +67,11 @@ class NlpProblem:
     its callback returns the full 2-D array, read row by row.  The solver
     lays out its KKT system in stage order from the patterns once per
     triple of pattern objects, and shares that layout between solves.
+    ``z0``, ``lb`` and ``ub`` have shape (n,); a bound left None is
+    infinite.  Every callback value must be finite: a non-finite one raises
+    ``CallbackFailure`` naming its callback.  A Jacobian value is checked
+    only when the KKT error it enters is not finite, which a non-finite
+    one makes it.
     """
 
     n: int
@@ -116,46 +123,34 @@ class SolveResult:
 
 
 class SparsePattern:
-    """Fixed sparsity pattern of a matrix, given by COO index arrays.
+    """Fixed sparsity pattern of a matrix M, given by COO index arrays.
 
-    ``merge(vals)`` returns the stored entries of the matrix holding
-    ``vals[k]`` at ``(rows[k], cols[k])``, in CSR (or CSC) order: duplicate
+    ``merge(vals)`` returns the stored entries of the M that holds
+    ``vals[k]`` at ``(rows[k], cols[k])``, in CSR order: duplicate
     positions are summed in the order given, and every position stays
-    stored whatever its value.  A stored entry lies in row (column) ``major``
-    and column (row) ``indices``; ``indptr`` is the CSR (CSC) pointer.  The
-    three arrays are read-only, so programs may share a pattern.
-    ``matrix(vals)`` returns the scipy matrix of those entries.
+    stored whatever its value.  A stored entry lies in row ``major`` and
+    column ``indices``; ``indptr`` is the CSR pointer.  The three arrays are
+    read-only, so programs may share a pattern.  ``matrix(vals)`` returns
+    the scipy CSR matrix of the merged ``vals``; ``matvec(entries, v)`` and
+    ``rmatvec(entries, v)`` give M v and M' v from stored entries.
     """
 
-    def __init__(self, rows, cols, shape, format: str = "csr"):
+    def __init__(self, rows, cols, shape):
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         # an entry outside the shape would alias another position
         if ((rows < 0) | (rows >= shape[0]) | (cols < 0)
                 | (cols >= shape[1])).any():
             raise ValueError(f"a sparsity pattern entry outside {shape}")
-        if format == "csr":
-            major, minor, n_major, n_minor = rows, cols, shape[0], shape[1]
-            cls = sp.csr_matrix
-        else:
-            major, minor, n_major, n_minor = cols, rows, shape[1], shape[0]
-            cls = sp.csc_matrix
-        keys, self._slot = np.unique(major * n_minor + minor,
+        keys, self._slot = np.unique(rows * shape[1] + cols,
                                      return_inverse=True)
-        self.indices = (keys % n_minor).astype(np.int32)
-        self.major = keys // n_minor
+        self.indices = (keys % shape[1]).astype(np.int32)
+        self.major = keys // shape[1]
         self.indptr = np.searchsorted(
-            self.major, np.arange(n_major + 1)).astype(np.int32)
+            self.major, np.arange(shape[0] + 1)).astype(np.int32)
         for a in (self.indices, self.major, self.indptr):
             a.flags.writeable = False
         self.shape = tuple(shape)
-        # each matrix is a shallow copy of this one with data of its own,
-        # which skips the checks of scipy's constructor
-        self._template = cls((np.zeros(len(keys)), self.indices,
-                              self.indptr), shape=self.shape)
-        self._template.indices = self.indices  # the constructor keeps a view
-        # np.unique sorted the positions and merged duplicates
-        self._template.has_canonical_format = True
 
     def merge(self, vals):
         vals = np.asarray(vals, dtype=float).ravel()
@@ -165,9 +160,18 @@ class SparsePattern:
         return _scatter(self._slot, vals, len(self.indices))
 
     def matrix(self, vals):
-        M = copy.copy(self._template)
-        M.data = self.merge(vals)
-        return M
+        return sp.csr_matrix((self.merge(vals), self.indices, self.indptr),
+                             shape=self.shape)
+
+    def matvec(self, entries, v):
+        """M v; its products, and the order in which they are summed, are
+        those of scipy's ``M @ v``, so it is the same to the bit."""
+        return _scatter(self.major, entries * v[self.indices], self.shape[0])
+
+    def rmatvec(self, entries, v):
+        """M' v, the same to the bit as scipy's ``M.T @ v`` (a CSC product),
+        without building the transposed matrix."""
+        return _scatter(self.indices, entries * v[self.major], self.shape[1])
 
 
 def _dense(m, n):
@@ -188,6 +192,8 @@ BOUND_FRAC = 1e-2
 
 
 def _finite(x, what):
+    """x as a flat float vector, refused if a value is not finite."""
+    x = np.asarray(x, dtype=float).ravel()
     if not np.isfinite(x).all():
         raise CallbackFailure(f"non-finite value from {what}")
     return x
@@ -201,46 +207,14 @@ def _scatter(index, values, n):
     return np.bincount(index, weights=values, minlength=n)
 
 
-class _Family:
-    """One constraint family: its values, the stored entries ``vals`` of its
-    Jacobian J on ``pattern`` at the last point given to ``jacobian``, and
-    the products J v and J' v.  An absent family has zero rows (an empty
-    vector, and a (0, n) Jacobian with no entries)."""
-
-    def __init__(self, constraints, jacobian, pattern, what):
-        if constraints is None:
-            constraints = jacobian = lambda z: np.zeros(0)  # noqa: E731
-        self._values, self._jacobian = constraints, jacobian
-        self.pattern = pattern
-        self._what = f"{what} constraints"
-
-    def values(self, z):
-        return _finite(np.asarray(self._values(z), dtype=float).ravel(),
-                       self._what)
-
-    def jacobian(self, z):
-        self.vals = self.pattern.merge(self._jacobian(z))
-
-    def matvec(self, v):
-        """J v; its products, and the order in which they are summed, are
-        those of scipy's ``J @ v``, so it is the same to the bit."""
-        P = self.pattern
-        return _scatter(P.major, self.vals * v[P.indices], P.shape[0])
-
-    def rmatvec(self, v):
-        """J' v, the same to the bit as scipy's ``J.T @ v`` (a CSC product),
-        without building the transposed matrix."""
-        P = self.pattern
-        return _scatter(P.indices, self.vals * v[P.major], P.shape[1])
-
-
 def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     """Solve the NLP; see SolveStatus for outcome semantics.
 
     An absent equality or inequality family enters as a family of zero rows
     (an empty vector with a (0, n) Jacobian), so every program takes one
-    path through the iteration.  A box narrower than 1e-12 max(1, |lb|,
-    |ub|) is refused: the interior start could not be told from its bound.
+    path through the iteration.  A ``z0``, ``lb`` or ``ub`` not of shape
+    (n,) is refused, and so is a box narrower than 1e-12 max(1, |lb|, |ub|):
+    the interior start could not be told from its bound.
 
     OPTIMAL means the max-norm KKT residuals (dual residual and
     complementarity, unscaled) and the constraint violation are below
@@ -297,15 +271,19 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         if getattr(problem, k) is not None})
 
     n = problem.n
+    z0 = np.asarray(problem.z0, dtype=float)
     lb = np.full(n, -np.inf) if problem.lb is None else np.asarray(problem.lb, dtype=float)
     ub = np.full(n, np.inf) if problem.ub is None else np.asarray(problem.ub, dtype=float)
+    if not z0.shape == lb.shape == ub.shape == (n,):
+        raise ValueError(f"z0, lb and ub must have shape ({n},)")
     if not np.all(ub - lb >= 1e-12 * np.maximum(
             1.0, np.maximum(np.abs(lb), np.abs(ub)))):
         raise ValueError("degenerate box bounds; use an equality constraint instead")
-    eq = _Family(problem.eq_constraints, problem.eq_jacobian,
-                 problem.eq_pattern, "equality")
-    ineq = _Family(problem.ineq_constraints, problem.ineq_jacobian,
-                   problem.ineq_pattern, "inequality")
+    absent = (lambda z: np.zeros(0),) * 2  # a family of zero rows
+    eq_c, eq_jac = absent if problem.eq_constraints is None else (
+        problem.eq_constraints, problem.eq_jacobian)
+    ineq_c, ineq_jac = absent if problem.ineq_constraints is None else (
+        problem.ineq_constraints, problem.ineq_jacobian)
     viol_floor = max(100 * opts.tol, 1e-5)  # INFEASIBLE needs a violation above it
 
     # The finite bounds as index sets: bound k sits at z[ib[k]] and its gap
@@ -325,7 +303,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
                           width[ilb])
     hi[iub] -= np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(ub[iub])),
                           width[iub])
-    z = np.clip(np.asarray(problem.z0, dtype=float), lo, hi)
+    z = np.clip(z0, lo, hi)
 
     def eval_f(x):
         v = float(problem.objective(x))
@@ -333,17 +311,14 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
             raise CallbackFailure("non-finite value from objective")
         return v
 
-    def eval_g(x):
-        return _finite(np.asarray(problem.gradient(x), dtype=float).ravel(), "gradient")
-
-    ce = eq.values(z)
-    ci = ineq.values(z)
+    ce = _finite(eq_c(z), "eq_constraints")
+    ci = _finite(ineq_c(z), "ineq_constraints")
     me, mi = len(ce), len(ci)
     # the patterns the program declares, dense where it declares none
     hess = problem.hess_pattern or _dense(n, n)
-    eq.pattern = eq.pattern or _dense(me, n)
-    ineq.pattern = ineq.pattern or _dense(mi, n)
-    for P, m in ((hess, n), (eq.pattern, me), (ineq.pattern, mi)):
+    eq_pat = problem.eq_pattern or _dense(me, n)
+    ineq_pat = problem.ineq_pattern or _dense(mi, n)
+    for P, m in ((hess, n), (eq_pat, me), (ineq_pat, mi)):
         if P.shape != (m, n):
             raise ValueError(f"a sparsity pattern of shape {P.shape} for "
                              f"a {(m, n)} matrix")
@@ -359,9 +334,9 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     y = np.zeros(me)
 
     f_val = eval_f(z)
-    g = eval_g(z)
-    eq.jacobian(z)
-    ineq.jacobian(z)
+    g = _finite(problem.gradient(z), "gradient")
+    je = eq_pat.merge(eq_jac(z))
+    ji = ineq_pat.merge(ineq_jac(z))
 
     def violation(cev, civ):
         return max(float(np.abs(cev).max(initial=0.0)),
@@ -371,16 +346,21 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         """KKT error of the current iterate at each barrier parameter.
 
         ``gJy`` is g + Je'y and ``viol`` the constraint violation; the dual
-        residual and the complementarity products are formed once."""
-        r_d = gJy + ineq.rmatvec(dual[:mi])
+        residual and the complementarity products are formed once.  A
+        non-finite Jacobian value makes the residual non-finite, and is
+        refused here, where each point's Jacobians are first used."""
+        r_d = gJy + ineq_pat.rmatvec(ji, dual[:mi])
         r_d[ilb] -= dual[mi:mi + nl]
         r_d[iub] += dual[mi + nl:]
         base = max(float(np.abs(r_d).max(initial=0.0)), viol)
+        if not math.isfinite(base):
+            for v, what in ((je, "eq_jacobian"), (ji, "ineq_jacobian")):
+                _finite(v, what)
         comp = gap * dual
         return [max(base, float(np.abs(comp - m).max(initial=0.0)))
                 for m in mu_vals]
 
-    kkt = _kkt_system(hess, eq.pattern, ineq.pattern).for_solve()
+    kkt = _kkt_system(hess, eq_pat, ineq_pat).for_solve()
     # the steps of the gaps and of their duals, each the slacks' part then
     # the bounds', filled at each factorization
     nb = len(ib)
@@ -395,7 +375,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     it = 0
 
     for it in range(1, opts.max_iter + 1):
-        gJy = g + eq.rmatvec(y)
+        gJy = g + eq_pat.rmatvec(je, y)
         viol = violation(ce, ci)
         err0, err_mu = kkt_errors(gJy, viol, 0.0, mu)
         if err0 < opts.tol:
@@ -419,9 +399,9 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
             termination = "stalled"
             break
 
-        # Hessian of the Lagrangian (approximate)
+        # Hessian of the Lagrangian (approximate); an inf may pass SuperLU
         w = dual[:mi]
-        h = hess.merge(problem.hessian(z, y, w))
+        h = _finite(hess.merge(problem.hessian(z, y, w)), "hessian")
 
         # condensed primal-dual system
         s, gap_b, zeta = gap[:mi], gap[mi:], dual[mi:]
@@ -432,7 +412,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         cs = ci + s
         t = sigma * cs + mu / s_safe
         barrier = mu / np.maximum(gap_b, 1e-300)
-        rhs_z = -gJy - ineq.rmatvec(t)
+        rhs_z = -gJy - ineq_pat.rmatvec(ji, t)
         rhs_z[ilb] += barrier[:nl]
         rhs_z[iub] -= barrier[nl:]
         rhs = np.concatenate([rhs_z, -ce])
@@ -450,8 +430,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
                 reg_retries += 1
             t_kkt = time.perf_counter()
             try:
-                sol = kkt.solve(h, eq.vals, ineq.vals, d_bound + delta_w,
-                                sigma, rhs)
+                sol = kkt.solve(h, je, ji, d_bound + delta_w, sigma, rhs)
             except RuntimeError:  # a singular factor
                 sol = None
             phase_s["kkt"] += time.perf_counter() - t_kkt
@@ -461,7 +440,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
             dz = sol[:n]
             dy = sol[n:]
-            Ji_dz = ineq.matvec(dz)
+            Ji_dz = ineq_pat.matvec(ji, dz)
             np.negative(cs, out=ds)
             ds -= Ji_dz
             np.subtract(t, w, out=dw)
@@ -483,8 +462,8 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
                 np.multiply(sign, z_t[ib] - bound, out=gap_t[mi:])
                 try:
                     f_t = eval_f(z_t)
-                    ce_t = eq.values(z_t)
-                    ci_t = ineq.values(z_t)
+                    ce_t = _finite(eq_c(z_t), "eq_constraints")
+                    ci_t = _finite(ineq_c(z_t), "ineq_constraints")
                 except CallbackFailure:
                     alpha *= 0.5
                     backtracks += 1
@@ -505,9 +484,9 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
             y = y + alpha_dual * dy
             dual = np.maximum(dual + alpha_dual * ddual, 1e-16)
             f_val, ce, ci = f_t, ce_t, ci_t
-            g = eval_g(z)
-            eq.jacobian(z)
-            ineq.jacobian(z)
+            g = _finite(problem.gradient(z), "gradient")
+            je = eq_pat.merge(eq_jac(z))
+            ji = ineq_pat.merge(ineq_jac(z))
             delta_w = max(delta_w / 3.0, 0.0) if delta_w > 1e-10 else 0.0
             accepted = True
             break
@@ -519,7 +498,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
     wall = time.perf_counter() - t_start
     final_violation = violation(ce, ci)
-    final_err, = kkt_errors(g + eq.rmatvec(y), final_violation, 0.0)
+    final_err, = kkt_errors(g + eq_pat.rmatvec(je, y), final_violation, 0.0)
     if status is SolveStatus.ITER_LIMIT:
         if final_err < opts.tol:
             status = SolveStatus.OPTIMAL
@@ -557,20 +536,21 @@ class _KktSystem:
     order, with partial pivoting.
 
     Its layout is the stage order, the pairs of stored entries of Ji that
-    form Ji' diag(sigma) Ji, and the CSC pattern with the map from the
-    entries of H, d, those pairs, Je, Je' and the regularization to the
-    matrix.  It depends on the sparsity patterns of H, Je and Ji alone, so
+    form Ji' diag(sigma) Ji, and the pattern of the transposed matrix, whose
+    CSR arrays are the matrix's CSC arrays, with the map from the entries
+    of H, d, those pairs, Je, Je' and the regularization to the matrix.  It
+    depends on the sparsity patterns of H, Je and Ji alone, so
     ``_kkt_system`` builds it once per triple of patterns and every solve
     on them shares it, read-only.  ``for_solve`` gives a solve its own
     value buffer and CSC matrix, which each iteration fills in place with
     the values of H, Je and Ji alone.  The stage order puts each
     multiplier just before the primal variables whose first equality row
     it is (those in none go last), so the planner's matrix is a band of
-    half-width 10.  SuperLU's default 10-column panels suit wide fronts; on
-    this narrow band one-column panels are faster.  Of the 0.47 ms a
-    planner system takes (see the module docstring), ``spla.splu`` is
-    0.38 ms, the fill 0.02 ms, and the triangular solves with the
-    permutations 0.07 ms.
+    half-width 10.  SuperLU's default 10-column panels suit wide
+    fronts; on this narrow band one-column panels are faster.  Of the
+    0.47 ms a planner system takes (see the module docstring),
+    ``spla.splu`` is 0.38 ms, the fill 0.02 ms, and the triangular solves
+    with the permutations 0.07 ms.
     """
 
     def __init__(self, H, Je, Ji):
@@ -599,18 +579,19 @@ class _KktSystem:
         self._order = np.argsort(
             np.concatenate([2 * first + 1, 2 * np.arange(me)]), kind="stable")
         pos = np.argsort(self._order)  # of row and column i in that order
-        self._pattern = SparsePattern(pos[rows], pos[cols], (n + me, n + me),
-                                      format="csc")
+        # the CSC arrays of the matrix are the CSR arrays of its transpose
+        self._pattern = SparsePattern(pos[cols], pos[rows], (n + me, n + me))
         for arr in (*self._pairs, self._order):
             arr.flags.writeable = False
 
     def for_solve(self):
         """A copy sharing this layout, with a value buffer and a CSC matrix
-        of its own."""
+        of its own: the transpose of the transposed pattern's CSR matrix,
+        sharing its arrays."""
         kkt = copy.copy(self)
         kkt._vals = np.empty(self._blocks[-1].stop)
         kkt._vals[self._blocks[-1]] = -1e-10
-        kkt._matrix = self._pattern.matrix(kkt._vals)
+        kkt._matrix = self._pattern.matrix(kkt._vals).T
         return kkt
 
     def solve(self, h, je, ji, d, sigma, rhs):

@@ -2,6 +2,7 @@
 status semantics, and determinism."""
 
 import dataclasses
+import types
 import warnings
 
 import numpy as np
@@ -15,8 +16,7 @@ from tvapf.planner import EgoModelState, PlannerConfig
 from tvapf.potentials import PotentialConfig
 from tvapf.prediction import ObstacleState, TvapfParams, propagate_obstacle
 from tvapf.solver import (CallbackFailure, NlpProblem, SolveOptions,
-                          SolveStatus, SparsePattern, _Family, _KktSystem,
-                          solve)
+                          SolveStatus, SparsePattern, _KktSystem, solve)
 
 
 def _constant_hessian(*diag):
@@ -243,20 +243,57 @@ def test_iteration_limit_reports_feasible_point():
     assert r.iterations <= 1
 
 
-def test_nan_objective_raises():
-    p = NlpProblem(n=1, objective=lambda z: float("nan"),
-                   gradient=lambda z: np.zeros(1),
-                   hessian=_constant_hessian(0.0), z0=np.zeros(1))
-    with pytest.raises(CallbackFailure):
-        solve(p)
+@pytest.mark.parametrize("declared", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", solver.CALLBACKS)
+def test_non_finite_callback_value_raises(name, bad, declared):
+    # one value of one callback is non-finite at every point.  Unchecked, a
+    # derivative's ends the solve feasible_point or infeasible without a
+    # word; an inf at the dense Hessian's (3, 3) even gives SuperLU a pivot
+    # and a finite step, so no failed factorization would catch it
+    p = _coupled_program(declared)
+    good = getattr(p, name)
+
+    def spoiled(z, *args):
+        out = np.array(good(z, *args), dtype=float)
+        out.flat[-1] = bad
+        return float(out) if name == "objective" else out
+
+    # an inf meets zeros on its way into the matrix: numpy's invalid-value
+    # warning there is not what this test is about
+    with pytest.raises(CallbackFailure, match=f"from {name}$"), \
+            np.errstate(invalid="ignore"):
+        solve(dataclasses.replace(p, **{name: spoiled}))
 
 
-def test_nan_gradient_raises():
-    p = NlpProblem(n=1, objective=lambda z: 0.0,
-                   gradient=lambda z: np.array([np.nan]),
-                   hessian=_constant_hessian(0.0), z0=np.zeros(1))
-    with pytest.raises(CallbackFailure):
-        solve(p)
+def test_non_finite_jacobian_at_the_last_point_raises():
+    # the one accepted step lands where eq_jacobian is NaN; the iteration
+    # limit ends the solve before that Jacobian enters a factorization
+    p = _equality_qp(z0=(0.6, 0.4))
+    calls = []
+
+    def eq_jacobian(z):
+        calls.append(z)
+        return np.array([[np.nan if len(calls) > 1 else 1.0, 1.0]])
+
+    with pytest.raises(CallbackFailure, match="from eq_jacobian$"):
+        solve(dataclasses.replace(p, eq_jacobian=eq_jacobian),
+              SolveOptions(max_iter=1))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("z0", np.zeros(1)), ("lb", np.array([1.5])), ("ub", np.zeros((1, 3)))])
+def test_mis_shaped_start_or_bound_rejected(field, value):
+    # a (1,) z0 or lb would broadcast against the (3,) others, so lb = [1.5]
+    # would bound z[0] alone and end optimal at z = (1.5, 1, 2); a (1, 3)
+    # ub would fail deep inside the solve
+    c = np.array([1.0, 1.0, 2.0])
+    p = NlpProblem(n=3, objective=lambda z: float(np.sum((z - c) ** 2)),
+                   gradient=lambda z: 2.0 * (z - c),
+                   hessian=_constant_hessian(2.0, 2.0, 2.0), z0=np.zeros(3))
+    with pytest.raises(ValueError, match="shape"):
+        solve(dataclasses.replace(p, **{field: value}))
 
 
 def test_degenerate_box_rejected():
@@ -326,10 +363,12 @@ def _product_cases():
 
 
 def _family(pattern, vals):
-    family = _Family(lambda z: np.zeros(pattern.shape[0]), lambda z: vals,
-                     pattern, "test")
-    family.jacobian(None)
-    return family
+    """The stored entries ``vals`` of a Jacobian on ``pattern`` and its
+    products J v and J' v, as the solver forms them."""
+    entries = pattern.merge(vals)
+    return types.SimpleNamespace(
+        vals=entries, matvec=lambda v: pattern.matvec(entries, v),
+        rmatvec=lambda v: pattern.rmatvec(entries, v))
 
 
 @pytest.mark.parametrize("M", _product_cases())
@@ -505,13 +544,16 @@ def test_each_factorization_is_one_natural_order_splu_call(monkeypatch):
     splu, calls = scipy.sparse.linalg.splu, []
 
     def spy(A, **kwargs):
-        calls.append(kwargs)
+        calls.append((A.format, kwargs))
         return splu(A, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
     r = solve(_planner_problem(), SolveOptions(max_iter=10))
     assert r.factorizations == len(calls) >= 10
-    assert all(c["permc_spec"] == "NATURAL" for c in calls)
+    # a CSR matrix would be converted, and so would factorize K', whose
+    # pair products differ from K's in the last bit
+    assert all(fmt == "csc" and c["permc_spec"] == "NATURAL"
+               for fmt, c in calls)
 
 
 def test_kkt_layout_is_built_once_per_pattern_triple(monkeypatch):
