@@ -5,10 +5,11 @@ SciPy's SLSQP.  Every program supplies its own Lagrangian Hessian.
 
 The implementation is a primal-dual interior-point method: inequality
 constraints get slacks with a log barrier, box bounds are handled by a direct
-barrier, and each iteration factorizes one sparse symmetric KKT system.  All
-linear algebra goes through scipy.sparse.  The planner's program, 70 steps of
-multiple shooting (420 variables, 280 equality and 210 inequality rows), has
-block-banded Jacobians; it declares their sparsity patterns and its
+barrier, and each iteration factorizes one sparse symmetric KKT system.  A
+bound multiplier starts at its centred value mu0/gap plus IPOPT's unit scale.
+All linear algebra goes through scipy.sparse.  The planner's program, 70 steps
+of multiple shooting (420 variables, 280 equality and 210 inequality rows),
+has block-banded Jacobians; it declares their sparsity patterns and its
 Hessian's once, and its callbacks return values only.  In stage order its KKT
 matrix is a band, which SuperLU factorizes as it stands.  ``perfbench/run.py
 --trace 1`` splits a solve's time into the callbacks, the factorizations and
@@ -69,9 +70,7 @@ class NlpProblem:
     triple of pattern objects, and shares that layout between solves.
     ``z0``, ``lb`` and ``ub`` have shape (n,); a bound left None is
     infinite.  Every callback value must be finite: a non-finite one raises
-    ``CallbackFailure`` naming its callback.  A Jacobian value is checked
-    only when the KKT error it enters is not finite, which a non-finite
-    one makes it.
+    ``CallbackFailure`` naming its callback, before any product meets it.
     """
 
     n: int
@@ -189,6 +188,9 @@ STALL_KKT_RATIO = 0.5
 # min(kappa_1 max(1, |bound|), kappa_2 (ub - lb)) inside each finite bound
 BOUND_PUSH = 1e-2
 BOUND_FRAC = 1e-2
+# IPOPT's bound_mult_init_val (same section), added to each bound
+# multiplier's centred start mu0/gap (see ``solve``)
+BOUND_MULT_INIT = 1.0
 
 
 def _finite(x, what):
@@ -230,22 +232,35 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     ``no_step`` or ``iteration_limit``.
 
     The constants come from traces of all 259 planner solves of the
-    benchmark's overtake runs (seeds 0-4) and cold-start scenes (seeds 0-5).
-    Without the rule, none of the 68 it stops (63 pass candidates, and
-    overtake's stay at t0 = 50 s, mid lane change) converges: 48 run to the
-    150-iteration cap and 20 end with no acceptable step, all with a
-    violation of 0.38 or more.  The rule stops them by iteration 45 (median
-    21) and cuts no solve that ends optimal or at a feasible point.  The
-    nearest miss is the pass candidate of cold-start scene 9: its violation
-    falls to 2.0-2.1e-4 at iteration 15, climbs back to 1.5-2.3e-3 and stays
-    above 90 % of that low for 7-10 iterations, and the solve converges at
-    iteration 60-67, so a window of 10 or fewer would kill it.
+    benchmark's overtake runs (seeds 0-4) and cold-start scenes (seeds 0-5),
+    last measured with the start below.  Without the rule, none of the 68
+    it stops (63 pass candidates, and overtake's stay at t0 = 50 s, mid lane
+    change) converges: 44 run to the 150-iteration cap and 24 end with no
+    acceptable step, all with a violation of 0.34 or more.  The rule stops
+    them by iteration 46 (median 21) and cuts no solve that ends optimal or
+    at a feasible point.  The nearest miss is overtake's stay at t0 = 0: its
+    seed is feasible, its violation then stays above the floor for 16-17
+    iterations, and the solve converges at iteration 26-27, so a window of
+    17 or fewer would meet the violation test there.
 
-    The KKT test spares solves that converge: on an empty road from v0 up
-    to 3.0-4.5 m/s the cold ``stay`` guess is nearly feasible at once, so
-    the violation looks stalled at iteration 21-22, yet the solve ends
-    optimal by iteration 50; there the ratio of the two KKT errors is 0.42
-    at most (102 of 312 starts), at the 68 stall verdicts 0.63 or more.
+    The KKT test guards such a start, nearly feasible at once, whose
+    violation cannot fall 10 % below its first while the KKT error falls
+    by orders of magnitude (to about 1e-4 of its first in the case above).
+    With today's window it spares no solve measured: at the 68 verdicts the
+    ratio of the two KKT errors is 0.79 or more, and none of 312 empty-road
+    starts from rest (s0 20 or 600 m, v0 0-12.5 m/s) meets the violation
+    test.
+
+    The start: z0 pushed inside its bounds, each slack max(-c_ineq, 0.01)
+    with its dual mu0/s, and each bound multiplier mu0/gap +
+    BOUND_MULT_INIT.  The centred term dominates on a bound the start is
+    pushed against; the unit term gives the barrier curvature zeta/gap
+    IPOPT's scale on the bounds the start is far from, where mu0/gap alone
+    is 1e-4 on a position 1 km away.  From mu0/gap alone the first 11
+    iterations of an empty-road solve take primal steps of 0.04-0.33, each
+    cut short by an acceleration bound.  The unit term alone ends a solve on
+    a box 1e-11 wide mid box; max(mu0/gap, 1) makes planner solves fall
+    back, and slack duals of 1 too end blocked ones with no step.
 
     Each step is a Newton step of the primal-dual system: the KKT matrix
     carries Sigma = W S^-1 exactly, whatever its size, as its right-hand
@@ -329,14 +344,15 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     mu = 0.1  # initial barrier parameter
     s = np.maximum(-ci, 1e-2)
     gap = np.concatenate([s, sign * (z[ib] - bound)])
-    dual = np.concatenate([mu / s, mu / np.maximum(gap[mi:], 1e-12)])
+    dual = np.concatenate([mu / s,
+                           mu / np.maximum(gap[mi:], 1e-12) + BOUND_MULT_INIT])
     terms = _merit_terms(gap, ce, ci, mi, nl)
     y = np.zeros(me)
 
     f_val = eval_f(z)
     g = _finite(problem.gradient(z), "gradient")
-    je = eq_pat.merge(eq_jac(z))
-    ji = ineq_pat.merge(ineq_jac(z))
+    je = _finite(eq_pat.merge(eq_jac(z)), "eq_jacobian")
+    ji = _finite(ineq_pat.merge(ineq_jac(z)), "ineq_jacobian")
 
     def violation(cev, civ):
         return max(float(np.abs(cev).max(initial=0.0)),
@@ -346,16 +362,11 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         """KKT error of the current iterate at each barrier parameter.
 
         ``gJy`` is g + Je'y and ``viol`` the constraint violation; the dual
-        residual and the complementarity products are formed once.  A
-        non-finite Jacobian value makes the residual non-finite, and is
-        refused here, where each point's Jacobians are first used."""
+        residual and the complementarity products are formed once."""
         r_d = gJy + ineq_pat.rmatvec(ji, dual[:mi])
         r_d[ilb] -= dual[mi:mi + nl]
         r_d[iub] += dual[mi + nl:]
         base = max(float(np.abs(r_d).max(initial=0.0)), viol)
-        if not math.isfinite(base):
-            for v, what in ((je, "eq_jacobian"), (ji, "ineq_jacobian")):
-                _finite(v, what)
         comp = gap * dual
         return [max(base, float(np.abs(comp - m).max(initial=0.0)))
                 for m in mu_vals]
@@ -485,8 +496,8 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
             dual = np.maximum(dual + alpha_dual * ddual, 1e-16)
             f_val, ce, ci = f_t, ce_t, ci_t
             g = _finite(problem.gradient(z), "gradient")
-            je = eq_pat.merge(eq_jac(z))
-            ji = ineq_pat.merge(ineq_jac(z))
+            je = _finite(eq_pat.merge(eq_jac(z)), "eq_jacobian")
+            ji = _finite(ineq_pat.merge(ineq_jac(z)), "ineq_jacobian")
             delta_w = max(delta_w / 3.0, 0.0) if delta_w > 1e-10 else 0.0
             accepted = True
             break

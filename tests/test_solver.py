@@ -122,6 +122,17 @@ def test_narrow_box_starts_inside_and_ends_optimal_at_ub(width):
     assert r.z[0] == pytest.approx(width, abs=1e-7)
 
 
+def test_bound_multiplier_starts_at_the_centred_value_plus_one():
+    # z0 = 0.5 lies 0.5 from its bound, so its multiplier starts at
+    # mu0/gap + BOUND_MULT_INIT = 0.2 + 1; with no iteration the KKT error is
+    # the dual residual |g - zeta0| = |-5 - 1.2|
+    p = dataclasses.replace(_scalar_quadratic(lb=np.zeros(1)),
+                            z0=np.array([0.5]))
+    r = solve(p, SolveOptions(max_iter=0))
+    assert r.iterations == 0
+    assert r.kkt_error == pytest.approx(6.2, rel=1e-12)
+
+
 def test_inequality_constraint():
     # min (z-3)^2  s.t. z <= 1 via a general inequality
     p = _scalar_quadratic(
@@ -259,10 +270,7 @@ def test_non_finite_callback_value_raises(name, bad, declared):
         out.flat[-1] = bad
         return float(out) if name == "objective" else out
 
-    # an inf meets zeros on its way into the matrix: numpy's invalid-value
-    # warning there is not what this test is about
-    with pytest.raises(CallbackFailure, match=f"from {name}$"), \
-            np.errstate(invalid="ignore"):
+    with pytest.raises(CallbackFailure, match=f"from {name}$"):
         solve(dataclasses.replace(p, **{name: spoiled}))
 
 
