@@ -17,9 +17,10 @@ feasible solution is published, ``stay`` when the two tie to ``TIE_RTOL``;
 within each program the lane change, the following distance and the braking
 profile emerge from one continuous optimization.
 
-One function, ``_step``, integrates the model: the program's whole horizon
-at once, and one state at a time the published states (``_rollout``) and
-the safe-stop plan.
+The published states are the point the solver certified: xi0, then the
+states x_1 .. x_N of its decision vector, which meet the dynamics to the
+solver's tolerance.  One function, ``_step``, integrates the model: the
+program's whole horizon at once, and the safe-stop plan one state at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +42,13 @@ from .solver import (NlpProblem, SolveOptions, SolveStatus, SparsePattern,
 
 
 class Infeasible(Exception):
-    """No feasible trajectory exists for the posed program."""
+    """No feasible trajectory exists for the posed program; ``candidates``
+    holds the records of the candidate solves that failed, none when no
+    candidate was posed."""
+
+    def __init__(self, message, candidates=()):
+        super().__init__(message)
+        self.candidates = list(candidates)
 
 
 class EmptyTerminalSet(Infeasible):
@@ -206,7 +213,8 @@ def _step(x, u, h):
         s' = nu cos psi,  d' = nu sin psi,  psi' = omega,  nu' = alpha,
 
     on a state x (4, ...) and an input u = (alpha, omega) (2, ...): one
-    state of shape (4,), or M of shape (4, M).
+    state of shape (4,), as the safe stop steps, or M of shape (4, M), as
+    the program steps its whole horizon.
 
     psi and nu move with the constant inputs, so stages 2 and 3 share
     psi + h/2 omega and nu + h/2 alpha, k3 = k2, and the step needs cos and
@@ -225,15 +233,6 @@ def _step(x, u, h):
     k[:, 2:] = rate
     k23 = 2.0 * k[1]
     return x + sixth * (k[0] + k23 + k23 + k[2]), stages
-
-
-def _rollout(x0, U, h):
-    """States (M + 1, 4) from one state x0 under the M inputs of U, one
-    ``_step`` per input."""
-    xs = [np.asarray(x0, dtype=float)]
-    for u in np.asarray(U, dtype=float):
-        xs.append(_step(xs[-1], u, h)[0])
-    return np.array(xs)
 
 
 # -- terminal set -----------------------------------------------------------
@@ -529,12 +528,12 @@ class _LtpProgram:
         """The record of everything the callbacks read at z: the states X
         (N, 4) and inputs U (N, 2), the speed state paired with each input,
         the (value, d/dd, d2/dd2) triples of the boundary and the lane
-        potential, the field's terms and their sum O over the forecasts,
-        the acceleration-rate differences, and the RK4 step from each
-        stage's previous state with its three distinct stage points (see
-        _step).  The field's gradient is formed by ``_field_grad``, at the
-        first callback that reads it.  z is copied and compared by value,
-        since a caller may pass a fresh array or change its own."""
+        potential, the field's terms, their sum O over the forecasts and
+        its gradient (dO/ds, dO/dd), formed with the value, the
+        acceleration-rate differences, and the RK4 step from each stage's
+        previous state with its three distinct stage points (see _step).
+        z is copied and compared by value, since a caller may pass a fresh
+        array or change its own."""
         z = np.asarray(z, dtype=float)
         last = self._z
         if last is not None and z.shape == last.shape and (z == last).all():
@@ -561,17 +560,10 @@ class _LtpProgram:
             nu_at_u=prev[3],
             boundary=boundary_potential(h_l, h_r, self.pcfg.eta),
             lane=lane_potential(h_c),
-            field=field, O=field.value(), field_grad=None,
+            field=field, O=field.value(), dO=field.grad(),
             rate=ze[self.layout.rate_next] - ze[self.layout.rate_prev],
             x_next=x_next, stages=stages)
         return self._rec
-
-    @staticmethod
-    def _field_grad(r):
-        """(dO/ds, dO/dd) at the point of record r, formed once per point."""
-        if r.field_grad is None:
-            r.field_grad = r.field.grad()
-        return r.field_grad
 
     # -- cost --------------------------------------------------------------
 
@@ -600,7 +592,7 @@ class _LtpProgram:
         gU[:, 1] += 2.0 * pcfg.K_c * nu_at_u ** 2 * om
         gX[:-1, 3] += 2.0 * pcfg.K_c * nu_at_u[1:] * om[1:] ** 2
 
-        gs, gd = self._field_grad(r)
+        gs, gd = r.dO
         gX[:, 0] += self.cfg.K_o * gs
         gX[:, 1] += self.cfg.K_o * gd
         return g
@@ -677,7 +669,7 @@ class _LtpProgram:
         return c
 
     def ineq_jacobian(self, z):
-        gs, gd = self._field_grad(self._at(z))
+        gs, gd = self._at(z).dO
         return np.concatenate([gs, gd, self.layout.rate_jac])
 
     def to_problem(self) -> NlpProblem:
@@ -719,9 +711,10 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
     Each candidate solves cold from its own guess; ``warm_start`` is kept
     only for callers that still pass it, and must be None; ``path`` must
     pass ``check_road``, so every posed candidate has a nonempty box.
-    Raises Infeasible when no feasible trajectory exists (callers fall back
-    to safe_stop_trajectory), as its subclass EmptyTerminalSet when the
-    safe-stop bound already lies behind the ego.
+    Raises Infeasible, with the failed candidates' records, when no
+    feasible trajectory exists (callers fall back to safe_stop_trajectory),
+    as its subclass EmptyTerminalSet, with none, when the safe-stop bound
+    already lies behind the ego.
     """
     if warm_start is not None:
         raise ValueError("solve_ltp solves cold: warm_start must be None")
@@ -736,10 +729,8 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
         prog = _LtpProgram(xi0, forecasts, path, cfg, potentials_cfg, tvapf,
                            g_states, g_inputs, box, alpha_prev)
         result = solve(prog.to_problem(), SOLVE_OPTIONS)
-        # Published states re-integrate the optimal inputs so they satisfy
-        # the dynamics exactly, not merely to solver tolerance.
+        X = np.vstack([prog.x0, prog._states(result.z)])
         U = prog._inputs(result.z)
-        X = _rollout(xi0.as_array(), U, cfg.T_sL)
         overtakes = bool(any(path.lane_index_of(float(x[1])) > 0 for x in X))
         cand_stats.append({
             "candidate": name,
@@ -760,7 +751,8 @@ def solve_ltp(xi0: EgoModelState, forecasts, path: ReferencePath,
             solved.append((float(result.objective), name, box, result, U, X))
     if not solved:
         raise Infeasible(f"planner instance at t0={t0:.1f}s: no feasible "
-                         f"candidate ({[c['status'] for c in cand_stats]})")
+                         f"candidate ({[c['status'] for c in cand_stats]})",
+                         cand_stats)
 
     best = min(item[0] for item in solved)
     obj, name, box, result, U, X = min(solved, key=lambda item: (

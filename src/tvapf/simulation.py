@@ -144,8 +144,9 @@ def _plan_instance(t, ego_chi, actors, path, pcfg, potentials_cfg, tvapf,
     perceive, solve cold with the first input anchored to the tracker's
     ``a_applied`` (None before the first tick), so the reference has no jerk
     step the tracker cannot follow; on failure log the event and publish
-    safe-stop.  Appends the instance record to ``log`` and returns the
-    trajectory with the forecasts it was planned against."""
+    safe-stop, whose stats keep the failed candidates' records.  Appends
+    the instance record to ``log`` and returns the trajectory with the
+    forecasts it was planned against."""
     xi0, forecasts, sensed = perceive(ego_chi, actors, path, pcfg,
                                       sensor_range)
     try:
@@ -156,6 +157,7 @@ def _plan_instance(t, ego_chi, actors, path, pcfg, potentials_cfg, tvapf,
         log.event(t, EventKind.PLANNER_FALLBACK, str(exc))
         traj = safe_stop_trajectory(xi0, pcfg, t0=t,
                                     alpha_prev=a_applied or 0.0)
+        traj.solve_stats["candidates"] = exc.candidates
     label = decision_label(traj, path, forecasts,
                            v_des=potentials_cfg.v_des)
     record = {
@@ -291,7 +293,7 @@ def summarize(log: RunLog, scenario: Scenario) -> dict:
     timeline = [{"t0": inst["t0"], "decision": inst["decision"],
                  "overtake_feasible": inst["stats"].get("overtake_feasible")}
                 for inst in log.instances]
-    # one sample per solved candidate: a fallback solves nothing
+    # one sample per solved candidate, a fallback's failed ones included
     cands = [c for inst in log.instances
              for c in inst["stats"].get("candidates", ())]
     solve_times = [c["wall_time"] for c in cands]

@@ -1,9 +1,9 @@
 """The test-side reference of both vehicle models: their vector fields, the
 generic explicit RK4 step and rollout, and the dense chain rule of the RK4
 step's sensitivities.  Every closed form in ``src/`` is checked against
-these bit for bit: the planner's ``_step`` and ``_rollout`` (next state and
-stage points) and its step Jacobians, and the tracker's ``_step``, which
-the plant shares, with its sensitivities."""
+these bit for bit: the planner's ``_step`` (next state and stage points)
+and its step Jacobians, and the tracker's ``_step``, which the plant
+shares, with its sensitivities."""
 
 import math
 

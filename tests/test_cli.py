@@ -490,7 +490,8 @@ def test_plan_dumps_the_published_terminal_set(tmp_path):
 
 
 def test_plan_fallback_dumps_no_terminal_set(tmp_path, capsys):
-    # a leader on the ego's bumper leaves no safe-stop anchor ahead
+    # a leader on the ego's bumper leaves stay no safe-stop anchor ahead,
+    # and the pass around it is infeasible: the dump keeps its record
     scn = _write(tmp_path, "blocked.json", _mini_scenario(
         actors=[{"id": "L1", "s0": 21.0, "d0": -2.0, "v0": 0.0,
                  "v_bounds": [0.0, 0.1], "a_bounds": [-0.01, 0.01]}]))
@@ -498,7 +499,9 @@ def test_plan_fallback_dumps_no_terminal_set(tmp_path, capsys):
     assert main(["plan", str(scn), "--out", str(out)]) == 0
     assert "planner fallback" in capsys.readouterr().err
     dump = json.loads(out.read_text())
-    assert dump["stats"] == {"status": "fallback"}
+    assert dump["stats"]["status"] == "fallback"
+    assert [(c["candidate"], c["status"])
+            for c in dump["stats"]["candidates"]] == [("pass", "infeasible")]
     assert dump["terminal_set"] is None
 
 

@@ -168,14 +168,23 @@ def _pointwise(f):
     return batched
 
 
+def _point_mass_rollout(x0, U, h):
+    """States (M + 1, 4) from x0 under the M inputs of U, one
+    ``planner._step`` of one state per input, as the safe stop steps."""
+    xs = [np.asarray(x0, dtype=float)]
+    for u in U:
+        xs.append(planner._step(xs[-1], np.asarray(u, dtype=float), h)[0])
+    return np.array(xs)
+
+
 # f on one state's floats, f on batched components, jac, reference, state
-# box, input box and step of each vehicle model, and the model's own
-# rollout of one state in src/
+# box, input box and step of each vehicle model, and the rollout of one
+# state by the model's own step in src/
 _MODELS = {
     "point_mass": (point_mass_f, point_mass_f, _point_mass_jac,
                    _point_mass_reference(),
                    [(0.0, 500.0), (-4.0, 4.0), (-1.2, 1.2), (0.0, 12.5)],
-                   [(-0.9, 0.9), (-0.08, 0.08)], 0.5, planner._rollout),
+                   [(-0.9, 0.9), (-0.08, 0.08)], 0.5, _point_mass_rollout),
     "bicycle": (partial(bicycle_f, 2.7),
                 _pointwise(partial(bicycle_f, 2.7)),
                 partial(bicycle_jac, 2.7), _bicycle_reference(2.7),
@@ -580,12 +589,40 @@ def test_empty_road_starts_from_rest_end_optimal_in_few_iterations(
             ("optimal", True)], v0
 
 
-def test_published_states_satisfy_dynamics(path, cfg, pot):
-    # the published states are the reference RK4 rollout of the published
-    # inputs, to the bit
-    traj = solve_ltp(EgoModelState(20.0, -2.0, 0.0, 8.33), [], path, cfg, pot)
+@pytest.mark.parametrize("lead", [None, 400.0], ids=["empty_road", "pass"])
+def test_published_plan_is_the_solvers_point(path, cfg, pot, tv, lead,
+                                             monkeypatch):
+    # the published plan is the point the solver certified: xi0, then the
+    # solver's states and inputs to the bit; every state lies inside the
+    # state box and the last inside the published terminal box with no
+    # tolerance, and the states meet the reference RK4 rollout of the
+    # inputs to 1e-9 m
+    planner_solve, points = planner.solve, []
+
+    def solve(problem, opts):
+        result = planner_solve(problem, opts)
+        points.append(result.z)
+        return result
+
+    monkeypatch.setattr(planner, "solve", solve)
+    fcs = [] if lead is None else _forecasts([ObstacleState(
+        s_o=lead, d_o=-2.0, v_o=5.0, v_bounds=(2.9, 6.1),
+        a_bounds=(-0.01, 0.25))], cfg)
+    xi0 = EgoModelState(300.0, -2.0, 0.0, 8.33)
+    traj = solve_ltp(xi0, fcs, path, cfg, pot, tvapf=tv)
+    stats = traj.solve_stats
+    names = [c["candidate"] for c in stats["candidates"]]
+    assert stats["candidate"] == ("stay" if lead is None else "pass")
+    z = points[names.index(stats["candidate"])]
     X, U = _plan_arrays(traj)
-    assert X.tobytes() == rollout(point_mass_f, X[0], U, cfg.T_sL).tobytes()
+    assert X[0].tobytes() == xi0.as_array().tobytes()
+    assert X[1:].tobytes() == z[:4 * cfg.N_L].tobytes()
+    assert np.array(U).tobytes() == z[4 * cfg.N_L:].tobytes()
+    lb, ub = state_box(path)
+    assert np.all((lb <= X) & (X <= ub))
+    assert TerminalBox(**stats["terminal_set"]).contains(traj.states[-1],
+                                                         tol=0.0)
+    assert np.abs(X - rollout(point_mass_f, X[0], U, cfg.T_sL)).max() <= 1e-9
 
 
 # -- initial guesses ---------------------------------------------------------

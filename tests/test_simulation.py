@@ -11,13 +11,16 @@ import pytest
 from tvapf import simulation
 from tvapf import scenario as scenario_mod
 from tvapf.geometry import FrenetPoint, frenet_to_cartesian
-from tvapf.planner import state_box
+from tvapf.planner import (SOLVE_OPTIONS, EgoModelState, TerminalBox,
+                           state_box)
 from tvapf.scenario import ActorSpec, ScenarioError
 from tvapf.simulation import (ActorRuntime, perceive, run, step_actor,
                               summarize)
 from tvapf.tracker import (DELTA_A_MAX, E_POS, E_V,
                            Infeasible as TrackerInfeasible, VehicleState,
                            max_braking_input)
+
+from rk4_chain import point_mass_f, rk4
 
 
 def _actor(script=(), direction=1, v_bounds=(0.0, 12.5),
@@ -211,6 +214,54 @@ def test_every_candidate_record_has_the_same_keys(overtake_run):
                for c in inst["stats"].get("candidates", ())]
     assert {c["status"] for c in records} > {"optimal"}
     assert len({tuple(c) for c in records}) == 1
+
+
+def test_published_plans_keep_their_boxes_and_dynamics(overtake_run,
+                                                        overtake_scenario):
+    # every solved plan is the point its solver certified: inside the state
+    # box and its terminal box with no tolerance, and each step meets the
+    # reference RK4 step to the solver's tolerance
+    path = overtake_scenario.build_path()
+    h = overtake_scenario.planner_config().T_sL
+    lb, ub = state_box(path)
+    plans = [i for i in overtake_run[0].instances
+             if i["stats"]["status"] != "fallback"]
+    assert plans
+    for inst in plans:
+        X, U = np.array(inst["states"]), np.array(inst["inputs"])
+        assert np.all((lb <= X) & (X <= ub)), inst["t0"]
+        box = TerminalBox(**inst["stats"]["terminal_set"])
+        assert box.contains(EgoModelState(*X[-1]), tol=0.0), inst["t0"]
+        x_next = np.transpose(rk4(point_mass_f, X[:-1].T, U.T, h)[0])
+        assert np.abs(X[1:] - x_next).max() <= SOLVE_OPTIONS.tol, inst["t0"]
+
+
+@pytest.mark.parametrize("s0, failed", [(50.0, [("stay", "infeasible")]),
+                                         (35.0, [])],
+                         ids=["infeasible", "empty_terminal_set"])
+def test_fallback_records_and_summarizes_its_failed_candidates(
+        empty_road_scenario, s0, failed):
+    # on one lane, a stopped actor 30 m ahead leaves a safe-stop box the
+    # ego cannot brake into, and one 15 m ahead leaves none: the fallback's
+    # record keeps the failed stay solve, or no candidate, and the
+    # summary's solve times count what was solved
+    data = empty_road_scenario.to_dict()
+    data["path"]["lane_count"] = 1
+    data["ego"]["y0"] = 0.0
+    data["sim"]["duration"] = 1.0
+    data["actors"] = [{"id": "J", "s0": s0, "d0": 0.0, "v0": 0.0,
+                       "v_bounds": [0.0, 0.1], "a_bounds": [-0.01, 0.01]}]
+    scn = scenario_mod.from_dict(data)
+    log = run(scn)
+    assert [e["kind"] for e in log.events] == ["planner_fallback"]
+    (inst,) = log.instances
+    stats = inst["stats"]
+    assert stats["status"] == "fallback"
+    assert [(c["candidate"], c["status"])
+            for c in stats["candidates"]] == failed
+    walls = [c["wall_time"] for c in stats["candidates"]] or [0.0]
+    s = summarize(log, scn)
+    assert s["solve_time_max"] == s["solve_time_mean"] == walls[0]
 
 
 def test_empty_road_instances(empty_road_run):
