@@ -318,13 +318,15 @@ def summarize(log: RunLog, scenario: Scenario) -> dict:
         "max_tracking_error": float(np.max(np.abs(err_pos)))
         if len(err_pos) else 0.0,
         "events": [e["kind"] for e in log.events],
-        # wall seconds of the planner's candidate solves over the run, and
-        # of their KKT systems and callbacks; never in the run log, which
-        # stays byte-deterministic
+        # wall seconds of the planner's candidate solves over the run, of
+        # their KKT systems and callbacks, and of the candidates that ended
+        # infeasible; never in the run log, which stays byte-deterministic
         "timing": {
             "planner_solve_s": float(sum(solve_times)),
             "planner_kkt_s": float(sum(c["phase_s"]["kkt"] for c in cands)),
             "planner_callbacks_s": float(sum(c["phase_s"]["callbacks"]
                                              for c in cands)),
+            "planner_infeasible_s": float(sum(
+                c["wall_time"] for c in cands if c["status"] == "infeasible")),
         },
     }

@@ -180,7 +180,7 @@ def _dense(m, n):
 
 
 # the stalled-violation verdict of ``solve``
-STALL_WINDOW = 20
+STALL_WINDOW = 12
 STALL_RATIO = 0.1
 STALL_KKT_RATIO = 0.5
 # IPOPT's bound push kappa_1 and bound fraction kappa_2 (Waechter and
@@ -224,32 +224,35 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     classified FEASIBLE_POINT when it satisfies the constraints, otherwise
     ITER_LIMIT.  INFEASIBLE has two exits, both with the violation above
     max(100 tol, 1e-5): the violation has stalled, i.e. the best violation
-    of the last STALL_WINDOW (20) iterations is not STALL_RATIO (10 %) below
+    of the last STALL_WINDOW (12) iterations is not STALL_RATIO (10 %) below
     the best one before them and their best KKT error (at mu = 0) is no
     lower than STALL_KKT_RATIO (0.5) times the best one before them; or no
     step is acceptable even under the heaviest regularization.
     ``SolveResult.termination`` names the exit taken: ``kkt``, ``stalled``,
     ``no_step`` or ``iteration_limit``.
 
-    The constants come from traces of all 259 planner solves of the
-    benchmark's overtake runs (seeds 0-4) and cold-start scenes (seeds 0-5),
-    last measured with the start below.  Without the rule, none of the 68
-    it stops (63 pass candidates, and overtake's stay at t0 = 50 s, mid lane
-    change) converges: 44 run to the 150-iteration cap and 24 end with no
-    acceptable step, all with a violation of 0.34 or more.  The rule stops
-    them by iteration 46 (median 21) and cuts no solve that ends optimal or
-    at a feasible point.  The nearest miss is overtake's stay at t0 = 0: its
-    seed is feasible, its violation then stays above the floor for 16-17
-    iterations, and the solve converges at iteration 26-27, so a window of
-    17 or fewer would meet the violation test there.
+    The constants come from traces of all 263 planner solves of the
+    benchmark's overtake runs (seeds 0-4), empty-road run and cold-start
+    scenes (seeds 0-5), last measured with the start below.  Without the
+    rule, none of the 68 it stops (63 pass candidates, and overtake's stay
+    at t0 = 50 s, mid lane change) converges: 44 run to the 150-iteration
+    cap and 24 end with no acceptable step, all with a violation of 0.34 or
+    more.  The rule stops them by iteration 24, 53 of them at iteration 13,
+    the first it allows (21-46 with a window of 20), and cuts no solve that
+    ends optimal or at a feasible point.  The margin: a window of 8 or
+    fewer cuts one, overtake's pass at t0 = 30 s on seed 2, which converges
+    at iteration 33 and would stop at 9; on overtake seeds 5-8 and
+    cold-start seeds 6-11 too, 8 is the largest window that cuts one.
 
-    The KKT test guards such a start, nearly feasible at once, whose
-    violation cannot fall 10 % below its first while the KKT error falls
-    by orders of magnitude (to about 1e-4 of its first in the case above).
-    With today's window it spares no solve measured: at the 68 verdicts the
-    ratio of the two KKT errors is 0.79 or more, and none of 312 empty-road
-    starts from rest (s0 20 or 600 m, v0 0-12.5 m/s) meets the violation
-    test.
+    The KKT test guards a start nearly feasible at once, whose violation
+    cannot fall 10 % below its first while the KKT error falls by orders of
+    magnitude.  With today's window it spares one solve per overtake seed,
+    the stay at t0 = 0: its seed is feasible, the violation test is met at
+    iteration 13, but the best KKT error of the window is 0.019-0.020 times
+    the best one before it (seeds 0-8), and the solve converges at
+    iteration 26-29.  At the 68 verdicts that ratio is 0.79 or more.  None
+    of 312 empty-road starts from rest (s0 20 or 600 m, v0 0-12.5 m/s)
+    meets the violation test at any window from 4 to 20.
 
     The start: z0 pushed inside its bounds, each slack max(-c_ineq, 0.01)
     with its dual mu0/s, and each bound multiplier mu0/gap +

@@ -244,7 +244,7 @@ def test_fallback_records_and_summarizes_its_failed_candidates(
     # on one lane, a stopped actor 30 m ahead leaves a safe-stop box the
     # ego cannot brake into, and one 15 m ahead leaves none: the fallback's
     # record keeps the failed stay solve, or no candidate, and the
-    # summary's solve times count what was solved
+    # summary's solve times, the infeasible ones too, count what was solved
     data = empty_road_scenario.to_dict()
     data["path"]["lane_count"] = 1
     data["ego"]["y0"] = 0.0
@@ -262,6 +262,7 @@ def test_fallback_records_and_summarizes_its_failed_candidates(
     walls = [c["wall_time"] for c in stats["candidates"]] or [0.0]
     s = summarize(log, scn)
     assert s["solve_time_max"] == s["solve_time_mean"] == walls[0]
+    assert s["timing"]["planner_infeasible_s"] == walls[0]
 
 
 def test_empty_road_instances(empty_road_run):
@@ -425,7 +426,7 @@ def test_summary_timing_sums_the_candidate_solves(overtake_run,
     log, _ = overtake_run
     timing = summarize(log, overtake_scenario)["timing"]
     assert set(timing) == {"planner_solve_s", "planner_kkt_s",
-                           "planner_callbacks_s"}
+                           "planner_callbacks_s", "planner_infeasible_s"}
     assert all(v >= 0.0 for v in timing.values())
     assert timing["planner_kkt_s"] + timing["planner_callbacks_s"] \
         <= timing["planner_solve_s"]
@@ -434,6 +435,11 @@ def test_summary_timing_sums_the_candidate_solves(overtake_run,
     assert timing["planner_solve_s"] == pytest.approx(
         sum(c["wall_time"] for c in cands))
     assert timing["planner_kkt_s"] > 0.0
+    # the overtake run has infeasible candidates, whose solves count
+    infeasible = [c["wall_time"] for c in cands if c["status"] == "infeasible"]
+    assert infeasible
+    assert timing["planner_infeasible_s"] == pytest.approx(sum(infeasible))
+    assert timing["planner_infeasible_s"] < timing["planner_solve_s"]
 
 
 def test_summary_yaw_rate_definition(empty_road_run, empty_road_scenario):
