@@ -200,11 +200,11 @@ _FU_NONZERO = np.array([[True, True],
                         [True, True],
                         [False, True],
                         [True, False]])
-# Where the entries (s, psi), (s, nu), (d, psi), (d, nu) of A = df/dx land
+# Where the entries (s, nu), (d, nu), (s, psi), (d, psi) of A = df/dx land
 # among a step's _FX_NONZERO and its _FU_NONZERO entries, in row-major
 # order; B = df/du feeds omega to psi and alpha to nu.
-_FX_SLOTS = np.array([1, 2, 4, 5])
-_FU_SLOTS = np.array([1, 0, 3, 2])
+_FX_SLOTS = np.array([2, 5, 1, 4])
+_FU_SLOTS = np.array([0, 2, 1, 3])
 
 
 def _step(x, u, h):
@@ -224,7 +224,7 @@ def _step(x, u, h):
     rate = u[::-1]
     stages = np.empty((3, 4) + x.shape[1:])
     stages[0, :2] = x[2:]
-    stages[1:, :2] = x[2:] + np.multiply.outer((half, h), rate)
+    np.add(x[2:], np.multiply.outer((half, h), rate), out=stages[1:, :2])
     np.cos(stages[:, 0], out=stages[:, 2])
     np.sin(stages[:, 0], out=stages[:, 3])
     # k at the three distinct stages, summed as k1 + 2 k2 + 2 k3 + k4
@@ -536,7 +536,8 @@ class _LtpProgram:
         array or change its own."""
         z = np.asarray(z, dtype=float)
         last = self._z
-        if last is not None and z.shape == last.shape and (z == last).all():
+        if (last is not None and z.shape == last.shape
+                and not np.count_nonzero(z != last)):
             return self._rec
         # x0, a copy of z and alpha_prev in one buffer: the states x_0 ..
         # x_N are one (N + 1, 4) block, and z extended by alpha_prev is the
@@ -611,17 +612,17 @@ class _LtpProgram:
                              + pcfg.K_l * r.lane[2], 0.0) + 1e-8
 
         # obstacle field (cost weight + constraint multiplier), per-step
-        # Gauss-Newton block over (s, d)
-        mult = self.cfg.K_o + w_ineq[:N]
-        Gss, Gsd, Gdd = (mult * g for g in r.field.gauss_newton())
+        # Gauss-Newton block over (s, d): its (ss, sd, dd) rows
+        G = (self.cfg.K_o + w_ineq[:N]) * r.field.gauss_newton()
 
         # comfort term K_c (nu_{j-1} omega_j)^2, Gauss-Newton block
-        nu_at_u, om = r.nu_at_u, r.U[:, 1]
-        cross = 2.0 * pcfg.K_c * nu_at_u[1:] * om[1:]
+        om = r.U[:, 1]
+        c_nu = 2.0 * pcfg.K_c * r.nu_at_u
+        cross = c_nu[1:] * om[1:]
         return np.concatenate([
-            np.full(N, 2.0 * pcfg.K_v), lateral, Gss, Gsd, Gsd, Gdd,
-            2.0 * pcfg.K_c * nu_at_u * nu_at_u + 1e-8,
-            2.0 * pcfg.K_c * om[1:] * om[1:], cross, cross])
+            np.full(N, 2.0 * pcfg.K_v), lateral, G[0], G[1], G[1], G[2],
+            c_nu * r.nu_at_u + 1e-8, 2.0 * pcfg.K_c * om[1:] * om[1:],
+            cross, cross])
 
     # -- dynamics equalities ------------------------------------------------
 
@@ -642,15 +643,20 @@ class _LtpProgram:
         every entry is the chain's to the bit.  The trigonometry is the
         step's own, read from the record."""
         st = self._at(z).stages
-        # A's (s, psi), (s, nu), (d, psi), (d, nu) entries (stage, 4, step)
+        # A's (s, nu), (d, nu), (s, psi), (d, psi) entries (stage, 4, step):
+        # cos psi, sin psi, -nu sin psi and nu cos psi
         a = np.empty((3, 4, self.N))
-        a[:, 1], a[:, 3] = st[:, 2], st[:, 3]
-        np.multiply(-st[:, 1], st[:, 3], out=a[:, 0])
-        np.multiply(st[:, 1], st[:, 2], out=a[:, 2])
+        a[:, :2] = st[:, 2:]
+        np.multiply(-st[:, 1], st[:, 3], out=a[:, 2])
+        np.multiply(st[:, 1], st[:, 2], out=a[:, 3])
         # per stage the terms of Fx and of Fu on rows (s, d), summed in the
         # chain's order
-        t = a[:, None] * self.layout.stage_weights
-        S = ((t[0] + 2.0 * t[1]) + 2.0 * t[1]) + t[2]
+        c = self.layout.stage_weights
+        t1 = 2.0 * (a[1] * c[1])
+        S = a[0] * c[0]
+        S += t1
+        S += t1
+        S += a[2] * c[2]
         S *= -(self.cfg.T_sL / 6.0)
         vals = self.layout.eq_vals.copy()
         vals[self.layout.eq_fx] = S[0, :, 1:]

@@ -70,10 +70,11 @@ def boundary_potential(h_l, h_r, eta):
     # row 0 is the left edge, row 1 the right one, each in its own offset
     x = eta * np.array([h_l, h_r], dtype=float)
     x2 = x * x
-    e = np.exp(-(x2 * x2))
+    x4 = x2 * x2
+    e = np.exp(-x4)
     slope = -4.0 * eta * (x * x2) * e
-    curv = eta * eta * (16.0 * (x2 * x2 * x2) - 12.0 * x2) * e
-    return e[0] + e[1], -slope[0] + slope[1], curv[0] + curv[1]
+    curv = eta * eta * (16.0 * (x4 * x2) - 12.0 * x2) * e
+    return e[0] + e[1], slope[1] - slope[0], curv[0] + curv[1]
 
 
 def lane_potential(h_c):

@@ -136,15 +136,18 @@ def propagate_obstacle(o: ObstacleState, T_sL: float, N_L: int) -> UncertainFore
     )
 
 
+# the rows of f whose products give the (ss, sd, dd) Gauss-Newton entries
+_GN_LEFT, _GN_RIGHT = np.array([0, 0, 1]), np.array([0, 1, 1])
+
+
 @dataclass(frozen=True)
 class FieldTerms:
     """The obstacle field at one set of points, one row per forecast: the
-    gradient factors fs = c xs**(c-1) / gamma_s and fd = c xd**(c-1) /
-    gamma_d of phi = xs**c + xd**c, and the field values w = exp(-phi).
-    The sums over forecasts are zero without forecasts."""
+    gradient factors f = (fs, fd) = (c xs**(c-1) / gamma_s, c xd**(c-1) /
+    gamma_d) of phi = xs**c + xd**c, stacked, and the field values w =
+    exp(-phi).  The sums over forecasts are zero without forecasts."""
 
-    fs: np.ndarray
-    fd: np.ndarray
+    f: np.ndarray
     w: np.ndarray
 
     def value(self):
@@ -152,8 +155,7 @@ class FieldTerms:
 
     def grad(self):
         """(dW/ds, dW/dd)."""
-        w = self.w
-        return (-w * self.fs).sum(axis=0), (-w * self.fd).sum(axis=0)
+        return (-self.w * self.f).sum(axis=1)
 
     def gauss_newton(self):
         """(ss, sd, dd) entries of the sum of w grad(phi) grad(phi)', the
@@ -161,9 +163,9 @@ class FieldTerms:
         - hess(phi)) of each W = exp(-phi): phi is convex for even c, so the
         part dropped is negative semidefinite (Nocedal & Wright, Numerical
         Optimization, sec. 10.3)."""
-        fs, fd, w = self.fs, self.fd, self.w
-        return ((w * (fs * fs)).sum(axis=0), (w * (fs * fd)).sum(axis=0),
-                (w * (fd * fd)).sum(axis=0))
+        f = self.f
+        return (self.w * (f.take(_GN_LEFT, axis=0)
+                          * f.take(_GN_RIGHT, axis=0))).sum(axis=1)
 
 
 class ObstacleField:
@@ -195,21 +197,22 @@ class ObstacleField:
         self.d_o = np.array([fc.d_o for fc in forecasts],
                             dtype=float).reshape((-1,) + (1,) * j.ndim)
         self.gamma_d = np.full(shape, (0.5 * p.l_W + p.sigma_d) / root)
+        self._gamma = np.stack([self.gamma_s, self.gamma_d])
 
     def at(self, s, d) -> FieldTerms:
         """The per-forecast terms at (s, d), with the offsets clipped where
-        w has underflowed to 0."""
-        x_max = self._x_max
+        w has underflowed to 0.  The offsets xs and xd are one stacked
+        array, so each operation runs once on both."""
+        x = np.empty((2,) + np.broadcast(s, d, self.center).shape)
+        np.subtract(s, self.center, out=x[0])
+        np.subtract(d, self.d_o, out=x[1])
+        x /= self._gamma
         # np.clip's wrapper costs more than the two ufuncs it stands for
-        xs = np.minimum(np.maximum((s - self.center) / self.gamma_s, -x_max),
-                        x_max)
-        xd = np.minimum(np.maximum((d - self.d_o) / self.gamma_d, -x_max),
-                        x_max)
+        np.maximum(x, -self._x_max, out=x)
+        np.minimum(x, self._x_max, out=x)
         c = self.c
-        odd_s, even_s = _powers(xs, c)
-        odd_d, even_d = _powers(xd, c)
-        return FieldTerms(c * odd_s / self.gamma_s, c * odd_d / self.gamma_d,
-                          np.exp(-(even_s + even_d)))
+        odd, even = _powers(x, c)
+        return FieldTerms(c * odd / self._gamma, np.exp(-(even[0] + even[1])))
 
 
 def _powers(x, c):

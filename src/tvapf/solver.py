@@ -127,10 +127,12 @@ class SparsePattern:
     ``merge(vals)`` returns the stored entries of the M that holds
     ``vals[k]`` at ``(rows[k], cols[k])``, in CSR order: duplicate
     positions are summed in the order given, and every position stays
-    stored whatever its value.  A stored entry lies in row ``major`` and
-    column ``indices``; ``indptr`` is the CSR pointer.  The three arrays are
-    read-only, so programs may share a pattern.  ``matrix(vals)`` returns
-    the scipy CSR matrix of the merged ``vals``; ``matvec(entries, v)`` and
+    stored whatever its value.  ``vals[k]`` goes to stored entry
+    ``slot[k]``, which lies in row ``major`` and column ``indices``;
+    ``indptr`` is the CSR pointer.  The four arrays are read-only, so
+    programs may share a pattern.  ``values(vals)`` checks that ``vals``
+    has one value per (row, col) pair; ``matrix(vals)`` returns the scipy
+    CSR matrix of the merged ``vals``; ``matvec(entries, v)`` and
     ``rmatvec(entries, v)`` give M v and M' v from stored entries.
     """
 
@@ -141,22 +143,25 @@ class SparsePattern:
         if ((rows < 0) | (rows >= shape[0]) | (cols < 0)
                 | (cols >= shape[1])).any():
             raise ValueError(f"a sparsity pattern entry outside {shape}")
-        keys, self._slot = np.unique(rows * shape[1] + cols,
-                                     return_inverse=True)
+        keys, self.slot = np.unique(rows * shape[1] + cols,
+                                    return_inverse=True)
         self.indices = (keys % shape[1]).astype(np.int32)
         self.major = keys // shape[1]
         self.indptr = np.searchsorted(
             self.major, np.arange(shape[0] + 1)).astype(np.int32)
-        for a in (self.indices, self.major, self.indptr):
+        for a in (self.slot, self.indices, self.major, self.indptr):
             a.flags.writeable = False
         self.shape = tuple(shape)
 
-    def merge(self, vals):
+    def values(self, vals):
         vals = np.asarray(vals, dtype=float).ravel()
-        if len(vals) != len(self._slot):
+        if len(vals) != len(self.slot):
             raise ValueError(f"{len(vals)} values for a sparsity pattern of "
-                             f"{len(self._slot)}")
-        return _scatter(self._slot, vals, len(self.indices))
+                             f"{len(self.slot)}")
+        return vals
+
+    def merge(self, vals):
+        return _scatter(self.slot, self.values(vals), len(self.indices))
 
     def matrix(self, vals):
         return sp.csr_matrix((self.merge(vals), self.indices, self.indptr),
@@ -196,9 +201,24 @@ BOUND_MULT_INIT = 1.0
 def _finite(x, what):
     """x as a flat float vector, refused if a value is not finite."""
     x = np.asarray(x, dtype=float).ravel()
-    if not np.isfinite(x).all():
+    if not _all(np.isfinite(x)):
         raise CallbackFailure(f"non-finite value from {what}")
     return x
+
+
+def _all(mask):
+    """Whether a boolean vector is all true: ``np.count_nonzero`` takes a
+    third of the time of ``mask.all()`` on the solver's short vectors."""
+    return np.count_nonzero(mask) == len(mask)
+
+
+def _run(index):
+    """A sorted index array as the slice it spans when it has no gaps."""
+    if not len(index):
+        return slice(0, 0)
+    if index[-1] - index[0] == len(index) - 1:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
 
 
 def _scatter(index, values, n):
@@ -304,22 +324,27 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
         problem.ineq_constraints, problem.ineq_jacobian)
     viol_floor = max(100 * opts.tol, 1e-5)  # INFEASIBLE needs a violation above it
 
-    # The finite bounds as index sets: bound k sits at z[ib[k]] and its gap
-    # is sign[k] (z[ib[k]] - bound[k]), z - lb for the first nl and ub - z
-    # (to the bit) for the rest.
+    # The finite bounds as index sets: bound k sits at z[ib[k]], and its gap
+    # is z - lb for the first nl and ub - z for the rest.  A set of
+    # consecutive indices is kept as a slice, which numpy reads and writes
+    # in place where an index array gathers and scatters.
     ilb = np.flatnonzero(np.isfinite(lb))
     iub = np.flatnonzero(np.isfinite(ub))
-    nl = len(ilb)
+    nl, nb = len(ilb), len(ilb) + len(iub)
     ib = np.concatenate([ilb, iub])
-    bound = np.concatenate([lb[ilb], ub[iub]])
-    sign = np.concatenate([np.ones(nl), -np.ones(len(iub))])
+    lb_f, ub_f = lb[ilb], ub[iub]
+    ilb, iub = _run(ilb), _run(iub)
+
+    def bound_gaps(x, out):
+        np.subtract(x[ilb], lb_f, out=out[:nl])
+        np.subtract(ub_f, x[iub], out=out[nl:])
 
     # strict interior start for the barrier; the width is inf when one-sided
     width = BOUND_FRAC * (ub - lb)
     lo, hi = lb.copy(), ub.copy()
-    lo[ilb] += np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(lb[ilb])),
+    lo[ilb] += np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(lb_f)),
                           width[ilb])
-    hi[iub] -= np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(ub[iub])),
+    hi[iub] -= np.minimum(BOUND_PUSH * np.maximum(1.0, np.abs(ub_f)),
                           width[iub])
     z = np.clip(z0, lo, hi)
 
@@ -346,7 +371,9 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     # formed once per accepted point.
     mu = 0.1  # initial barrier parameter
     s = np.maximum(-ci, 1e-2)
-    gap = np.concatenate([s, sign * (z[ib] - bound)])
+    gap = np.empty(mi + nb)
+    gap[:mi] = s
+    bound_gaps(z, gap[mi:])
     dual = np.concatenate([mu / s,
                            mu / np.maximum(gap[mi:], 1e-12) + BOUND_MULT_INIT])
     terms = _merit_terms(gap, ce, ci, mi, nl)
@@ -359,25 +386,32 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
     def violation(cev, civ):
         return max(float(np.abs(cev).max(initial=0.0)),
-                   float(np.maximum(civ, 0.0).max(initial=0.0)))
+                   float(civ.max(initial=0.0)))
 
-    def kkt_errors(gJy, viol, *mu_vals):
-        """KKT error of the current iterate at each barrier parameter.
+    def kkt_errors(gJy, viol, mu):
+        """KKT error of the current iterate at barrier parameters 0 and mu.
 
         ``gJy`` is g + Je'y and ``viol`` the constraint violation; the dual
-        residual and the complementarity products are formed once."""
+        residual and the complementarity products are formed once.  The
+        products are positive, and rounding keeps the order of comp - mu,
+        so the largest |comp - mu| is max(comp) - mu or mu - min(comp)."""
         r_d = gJy + ineq_pat.rmatvec(ji, dual[:mi])
         r_d[ilb] -= dual[mi:mi + nl]
         r_d[iub] += dual[mi + nl:]
         base = max(float(np.abs(r_d).max(initial=0.0)), viol)
         comp = gap * dual
-        return [max(base, float(np.abs(comp - m).max(initial=0.0)))
-                for m in mu_vals]
+        top = float(comp.max(initial=0.0))
+        return (max(base, top),
+                max(base, top - mu, mu - float(comp.min(initial=mu))))
 
     kkt = _kkt_system(hess, eq_pat, ineq_pat).for_solve()
-    # the steps of the gaps and of their duals, each the slacks' part then
-    # the bounds', filled at each factorization
-    nb = len(ib)
+    # the floors of the slacks and of the bound gaps in w/s and mu/gap
+    floor = np.concatenate([np.full(mi, 1e-12), np.full(nb, 1e-300)])
+    # the right-hand side, filled at each iteration, and the steps of the
+    # gaps and of their duals, each the slacks' part then the bounds',
+    # filled at each factorization
+    rhs = np.empty(n + me)
+    rhs_z = rhs[:n]
     dgap, ddual = np.empty(mi + nb), np.empty(mi + nb)
     ds, dgap_b = dgap[:mi], dgap[mi:]
     dw, dzeta = ddual[:mi], ddual[mi:]
@@ -391,7 +425,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
     for it in range(1, opts.max_iter + 1):
         gJy = g + eq_pat.rmatvec(je, y)
         viol = violation(ce, ci)
-        err0, err_mu = kkt_errors(gJy, viol, 0.0, mu)
+        err0, err_mu = kkt_errors(gJy, viol, mu)
         if err0 < opts.tol:
             status = SolveStatus.OPTIMAL
             termination = "kkt"
@@ -415,26 +449,28 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
         # Hessian of the Lagrangian (approximate); an inf may pass SuperLU
         w = dual[:mi]
-        h = _finite(hess.merge(problem.hessian(z, y, w)), "hessian")
+        h = _finite(hess.values(problem.hessian(z, y, w)), "hessian")
 
         # condensed primal-dual system
         s, gap_b, zeta = gap[:mi], gap[mi:], dual[mi:]
         d_b = zeta / gap_b
         d_bound = _scatter(ib, d_b, n)
-        s_safe = np.maximum(s, 1e-12)
-        sigma = w / s_safe
+        safe = np.maximum(gap, floor)
+        mu_gap = mu / safe
+        sigma = w / safe[:mi]
         cs = ci + s
-        t = sigma * cs + mu / s_safe
-        barrier = mu / np.maximum(gap_b, 1e-300)
-        rhs_z = -gJy - ineq_pat.rmatvec(ji, t)
+        t = sigma * cs + mu_gap[:mi]
+        barrier = mu_gap[mi:]
+        np.negative(gJy, out=rhs_z)
+        rhs_z -= ineq_pat.rmatvec(ji, t)
         rhs_z[ilb] += barrier[:nl]
         rhs_z[iub] -= barrier[nl:]
-        rhs = np.concatenate([rhs_z, -ce])
+        np.negative(ce, out=rhs[n:])
 
         tau = max(0.99, 1.0 - mu)
         # backtracking on a barrier + L1-penalty merit function
         nu_pen = 10.0 + 2.0 * max(float(np.abs(y).max(initial=0.0)),
-                                  float(np.abs(w).max(initial=0.0)))
+                                  float(w.max(initial=0.0)))  # w > 0
         phi0 = _merit(f_val, terms, mu, nu_pen)
 
         accepted = False
@@ -448,7 +484,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
             except RuntimeError:  # a singular factor
                 sol = None
             phase_s["kkt"] += time.perf_counter() - t_kkt
-            if sol is None or not np.isfinite(sol).all():
+            if sol is None or not _all(np.isfinite(sol)):
                 delta_w = max(1e-8, 10.0 * (delta_w or 1e-8))
                 continue
 
@@ -459,7 +495,8 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
             ds -= Ji_dz
             np.subtract(t, w, out=dw)
             dw += sigma * Ji_dz
-            np.multiply(sign, dz[ib], out=dgap_b)
+            dgap_b[:nl] = dz[ilb]
+            np.negative(dz[iub], out=dgap_b[nl:])
             np.subtract(barrier, zeta, out=dzeta)
             dzeta -= d_b * dgap_b
 
@@ -473,7 +510,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
                 z_t = z + alpha * dz
                 gap_t = np.empty(mi + nb)
                 np.add(s, alpha * ds, out=gap_t[:mi])
-                np.multiply(sign, z_t[ib] - bound, out=gap_t[mi:])
+                bound_gaps(z_t, gap_t[mi:])
                 try:
                     f_t = eval_f(z_t)
                     ce_t = _finite(eq_c(z_t), "eq_constraints")
@@ -512,7 +549,7 @@ def solve(problem: NlpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
     wall = time.perf_counter() - t_start
     final_violation = violation(ce, ci)
-    final_err, = kkt_errors(g + eq_pat.rmatvec(je, y), final_violation, 0.0)
+    final_err = kkt_errors(g + eq_pat.rmatvec(je, y), final_violation, 0.0)[0]
     if status is SolveStatus.ITER_LIMIT:
         if final_err < opts.tol:
             status = SolveStatus.OPTIMAL
@@ -551,8 +588,10 @@ class _KktSystem:
 
     Its layout is the stage order, the pairs of stored entries of Ji that
     form Ji' diag(sigma) Ji, and the pattern of the transposed matrix, whose
-    CSR arrays are the matrix's CSC arrays, with the map from the entries
-    of H, d, those pairs, Je, Je' and the regularization to the matrix.  It
+    CSR arrays are the matrix's CSC arrays, with the map from the values of
+    H (one per pair of its pattern, duplicates summed in this merge), the
+    entries of d, those pairs, Je, Je' and the regularization to the
+    matrix.  It
     depends on the sparsity patterns of H, Je and Ji alone, so
     ``_kkt_system`` builds it once per triple of patterns and every solve
     on them shares it, read-only.  ``for_solve`` gives a solve its own
@@ -577,13 +616,16 @@ class _KktSystem:
         self._pairs = (a, b, Ji.major[a])
         diag = np.arange(n)
         eq = np.arange(n, n + me)
-        rows = np.concatenate([H.major, diag, Ji.indices[a],
+        # H's values enter as the program gives them, one per (row, col)
+        # pair; this merge sums its duplicates in their order, as H's own
+        # would, and the sums meet the other terms in the same order
+        rows = np.concatenate([H.major[H.slot], diag, Ji.indices[a],
                                Je.major + n, Je.indices, eq])
-        cols = np.concatenate([H.indices, diag, Ji.indices[b],
+        cols = np.concatenate([H.indices[H.slot], diag, Ji.indices[b],
                                Je.indices, Je.major + n, eq])
         # where h, d, the pair products, je, je again and the
         # regularization lie in the value buffer, in that order
-        ends = np.cumsum([len(H.indices), n, len(a), len(Je.indices),
+        ends = np.cumsum([len(H.slot), n, len(a), len(Je.indices),
                           len(Je.indices), me])
         self._blocks = tuple(slice(i, j)
                              for i, j in zip([0, *ends[:-1]], ends))
@@ -592,25 +634,29 @@ class _KktSystem:
         np.minimum.at(first, Je.indices, Je.major)
         self._order = np.argsort(
             np.concatenate([2 * first + 1, 2 * np.arange(me)]), kind="stable")
-        pos = np.argsort(self._order)  # of row and column i in that order
+        self._pos = np.argsort(self._order)  # of row and column i in it
         # the CSC arrays of the matrix are the CSR arrays of its transpose
-        self._pattern = SparsePattern(pos[cols], pos[rows], (n + me, n + me))
-        for arr in (*self._pairs, self._order):
+        P = self._pattern = SparsePattern(self._pos[cols], self._pos[rows],
+                                          (n + me, n + me))
+        self._csc = sp.csc_matrix((np.zeros(len(P.indices)), P.indices,
+                                   P.indptr), shape=P.shape)
+        for arr in (*self._pairs, self._order, self._pos):
             arr.flags.writeable = False
 
     def for_solve(self):
         """A copy sharing this layout, with a value buffer and a CSC matrix
-        of its own: the transpose of the transposed pattern's CSR matrix,
-        sharing its arrays."""
+        of its own, which shares the pattern's index arrays."""
         kkt = copy.copy(self)
         kkt._vals = np.empty(self._blocks[-1].stop)
         kkt._vals[self._blocks[-1]] = -1e-10
-        kkt._matrix = self._pattern.matrix(kkt._vals).T
+        kkt._matrix = copy.copy(self._csc)
+        kkt._matrix.data = np.empty_like(self._csc.data)
         return kkt
 
     def solve(self, h, je, ji, d, sigma, rhs):
-        """Factorize the system with the stored entries h, je and ji of H,
-        Je and Ji, and solve it for ``rhs``."""
+        """Factorize the system with H's values h, one per pair of its
+        pattern, and the stored entries je and ji of Je and Ji, and solve it
+        for ``rhs``."""
         a, b, row = self._pairs
         vals, (h_, d_, pairs, je1, je2, _) = self._vals, self._blocks
         vals[h_] = h
@@ -619,12 +665,10 @@ class _KktSystem:
         vals[pairs] *= ji[b]
         vals[je1] = je
         vals[je2] = je
-        self._matrix.data[:] = self._pattern.merge(vals)
+        self._matrix.data[:] = np.bincount(self._pattern.slot, weights=vals)
         lu = spla.splu(self._matrix, permc_spec="NATURAL", relax=1,
                        panel_size=1)
-        sol = np.empty_like(rhs)
-        sol[self._order] = lu.solve(rhs[self._order])
-        return sol
+        return lu.solve(rhs[self._order])[self._pos]
 
 
 @functools.lru_cache(maxsize=16)
@@ -637,12 +681,13 @@ def _kkt_system(H, Je, Ji):
 
 def _max_step(x, dx, tau):
     """Largest alpha in (0, 1] keeping x + alpha*dx >= (1 - tau) * x, for
-    x > 0.  Only the entries with tau x < -dx hold alpha below 1; their
+    x > 0.  Only the entries with -tau x > dx hold alpha below 1; their
     ratios round to 1 at most, so no division overflows."""
-    hit = tau * x < -dx
-    if not hit.any():
+    r = -tau * x
+    hit = r > dx
+    if not np.count_nonzero(hit):
         return 1.0
-    return float((-tau * x[hit] / dx[hit]).min())
+    return float((r[hit] / dx[hit]).min())
 
 
 def _merit_terms(gap, ce, ci, mi, nl):
@@ -650,7 +695,7 @@ def _merit_terms(gap, ce, ci, mi, nl):
     and the penalty: the log sums of the mi slacks, the nl lower-bound gaps
     and the upper-bound gaps (``gap`` in that order), then sum |ce| and
     sum |ci + s|; None off the interior."""
-    if (gap <= 0).any():
+    if gap.min(initial=1.0) <= 0:
         return None
     logs = np.log(gap)
     return (float(logs[:mi].sum()), float(logs[mi:mi + nl].sum()),

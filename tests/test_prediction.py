@@ -174,8 +174,8 @@ def test_field_is_exactly_sign_symmetric():
         d = rng.uniform(-2.0, 2.0, n) * field.gamma_d[0]
         t, m = field.at(s, d), field.at(-s, -d)
         assert m.w.tobytes() == t.w.tobytes()
-        assert m.fs.tobytes() == (-t.fs).tobytes()
-        assert m.fd.tobytes() == (-t.fd).tobytes()
+        # the stacked gradient factors (fs, fd)
+        assert m.f.tobytes() == (-t.f).tobytes()
 
 
 @pytest.mark.parametrize("c", [2, 4, 6])
