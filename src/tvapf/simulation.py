@@ -319,11 +319,14 @@ def summarize(log: RunLog, scenario: Scenario) -> dict:
         if len(err_pos) else 0.0,
         "events": [e["kind"] for e in log.events],
         # wall seconds of the planner's candidate solves over the run, of
-        # their KKT systems and callbacks, and of the candidates that ended
-        # infeasible; never in the run log, which stays byte-deterministic
+        # their KKT systems, of the SuperLU factorizations within those, of
+        # their callbacks, and of the candidates that ended infeasible;
+        # never in the run log, which stays byte-deterministic
         "timing": {
             "planner_solve_s": float(sum(solve_times)),
             "planner_kkt_s": float(sum(c["phase_s"]["kkt"] for c in cands)),
+            "planner_factor_s": float(sum(c["phase_s"]["factor"]
+                                          for c in cands)),
             "planner_callbacks_s": float(sum(c["phase_s"]["callbacks"]
                                              for c in cands)),
             "planner_infeasible_s": float(sum(

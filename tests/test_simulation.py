@@ -426,10 +426,12 @@ def test_summary_timing_sums_the_candidate_solves(overtake_run,
     log, _ = overtake_run
     timing = summarize(log, overtake_scenario)["timing"]
     assert set(timing) == {"planner_solve_s", "planner_kkt_s",
-                           "planner_callbacks_s", "planner_infeasible_s"}
+                           "planner_factor_s", "planner_callbacks_s",
+                           "planner_infeasible_s"}
     assert all(v >= 0.0 for v in timing.values())
     assert timing["planner_kkt_s"] + timing["planner_callbacks_s"] \
         <= timing["planner_solve_s"]
+    assert 0.0 < timing["planner_factor_s"] < timing["planner_kkt_s"]
     cands = [c for inst in log.instances
              for c in inst["stats"].get("candidates", ())]
     assert timing["planner_solve_s"] == pytest.approx(

@@ -529,7 +529,8 @@ def _matrix(P, vals):
 # The largest relative residual |K x - rhs| / |rhs| (max norms) the test
 # below allows.  Over the 30 systems of the scene's full stay solve and the
 # 31 of its full pass solve, partial pivoting (SuperLU's threshold 1) leaves
-# at most 1.9e-14, and no pivoting (threshold 0) 2.0e-11.
+# at most 1.9e-14, the solver's threshold of 1e-3 3.6e-14, and no pivoting
+# (threshold 0) 2.0e-11.
 KKT_RESIDUAL_BOUND = 1e-12
 
 
@@ -570,8 +571,10 @@ def test_each_factorization_is_one_natural_order_splu_call(monkeypatch):
     r = solve(_planner_problem(), SolveOptions(max_iter=10))
     assert r.factorizations == len(calls) >= 10
     # a CSR matrix would be converted, and so would factorize K', whose
-    # pair products differ from K's in the last bit
+    # pair products differ from K's in the last bit; the diagonal pivot
+    # threshold is the one the residual bound above was measured at
     assert all(fmt == "csc" and c["permc_spec"] == "NATURAL"
+               and c["diag_pivot_thresh"] == solver.KKT_PIVOT_THRESH == 1e-3
                for fmt, c in calls)
 
 
