@@ -11,17 +11,23 @@ All linear algebra goes through scipy.sparse.  The planner's program, 70 steps
 of multiple shooting (420 variables, 280 equality and 210 inequality rows),
 has block-banded Jacobians; it declares their sparsity patterns and its
 Hessian's once, and its callbacks return values only.  In stage order its KKT
-matrix is a band, which SuperLU factorizes as it stands.  ``perfbench/run.py
---trace 1`` splits a solve's time into the callbacks, the factorizations and
-the rest.  Section timers on the benchmark's 12 ``plan_cold`` scenes of seed 1
-(740 iterations; one BLAS thread, 2-core x86-64 host, numpy 2.4, scipy 1.17;
-median of 5 processes, each the best of 5 runs) split an iteration's 0.91 ms
-into: the KKT solve 0.47 ms, SuperLU's factorization 0.38 ms of it; the
-trial points of the line search 0.19 ms; the derivatives at the accepted
-point 0.09 ms; step recovery and fraction-to-boundary 0.04 ms; the KKT error
-0.04 ms; the Hessian 0.04 ms; the right-hand side 0.03 ms.  The solver is
-deterministic: identical problems, options and initial guesses produce
-identical iterate sequences.
+matrix is a band, which SuperLU factorizes as it stands.  A solve's
+``SolveResult.phase_s`` holds its seconds in the callbacks, in the KKT
+systems and, within those, in SuperLU's factorizations.  Section timers on
+the benchmark's 12 ``plan_cold`` scenes of seed 0 (629 iterations; one BLAS
+thread, 2-core x86-64 host, numpy 2.4, scipy 1.17; the least of 5
+processes, each the best of 7 runs) split an iteration's 0.81 ms into: the
+KKT solve 0.39 ms, SuperLU's factorization 0.33 ms of it; the trial points
+of the line search 0.18 ms; the derivatives at the accepted point 0.08 ms;
+step recovery and fraction-to-boundary 0.04 ms, and freeing the factor
+before it 0.015 ms; the Hessian 0.035 ms; the KKT error 0.03 ms; the
+right-hand side 0.02 ms.  A solve's set-up, the callbacks at its start
+included, takes 0.40 ms.  At half the horizon (35 steps, 561 iterations)
+SuperLU takes 0.17 ms and the rest of an iteration 0.37 ms, against 0.48
+ms at 70 steps: that rest is mostly numpy's and Python's cost per call, not
+arithmetic.  The solver is deterministic:
+identical problems, options and initial guesses produce identical iterate
+sequences.
 """
 
 from __future__ import annotations
@@ -612,9 +618,9 @@ class _KktSystem:
     it is (those in none go last), so the planner's matrix is a band of
     half-width 10.  SuperLU's default 10-column panels suit wide
     fronts; on this narrow band one-column panels are faster.  Of the
-    0.47 ms a planner system takes (see the module docstring),
-    ``spla.splu`` is 0.38 ms, the fill 0.02 ms, and the triangular solves
-    with the permutations 0.07 ms.
+    0.39 ms a planner system takes (see the module docstring),
+    ``spla.splu`` is 0.33 ms, the fill 0.02 ms and the triangular solves
+    with the permutations 0.04 ms; freeing the factor takes 0.015 ms more.
     """
 
     def __init__(self, H, Je, Ji):
